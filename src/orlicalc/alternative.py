@@ -31,7 +31,17 @@ from .spaces import (
     fundamental_function,
     same_level,
 )
-from .young import FAILS, HOLDS, Verdict, dominates, fails, holds, undecided
+from .young import (
+    FAILS,
+    HOLDS,
+    Verdict,
+    YoungFn,
+    dominates,
+    fails,
+    holds,
+    undecided,
+    youngify,
+)
 
 OPTIMAL = "optimal"
 NO_OPTIMAL = "no-optimal"
@@ -235,7 +245,6 @@ def _middle_orlicz_generator(X, Y):
 
 
 def _as_young(gen):
-    from .young import YoungFn, youngify
     return gen if isinstance(gen, YoungFn) else youngify(gen)
 
 

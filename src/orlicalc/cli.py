@@ -36,9 +36,11 @@ from .operators import (
     maximal_optimal_domain,
     maximal_optimal_target,
     sobolev_no_largest_on_level,
+    sobolev_optimal_target_fundamental,
     sobolev_orlicz_domain,
+    sobolev_target_condition,
 )
-from .rearrangement import SampledFn
+from .rearrangement import SampledFn, luxemburg_norm
 from .spaces import SpaceDescriptor, fundamental_function, norm as space_norm
 from .young import (
     HOLDS,
@@ -164,7 +166,7 @@ def _cmd_conj(args):
     A = _young_arg(args.young)
     At = conjugate(A)
     pts = _points(args)
-    vals = {str(p): _num(float(At.integral_value(p))) for p in pts}
+    vals = {str(p): _num(float(v)) for p, v in zip(pts, At.integral_value(pts))}
     return Report({"op": "conj"}, {"function": young_to_json(At), "values": vals})
 
 
@@ -188,7 +190,6 @@ def _cmd_norm(args):
     X = _space_arg(args.space)
     f = _samples_arg(args)
     if X.family == "orlicz":
-        from .rearrangement import luxemburg_norm
         val = luxemburg_norm(f, X.generator, rel_tol=args.tol)
     else:
         val = space_norm(X, f)
@@ -228,7 +229,6 @@ def _cmd_sobolev(args):
                       _outcome_json(out), exit_code=_exit_for_result(out.result),
                       rule=out.rule)
     # target side: profile transform under the contraction condition
-    from .operators import sobolev_optimal_target_fundamental, sobolev_target_condition
     X = _space_arg(args.space)
     phi = fundamental_function(X)
     cond = sobolev_target_condition(phi, ctx)

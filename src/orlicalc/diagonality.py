@@ -15,12 +15,25 @@ import numpy as np
 
 from .monotone import (
     INF,
+    INFINITE_BEYOND,
+    LIMIT_CONST,
     NEAR_INFINITY,
+    POWER_LOG,
+    ZERO_ON_INTERVAL,
     MonotoneFn,
     _power_segment_integral,
     geometric_grid,
+    infinite_beyond_desc,
+    limit_const_desc,
 )
-from .rearrangement import SampledFn, distribution, lambda_norm, modular, rearrange
+from .rearrangement import (
+    SampledFn,
+    distribution,
+    lambda_norm,
+    least_admissible_scale,
+    modular,
+    rearrange,
+)
 from .spaces import (
     CLASSICAL_LORENTZ,
     LAMBDA,
@@ -37,6 +50,8 @@ from .young import (
     QuasiConvexFn,
     Verdict,
     YoungFn,
+    _ratio_inf_desc,
+    _ratio_zero_desc,
     delta2,
     fails,
     holds,
@@ -116,7 +131,7 @@ def _build_gw_uncached(E: QuasiConvexFn) -> GWData:
     base = E.base
     refl = base.correlative()
     g = MonotoneFn(refl.t, np.where(np.isfinite(refl.v), refl.v, INF) / refl.t,
-                   _ratio_desc(refl.zero_desc), _ratio_desc_inf(refl.inf_desc),
+                   _ratio_zero_desc(refl.zero_desc), _ratio_inf_desc(refl.inf_desc),
                    validate=False)
     G = young_from_derivative(g)
     G_inv = G.base.left_inverse()
@@ -128,24 +143,6 @@ def _build_gw_uncached(E: QuasiConvexFn) -> GWData:
     data = GWData(E, G, g, G_inv, g_inv, t0, t_inf)
     _verify_gw(data)
     return data
-
-
-def _ratio_desc(d):
-    from .monotone import POWER_LOG, ZERO_ON_INTERVAL, power_log_desc, NUMERIC_DESC
-    if d.kind == POWER_LOG:
-        return power_log_desc(d.p - 1.0, d.alpha)
-    if d.kind == ZERO_ON_INTERVAL:
-        return d
-    return d if d.kind == "exp-reciprocal" else NUMERIC_DESC
-
-
-def _ratio_desc_inf(d):
-    from .monotone import EXPONENTIAL, INFINITE_BEYOND, POWER_LOG, power_log_desc, NUMERIC_DESC
-    if d.kind == POWER_LOG:
-        return power_log_desc(d.p - 1.0, d.alpha)
-    if d.kind in (EXPONENTIAL, INFINITE_BEYOND):
-        return d
-    return NUMERIC_DESC
 
 
 def _verify_gw(data, tol=1e-6):
@@ -434,7 +431,6 @@ def _step_outer_piece(outer_step, thresholds, lam, q, ta, tb, va, vb):
     expo = sigma + 1.0 - q
     if va == 0.0:
         va = vb * (ta / tb) ** max(sigma, 1.0)
-    coef = lam * va * ta ** (1.0 - q) if sigma == 0.0 else lam * va * ta ** (-sigma) * 1.0
     # inner(t) = lam * va * (t/ta)^sigma * t^(1-q) = C t^expo
     C = lam * va * ta ** (-sigma)
     cuts = [ta, tb]
@@ -499,7 +495,6 @@ def construct_witness_young(f: SampledFn, E: QuasiConvexFn) -> YoungFn:
     keep = np.empty(grid.size, dtype=bool)
     keep[0] = True
     keep[1:] = grid[1:] > grid[:-1]
-    from .monotone import infinite_beyond_desc, limit_const_desc
     deriv = MonotoneFn(grid[keep], vals[keep],
                        zero_desc=limit_const_desc(float(vals[0])),
                        inf_desc=infinite_beyond_desc(float(prev)),
@@ -528,11 +523,10 @@ def ac_embedding_check(A: YoungFn, E: QuasiConvexFn) -> Verdict:
         if math.isinf(val):
             return fails(witness=lam, reason="integral diverges at this scale")
     # symbolic confirmation that the class is scale-free
-    from .monotone import POWER_LOG, EXPONENTIAL, ZERO_ON_INTERVAL, INFINITE_BEYOND
     dz = data.g.zero_desc
     da = a_inv.inf_desc
     scale_free = dz.kind in (POWER_LOG, ZERO_ON_INTERVAL) and \
-        da.kind in (POWER_LOG, INFINITE_BEYOND, "limit-const")
+        da.kind in (POWER_LOG, INFINITE_BEYOND, LIMIT_CONST)
     if scale_free:
         return holds(max(results), reason="integrable at zero for every scale")
     return undecided("finite at sampled scales; class not symbolically scale-free")
@@ -642,34 +636,16 @@ def _weight_halving_constant(w: SampledFn):
 def lifted_norm(F: YoungFn, X: SpaceDescriptor, f: SampledFn,
                 rel_tol=1e-10) -> float:
     """Norm of the composition space: the least scale at which the F-image
-    of the function has unit norm in X."""
+    of the function has unit norm in X.  Step functions only."""
+    if f.tail is not None:
+        raise ValueError("the lifted norm takes step functions only, "
+                         "not a function with a tail piece")
     if f.is_zero:
         return 0.0
+    values, widths = np.array(f.pieces).T
 
     def ok(lam):
-        g = SampledFn([(float(F.integral_value(v / lam)), w) for v, w in f.pieces],
-                      f.length)
-        return space_norm(X, g) <= 1.0
+        image = F.integral_value(values / lam)
+        return space_norm(X, SampledFn(zip(image, widths), f.length)) <= 1.0
 
-    b = max(f.sup_value(), 1.0)
-    if ok(b):
-        a = b
-        while ok(a):
-            a /= 2.0
-            if a < 1e-300:
-                return 0.0
-        b = 2.0 * a
-    else:
-        a = b
-        while not ok(b):
-            b *= 2.0
-            if b > 1e300:
-                return INF
-        a = b / 2.0
-    while b / a > 1.0 + rel_tol:
-        mid = math.sqrt(a * b)
-        if ok(mid):
-            b = mid
-        else:
-            a = mid
-    return b
+    return least_admissible_scale(ok, max(f.sup_value(), 1.0), rel_tol)

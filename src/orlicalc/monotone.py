@@ -667,8 +667,7 @@ def cumulative_integral(fn, weight_exp=0.0, grid=None):
 
     Exact on power segments; the part below the grid comes from the zero
     descriptor.  If the integrand is non-integrable at zero, every value is
-    +inf and the caller should treat the construction as divergent (see
-    :func:`diverges_at_zero`).
+    +inf and the caller should treat the construction as divergent.
     """
     t = fn.t if grid is None else np.asarray(grid, dtype=float)
     vals = fn(t) if grid is not None else fn.v
@@ -715,11 +714,6 @@ def _integral_inf_desc(d, w):
     if d.kind == LIMIT_CONST:
         return power_log_desc(w + 1.0, 0.0) if w + 1.0 > 0 else NUMERIC_DESC
     return NUMERIC_DESC
-
-
-def diverges_at_zero(fn, weight_exp):
-    """True when integral of F(tau) tau**weight_exp diverges at 0."""
-    return np.isinf(_tail_zero_integral(fn, fn.t[0], weight_exp))
 
 
 def integral_on_interval(fn, lo, hi, weight_exp=0.0):

@@ -41,7 +41,10 @@ from .monotone import (
     NUMERIC_DESC,
     cumulative_integral,
     default_grid,
+    exp_reciprocal_desc,
+    exponential_desc,
     geometric_grid,
+    infinite_beyond_desc,
     power_log_desc,
 )
 from .spaces import (
@@ -65,6 +68,8 @@ from .young import (
     dominates,
     fails,
     holds,
+    linfty_young,
+    power_young,
     undecided,
     young_from_values,
     youngify,
@@ -209,7 +214,6 @@ def _target_generator(target):
     if target.family == ORLICZ:
         return target.generator
     if target.family == LEBESGUE:
-        from .young import linfty_young, power_young
         return linfty_young() if math.isinf(target.p) else power_young(target.p)
     raise ConditionViolated("the reduced construction needs an Orlicz target")
 
@@ -436,7 +440,6 @@ def _gamma_piece(sigma, a, b):
 
 def _transform_desc_zero(d):
     """Asymptotic class near zero of the exponential-weight transform."""
-    from .monotone import exp_reciprocal_desc
     if d.kind == POWER_LOG:
         return d
     if d.kind == EXP_RECIPROCAL:
@@ -448,7 +451,6 @@ def _transform_desc_zero(d):
 
 def _transform_desc_inf(d):
     """Asymptotic class near infinity of the exponential-weight transform."""
-    from .monotone import exponential_desc
     if d.kind == POWER_LOG:
         return d
     if d.kind == EXPONENTIAL:
@@ -502,7 +504,6 @@ def maximal_optimal_target(A: YoungFn) -> AlternativeOutcome:
     inf_desc = _transform_desc_inf(At.base.inf_desc)
     if inf_desc.kind == NUMERIC_ONLY and np.isinf(vals).any():
         # unit-rate conjugate: the moment diverges beyond a finite scale
-        from .monotone import infinite_beyond_desc
         inf_desc = infinite_beyond_desc(float(t_grid[np.isinf(vals)][0]))
     Bt = young_from_values(t_fin, v_fin,
                            _transform_desc_zero(At.base.zero_desc),

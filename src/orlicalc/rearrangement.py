@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .monotone import INF, MonotoneFn, geometric_grid
+from .monotone import INF, MonotoneFn, _power_segment_integral, geometric_grid
 from .young import QuasiConvexFn, YoungFn
 
 
@@ -78,12 +78,6 @@ class SampledFn:
         if self.tail:
             tail = PowerTail(self.tail.coef * c, self.tail.expo, self.tail.width)
         return SampledFn([(v * c, w) for v, w in self.pieces], self.length, tail)
-
-    def apply_increasing(self, fn):
-        """Composition g(|f|) with an increasing map g, g(0)=0; steps only."""
-        if self.tail is not None:
-            raise ValueError("composition with a tail piece is not supported")
-        return SampledFn([(fn(v), w) for v, w in self.pieces], self.length)
 
     def sup_value(self):
         if self.tail is not None:
@@ -321,7 +315,6 @@ def _tail_modular(A: QuasiConvexFn, tail: PowerTail, scale=1.0):
     vals = A(pts)
     if np.isinf(vals).any():
         return INF
-    from .monotone import _power_segment_integral
     seg = _power_segment_integral(vals[:-1], vals[1:], pts[:-1], pts[1:], w_exp)
     total = float(np.sum(seg))
     # beyond the table: values grow at least linearly, weight decays as
@@ -345,38 +338,39 @@ def modular(f: SampledFn, A: QuasiConvexFn, scale=1.0):
     if f.is_zero:
         return 0.0
     total = 0.0
-    use_exact = isinstance(A, YoungFn)
-    for v, w in f.pieces:
-        av = A.integral_value(scale * v) if use_exact else A(scale * v)
-        if np.isinf(av):
+    if f.pieces:
+        values, widths = np.array(f.pieces).T
+        av = A.integral_value(scale * values) if isinstance(A, YoungFn) \
+            else A(scale * values)
+        if np.isinf(av).any():
             return INF
-        total += av * w
+        # a running sum keeps the left-to-right order of the pieces
+        total = float(np.cumsum(av * widths)[-1])
     if f.tail is not None:
         total += _tail_modular(A, f.tail, scale)
     return total
 
 
-def luxemburg_norm(f: SampledFn, A: QuasiConvexFn, rel_tol=1e-10):
-    """inf{lam > 0 : modular(f / lam) <= 1} by doubling then bisection."""
-    if f.is_zero:
-        return 0.0
+def least_admissible_scale(ok, start, rel_tol):
+    """The least lam > 0 with ok(lam), for a predicate that is false below
+    its answer and true above it.
 
-    def ok(lam):
-        return modular(f, A, scale=1.0 / lam) <= 1.0
-
-    b = max(f.sup_value(), 1.0)
-    if math.isinf(b):
-        b = 1.0
+    Halves or doubles from ``start`` to a bracket, then bisects the log
+    scale down to relative width ``rel_tol`` and returns the admissible
+    end.  Gives 0 when ok holds down to 1e-300 and +inf when it fails up to
+    1e300.
+    """
+    b = start
     if ok(b):
         a = b
-        while ok(a):
+        while True:
             a /= 2.0
             if a < 1e-300:
                 return 0.0
-        # a is now too small, the previous value (2a) admissible
+            if not ok(a):
+                break
         b = 2.0 * a
     else:
-        a = b
         while not ok(b):
             b *= 2.0
             if b > 1e300:
@@ -390,6 +384,17 @@ def luxemburg_norm(f: SampledFn, A: QuasiConvexFn, rel_tol=1e-10):
         else:
             a = mid
     return b
+
+
+def luxemburg_norm(f: SampledFn, A: QuasiConvexFn, rel_tol=1e-10):
+    """inf{lam > 0 : modular(f / lam) <= 1}."""
+    if f.is_zero:
+        return 0.0
+    start = max(f.sup_value(), 1.0)
+    if math.isinf(start):
+        start = 1.0
+    return least_admissible_scale(lambda lam: modular(f, A, scale=1.0 / lam) <= 1.0,
+                                  start, rel_tol)
 
 
 def lambda_norm(f: SampledFn, A: QuasiConvexFn):
@@ -415,7 +420,6 @@ def lambda_norm(f: SampledFn, A: QuasiConvexFn):
         total += (v_cut - prev_value) * phi(t.width)
         # above v_cut the measure above the threshold is (coef/lambda)**(1/expo);
         # the integrand phi(m(lambda)) is a decreasing power-log profile
-        from .monotone import _power_segment_integral
         lam_grid = geometric_grid(v_cut, v_cut * 1e40, 32)
         mvals = (t.coef / lam_grid) ** (1.0 / t.expo)
         pv = phi(mvals)

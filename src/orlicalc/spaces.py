@@ -343,10 +343,6 @@ def companions(X: SpaceDescriptor):
             SpaceDescriptor(MARCINKIEWICZ, itv, generator=gen))
 
 
-def fundamental_orlicz_space(X: SpaceDescriptor) -> SpaceDescriptor:
-    return companions(X)[1]
-
-
 def associate(X: SpaceDescriptor) -> SpaceDescriptor:
     """The associate (Koethe dual) descriptor, for families in the duality
     table; fundamental functions multiply to the identity."""

@@ -131,18 +131,26 @@ class YoungFn(QuasiConvexFn):
     # stays exactly conjugate at every query point.
 
     def integral_value(self, x):
+        """A(x) as the integral of the derivative over (0, x].
+
+        Array in, array of the same shape out; a scalar gives a ``float``.
+        A divergent or overflowing tail gives ``+inf``, never an exception.
+        """
         arr = np.asarray(x, dtype=float)
-        scalar = arr.ndim == 0
-        xq = np.atleast_1d(arr)
-        out = np.array([_integral_value_scalar(self, float(q)) for q in xq])
-        return float(out[0]) if scalar else out
+        out = _integral_value(self, arr.ravel()).reshape(arr.shape)
+        return float(out) if arr.ndim == 0 else out
 
     def integral_inverse(self, s):
+        """Right-continuous inverse of :meth:`integral_value`:
+        sup{tau : A(tau) <= s}.
+
+        Array in, array of the same shape out; a scalar gives a ``float``.
+        A level the function never exceeds gives ``+inf``, never an
+        exception.
+        """
         arr = np.asarray(s, dtype=float)
-        scalar = arr.ndim == 0
-        sq = np.atleast_1d(arr)
-        out = _integral_inverse_vector(self, sq)
-        return float(out[0]) if scalar else out
+        out = _integral_inverse(self, arr.ravel()).reshape(arr.shape)
+        return float(out) if arr.ndim == 0 else out
 
 
 def _check_ratio_monotone(base, tol=1e-9):
@@ -171,7 +179,7 @@ def _check_young(A, rel_tol=1e-6):
     ti, vi = ti[good], vi[good]
     mid = 0.5 * (ti[:, None] + ti[None, :])
     chord = 0.5 * (vi[:, None] + vi[None, :])
-    val = A.integral_value(mid.ravel()).reshape(mid.shape)
+    val = A.integral_value(mid)
     bad = val > chord * (1 + rel_tol) + 1e-300
     if bad.any():
         i, j = np.argwhere(bad)[0]
@@ -342,258 +350,208 @@ def young_from_callable(f, zero_desc=NUMERIC_DESC, inf_desc=NUMERIC_DESC,
     return young_from_values(t, v, zero_desc, inf_desc, recipe=recipe)
 
 
-def quasi_convex_from_values(t, v, zero_desc=NUMERIC_DESC, inf_desc=NUMERIC_DESC):
-    return QuasiConvexFn(MonotoneFn(t, v, zero_desc, inf_desc))
-
-
 class IntegralDiverges(ValueError):
     """Raised when a defining integral is +inf for every positive argument."""
 
 
-def _segment_piece(a, i, x):
-    """Exact integral of the derivative over [t_i, x], x inside segment i."""
-    tl = a.t[i]
-    al = a.v[i]
-    if x <= tl:
-        return 0.0
-    if i + 1 < a.t.size and np.isinf(a.v[i + 1]) and x > tl:
-        return INF
-    ax = a(np.array([x]))[0]
-    return float(_power_segment_integral(al, ax, tl, x))
+# -- exact evaluation through the derivative ---------------------------------
+#
+# Each branch below works on a whole array of query points: the segment of
+# the derivative table that holds each point, the closed-form primitive of a
+# power head or tail off the table, and an extension grid with fixed nodes
+# for heads and tails without a closed form.
 
 
-def _tail_power_exponent(a):
-    """Pure-power exponent of the derivative beyond its grid, or None."""
-    d = a.inf_desc
+def _pure_power_exponent(d, edge_slope):
+    """Exponent of the pure power a table follows off its grid at the end
+    with descriptor d (edge_slope gives the numeric-only one), or None."""
     if d.kind == POWER_LOG and d.alpha == 0.0:
         return d.p
     if d.kind == NUMERIC_ONLY:
-        return a._edge_slope_inf()
+        return edge_slope()
     if d.kind == LIMIT_CONST:
         return 0.0
     return None
 
 
-def _integral_value_scalar(A, x):
-    a, base = A.derivative, A.base
-    if x <= 0.0:
-        return 0.0
-    if math.isinf(x):
-        return base.value_at_inf
-    t = a.t
-    if x < t[0]:
-        head = _head_integral(a, x)
-        return head
-    if x > t[-1]:
-        total = float(base.v[-1])
-        if math.isinf(total):
-            return INF
-        p = _tail_power_exponent(a)
-        aN, tN = float(a.v[a._i_last_fin]), float(t[a._i_last_fin])
-        if a._i_last_fin < t.size - 1:
-            return INF  # the derivative jumps to infinity inside the grid
-        if p is not None:
-            if p == 0.0 and a.inf_desc.kind == LIMIT_CONST:
-                aN = a.inf_desc.limit
-            with np.errstate(over="ignore"):
-                return total + aN * tN * ((x / tN) ** (p + 1.0) - 1.0) / (p + 1.0)
-        ext = geometric_grid(t[-1], x, per_decade=16)
-        vals = a(ext)
-        total += float(np.sum(_power_segment_integral(
-            vals[:-1], vals[1:], ext[:-1], ext[1:])))
-        return total
-    i = int(np.searchsorted(t, x, side="right")) - 1
-    i = min(max(i, 0), t.size - 2) if t.size > 1 else 0
-    if t.size == 1 or x == t[i]:
-        return float(base.v[i]) if x == t[i] else float(base.v[0]) + _segment_piece(a, 0, x)
-    return float(base.v[i]) + _segment_piece(a, i, x)
+def _integral_from(a, lo, x, anchor):
+    """Integral of the derivative over [lo, x] for each x >= lo, exact per
+    segment of the grid anchor * 10**(k/16), k integer, cut to [lo, max(x)].
+
+    The nodes sit at fixed places, so a point's value does not depend on
+    the other points of the batch (beyond the rounding of a running sum).
+    """
+    hi, log_anchor = float(x.max()), math.log10(anchor)
+    k = np.arange(math.floor(16.0 * (math.log10(lo) - log_anchor)),
+                  math.ceil(16.0 * (math.log10(hi) - log_anchor)) + 1)
+    with np.errstate(over="ignore"):
+        ext = np.clip(anchor * 10.0 ** (k / 16.0), lo, hi)
+    vals = a(ext)
+    seg = _power_segment_integral(vals[:-1], vals[1:], ext[:-1], ext[1:])
+    cum = np.concatenate(([0.0], np.cumsum(seg)))
+    j = np.searchsorted(ext, x, side="right") - 1
+    return cum[j] + _power_segment_integral(vals[j], a(x), ext[j], x)
 
 
-def _head_integral(a, x):
-    """Exact-enough integral of the derivative over (0, x] below its grid."""
+def _integral_below_grid(a, x):
+    """Integral of the derivative over (0, x] for 0 < x below its grid."""
     d = a.zero_desc
+    out = np.zeros_like(x)
     if d.kind == ZERO_ON_INTERVAL:
-        return 0.0
-    ax = a(np.array([x]))[0]
-    if ax == 0.0:
-        return 0.0
-    if math.isinf(ax):
-        return INF
-    if d.kind == LIMIT_CONST:
-        return d.limit * x
-    if d.kind == POWER_LOG:
-        p = d.p
-    else:
-        p = a._edge_slope_zero()
-    if d.kind == POWER_LOG and d.alpha != 0.0:
-        ext = geometric_grid(x * 1e-45, x, per_decade=16)
-        vals = a(ext)
-        total = float(np.sum(_power_segment_integral(
-            vals[:-1], vals[1:], ext[:-1], ext[1:])))
-        return total + vals[0] * ext[0] / max(p + 1.0, 1e-9)
-    return ax * x / (p + 1.0)
-
-
-def _integral_inverse_scalar(A, s):
-    """Right-continuous inverse of the derivative-consistent evaluation."""
-    a, base = A.derivative, A.base
-    if math.isinf(s):
-        return INF
-    tz = base.t_zero
-    if s <= 0.0:
-        return tz
-    nodes_t, nodes_v = base.t, base.v
-    if s < nodes_v[0] or not np.isfinite(nodes_v).any():
-        # below the table: invert the head primitive, in closed form for
-        # power-class heads and by log-space bisection otherwise
-        d = a.zero_desc
-        p = None
-        if a._i_first_pos == 0:
-            if d.kind == POWER_LOG and d.alpha == 0.0:
-                p = d.p
-            elif d.kind == NUMERIC_ONLY:
-                p = a._edge_slope_zero()
-            elif d.kind == LIMIT_CONST:
-                p = 0.0
-        if p is not None and a.v[0] > 0:
-            ta, va = float(a.t[0]), float(a.v[0])
-            if d.kind == LIMIT_CONST:
-                va = d.limit
-            return (s * (p + 1.0) * ta ** p / va) ** (1.0 / (p + 1.0))
-        lo, hi = nodes_t[0] * 1e-60, nodes_t[0]
-        if _head_integral(a, hi) < s:
-            return hi
-        for _ in range(80):
-            mid = math.sqrt(lo * hi)
-            if _integral_value_scalar(A, mid) <= s:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-    i_last_fin = int(np.flatnonzero(np.isfinite(nodes_v))[-1])
-    if s >= nodes_v[i_last_fin]:
-        if base.t_inf < INF or np.isinf(nodes_v[-1]):
-            return float(nodes_t[i_last_fin]) if s < INF else INF
-        # beyond the table: invert the power-tail primitive in closed form
-        a = A.derivative
-        p = _tail_power_exponent(a)
-        A_N = float(nodes_v[-1])
-        tN = float(nodes_t[-1])
-        aN = float(a.v[a._i_last_fin])
-        if p is not None and aN > 0:
-            if p == 0.0 and a.inf_desc.kind == LIMIT_CONST:
-                aN = a.inf_desc.limit
-            return tN * ((s - A_N) * (p + 1.0) / (aN * tN) + 1.0) ** (1.0 / (p + 1.0))
-        # non-power tails grow at least linearly: bounded doubling search
-        lo = tN
-        hi = lo
-        for _ in range(1100):
-            hi *= 2.0
-            if _integral_value_scalar(A, hi) >= s:
-                break
-        else:
-            return INF
-        for _ in range(80):
-            mid = math.sqrt(lo * hi)
-            if _integral_value_scalar(A, mid) <= s:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-    i = int(np.searchsorted(nodes_v, s, side="right")) - 1
-    i = min(max(i, 0), nodes_t.size - 2)
-    Al = float(nodes_v[i])
-    if s == Al:
-        return float(nodes_t[i])
-    tl, tr = float(nodes_t[i]), float(nodes_t[i + 1])
-    al = float(a.v[i]) if a.t.size == nodes_t.size else float(a(np.array([tl]))[0])
-    ar = float(a.v[i + 1]) if a.t.size == nodes_t.size else float(a(np.array([tr]))[0])
-    need = s - Al
-    if math.isinf(ar) or ar == al == 0.0:
-        return tr  # flat or jump segment: the crossing is at the far node
-    if al == 0.0:
-        c = ar / (tr - tl)
-        return tl + math.sqrt(2.0 * need / c)
-    sigma = 0.0 if ar == al else math.log(ar / al) / math.log(tr / tl)
-    e = sigma + 1.0
-    return tl * ((need * e) / (al * tl) + 1.0) ** (1.0 / e)
-
-
-def _integral_inverse_vector(A, sq):
-    """Vectorized right-continuous inverse of the derivative-consistent
-    evaluation; exotic queries (outside the table) fall back to the scalar
-    path point by point."""
-    a, base = A.derivative, A.base
-    nodes_t, nodes_v = base.t, base.v
-    out = np.empty_like(sq)
-    fin_idx = np.flatnonzero(np.isfinite(nodes_v))
-    i_last_fin = int(fin_idx[-1]) if fin_idx.size else 0
-    top = nodes_v[i_last_fin] if fin_idx.size else -1.0
-    same_grid = a.t.size == nodes_t.size
-    easy = (sq > nodes_v[0]) & (sq < top) & np.isfinite(sq) & same_grid
-    hard = ~easy
-
-    # vectorized closed forms for the regions outside the table
-    below = hard & (sq > 0.0) & (sq < nodes_v[0])
-    if below.any():
-        d = a.zero_desc
-        p = None
-        if a._i_first_pos == 0:
-            if d.kind == POWER_LOG and d.alpha == 0.0:
-                p = d.p
-            elif d.kind == NUMERIC_ONLY:
-                p = a._edge_slope_zero()
-            elif d.kind == LIMIT_CONST:
-                p = 0.0
-        if p is not None and a.v[0] > 0:
-            ta = float(a.t[0])
-            va = d.limit if d.kind == LIMIT_CONST else float(a.v[0])
-            out[below] = (sq[below] * (p + 1.0) * ta ** p / va) ** (1.0 / (p + 1.0))
-            hard = hard & ~below
-    above = hard & np.isfinite(sq) & (sq >= top)
-    if above.any():
-        if base.t_inf < INF or np.isinf(nodes_v[-1]):
-            out[above] = float(nodes_t[i_last_fin])
-            hard = hard & ~above
-        else:
-            p = _tail_power_exponent(a)
-            aN = float(a.v[a._i_last_fin])
-            if p is not None and aN > 0:
-                if p == 0.0 and a.inf_desc.kind == LIMIT_CONST:
-                    aN = a.inf_desc.limit
-                A_N, tN = float(nodes_v[-1]), float(nodes_t[-1])
-                out[above] = tN * ((sq[above] - A_N) * (p + 1.0)
-                                   / (aN * tN) + 1.0) ** (1.0 / (p + 1.0))
-                hard = hard & ~above
-
-    for k in np.flatnonzero(hard):
-        out[k] = _integral_inverse_scalar(A, float(sq[k]))
-    if not easy.any():
         return out
-    s = sq[easy]
-    i = np.searchsorted(nodes_v, s, side="right") - 1
-    i = np.clip(i, 0, nodes_t.size - 2)
-    Al = nodes_v[i]
+    ax = a(x)
+    out[np.isinf(ax)] = INF
+    live = (ax > 0.0) & np.isfinite(ax)
+    if not live.any():
+        return out
+    x, ax = x[live], ax[live]
+    if d.kind == LIMIT_CONST:
+        out[live] = d.limit * x
+        return out
+    p = d.p if d.kind == POWER_LOG else a._edge_slope_zero()
+    if d.kind == POWER_LOG and d.alpha != 0.0:
+        # the log factor has no closed-form primitive: integrate from 45
+        # decades below the smallest point and close with the pure-power
+        # remainder there
+        lo = max(float(x.min()) * 1e-45, 1e-300)
+        r = np.minimum(x, lo)
+        out[live] = (_integral_from(a, lo, np.maximum(x, lo), a.t[0])
+                     + a(r) * r / max(p + 1.0, 1e-9))
+        return out
+    out[live] = ax * x / (p + 1.0)
+    return out
+
+
+def _integral_above_grid(A, x):
+    """A(x) for finite x beyond the derivative grid."""
+    a, base = A.derivative, A.base
+    total = float(base.v[-1])
+    if math.isinf(total) or a._i_last_fin < a.t.size - 1:
+        # infinite already, or the derivative jumps to infinity inside the grid
+        return np.full_like(x, INF)
+    p = _pure_power_exponent(a.inf_desc, a._edge_slope_inf)
+    aN, tN = float(a.v[-1]), float(a.t[-1])
+    if p is None:
+        return total + _integral_from(a, tN, x, tN)
+    if p == 0.0 and a.inf_desc.kind == LIMIT_CONST:
+        aN = a.inf_desc.limit
+    with np.errstate(over="ignore"):
+        return total + aN * tN * ((x / tN) ** (p + 1.0) - 1.0) / (p + 1.0)
+
+
+def _integral_value(A, x):
+    """Array kernel of :meth:`YoungFn.integral_value`."""
+    a, base = A.derivative, A.base
+    t = a.t
+    out = np.full_like(x, np.nan)
+    out[x <= 0.0] = 0.0
+    out[x == INF] = base.value_at_inf
+    head = (x > 0.0) & (x < t[0])
+    if head.any():
+        out[head] = _integral_below_grid(a, x[head])
+    tail = (x > t[-1]) & (x < INF)
+    if tail.any():
+        out[tail] = _integral_above_grid(A, x[tail])
+    grid = (x >= t[0]) & (x <= t[-1])
+    if grid.any():
+        xg = x[grid]
+        i = np.clip(np.searchsorted(t, xg, side="right") - 1, 0, max(t.size - 2, 0))
+        out[grid] = base.v[i] + _power_segment_integral(a.v[i], a(xg), t[i], xg)
+    return out
+
+
+def _bisect_log(A, s, lo, hi, steps=80):
+    """The largest tau in [lo, hi] with A.integral_value(tau) <= s, for each
+    s, by bisection of the log scale; lo must satisfy the bound."""
+    for _ in range(steps):
+        mid = np.sqrt(lo) * np.sqrt(hi)
+        low = A.integral_value(mid) <= s
+        lo = np.where(low, mid, lo)
+        hi = np.where(low, hi, mid)
+    return lo
+
+
+def _inverse_below_table(A, s):
+    a, base = A.derivative, A.base
+    p = _pure_power_exponent(a.zero_desc, a._edge_slope_zero) \
+        if a._i_first_pos == 0 else None
+    if p is not None and a.v[0] > 0:
+        ta = float(a.t[0])
+        va = a.zero_desc.limit if a.zero_desc.kind == LIMIT_CONST else float(a.v[0])
+        return (s * (p + 1.0) * ta ** p / va) ** (1.0 / (p + 1.0))
+    t0 = base.t[0]
+    return _bisect_log(A, s, np.full_like(s, t0 * 1e-60), np.full_like(s, t0))
+
+
+def _inverse_above_table(A, s):
+    a, base = A.derivative, A.base
+    if base.t_inf < INF or np.isinf(base.v[-1]):
+        return np.full_like(s, base.t[base._i_last_fin])
+    p = _pure_power_exponent(a.inf_desc, a._edge_slope_inf)
+    aN, tN, A_N = float(a.v[a._i_last_fin]), float(base.t[-1]), float(base.v[-1])
+    if p is not None and aN > 0:
+        if p == 0.0 and a.inf_desc.kind == LIMIT_CONST:
+            aN = a.inf_desc.limit
+        return tN * ((s - A_N) * (p + 1.0) / (aN * tN) + 1.0) ** (1.0 / (p + 1.0))
+    # non-power tails grow at least linearly: bounded doubling, then bisection
+    hi = np.full_like(s, tN)
+    short = np.ones(s.shape, dtype=bool)
+    for _ in range(1100):
+        hi[short] *= 2.0
+        short[short] = A.integral_value(hi[short]) < s[short]
+        if not short.any():
+            break
+    out = _bisect_log(A, s, np.full_like(s, tN), hi)
+    out[short] = INF
+    return out
+
+
+def _inverse_in_table(A, s):
+    a, base = A.derivative, A.base
+    nodes_t, nodes_v = base.t, base.v
+    i = np.clip(np.searchsorted(nodes_v, s, side="right") - 1, 0, nodes_t.size - 2)
     tl, tr = nodes_t[i], nodes_t[i + 1]
-    al, ar = a.v[i], a.v[i + 1]
-    need = s - Al
-    res = np.empty_like(s)
+    if a.t.size == nodes_t.size:
+        al, ar = a.v[i], a.v[i + 1]
+    else:
+        al, ar = a(tl), a(tr)
+    need = s - nodes_v[i]
+    out = np.empty_like(s)
     exact = need == 0.0
-    res[exact] = tl[exact]
+    out[exact] = tl[exact]
     far = (np.isinf(ar) | ((ar == 0.0) & (al == 0.0))) & ~exact
-    res[far] = tr[far]
+    out[far] = tr[far]  # flat or jump segment: the crossing is at the far node
     ramp = (al == 0.0) & ~far & ~exact
     if ramp.any():
         c = ar[ramp] / (tr[ramp] - tl[ramp])
-        res[ramp] = tl[ramp] + np.sqrt(2.0 * need[ramp] / c)
+        out[ramp] = tl[ramp] + np.sqrt(2.0 * need[ramp] / c)
     pw = ~(exact | far | ramp)
     if pw.any():
         with np.errstate(divide="ignore", invalid="ignore"):
             sigma = np.where(ar[pw] == al[pw], 0.0,
                              np.log(ar[pw] / al[pw]) / np.log(tr[pw] / tl[pw]))
             e = sigma + 1.0
-            res[pw] = tl[pw] * ((need[pw] * e) / (al[pw] * tl[pw]) + 1.0) ** (1.0 / e)
-    out[easy] = res
+            out[pw] = tl[pw] * ((need[pw] * e) / (al[pw] * tl[pw]) + 1.0) ** (1.0 / e)
+    return out
+
+
+def _integral_inverse(A, s):
+    """Array kernel of :meth:`YoungFn.integral_inverse`."""
+    base = A.base
+    nodes_v = base.v
+    out = np.full_like(s, np.nan)
+    out[s <= 0.0] = base.t_zero
+    out[s == INF] = INF
+    live = (s > 0.0) & np.isfinite(s)
+    below = live & ((s < nodes_v[0]) | (base._i_last_fin < 0))
+    if below.any():
+        out[below] = _inverse_below_table(A, s[below])
+    above = live & ~below & (s >= nodes_v[base._i_last_fin])
+    if above.any():
+        out[above] = _inverse_above_table(A, s[above])
+    inside = live & ~below & ~above
+    if inside.any():
+        out[inside] = _inverse_in_table(A, s[inside])
     return out
 
 
@@ -663,16 +621,14 @@ def youngify(B: QuasiConvexFn) -> YoungFn:
 
 
 def _ratio_zero_desc(d):
+    """Descriptor of B(t)/t near zero from B's near zero."""
     if d.kind == POWER_LOG:
         return power_log_desc(d.p - 1.0, d.alpha)
-    if d.kind == ZERO_ON_INTERVAL:
-        return d
-    if d.kind == LIMIT_CONST:
-        return NUMERIC_DESC
-    return d if d.kind == EXP_RECIPROCAL else NUMERIC_DESC
+    return d if d.kind in (ZERO_ON_INTERVAL, EXP_RECIPROCAL) else NUMERIC_DESC
 
 
 def _ratio_inf_desc(d):
+    """Descriptor of B(t)/t near infinity from B's near infinity."""
     if d.kind == POWER_LOG:
         return power_log_desc(d.p - 1.0, d.alpha)
     if d.kind in (INFINITE_BEYOND, EXPONENTIAL):

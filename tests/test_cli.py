@@ -121,6 +121,13 @@ class TestSubcommands:
 
 
 class TestErrorsAndModes:
+    def test_lift_with_tail_is_exit_1(self):
+        code, out = run(["--json", "lift", "--young", '{"class":"power-log","p":2}',
+                         "--space", '{"family":"lebesgue","params":{"p":2}}',
+                         "--fn", '{"pieces":[[1,1]],"tail":{"coef":2,"expo":0.3,"width":0.01}}'])
+        assert code == 1
+        assert out.startswith("error:") and "tail" in out
+
     def test_bad_json_is_exit_1(self):
         code, out = run(["norm", "--space", "{not json", "--fn",
                          '{"pieces":[[1,1]]}'])

@@ -19,7 +19,14 @@ from orlicalc.diagonality import (
     subdiagonality_status,
 )
 from orlicalc.monotone import INF, MonotoneFn, default_grid, power_log_desc
-from orlicalc.rearrangement import SampledFn, characteristic, lambda_norm, luxemburg_norm, modular
+from orlicalc.rearrangement import (
+    PowerTail,
+    SampledFn,
+    characteristic,
+    lambda_norm,
+    luxemburg_norm,
+    modular,
+)
 from orlicalc.spaces import (
     CLASSICAL_LORENTZ,
     LAMBDA,
@@ -390,6 +397,12 @@ class TestLiftedNorm:
         # the lifted profile: scale at which the image hits unit norm
         expect = ((p / q) ** (1.0 / q) * s ** (1.0 / p)) ** (1.0 / r)
         assert got == pytest.approx(expect, rel=1e-9)
+
+    def test_tail_is_rejected(self):
+        f = SampledFn([(1.0, 1.0)], tail=PowerTail(2.0, 0.3, 0.01))
+        X = SpaceDescriptor(LEBESGUE, UNIT, p=2.0)
+        with pytest.raises(ValueError, match="tail"):
+            lifted_norm(power_young(2.0), X, f)
 
     def test_orlicz_lift_is_composition(self):
         rng = np.random.default_rng(239)

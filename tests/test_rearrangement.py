@@ -14,6 +14,7 @@ from orlicalc.rearrangement import (
     lambda_norm,
     lorentz_power_norm,
     luxemburg_norm,
+    least_admissible_scale,
     marcinkiewicz_norm,
     maximal,
     modular,
@@ -155,6 +156,17 @@ class TestModular:
     def test_zero(self):
         assert modular(SampledFn([]), power_young(2.0)) == 0.0
 
+    def test_equals_left_to_right_sum(self):
+        rng = np.random.default_rng(71)
+        for _ in range(10):
+            f = random_sampled(rng, n_max=40)
+            A = power_young(float(rng.uniform(1.0, 4.0)))
+            scale = float(rng.uniform(0.1, 2.0))
+            expect = 0.0
+            for v, w in f.pieces:
+                expect += A.integral_value(scale * v) * w
+            assert modular(f, A, scale) == expect
+
     def test_layer_cake_oracle(self):
         # modular equals the integral of a(lambda) * distribution(lambda)
         rng = np.random.default_rng(53)
@@ -212,6 +224,18 @@ class TestLuxemburg:
         p = 2.0
         expect = (4.0 / (1.0 - 0.5)) ** 0.5  # (int c^2 s^-2e)^{1/2}
         assert luxemburg_norm(f, power_young(p)) == pytest.approx(expect, rel=1e-9)
+
+
+class TestScaleSearch:
+    def test_bracket_then_bisect(self):
+        for answer in (3.7e-5, 0.25, 1.0, 42.0, 9e7):
+            for start in (1.0, 1e3):
+                got = least_admissible_scale(lambda lam: lam >= answer, start, 1e-10)
+                assert answer <= got <= answer * (1 + 1e-10)
+
+    def test_no_bracket(self):
+        assert least_admissible_scale(lambda lam: True, 1.0, 1e-10) == 0.0
+        assert least_admissible_scale(lambda lam: False, 1.0, 1e-10) == INF
 
 
 class TestLambdaAndMarcinkiewicz:
