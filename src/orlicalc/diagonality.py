@@ -4,7 +4,11 @@ per-family (uniform) sub-diagonality rules, plus the norm-lifting map.
 
 The quantitative certificates reduce to integrals of outer(c / table(t)),
 which are computed exactly per power chunk by splitting at preimages of the
-outer function's grid.
+outer function's grid.  All segments of the table are integrated in one
+array pass: the chunk nodes of every segment sit in one flat array, so an
+integral costs a fixed number of evaluations of the two tables whatever the
+size of their grids.  The convex companion of an endpoint generator is
+built once and kept on the generator object.
 """
 
 from __future__ import annotations
@@ -110,24 +114,12 @@ class GWData:
         return max(self.G_inv(r) - self.t0, 0.0)
 
 
-_GW_CACHE: dict = {}
-
-
 def build_gw(E: QuasiConvexFn) -> GWData:
     """Construct the convex companion, its inverses and the weight, and
-    verify the inverse sandwich at construction.  Results are cached per
-    generator table."""
-    hit = _GW_CACHE.get(id(E.base))
-    if hit is not None and hit[0] is E.base:
-        return hit[1]
-    data = _build_gw_uncached(E)
-    if len(_GW_CACHE) > 64:
-        _GW_CACHE.clear()
-    _GW_CACHE[id(E.base)] = (E.base, data)
-    return data
-
-
-def _build_gw_uncached(E: QuasiConvexFn) -> GWData:
+    verify the inverse sandwich at construction.  The result is kept on the
+    generator (``E.gw``), so later calls with the same generator reuse it."""
+    if E.gw is not None:
+        return E.gw
     base = E.base
     refl = base.correlative()
     g = MonotoneFn(refl.t, np.where(np.isfinite(refl.v), refl.v, INF) / refl.t,
@@ -142,6 +134,7 @@ def _build_gw_uncached(E: QuasiConvexFn) -> GWData:
     t_inf = INF if tau_0 == 0.0 else 1.0 / tau_0
     data = GWData(E, G, g, G_inv, g_inv, t0, t_inf)
     _verify_gw(data)
+    E.gw = data
     return data
 
 
@@ -180,7 +173,7 @@ def integrate_outer_reciprocal(outer: MonotoneFn, table: MonotoneFn, c: float,
     splitting at preimages of the outer grid makes every chunk a single
     power of t.  Segments where the table vanishes on positive measure are
     charged outer's value at infinity (conservatively infinite if that is
-    infinite).
+    infinite).  All segments are integrated in one array pass.
     """
     t0, t1 = table.t[0], table.t[-1]
     lo_eff = max(lo, t0 * 1e-40)
@@ -200,17 +193,26 @@ def integrate_outer_reciprocal(outer: MonotoneFn, table: MonotoneFn, c: float,
     trans = ((tv[:-1] == 0.0) & (tv[1:] > 0.0)) | \
             (np.isfinite(tv[:-1]) & (tv[:-1] > 0) & np.isinf(tv[1:]))
     if trans.any():
-        extra = [np.geomspace(edges[k] * (1 + 1e-12), edges[k + 1], 33)
-                 for k in np.flatnonzero(trans)]
-        edges = np.unique(np.concatenate([edges] + extra))
+        k = np.flatnonzero(trans)
+        extra = np.geomspace(edges[k] * (1 + 1e-12), edges[k + 1], 33)
+        edges = np.unique(np.concatenate((edges, extra.ravel())))
         tv = table(edges)
-    total = 0.0
-    for k in range(edges.size - 1):
-        piece = _chunked_outer_piece(outer, c, float(edges[k]), float(edges[k + 1]),
-                                     float(tv[k]), float(tv[k + 1]))
-        if math.isinf(piece):
-            return INF
-        total += piece
+    ta, tb = edges[:-1], edges[1:]
+    va, vb = tv[:-1], tv[1:]
+    with np.errstate(divide="ignore", over="ignore"):
+        u_a, u_b = c / va, c / vb  # inner values at the edges (u_a >= u_b)
+    # Where the table is 0 at both ends or at the left end (a leading sliver
+    # of a ramp), or so small that c / va overflows (u_a = inf: conservative),
+    # +inf at the left end (u_a = 0), +inf at the right end (the inner
+    # argument falls from u_a to zero: bounded by its left edge) or where
+    # u_a == u_b, the integrand is charged outer(u_a) over the whole segment.
+    pieces = outer(u_a) * (tb - ta)
+    chunked = np.isfinite(u_a) & np.isfinite(vb) & (u_a != u_b)
+    pieces[chunked] = _outer_chunks(outer, ta[chunked], tb[chunked], va[chunked],
+                                    vb[chunked], u_a[chunked], u_b[chunked])
+    if np.isinf(pieces).any():
+        return INF
+    total = float(np.cumsum(pieces)[-1])  # left to right, segment by segment
     res = _outer_residual_zero(outer, table, c, lo, lo_eff)
     if math.isinf(res):
         return INF
@@ -221,39 +223,34 @@ def integrate_outer_reciprocal(outer: MonotoneFn, table: MonotoneFn, c: float,
     return total + res
 
 
-def _chunked_outer_piece(outer, c, ta, tb, va, vb):
-    """integral of outer(c / inner) over [ta, tb], inner a power segment."""
-    if tb <= ta:
-        return 0.0
-    if va == 0.0 and vb == 0.0:
-        o = outer.value_at_inf  # the inner argument is infinite here
-        return o * (tb - ta) if o > 0 else 0.0
-    if np.isinf(va):
-        return float(outer(0.0)) * (tb - ta)
-    if np.isinf(vb):
-        # the inner argument falls from c/va to zero: bound by its left edge
-        o = float(outer(c / va))
-        return o * (tb - ta) if o > 0 else 0.0
-    if va == 0.0:
-        # leading sliver of a ramp: the inner argument is huge; conservative
-        o = outer.value_at_inf
-        return o * (tb - ta) if o > 0 else 0.0
-    u_a, u_b = c / va, c / vb  # inner values at the edges (u_a >= u_b)
-    if u_a == u_b:
-        return float(outer(u_a)) * (tb - ta)
-    sigma = math.log(vb / va) / math.log(tb / ta)
-    grid = outer.t[(outer.t > min(u_a, u_b)) & (outer.t < max(u_a, u_b))]
-    us = np.unique(np.concatenate(([u_b], grid, [u_a])))
-    # preimages: u = (c/va) (t/ta)^(-sigma)  =>  t = ta ((c/va)/u)^(1/sigma)
-    with np.errstate(over="ignore"):
-        ts = ta * ((c / va) / us) ** (1.0 / sigma)
-    order = np.argsort(ts)
-    ts = np.clip(ts[order], ta, tb)
-    ovals = outer(us[order])
-    seg = _power_segment_integral(ovals[:-1], ovals[1:], ts[:-1], ts[1:])
-    if np.isinf(seg).any():
-        return INF
-    return float(np.sum(seg))
+def _outer_chunks(outer, ta, tb, va, vb, u_a, u_b):
+    """Per-segment integrals of outer(c / inner) over [ta, tb], for power
+    segments of the inner table with u_a = c/va > u_b = c/vb, split at the
+    preimages of the outer grid points between u_b and u_a."""
+    ot = outer.t
+    # the outer grid points strictly between u_b and u_a are ot[lo:hi]
+    lo = np.searchsorted(ot, u_b, side="right")
+    hi = np.searchsorted(ot, u_a, side="left")
+    n_nodes = hi - lo + 2
+    first = np.cumsum(n_nodes) - n_nodes
+    seg = np.repeat(np.arange(ta.size), n_nodes)
+    j = np.arange(seg.size) - first[seg]
+    # each segment's nodes run u_a, the grid points descending, u_b, so their
+    # preimages ascend from ta to tb
+    us = ot[np.clip(hi[seg] - j, 0, ot.size - 1)]
+    us[first] = u_a
+    us[first + n_nodes - 1] = u_b
+    # preimages: u = u_a (t/ta)^(-sigma)  =>  t = ta (u_a/u)^(1/sigma)
+    with np.errstate(divide="ignore", over="ignore"):
+        sigma = np.log(vb / va) / np.log(tb / ta)
+        ts = ta[seg] * (u_a[seg] / us) ** (1.0 / sigma[seg])
+    ts = np.clip(ts, ta[seg], tb[seg])
+    ovals = outer(us)
+    left = np.flatnonzero(j[1:] > 0)
+    seg_int = _power_segment_integral(ovals[left], ovals[left + 1],
+                                      ts[left], ts[left + 1])
+    # segment s owns its n_nodes - 1 consecutive chunks
+    return np.add.reduceat(seg_int, first - np.arange(ta.size))
 
 
 def _integrand_at(outer, table, c, t):
@@ -323,27 +320,20 @@ def ol_inequality_gap(A: YoungFn, G: YoungFn, v: SampledFn, f: SampledFn,
     g_inv = G.derivative.left_inverse()
     d = distribution(f)
     # left side: piecewise-constant integrand against the weight steps; the
-    # cut points are the distinct values of |f|, where its level measure steps
-    lhs = 0.0
-    pos = 0.0
-    value_knots = np.sort(d.knots()) if f.pieces else np.asarray([])
-    for wv, ww in v.pieces:
-        seg_lo, seg_hi = pos, pos + ww
-        pos = seg_hi
-        if wv == 0.0:
-            continue
-        cuts = np.unique(np.clip(
-            np.concatenate(([seg_lo, seg_hi], value_knots)), seg_lo, seg_hi))
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            if b <= a:
-                continue
-            lhs += float(G_inv(float(d(0.5 * (a + b))))) * wv * (b - a)
+    # cut points are the breaks of the weight and the distinct values of |f|,
+    # where its level measure steps
+    weights = np.asarray([wv for wv, _ in v.pieces], dtype=float)
+    breaks = np.concatenate(([0.0], np.cumsum([ww for _, ww in v.pieces])))
+    value_knots = d.knots() if f.pieces else np.asarray([])
+    cuts = np.unique(np.clip(np.concatenate((breaks, value_knots)), 0.0, breaks[-1]))
+    a, b = cuts[:-1], cuts[1:]
+    w_cut = weights[np.searchsorted(breaks, a, side="right") - 1]
+    on = w_cut != 0.0
+    terms = G_inv(d(0.5 * (a[on] + b[on]))) * w_cut[on] * (b[on] - a[on])
+    lhs = float(np.cumsum(terms)[-1]) if terms.size else 0.0
     # right side: exact composed integral per weight step plus the modular
     rhs = 0.0
-    pos = 0.0
-    for wv, ww in v.pieces:
-        seg_lo, seg_hi = pos, pos + ww
-        pos = seg_hi
+    for wv, seg_lo, seg_hi in zip(weights, breaks[:-1], breaks[1:]):
         if wv == 0.0:
             continue
         piece = integrate_outer_reciprocal(g_inv, A.derivative, wv / lam,

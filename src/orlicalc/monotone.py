@@ -307,7 +307,11 @@ class MonotoneFn:
         with np.errstate(over="ignore", under="ignore", divide="ignore"):
             out = va * np.exp(p * np.log(x / ta))
             if alpha != 0.0:
-                out = out * (np.log(1.0 / x) / np.log(1.0 / ta)) ** alpha
+                # log(1/x) / log(1/ta) is non-positive at x <= 1 when
+                # ta >= 1; the form anchored at ta stays positive there
+                log_ratio = (np.log(1.0 / x) / np.log(1.0 / ta) if ta < 1.0
+                             else 1.0 + np.log(ta / x))
+                out = out * log_ratio ** alpha
         return out
 
     def _tail_inf(self, x):
@@ -334,7 +338,11 @@ class MonotoneFn:
         with np.errstate(over="ignore", divide="ignore"):
             out = vb * np.exp(p * np.log(x / tb))
             if alpha != 0.0:
-                out = out * (np.log(x) / np.log(tb)) ** alpha
+                # log(x) / log(tb) is non-positive at x >= 1 when tb <= 1;
+                # the form anchored at tb stays positive there
+                log_ratio = (np.log(x) / np.log(tb) if tb > 1.0
+                             else 1.0 + np.log(x / tb))
+                out = out * log_ratio ** alpha
         return out
 
     def _edge_slope_zero(self):
@@ -453,23 +461,6 @@ def _invert_desc_inf(fn):
     return NUMERIC_DESC
 
 
-def _value_runs(t, v):
-    """Runs of equal finite positive values as (value, t_start, t_end) triples."""
-    runs = []
-    i = 0
-    n = v.size
-    while i < n:
-        if not (np.isfinite(v[i]) and v[i] > 0.0):
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and v[j + 1] == v[i]:
-            j += 1
-        runs.append((float(v[i]), float(t[i]), float(t[j])))
-        i = j + 1
-    return runs
-
-
 def _inverse(fn, side):
     """Shared builder for the right- and left-continuous generalized inverse.
 
@@ -477,12 +468,17 @@ def _inverse(fn, side):
     points one ulp apart so that both one-sided limits evaluate correctly.
     """
     t, v = fn.t, fn.v
-    runs = _value_runs(t, v)
     tz = fn.t_zero
     t_inf = fn.t_inf
+    # runs of equal finite positive values: (val, ta, tb) per run
+    ok = np.isfinite(v) & (v > 0.0)
+    same = v[1:] == v[:-1]
+    starts = ok & ~np.concatenate(([False], same))
+    ends = ok & ~np.concatenate((same, [False]))
+    val, ta, tb = v[starts], t[starts], t[ends]
 
     # Degenerate: no finite positive values at all (a pure 0 -> inf step).
-    if not runs:
+    if not val.size:
         if t_inf < INF:
             c = t_inf
             vz = c if side == "right" else 0.0
@@ -495,44 +491,37 @@ def _inverse(fn, side):
 
     # a run extends flat beyond the grid exactly when the boundary limit
     # equals the run value, whatever descriptor encodes that
-    flat_bottom = (tz == 0.0 and runs[0][1] == t[0]
-                   and fn.value_at_zero == runs[0][0])
-    flat_top = (t_inf == INF and runs[-1][2] == t[-1]
-                and fn.value_at_inf == runs[-1][0])
+    flat_bottom = tz == 0.0 and ta[0] == t[0] and fn.value_at_zero == val[0]
+    flat_top = t_inf == INF and tb[-1] == t[-1] and fn.value_at_inf == val[-1]
+    lo_ext = np.zeros(val.size, dtype=bool)
+    lo_ext[0] = flat_bottom
+    hi_ext = np.zeros(val.size, dtype=bool)
+    hi_ext[-1] = flat_top
+    # a run extended at both ends means the function is this constant
+    # everywhere: the inverse is a pure step at the constant level
+    const = lo_ext & hi_ext
+    wide = ta < tb
 
-    s_pts, tau_pts = [], []
-    for k, (val, ta, tb) in enumerate(runs):
-        lo_extended = flat_bottom and k == 0
-        hi_extended = flat_top and k == len(runs) - 1
-        if lo_extended and hi_extended:
-            # the function is this constant everywhere: the inverse is a pure
-            # step at the constant level
-            s_pts.append(val)
-            tau_pts.append(INF if side == "right" else 0.0)
-            continue
-        if side == "right":
-            if ta < tb and not lo_extended:
-                s_pts.append(np.nextafter(val, 0.0))
-                tau_pts.append(ta)
-            if not hi_extended:
-                s_pts.append(val)
-                tau_pts.append(tb)
-            else:
-                s_pts.append(np.nextafter(val, 0.0))
-                tau_pts.append(ta)
-        else:
-            if not lo_extended:
-                s_pts.append(val)
-                tau_pts.append(ta)
-            if ta < tb and not hi_extended:
-                s_pts.append(np.nextafter(val, INF))
-                tau_pts.append(tb)
-            elif lo_extended:
-                s_pts.append(np.nextafter(val, INF))
-                tau_pts.append(tb)
-
-    s_pts = np.asarray(s_pts)
-    tau_pts = np.asarray(tau_pts)
+    # two slots per run, (s, tau) at its left and its right end, each kept
+    # or dropped by a mask
+    if side == "right":
+        below = np.nextafter(val, 0.0)
+        s1 = np.where(const, val, below)
+        tau1 = np.where(const, INF, ta)
+        use1 = const | (wide & ~lo_ext)
+        s2 = np.where(hi_ext, below, val)
+        tau2 = np.where(hi_ext, ta, tb)
+        use2 = ~const
+    else:
+        s1 = val
+        tau1 = np.where(const, 0.0, ta)
+        use1 = const | ~lo_ext
+        s2 = np.nextafter(val, INF)
+        tau2 = tb
+        use2 = ~const & ((wide & ~hi_ext) | lo_ext)
+    use = np.column_stack((use1, use2)).ravel()
+    s_pts = np.column_stack((s1, s2)).ravel()[use]
+    tau_pts = np.column_stack((tau1, tau2)).ravel()[use]
     keep = np.empty(s_pts.size, dtype=bool)
     keep[0] = True
     keep[1:] = s_pts[1:] > s_pts[:-1]
@@ -540,7 +529,7 @@ def _inverse(fn, side):
 
     # Bottom end of the inverse.
     if flat_bottom:
-        c = runs[0][0]
+        c = val[0]
         zero_desc = zero_on_interval_desc(np.nextafter(c, 0.0) if side == "right" else c)
         value_at_zero = 0.0
     elif tz > 0.0:
@@ -552,7 +541,7 @@ def _inverse(fn, side):
 
     # Top end of the inverse.
     if flat_top:
-        V = runs[-1][0]
+        V = val[-1]
         inf_desc = infinite_beyond_desc(np.nextafter(V, 0.0) if side == "right" else V)
         value_at_inf = INF
     elif t_inf < INF:
@@ -601,7 +590,8 @@ def _power_segment_integral(vl, vr, tl, tr, weight_exp=0.0):
                 term1 = x ** (w + 2.0) / (w + 2.0) if w != -2.0 else np.log(x)
                 term2 = a * (x ** (w + 1.0) / (w + 1.0)) if w != -1.0 else a * np.log(x)
                 return term1 - term2
-            out[ramp] = c * (prim(b) - prim(a))
+            with np.errstate(over="ignore", invalid="ignore"):
+                out[ramp] = c * (prim(b) - prim(a))
     if pw.any():
         a, b = tl[pw], tr[pw]
         va, vb = vl[pw], vr[pw]

@@ -357,8 +357,9 @@ def least_admissible_scale(ok, start, rel_tol):
 
     Halves or doubles from ``start`` to a bracket, then bisects the log
     scale down to relative width ``rel_tol`` and returns the admissible
-    end.  Gives 0 when ok holds down to 1e-300 and +inf when it fails up to
-    1e300.
+    end.  Past ``start * 2**64`` the doubling step squares itself, so a
+    predicate that fails everywhere costs tens of calls, not a thousand.
+    Gives 0 when ok holds down to 1e-300 and +inf when it fails up to 1e300.
     """
     b = start
     if ok(b):
@@ -371,14 +372,21 @@ def least_admissible_scale(ok, start, rel_tol):
                 break
         b = 2.0 * a
     else:
-        while not ok(b):
-            b *= 2.0
-            if b > 1e300:
+        step = 2.0
+        while True:
+            if b >= 1e300:
                 return INF
-        a = b / 2.0
+            a = b
+            if b > start * 2.0 ** 64:
+                step *= step
+            b = min(b * step, 1e300)
+            if ok(b):
+                break
     # invariant: ok(b), not ok(a)
     while b / a > 1.0 + rel_tol:
         mid = math.sqrt(a * b)
+        if not a < mid < b:  # a * b left the float range
+            mid = math.sqrt(a) * math.sqrt(b)
         if ok(mid):
             b = mid
         else:

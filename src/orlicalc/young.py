@@ -88,6 +88,7 @@ class QuasiConvexFn:
         if validate:
             _check_ratio_monotone(base)
         self.base = base
+        self.gw = None  # the convex companion, filled by diagonality.build_gw
 
     def __call__(self, x):
         return self.base(x)

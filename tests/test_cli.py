@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -127,6 +128,20 @@ class TestErrorsAndModes:
                          "--fn", '{"pieces":[[1,1]],"tail":{"coef":2,"expo":0.3,"width":0.01}}'])
         assert code == 1
         assert out.startswith("error:") and "tail" in out
+
+    def test_norm_infinite_at_every_scale_is_quick_and_quiet(self, capfd):
+        # the modular of exp(t) along the s^-0.3 tail is infinite at every
+        # scale, so the scale search runs out to its cap
+        start = time.perf_counter()
+        code, out = run(["--json", "norm", "--space",
+                         '{"family":"orlicz","params":{"young":{"class":"exponential","gamma":1}}}',
+                         "--fn", '{"pieces":[[3,0.01],[1,0.4]],'
+                                 '"tail":{"coef":2,"expo":0.3,"width":0.01}}'])
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert json.loads(out)["outcome"]["value"] == "inf"
+        assert capfd.readouterr().err == ""
+        assert elapsed < 0.1
 
     def test_bad_json_is_exit_1(self):
         code, out = run(["norm", "--space", "{not json", "--fn",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from orlicalc import diagonality
 from orlicalc.diagonality import (
     NOT_SUB_DIAGONAL,
     SUB_DIAGONAL,
@@ -13,16 +14,28 @@ from orlicalc.diagonality import (
     build_gw,
     classical_lorentz_Nlambda,
     construct_witness_young,
+    integrate_outer_reciprocal,
     lifted_norm,
     ol_inequality_gap,
     orlicz_lambda_Nlambda,
     subdiagonality_status,
 )
-from orlicalc.monotone import INF, MonotoneFn, default_grid, power_log_desc
+from orlicalc.monotone import (
+    INF,
+    MonotoneFn,
+    _power_segment_integral,
+    default_grid,
+    geometric_grid,
+    infinite_beyond_desc,
+    limit_const_desc,
+    power_log_desc,
+    zero_on_interval_desc,
+)
 from orlicalc.rearrangement import (
     PowerTail,
     SampledFn,
     characteristic,
+    distribution,
     lambda_norm,
     luxemburg_norm,
     modular,
@@ -123,6 +136,171 @@ class TestGW:
             assert direct <= 2.0 * lam * (1 + 1e-9)
 
 
+def chunked_outer_piece(outer, c, ta, tb, va, vb):
+    """Reference: integral of outer(c / inner) over [ta, tb], inner a power
+    segment, one segment at a time."""
+    if tb <= ta:
+        return 0.0
+    if va == 0.0 and vb == 0.0:
+        o = outer.value_at_inf  # the inner argument is infinite here
+        return o * (tb - ta) if o > 0 else 0.0
+    if np.isinf(va):
+        return float(outer(0.0)) * (tb - ta)
+    if np.isinf(vb):
+        # the inner argument falls from c/va to zero: bound by its left edge
+        with np.errstate(divide="ignore"):
+            o = float(outer(np.float64(c) / va))
+        return o * (tb - ta) if o > 0 else 0.0
+    if va == 0.0:
+        # leading sliver of a ramp: the inner argument is huge; conservative
+        o = outer.value_at_inf
+        return o * (tb - ta) if o > 0 else 0.0
+    u_a, u_b = c / va, c / vb  # inner values at the edges (u_a >= u_b)
+    if u_a == u_b:
+        return float(outer(u_a)) * (tb - ta)
+    sigma = math.log(vb / va) / math.log(tb / ta)
+    grid = outer.t[(outer.t > min(u_a, u_b)) & (outer.t < max(u_a, u_b))]
+    us = np.unique(np.concatenate(([u_b], grid, [u_a])))
+    # preimages: u = (c/va) (t/ta)^(-sigma)  =>  t = ta ((c/va)/us)^(1/sigma)
+    with np.errstate(over="ignore"):
+        ts = ta * ((c / va) / us) ** (1.0 / sigma)
+    order = np.argsort(ts)
+    ts = np.clip(ts[order], ta, tb)
+    ovals = outer(us[order])
+    seg = _power_segment_integral(ovals[:-1], ovals[1:], ts[:-1], ts[1:])
+    if np.isinf(seg).any():
+        return INF
+    return float(np.sum(seg))
+
+
+def loop_outer_reciprocal(outer, table, c, lo=0.0, hi=INF):
+    """Reference for integrate_outer_reciprocal: the same edges, integrated
+    by a Python loop over the segments."""
+    t0, t1 = table.t[0], table.t[-1]
+    lo_eff = max(lo, t0 * 1e-40)
+    hi_eff = min(hi, t1 * 1e40)
+    if hi_eff <= lo_eff:
+        return 0.0
+    parts = [np.asarray([lo_eff, hi_eff])]
+    if lo_eff < t0 < hi_eff:
+        parts.append(geometric_grid(lo_eff, t0, 8))
+    parts.append(table.t[(table.t > lo_eff) & (table.t < hi_eff)])
+    if lo_eff < t1 < hi_eff:
+        parts.append(geometric_grid(t1, hi_eff, 8))
+    edges = np.unique(np.concatenate(parts))
+    tv = table(edges)
+    trans = ((tv[:-1] == 0.0) & (tv[1:] > 0.0)) | \
+            (np.isfinite(tv[:-1]) & (tv[:-1] > 0) & np.isinf(tv[1:]))
+    if trans.any():
+        extra = [np.geomspace(edges[k] * (1 + 1e-12), edges[k + 1], 33)
+                 for k in np.flatnonzero(trans)]
+        edges = np.unique(np.concatenate([edges] + extra))
+        tv = table(edges)
+    total = 0.0
+    for k in range(edges.size - 1):
+        piece = chunked_outer_piece(outer, c, float(edges[k]), float(edges[k + 1]),
+                                    float(tv[k]), float(tv[k + 1]))
+        if math.isinf(piece):
+            return INF
+        total += piece
+    res = diagonality._outer_residual_zero(outer, table, c, lo, lo_eff)
+    if math.isinf(res):
+        return INF
+    total += res
+    res = diagonality._outer_residual_inf(outer, table, c, hi_eff, hi)
+    if math.isinf(res):
+        return INF
+    return total + res
+
+
+def edge_case_table():
+    """A short derivative table with every kind of segment: zero at both
+    ends, a ramp from zero, a plateau, a power segment and a jump to +inf."""
+    t = np.array([0.5, 1.0, 2.0, 3.0, 4.0, 8.0])
+    v = np.array([0.0, 0.0, 1.0, 1.0, 5.0, INF])
+    return MonotoneFn(t, v, zero_on_interval_desc(1.0), infinite_beyond_desc(4.0))
+
+
+def bounded_outer():
+    """min(t, 2) on a default grid: finite at infinity, so segments where
+    the table vanishes are charged a finite value."""
+    t = default_grid(-4, 4)
+    return MonotoneFn(t, np.minimum(t, 2.0), power_log_desc(1.0),
+                      limit_const_desc(2.0))
+
+
+def assert_same_integral(got, expect):
+    if math.isinf(expect):
+        assert got == expect
+    else:
+        assert math.isfinite(got)
+        assert got == pytest.approx(expect, rel=1e-13, abs=1e-300)
+
+
+class TestOuterReciprocal:
+    """The array pass agrees with the per-segment loop."""
+
+    @pytest.mark.parametrize("table", [
+        pytest.param(edge_case_table, id="edge-cases"),
+        pytest.param(lambda: linfty_young().derivative, id="linfty-derivative"),
+        pytest.param(lambda: step_derivative_young([1e-8, 1.0, 4.0], [0.5, 0.5, 2.0])
+                     .derivative, id="flat-steps"),
+        pytest.param(lambda: power_young(2.5).derivative, id="power"),
+    ])
+    @pytest.mark.parametrize("outer", [
+        pytest.param(bounded_outer, id="bounded"),
+        pytest.param(lambda: build_gw(QuasiConvexFn(exp_young(1.0).base)).g_inv,
+                     id="exp-g-inv"),
+        pytest.param(lambda: power_young(1.5).derivative.left_inverse(), id="power-inv"),
+    ])
+    def test_matches_segment_loop(self, table, outer):
+        table, outer = table(), outer()
+        for c, lo, hi in [(1.0, 0.0, INF), (0.07, 0.3, 2.5), (30.0, 1.5, 6.0)]:
+            expect = loop_outer_reciprocal(outer, table, c, lo, hi)
+            got = integrate_outer_reciprocal(outer, table, c, lo, hi)
+            assert_same_integral(got, expect)
+
+    def test_edge_segments_charge_the_outer_value(self):
+        # every segment of the edge-case table that the refinement does not
+        # split is charged outer(c / va) over its width: 2 on the zero
+        # stretch, outer(c) on the plateau, and +inf where the table is +inf
+        outer = bounded_outer()
+        table = edge_case_table()
+        assert integrate_outer_reciprocal(outer, table, 1.0, 0.5, 1.0) == 2.0 * 0.5
+        assert integrate_outer_reciprocal(outer, table, 1.0, 2.0, 3.0) == \
+            pytest.approx(1.0, rel=1e-15)
+        assert integrate_outer_reciprocal(outer, table, 1.0, 8.0, 9.0) == 0.0
+        assert math.isinf(integrate_outer_reciprocal(
+            power_young(1.5).derivative.left_inverse(), table, 1.0, 0.5, 1.0))
+
+    def test_extreme_table_values_are_quiet(self):
+        # c / va overflows on a segment whose table value is subnormal: the
+        # segment is charged outer's value at infinity, like a sliver of a
+        # ramp, and vb / va overflows on one spanning 300 decades; neither
+        # may raise a numpy warning (warnings from this module are errors
+        # under the test configuration)
+        outer = bounded_outer()
+        tiny = MonotoneFn([1.0, 2.0], [1e-310, 1e-300], power_log_desc(1.0),
+                          power_log_desc(1.0), validate=False)
+        assert integrate_outer_reciprocal(outer, tiny, 1e3, 1.0, 2.0) == 2.0
+        steep = MonotoneFn([1.0, 2.0], [1e-300, 1e10], power_log_desc(1.0),
+                           power_log_desc(1.0), validate=False)
+        assert math.isfinite(integrate_outer_reciprocal(outer, steep, 1e-5, 1.0, 2.0))
+
+    def test_criterion_corpus_matches_segment_loop(self):
+        rng = np.random.default_rng(241)
+        gens = [power_young(1.5), power_young(3.0), exp_young(1.0), linfty_young()]
+        for k in range(8):
+            A = gens[k % len(gens)]
+            G = gens[(k // 2) % 3]
+            g_inv = G.derivative.left_inverse()
+            lo = float(rng.uniform(0.0, 2.0))
+            hi = lo + float(10.0 ** rng.uniform(-2.0, 1.0))
+            c = float(10.0 ** rng.uniform(-1.5, 1.5))
+            assert_same_integral(integrate_outer_reciprocal(g_inv, A.derivative, c, lo, hi),
+                                 loop_outer_reciprocal(g_inv, A.derivative, c, lo, hi))
+
+
 class TestNlambda:
     def test_split_integral_closed_form(self):
         # derivative 1 on (0,1], 3 t^2 beyond; the jump is stored on
@@ -201,6 +379,36 @@ class TestOLInequality:
         lhs, rhs = ol_inequality_gap(A, G, v, f, 1.0)
         assert math.isfinite(rhs)
         assert lhs <= rhs * (1 + 1e-9)
+
+    def test_left_side_matches_cut_loop(self):
+        # the left side sums G_inv(d(mid)) * weight * width over the cuts of
+        # each weight step; the array form adds the same terms in the same
+        # order, so the sums are equal bit for bit
+        rng = np.random.default_rng(251)
+        gens = [power_young(1.5), power_young(2.0), exp_young(1.0)]
+        for k in range(12):
+            G = gens[k % 3]
+            v = random_sampled(rng, n_max=4, vmax=3.0)
+            if k % 4 == 0:
+                v = SampledFn([(0.0, 0.3)] + list(v.pieces))
+            f = random_sampled(rng, n_max=6)
+            G_inv = G.base.left_inverse()
+            d = distribution(f)
+            expect = 0.0
+            pos = 0.0
+            knots = np.sort(d.knots()) if f.pieces else np.asarray([])
+            for wv, ww in v.pieces:
+                seg_lo, seg_hi = pos, pos + ww
+                pos = seg_hi
+                if wv == 0.0:
+                    continue
+                cuts = np.unique(np.clip(np.concatenate(([seg_lo, seg_hi], knots)),
+                                         seg_lo, seg_hi))
+                for a, b in zip(cuts[:-1], cuts[1:]):
+                    if b > a:
+                        expect += float(G_inv(float(d(0.5 * (a + b))))) * wv * (b - a)
+            lhs, _ = ol_inequality_gap(power_young(2.0), G, v, f, 1.0)
+            assert lhs == expect, k
 
     def test_fuzz_never_violates(self):
         rng = np.random.default_rng(219)

@@ -238,6 +238,21 @@ class TestScaleSearch:
         assert least_admissible_scale(lambda lam: False, 1.0, 1e-10) == INF
 
 
+    def test_far_bracket_squares_the_step(self):
+        calls = []
+
+        def never(lam):
+            calls.append(lam)
+            return False
+
+        assert least_admissible_scale(never, 1.0, 1e-10) == INF
+        # plain doubling up to start * 2**64, then a squared step per call
+        assert calls[:66] == [2.0 ** k for k in range(66)]
+        assert len(calls) < 80 and len(set(calls)) == len(calls)
+        for answer, start in ((1e25, 1.0), (1e200, 1.0), (1e-200, 1e-150)):
+            got = least_admissible_scale(lambda lam: lam >= answer, start, 1e-10)
+            assert answer <= got <= answer * (1 + 1e-10)
+
 class TestLambdaAndMarcinkiewicz:
     def test_characteristic_power_all_three(self):
         for p in [1.0, 2.0, 3.0]:
