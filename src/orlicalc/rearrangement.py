@@ -257,14 +257,35 @@ class AveragedDecreasing:
         self.pieces = pieces
         self.total = total        # integral over the whole support
         self.support = support
+        # the pieces tile (0, support) left to right, so the piece holding t
+        # is the first whose right end exceeds t
+        self._hi = np.array([p.hi for p in pieces], dtype=float)
+        self._c1 = np.array([p.c1 for p in pieces], dtype=float)
+        self._c2 = np.array([p.c2 for p in pieces], dtype=float)
+        self._power = np.array([p.kind == "power" for p in pieces], dtype=bool)
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
         scalar = arr.ndim == 0
         q = np.atleast_1d(arr)
         out = np.empty_like(q)
-        for i, x in enumerate(q):
-            out[i] = self._value(float(x))
+        low = q <= 0
+        out[low] = INF if self.pieces else 0.0
+        x = q[~low]
+        k = np.searchsorted(self._hi, x, side="right")
+        val = np.empty_like(x)
+        beyond = k == self._hi.size
+        with np.errstate(invalid="ignore"):     # inf / inf is nan, as for floats
+            val[beyond] = self.total / x[beyond]
+        kin = k[~beyond]
+        xin = x[~beyond]
+        power = self._power[kin]
+        c1, c2 = self._c1[kin], self._c2[kin]
+        val_in = np.empty_like(xin)
+        val_in[power] = c1[power] * xin[power] ** c2[power]
+        val_in[~power] = c1[~power] + c2[~power] / xin[~power]
+        val[~beyond] = val_in
+        out[~low] = val
         return float(out[0]) if scalar else out
 
     def _value(self, x):
@@ -451,51 +472,76 @@ def _char_profile(A: QuasiConvexFn) -> MonotoneFn:
 
 
 def marcinkiewicz_norm(f: SampledFn, A: QuasiConvexFn, tol=1e-12):
-    """sup over t of phi(t) * averaged rearrangement(t), searched per piece."""
+    """sup over t of phi(t) * averaged rearrangement(t), searched per piece.
+
+    Each piece of the average (and the hyperbolic stretch beyond the
+    support) is sampled at its ends and at phi's grid points inside it, and
+    a golden-section search in log t refines around its best sample; the
+    samples of all pieces are one call, and the searches run side by side."""
     if f.is_zero:
         return 0.0
     phi = _char_profile(A)
     avg = maximal(f)
 
     def h(t):
-        return phi(t) * avg._value(t)
+        return phi(t) * avg(t)
 
     if not np.isfinite(avg.total):
         return INF
-    best = 0.0
-    pieces = list(avg.pieces)
+    bounds = [(p.lo, p.hi) for p in avg.pieces]
     if avg.support > 0:
-        pieces.append(AveragedPiece(avg.support, avg.support * 1e8, "hyperbolic",
-                                    0.0, avg.total))
-    for p in pieces:
-        lo = p.lo if p.lo > 0 else min(p.hi, avg.support) * 1e-12
-        hi = p.hi if np.isfinite(p.hi) else avg.support * 1e8
-        cand = np.sort(np.concatenate((phi.t[(phi.t > lo) & (phi.t < hi)], [lo, hi])))
-        vals = [h(float(c)) for c in cand]
-        k = int(np.argmax(vals))
-        best = max(best, vals[k])
-        # golden-section refinement around the best grid candidate in log t
+        bounds.append((avg.support, avg.support * 1e8))
+    cands = []
+    for lo, hi in bounds:
+        lo, hi = (lo if lo > 0 else min(hi, avg.support) * 1e-12,
+                  hi if np.isfinite(hi) else avg.support * 1e8)
+        cands.append(np.sort(np.concatenate((phi.t[(phi.t > lo) & (phi.t < hi)],
+                                             [lo, hi]))))
+    vals = np.split(h(np.concatenate(cands)), np.cumsum([c.size for c in cands])[:-1])
+    peaks, brackets = [], []
+    for cand, v in zip(cands, vals):
+        k = int(np.argmax(v))
+        peaks.append(float(v[k]))
         a = float(cand[max(k - 1, 0)])
         b = float(cand[min(k + 1, len(cand) - 1)])
         a, b = min(a, b), max(a, b)
-        if a <= 0 or b <= a:
-            continue
-        la, lb = math.log(a), math.log(b)
-        gr = (math.sqrt(5.0) - 1.0) / 2.0
-        x1 = lb - gr * (lb - la)
-        x2 = la + gr * (lb - la)
-        f1, f2 = h(math.exp(x1)), h(math.exp(x2))
-        while lb - la > tol:
-            if f1 < f2:
-                la, x1, f1 = x1, x2, f2
-                x2 = la + gr * (lb - la)
-                f2 = h(math.exp(x2))
-            else:
-                lb, x2, f2 = x2, x1, f1
-                x1 = lb - gr * (lb - la)
-                f1 = h(math.exp(x1))
-        best = max(best, f1, f2)
+        brackets.append((a, b) if 0 < a < b else None)
+    # golden-section refinement around the best grid sample, in log t
+    la = [math.log(br[0]) for br in brackets if br]
+    lb = [math.log(br[1]) for br in brackets if br]
+    f1, f2 = _golden_section_max(lambda x: h(np.exp(x)), la, lb, tol)
+    best = 0.0
+    j = 0
+    for peak, br in zip(peaks, brackets):
+        best = max(best, peak)
+        if br:
+            best = max(best, f1[j], f2[j])
+            j += 1
     return float(best)
+
+
+def _golden_section_max(g, la, lb, tol):
+    """Golden-section search for the maximum of g on each bracket [la, lb]
+    until it is no wider than tol, all brackets in step: one call of g per
+    step.  Returns g at the two final inner points of each bracket."""
+    gr = (math.sqrt(5.0) - 1.0) / 2.0
+    la, lb = np.array(la, dtype=float), np.array(lb, dtype=float)
+    x1 = lb - gr * (lb - la)
+    x2 = la + gr * (lb - la)
+    f1, f2 = g(x1), g(x2)
+    live = lb - la > tol
+    while live.any():
+        up = live & (f1 < f2)
+        down = live & ~(f1 < f2)
+        la[up], x1[up], f1[up] = x1[up], x2[up], f2[up]
+        lb[down], x2[down], f2[down] = x2[down], x1[down], f1[down]
+        new = np.where(up, la + gr * (lb - la), lb - gr * (lb - la))
+        f_new = np.zeros_like(new)
+        f_new[live] = g(new[live])
+        x2[up], f2[up] = new[up], f_new[up]
+        x1[down], f1[down] = new[down], f_new[down]
+        live = lb - la > tol
+    return f1, f2
 
 
 def lorentz_power_norm(f: SampledFn, p, q):

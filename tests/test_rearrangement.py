@@ -21,7 +21,17 @@ from orlicalc.rearrangement import (
     pairing,
     rearrange,
 )
-from orlicalc.young import QuasiConvexFn, power_young, youngify
+from orlicalc.monotone import MonotoneFn
+from orlicalc.rearrangement import _char_profile, _golden_section_max
+from orlicalc.young import (
+    QuasiConvexFn,
+    exp_young,
+    linfty_young,
+    power_log_young,
+    power_young,
+    young_from_derivative,
+    youngify,
+)
 
 
 def random_sampled(rng, n_max=12, vmax=10.0):
@@ -146,6 +156,32 @@ class TestMaximal:
             pts = np.unique(np.concatenate(
                 [rearrange(x).breaks[1:] for x in (f, g, s)]))
             assert np.all(asum(pts) <= af(pts) + ag(pts) + 1e-12)
+
+    def test_array_call_equals_pointwise_value(self):
+        rng = np.random.default_rng(59)
+        fns = [SampledFn([]), characteristic(2.0),
+               SampledFn([(1.0, 1.0)], tail=PowerTail(1.0, 1.5, 0.5))]
+        for _ in range(12):
+            f = random_sampled(rng, n_max=30)
+            if rng.random() < 0.5:
+                f = SampledFn(f.pieces, tail=PowerTail(20.0, rng.uniform(0.1, 0.9),
+                                                       rng.uniform(0.01, 1.0)))
+            fns.append(f)
+        for f in fns:
+            avg = maximal(f)
+            edges = np.array([p.lo for p in avg.pieces] + [p.hi for p in avg.pieces])
+            t = np.concatenate((edges, np.nextafter(edges, 0.0), [0.0, -1.0, np.nan, INF],
+                                np.geomspace(1e-9, max(avg.support, 1.0) * 1e3, 97)))
+            got = avg(t)
+            want = np.array([avg._value(float(x)) for x in t])
+            # the power piece of a tail uses numpy's power, which may be an ulp
+            # off the C library's; every other piece is bit for bit
+            power = np.array([any(p.kind == "power" and p.lo <= x < p.hi
+                                  for p in avg.pieces) for x in t])
+            assert np.array_equal(got[~power], want[~power], equal_nan=True)
+            np.testing.assert_allclose(got[power], want[power], rtol=4e-16)
+            assert isinstance(avg(0.5), float) and avg(0.5) == avg._value(0.5)
+            assert avg(t[:96].reshape(2, 48)).shape == (2, 48)
 
 
 class TestModular:
@@ -291,6 +327,106 @@ class TestLambdaAndMarcinkiewicz:
             lam = lambda_norm(f, A)
             assert m <= l * (1 + 1e-9)
             assert l <= lam * (1 + 1e-9)
+
+
+def loop_marcinkiewicz(f, A, tol=1e-12):
+    """Reference for marcinkiewicz_norm: one piece at a time, with scalar
+    calls for the grid samples and the golden-section steps."""
+    if f.is_zero:
+        return 0.0
+    phi = _char_profile(A)
+    avg = maximal(f)
+
+    def h(t):
+        return phi(t) * avg._value(t)
+
+    if not np.isfinite(avg.total):
+        return INF
+    best = 0.0
+    pieces = [(p.lo, p.hi) for p in avg.pieces]
+    if avg.support > 0:
+        pieces.append((avg.support, avg.support * 1e8))
+    for p_lo, p_hi in pieces:
+        lo = p_lo if p_lo > 0 else min(p_hi, avg.support) * 1e-12
+        hi = p_hi if np.isfinite(p_hi) else avg.support * 1e8
+        cand = np.sort(np.concatenate((phi.t[(phi.t > lo) & (phi.t < hi)], [lo, hi])))
+        vals = [h(float(c)) for c in cand]
+        k = int(np.argmax(vals))
+        best = max(best, vals[k])
+        a = float(cand[max(k - 1, 0)])
+        b = float(cand[min(k + 1, len(cand) - 1)])
+        a, b = min(a, b), max(a, b)
+        if a <= 0 or b <= a:
+            continue
+        la, lb = math.log(a), math.log(b)
+        gr = (math.sqrt(5.0) - 1.0) / 2.0
+        x1 = lb - gr * (lb - la)
+        x2 = la + gr * (lb - la)
+        f1, f2 = h(math.exp(x1)), h(math.exp(x2))
+        while lb - la > tol:
+            if f1 < f2:
+                la, x1, f1 = x1, x2, f2
+                x2 = la + gr * (lb - la)
+                f2 = h(math.exp(x2))
+            else:
+                lb, x2, f2 = x2, x1, f1
+                x1 = lb - gr * (lb - la)
+                f1 = h(math.exp(x1))
+        best = max(best, f1, f2)
+    return float(best)
+
+
+class TestMarcinkiewiczSearch:
+    def generators(self, rng):
+        t = np.geomspace(1e-4, 1e4, 257)
+        q = rng.uniform(0.2, 3.0, size=2)
+        table = young_from_derivative(MonotoneFn(t, t ** q[0] + 0.5 * t ** q[1]))
+        return [power_young(float(rng.uniform(1.0, 3.0))), exp_young(1.0),
+                power_log_young(2.0, alpha_zero=0.5, alpha_inf=-0.5), table,
+                linfty_young(2.0)]
+
+    def test_equals_piece_by_piece_loop(self):
+        rng = np.random.default_rng(83)
+        for _ in range(4):
+            fns = [random_sampled(rng, n_max=60), characteristic(0.3),
+                   SampledFn([(2.0, 0.5)], tail=PowerTail(1.0, 0.4, 0.02))]
+            f = random_sampled(rng, n_max=20)
+            fns.append(SampledFn(f.pieces, tail=PowerTail(
+                15.0, float(rng.uniform(0.1, 0.6)), float(rng.uniform(0.01, 0.5)))))
+            for A in self.generators(rng):
+                for f in fns:
+                    want = loop_marcinkiewicz(f, A)
+                    got = marcinkiewicz_norm(f, A)
+                    # numpy's exp and power may be an ulp off the C library's
+                    assert got == pytest.approx(want, rel=4e-16)
+
+    def test_edge_cases(self):
+        A = power_young(2.0)
+        assert marcinkiewicz_norm(SampledFn([]), A) == 0.0
+        # not locally integrable: the average is infinite everywhere
+        f = SampledFn([(1.0, 1.0)], tail=PowerTail(1.0, 1.5, 0.5))
+        assert marcinkiewicz_norm(f, A) == loop_marcinkiewicz(f, A) == INF
+        for f in (characteristic(1e-9), characteristic(1e9),
+                  SampledFn([], tail=PowerTail(1.0, 0.5, 1.0))):
+            assert marcinkiewicz_norm(f, A) == loop_marcinkiewicz(f, A)
+
+    def test_golden_section_in_step(self):
+        calls = []
+
+        def g(x):
+            calls.append(x.size)
+            return -(x - 1.0) ** 2
+
+        la = np.array([0.0, -1.0, 1.0 - 5e-13, 5.0])
+        lb = np.array([3.0, 0.5, 1.0 + 4e-13, 10.0])
+        want = -(np.clip(1.0, la, lb) - 1.0) ** 2
+        f1, f2 = _golden_section_max(g, la, lb, 1e-12)
+        np.testing.assert_allclose(np.maximum(f1, f2), want, rtol=0, atol=1e-11)
+        # a bracket no wider than tol takes no step; the others shrink together
+        assert calls[:2] == [4, 4] and max(calls[2:]) == 3
+        calls.clear()
+        f1, f2 = _golden_section_max(g, [], [], 1e-12)
+        assert f1.size == f2.size == 0 and calls == [0, 0]
 
 
 class TestYoungifySandwich:
