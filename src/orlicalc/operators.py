@@ -341,101 +341,147 @@ def sobolev_optimal_target_fundamental(phi_X: FundamentalFn, ctx: SobolevContext
 # -- the averaging maximal operator -------------------------------------------
 
 
+# grid points of F times scales per array pass of the exponential-weight
+# transform: 16 scales of a 1,025-point table, a working set of ~2.4 MB
+_BLOCK = 1 << 14
+
+
 def exp_weight_transform(F: MonotoneFn, t_grid=None, cutoff=50.0):
     """G(t) = integral over tau of F(t tau) e^{-tau}; exact per power segment
     through incomplete-gamma differences, truncated at the cutoff with a
-    descriptor-driven tail estimate."""
+    descriptor-driven tail estimate.  The scales go through array passes
+    of _BLOCK grid points each, which bounds the working memory whatever
+    the size of the table."""
     if t_grid is None:
         t_grid = geometric_grid(1e-8, 1e8, 16)
-    out = np.empty_like(t_grid)
-    for i, t in enumerate(t_grid):
-        out[i] = _exp_weight_value(F, float(t), cutoff)
-    return np.asarray(t_grid), out
-
-
-def _exp_weight_value(F, t, cutoff):
+    t_grid = np.asarray(t_grid, dtype=float)
+    out = np.full(t_grid.shape, INF)
     if F.t_inf < INF:
-        return INF
-    d = F.inf_desc
-    if d.kind == EXPONENTIAL:
-        if d.gamma > 1.0:
-            return INF
-        if d.gamma == 1.0 and t >= 1.0:
-            return INF
+        return t_grid, out
+    cut = _exp_weight_cutoffs(F.inf_desc, t_grid, cutoff)
+    live = np.flatnonzero(np.isfinite(cut))
+    step = max(1, _BLOCK // F.t.size)
+    for lo in range(0, live.size, step):
+        idx = live[lo:lo + step]
+        out[idx] = _exp_weight_block(F, t_grid[idx], cut[idx], cutoff)
+    return t_grid, out
+
+
+def _exp_weight_block(F, t, cut, cutoff):
+    """The transform at the scales t, each truncated at its own cutoff, in
+    one array pass."""
+    n = t.size
+    taus, rows = _tau_breakpoints(F.t, t, cut)
+    vals = F(t[rows] * taus)
+    bounds = np.searchsorted(rows, np.arange(n + 1))
+    bad = np.zeros(n, dtype=bool)
+    bad[rows[np.isinf(vals)]] = True
+    # segments [a, b] join neighbouring breakpoints of one row
+    seg = (rows[:-1] == rows[1:]) & (vals[1:] > 0) & (taus[1:] > taus[:-1])
+    if bad.any():
+        seg &= ~bad[rows[:-1]]
+    a, b, va, vb = taus[:-1][seg], taus[1:][seg], vals[:-1][seg], vals[1:][seg]
+    seg_rows = rows[:-1][seg]
+    ramp = va == 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ar, br = a[ramp], b[ramp]
+        c = vb[ramp] / (br - ar)
+        ramp_pieces = c * (_gamma_integral(1.0, ar, br)
+                           - ar * _gamma_integral(0.0, ar, br))
+        pw = ~ramp
+        a, b, va, vb = a[pw], b[pw], va[pw], vb[pw]
+        sigma = np.where(vb == va, 0.0, np.log(vb / va) / np.log(b / a))
+        log_piece = (np.log(va) - sigma * np.log(a)
+                     + _special.gammaln(sigma + 1.0) + _log_gamma_diff(sigma, a, b))
+        pieces = np.exp(log_piece)
+    pw_rows = seg_rows[pw]
+    bad[pw_rows[~np.isfinite(pieces)]] = True
+    ramp_bounds = np.searchsorted(seg_rows[ramp], np.arange(n + 1))
+    pw_bounds = np.searchsorted(pw_rows, np.arange(n + 1))
+    # one sum per scale over its own slice, ramps first: the bits of the
+    # pairwise summation depend on which values are summed together
+    total = np.empty(n)
+    for i in range(n):
+        total[i] = (float(np.sum(ramp_pieces[ramp_bounds[i]:ramp_bounds[i + 1]]))
+                    + float(np.sum(pieces[pw_bounds[i]:pw_bounds[i + 1]])))
+    tail = _exp_weight_tail(F.inf_desc, vals[bounds[1:] - 1], cut, cutoff)
+    total += tail
+    total[bad | np.isinf(tail)] = INF
+    return total
+
+
+def _exp_weight_cutoffs(d, t_grid, cutoff):
+    """Truncation point of the integral at each scale; inf where the
+    transform diverges there."""
+    if d.kind != EXPONENTIAL:
+        return np.full(t_grid.shape, float(cutoff))
+    out = np.full(t_grid.shape, INF)
+    if d.gamma > 1.0:
+        return out
+    for i, t in enumerate(t_grid.tolist()):
         # choose a cutoff beyond which the integrand certainly decays
         if d.gamma == 1.0:
-            cutoff = max(cutoff, 100.0 / (1.0 - t))
+            if t >= 1.0:
+                continue
+            c = max(cutoff, 100.0 / (1.0 - t))
+        elif t > 0:
+            try:
+                c = max(cutoff, 4.0 * (2.0 * t ** d.gamma) ** (1.0 / (1.0 - d.gamma)))
+            except OverflowError:
+                continue
         else:
-            cutoff = max(cutoff, 4.0 * (2.0 * t ** d.gamma) ** (1.0 / (1.0 - d.gamma))
-                         if t > 0 else cutoff)
-        if not math.isfinite(cutoff) or cutoff > 1e6:
-            return INF
-    # tau breakpoints: the grid of F mapped through tau = x / t, plus a
-    # geometric refinement of the head so power behaviour is respected there
-    inner = F.t / t
-    inner = inner[(inner > 0) & (inner < cutoff)]
-    b_head = float(inner[0]) if inner.size else cutoff
-    head = np.geomspace(b_head * 1e-12, b_head, 120)
-    taus = np.unique(np.concatenate(([0.0], head, inner, [cutoff])))
-    vals = F(t * taus)
-    if np.isinf(vals).any():
-        return INF
-    a, b = taus[:-1], taus[1:]
-    va, vb = vals[:-1], vals[1:]
-    keep = (vb > 0) & (b > a)
-    a, b, va, vb = a[keep], b[keep], va[keep], vb[keep]
-    total = 0.0
-    ramp = va == 0.0
-    if ramp.any():
-        c = vb[ramp] / (b[ramp] - a[ramp])
-        piece = (_gamma_vec(1.0, a[ramp], b[ramp])
-                 - a[ramp] * _gamma_vec(0.0, a[ramp], b[ramp]))
-        total += float(np.sum(c * piece))
-    pw = ~ramp
-    if pw.any():
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            sigma = np.where(vb[pw] == va[pw], 0.0,
-                             np.log(vb[pw] / va[pw]) / np.log(b[pw] / a[pw]))
-            log_diff = _log_gamma_diff(sigma, a[pw], b[pw])
-            log_piece = (np.log(va[pw]) - sigma * np.log(a[pw])
-                         + _special.gammaln(sigma + 1.0) + log_diff)
-            pieces = np.exp(log_piece)
-        if np.isinf(pieces).any() or np.isnan(pieces).any():
-            return INF
-        total += float(np.sum(pieces))
-    tail = _exp_weight_tail(F, t, cutoff)
-    if math.isinf(tail):
-        return INF
-    return total + tail
+            c = cutoff
+        if math.isfinite(c) and c <= 1e6:
+            out[i] = c
+    return out
+
+
+def _tau_breakpoints(grid, t, cut):
+    """The tau breakpoints of every scale in one flat array, with row ids.
+
+    Row i holds 0, a geometric refinement of the head (so power behaviour is
+    respected there), the grid of F mapped through tau = x / t[i] inside
+    (0, cut[i]), and cut[i].  Each row is sorted by construction; repeats
+    are dropped as np.unique would drop them."""
+    n = t.size
+    inner = grid[None, :] / t[:, None]
+    inside = (inner > 0) & (inner < cut[:, None])
+    first = inner[np.arange(n), inside.argmax(axis=1)]
+    b_head = np.where(inside.any(axis=1), first, cut)
+    head = np.geomspace(b_head * 1e-12, b_head, 120, axis=1)
+    table = np.concatenate((np.zeros((n, 1)), head, inner, cut[:, None]), axis=1)
+    keep = np.concatenate((np.ones((n, 121), dtype=bool), inside,
+                           np.ones((n, 1), dtype=bool)), axis=1)
+    taus = table[keep]
+    rows = np.repeat(np.arange(n), keep.sum(axis=1))
+    new = np.ones(taus.size, dtype=bool)
+    new[1:] = (taus[1:] != taus[:-1]) | (rows[1:] != rows[:-1])
+    return taus[new], rows[new]
 
 
 def _log_gamma_diff(sigma, a, b):
     """log of the regularized incomplete-gamma mass of [a, b] at shape sigma+1."""
-    s1 = np.asarray(sigma) + 1.0
+    s1 = sigma + 1.0
+    diff = np.empty_like(s1)
+    # a window in the upper tail is a difference of Q, any other one of P
+    upper = a >= s1
+    lower = ~upper
     with np.errstate(divide="ignore", invalid="ignore"):
-        upper = a >= s1  # the window sits in the upper tail: difference of Q
-        diff = np.where(upper,
-                        _special.gammaincc(s1, a) - _special.gammaincc(s1, b),
-                        _special.gammainc(s1, b) - _special.gammainc(s1, a))
+        diff[upper] = (_special.gammaincc(s1[upper], a[upper])
+                       - _special.gammaincc(s1[upper], b[upper]))
+        diff[lower] = (_special.gammainc(s1[lower], b[lower])
+                       - _special.gammainc(s1[lower], a[lower]))
         return np.log(np.maximum(diff, 0.0))
 
 
-def _gamma_vec(sigma, a, b):
-    """Vectorized integral of tau**sigma e^-tau over [a, b]."""
+def _gamma_integral(sigma, a, b):
+    """Integral of tau**sigma e^-tau over [a, b] for one sigma > -1,
+    elementwise in a and b; inf where Gamma(sigma + 1) overflows."""
+    s1 = sigma + 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        g = _special.gamma(np.asarray(sigma) + 1.0)
-        out = g * (_special.gammainc(np.asarray(sigma) + 1.0, b)
-                   - _special.gammainc(np.asarray(sigma) + 1.0, a))
-    return out
-
-
-def _gamma_piece(sigma, a, b):
-    """integral of tau**sigma e^-tau over [a, b], sigma > -1."""
-    with np.errstate(over="ignore"):
-        g = _special.gamma(sigma + 1.0)
-        if math.isinf(g):
-            return INF
-        return g * (_special.gammainc(sigma + 1.0, b) - _special.gammainc(sigma + 1.0, a))
+        g = _special.gamma(s1)
+        out = g * (_special.gammainc(s1, b) - _special.gammainc(s1, a))
+    return np.where(np.isinf(g), INF, out)
 
 
 def _transform_desc_zero(d):
@@ -460,16 +506,16 @@ def _transform_desc_inf(d):
     return NUMERIC_DESC
 
 
-def _exp_weight_tail(F, t, cutoff):
-    d = F.inf_desc
-    v_end = F(t * cutoff)
-    if np.isinf(v_end):
-        return INF
-    if d.kind == EXPONENTIAL:
-        # integrand decays at least like e^{-tau/2} beyond the adapted cutoff
-        return 2.0 * v_end * math.exp(-cutoff / 2.0) if cutoff < 700 else 0.0
-    p = d.p if d.kind == POWER_LOG else 1.0
-    return v_end * cutoff ** (-p) * _gamma_piece(p, cutoff, max(cutoff * 4, 700.0))
+def _exp_weight_tail(d, v_end, cut, cutoff):
+    """The integral beyond each scale's cutoff, from the value of F there."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if d.kind == EXPONENTIAL:
+            # integrand decays at least like e^{-tau/2} beyond the adapted cutoff
+            decay = np.array([math.exp(-c / 2.0) for c in cut.tolist()])
+            return np.where(cut < 700, 2.0 * v_end * decay, 0.0)
+        p = d.p if d.kind == POWER_LOG else 1.0
+        weight = float(_gamma_integral(p, cutoff, max(cutoff * 4, 700.0)))
+        return v_end * cutoff ** (-p) * weight
 
 
 def maximal_optimal_target(A: YoungFn) -> AlternativeOutcome:
@@ -576,10 +622,10 @@ def laplace_optimal_target(A: YoungFn) -> AlternativeOutcome:
     B_A = youngify(QuasiConvexFn(B_table, validate=False))
     space = SpaceDescriptor(ORLICZ, HALFLINE, generator=B_A)
 
-    recipe = A.recipe or {}
-    if recipe.get("class") == "power-log" and not recipe.get("alpha_zero") \
-            and not recipe.get("alpha_inf"):
-        p = float(recipe["p"])
+    d0, d1 = A.base.zero_desc, A.base.inf_desc
+    if d0.kind == d1.kind == POWER_LOG and d0.p == d1.p \
+            and d0.alpha == 0.0 and d1.alpha == 0.0:
+        p = float(d0.p)
         if p == 1.0:
             ev = holds(1.0, reason="bounded-target route: the transform maps "
                                    "the integrable class into the sup class")
@@ -607,12 +653,8 @@ def laplace_optimal_target(A: YoungFn) -> AlternativeOutcome:
 
 
 def _is_quadratic_log(A: YoungFn):
-    r = A.recipe or {}
-    if r.get("class") == "power-log" and float(r.get("p", 0)) == 2.0:
-        return True
     d0, d1 = A.base.zero_desc, A.base.inf_desc
-    return (d0.kind == POWER_LOG and d1.kind == POWER_LOG
-            and d0.p == 2.0 and d1.p == 2.0)
+    return d0.kind == d1.kind == POWER_LOG and d0.p == d1.p == 2.0
 
 
 def laplace_interpolation_sufficient(A: YoungFn):

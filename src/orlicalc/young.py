@@ -771,6 +771,15 @@ def _reverse_scan(base, window):
 _CLASS_ORDER_INF = {ZERO_ON_INTERVAL: 0, LIMIT_CONST: 1, POWER_LOG: 2,
                     EXPONENTIAL: 3, INFINITE_BEYOND: 4}
 
+# Exponents that a chain of transforms carries through float arithmetic
+# (a conjugate, its transform and an averaged profile) come back an ulp or
+# two off: 4 returns as 4.000000000000001.  Closer than this is one class.
+_EXPONENT_TOL = 1e-12
+
+
+def _same_exponent(x, y):
+    return math.isclose(x, y, rel_tol=_EXPONENT_TOL, abs_tol=_EXPONENT_TOL)
+
 
 def _symbolic_dominates_inf(db, da):
     """Decide 'B eventually below a dilation of A' from near-infinity classes."""
@@ -778,13 +787,14 @@ def _symbolic_dominates_inf(db, da):
     if kb not in _CLASS_ORDER_INF or ka not in _CLASS_ORDER_INF:
         return None
     if kb == ka == POWER_LOG:
-        if (db.p, db.alpha) == (da.p, da.alpha):
+        same_p = _same_exponent(db.p, da.p)
+        if same_p and _same_exponent(db.alpha, da.alpha):
             return holds(1.0, reason="identical power-log class")
-        if db.p < da.p or (db.p == da.p and db.alpha <= da.alpha):
+        if (db.alpha <= da.alpha) if same_p else (db.p < da.p):
             return holds(1.0, reason="power-log order near infinity")
         return fails(reason="power-log order near infinity")
     if kb == ka == EXPONENTIAL:
-        if db.gamma <= da.gamma:
+        if db.gamma <= da.gamma or _same_exponent(db.gamma, da.gamma):
             return holds(1.0, reason="exponential rate order")
         return fails(reason="exponential rate order")
     if kb == ka == INFINITE_BEYOND:
@@ -808,13 +818,14 @@ def _symbolic_dominates_zero(db, da):
     if kb not in _CLASS_ORDER_ZERO or ka not in _CLASS_ORDER_ZERO:
         return None
     if kb == ka == POWER_LOG:
-        if (db.p, db.alpha) == (da.p, da.alpha):
+        same_p = _same_exponent(db.p, da.p)
+        if same_p and _same_exponent(db.alpha, da.alpha):
             return holds(1.0, reason="identical power-log class")
-        if db.p > da.p or (db.p == da.p and db.alpha <= da.alpha):
+        if (db.alpha <= da.alpha) if same_p else (db.p > da.p):
             return holds(1.0, reason="power-log order near zero")
         return fails(reason="power-log order near zero")
     if kb == ka == EXP_RECIPROCAL:
-        if db.gamma >= da.gamma:
+        if db.gamma >= da.gamma or _same_exponent(db.gamma, da.gamma):
             return holds(1.0, reason="reciprocal-exponential rate order")
         return fails(reason="reciprocal-exponential rate order")
     if kb == ka == ZERO_ON_INTERVAL:

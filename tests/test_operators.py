@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,10 +6,20 @@ import pytest
 from scipy import special
 
 from orlicalc.alternative import NO_OPTIMAL, OPTIMAL
-from orlicalc.monotone import INF, MonotoneFn, default_grid, power_log_desc
+from orlicalc.monotone import (
+    EXPONENTIAL,
+    INF,
+    POWER_LOG,
+    MonotoneFn,
+    default_grid,
+    geometric_grid,
+    power_log_desc,
+    zero_on_interval_desc,
+)
 from orlicalc.operators import (
     ConditionViolated,
     SobolevContext,
+    _log_gamma_diff,
     boyd_upper_index,
     exp_weight_transform,
     laplace_interpolation_sufficient,
@@ -39,6 +50,7 @@ from orlicalc.young import (
     power_log_young,
     power_young,
     young_from_callable,
+    young_from_json,
 )
 
 
@@ -295,6 +307,20 @@ class TestMaximalOperator:
             slope = np.diff(np.log(gen(t))) / np.diff(np.log(t))
             np.testing.assert_allclose(slope, p, atol=0.05)
 
+    # exponents whose class came back from the transform an ulp off and was
+    # reported as no-optimal before exponents were compared with a tolerance
+    @pytest.mark.parametrize("p", [1.7512, 1.825, 2.65, 3.05, 3.5, 4.0, 4.5, 4.975])
+    def test_power_family_optimal_through_rounded_exponents(self, p):
+        out = maximal_optimal_target(power_young(p))
+        assert out.result == OPTIMAL
+        t = np.geomspace(1e-3, 1e3, 61)
+        ratio = out.space.generator(t) / t ** p
+        assert ratio.max() / ratio.min() <= 4.0
+
+    def test_power_log_optimal_through_rounded_exponents(self):
+        out = maximal_optimal_target(power_log_young(1.0, alpha_zero=-1.0, alpha_inf=3.0))
+        assert out.result == OPTIMAL
+
     def test_integrable_class_has_no_target(self):
         out = maximal_optimal_target(power_young(1.0))
         assert out.result == NO_OPTIMAL
@@ -344,6 +370,173 @@ class TestMaximalOperator:
         assert ratio.max() / ratio.min() <= 4.0
 
 
+def loop_exp_weight_transform(F, t_grid=None, cutoff=50.0):
+    """The exponential-weight transform as one scalar integral per scale:
+    the reference for the array pass of ``exp_weight_transform``."""
+    if t_grid is None:
+        t_grid = geometric_grid(1e-8, 1e8, 16)
+    out = np.empty_like(t_grid)
+    for i, t in enumerate(t_grid):
+        out[i] = _loop_value(F, float(t), cutoff)
+    return np.asarray(t_grid), out
+
+
+def _loop_value(F, t, cutoff):
+    if F.t_inf < INF:
+        return INF
+    d = F.inf_desc
+    if d.kind == EXPONENTIAL:
+        if d.gamma > 1.0:
+            return INF
+        if d.gamma == 1.0 and t >= 1.0:
+            return INF
+        if d.gamma == 1.0:
+            cutoff = max(cutoff, 100.0 / (1.0 - t))
+        else:
+            cutoff = max(cutoff, 4.0 * (2.0 * t ** d.gamma) ** (1.0 / (1.0 - d.gamma))
+                         if t > 0 else cutoff)
+        if not math.isfinite(cutoff) or cutoff > 1e6:
+            return INF
+    inner = F.t / t
+    inner = inner[(inner > 0) & (inner < cutoff)]
+    b_head = float(inner[0]) if inner.size else cutoff
+    head = np.geomspace(b_head * 1e-12, b_head, 120)
+    taus = np.unique(np.concatenate(([0.0], head, inner, [cutoff])))
+    vals = F(t * taus)
+    if np.isinf(vals).any():
+        return INF
+    a, b = taus[:-1], taus[1:]
+    va, vb = vals[:-1], vals[1:]
+    keep = (vb > 0) & (b > a)
+    a, b, va, vb = a[keep], b[keep], va[keep], vb[keep]
+    total = 0.0
+    ramp = va == 0.0
+    if ramp.any():
+        c = vb[ramp] / (b[ramp] - a[ramp])
+        piece = (_loop_gamma(1.0, a[ramp], b[ramp])
+                 - a[ramp] * _loop_gamma(0.0, a[ramp], b[ramp]))
+        total += float(np.sum(c * piece))
+    pw = ~ramp
+    if pw.any():
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            sigma = np.where(vb[pw] == va[pw], 0.0,
+                             np.log(vb[pw] / va[pw]) / np.log(b[pw] / a[pw]))
+            log_diff = two_branch_log_gamma_diff(sigma, a[pw], b[pw])
+            log_piece = (np.log(va[pw]) - sigma * np.log(a[pw])
+                         + special.gammaln(sigma + 1.0) + log_diff)
+            pieces = np.exp(log_piece)
+        if np.isinf(pieces).any() or np.isnan(pieces).any():
+            return INF
+        total += float(np.sum(pieces))
+    v_end = F(t * cutoff)
+    if np.isinf(v_end):
+        return INF
+    if d.kind == EXPONENTIAL:
+        tail = 2.0 * v_end * math.exp(-cutoff / 2.0) if cutoff < 700 else 0.0
+    else:
+        p = d.p if d.kind == POWER_LOG else 1.0
+        with np.errstate(over="ignore"):
+            g = special.gamma(p + 1.0)
+        g = INF if math.isinf(g) else g * (special.gammainc(p + 1.0, max(cutoff * 4, 700.0))
+                                           - special.gammainc(p + 1.0, cutoff))
+        tail = v_end * cutoff ** (-p) * g
+    if math.isinf(tail):
+        return INF
+    return total + tail
+
+
+def _loop_gamma(sigma, a, b):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return special.gamma(sigma + 1.0) * (special.gammainc(sigma + 1.0, b)
+                                             - special.gammainc(sigma + 1.0, a))
+
+
+def two_branch_log_gamma_diff(sigma, a, b):
+    """``_log_gamma_diff`` with both branches evaluated on every element."""
+    s1 = np.asarray(sigma) + 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diff = np.where(a >= s1,
+                        special.gammaincc(s1, a) - special.gammaincc(s1, b),
+                        special.gammainc(s1, b) - special.gammainc(s1, a))
+        return np.log(np.maximum(diff, 0.0))
+
+
+def _zero_head_fn():
+    # vanishes up to t = 1, so segments starting at a zero value are ramps
+    t = geometric_grid(1e-3, 1e3, 16)
+    v = np.where(t <= 1.0, 0.0, (t - 1.0) ** 2)
+    return MonotoneFn(t, v, zero_on_interval_desc(1.0), power_log_desc(2.0))
+
+
+def _jump_fn():
+    # +inf from t = 10 on
+    t = geometric_grid(1e-3, 1e3, 16)
+    return MonotoneFn(t, np.where(t < 10.0, t ** 2, INF), power_log_desc(2.0))
+
+
+TRANSFORM_CASES = {
+    "t^1.5": lambda: conjugate(power_young(1.5)).base,
+    "t^2": lambda: conjugate(power_young(2.0)).base,
+    "t^3": lambda: conjugate(power_young(3.0)).base,
+    "t^4": lambda: conjugate(power_young(4.0)).base,
+    "log factors": lambda: conjugate(power_log_young(1.5, -1.0, 1.0)).base,
+    "exponential gamma 1": lambda: conjugate(power_log_young(1.0, -1.5, 1.0)).base,
+    "exponential gamma 0.5": lambda: conjugate(power_log_young(1.0, -1.5, 2.0)).base,
+    "jump to infinity": _jump_fn,
+    "zero head": _zero_head_fn,
+}
+
+# scales whose tau grid is empty inside (0, cutoff) (1e-6, 1e-5), scales on
+# both sides of t = 1 for the unit-rate exponential class, and the extremes
+SHORT_GRID = np.array([1e-8, 1e-6, 1e-5, 1e-2, 0.5, 0.99, 1.0, 3.0, 1e3, 1e8])
+
+
+class TestExpWeightTransform:
+    @pytest.mark.parametrize("name", sorted(TRANSFORM_CASES))
+    @pytest.mark.parametrize("grid", ["default", "short"])
+    def test_bit_identical_to_scalar_loop(self, name, grid):
+        F = TRANSFORM_CASES[name]()
+        t_grid = None if grid == "default" else SHORT_GRID
+        t_new, new = exp_weight_transform(F, t_grid)
+        t_old, old = loop_exp_weight_transform(F, t_grid)
+        np.testing.assert_array_equal(t_new, t_old)
+        assert np.array_equal(new, old, equal_nan=True), \
+            np.flatnonzero(~((new == old) | (np.isnan(new) & np.isnan(old))))
+
+    def test_cases_reach_every_branch(self):
+        _, jump = exp_weight_transform(_jump_fn())
+        assert np.isinf(jump).all()
+        _, unit = exp_weight_transform(TRANSFORM_CASES["exponential gamma 1"](),
+                                       SHORT_GRID)
+        assert np.isinf(unit[SHORT_GRID >= 1.0]).all()
+        assert np.isfinite(unit[SHORT_GRID < 0.5]).all()
+        F = _zero_head_fn()
+        _, zero = exp_weight_transform(F, SHORT_GRID)
+        reach = SHORT_GRID * 50.0 > 1.0  # the cutoff passes the zero interval
+        assert (zero[~reach] == 0).all() and (zero[reach] > 0).all()
+        assert np.isfinite(zero).all()
+        assert (F.t / 1e-6 >= 50.0).all()  # no grid point inside the cutoff
+
+    def test_masked_log_gamma_diff_equals_two_branch_form(self):
+        rng = np.random.default_rng(5)
+        sigma = rng.uniform(-0.9, 12.0, 4000)
+        a = 10.0 ** rng.uniform(-6, 2.5, 4000)
+        b = a * (1.0 + 10.0 ** rng.uniform(-8, 1, 4000))
+        sigma[:10] = np.nan
+        new = _log_gamma_diff(sigma, a, b)
+        old = two_branch_log_gamma_diff(sigma, a, b)
+        assert np.array_equal(new, old, equal_nan=True)
+        assert ((a >= sigma + 1.0).sum() > 500) and ((a < sigma + 1.0).sum() > 500)
+
+    def test_overflowing_cutoff_diverges(self):
+        # gamma close to 1: the adapted cutoff of large scales overflows a
+        # float; those scales diverge instead of raising OverflowError
+        F = conjugate(power_log_young(1.0, -1.5, 1.01)).base
+        assert F.inf_desc.kind == EXPONENTIAL and F.inf_desc.gamma < 1.0
+        t_grid, vals = exp_weight_transform(F)
+        assert np.isinf(vals[-1]) and np.isfinite(vals[0])
+
+
 class TestLaplaceTransform:
     def test_power_family_levels_and_dichotomy(self):
         for p, expect in [(1.0, OPTIMAL), (1.5, OPTIMAL), (2.0, OPTIMAL),
@@ -367,6 +560,20 @@ class TestLaplaceTransform:
         t = np.geomspace(1e-3, 1e3, 30)
         ratio = gen(t) / A(t)
         assert ratio.max() <= 16.0 and ratio.min() >= 1.0 / 16.0
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_table_class_power_reads_its_descriptors(self, p):
+        # a table of t^p loaded from JSON carries its class only in the
+        # descriptors; it must take the rule of the recipe-built power
+        t = np.geomspace(1e-4, 1e4, 129)
+        obj = {"class": "table", "grid": [[x, x ** p] for x in t.tolist()],
+               "zero_desc": {"kind": "power-log", "p": p, "alpha": 0.0},
+               "inf_desc": {"kind": "power-log", "p": p, "alpha": 0.0}}
+        A = young_from_json(json.loads(json.dumps(obj)))
+        assert A.recipe == {"class": "table"}
+        table, closed = laplace_optimal_target(A), laplace_optimal_target(power_young(p))
+        assert (table.result, table.rule) == (closed.result, closed.rule)
+        assert table.rule == "power-family"
 
     def test_sup_type_domain_has_no_target(self):
         out = laplace_optimal_target(linfty_young(0.5))

@@ -17,6 +17,7 @@ from orlicalc.monotone import (
     MonotoneFn,
     _power_segment_integral,
     default_grid,
+    exp_reciprocal_desc,
     exponential_desc,
     power_log_desc,
 )
@@ -27,6 +28,8 @@ from orlicalc.young import (
     IntegralDiverges,
     QuasiConvexFn,
     YoungFn,
+    _symbolic_dominates_inf,
+    _symbolic_dominates_zero,
     conjugate,
     delta2,
     dominates,
@@ -359,6 +362,39 @@ class TestDominates:
         g1 = dominates(A, B, GLOBAL)
         g2 = dominates(conjugate(B), conjugate(A), GLOBAL)
         assert g1.status == FAILS and g2.status == FAILS
+
+    def test_exponents_an_ulp_apart_are_one_class(self):
+        # a conjugate, its transform and an averaged profile bring 4 back
+        # as 4.000000000000001 and 3 as 3.0000000000000004
+        p, a = 4.000000000000001, 3.0000000000000004
+        for decide in (_symbolic_dominates_inf, _symbolic_dominates_zero):
+            for db, da in [(power_log_desc(p, 0.0), power_log_desc(4.0, 0.0)),
+                           (power_log_desc(1.0, a), power_log_desc(1.0, 3.0)),
+                           (power_log_desc(4.0, 0.0), power_log_desc(p, 0.0)),
+                           (power_log_desc(1.0, 3.0), power_log_desc(1.0, a))]:
+                v = decide(db, da)
+                assert v.status == HOLDS and v.reason == "identical power-log class"
+        g = 0.5000000000000001
+        assert _symbolic_dominates_inf(exponential_desc(g),
+                                       exponential_desc(0.5)).status == HOLDS
+        assert _symbolic_dominates_zero(exp_reciprocal_desc(0.5),
+                                        exp_reciprocal_desc(g)).status == HOLDS
+
+    def test_exponents_further_apart_keep_their_order(self):
+        assert _symbolic_dominates_inf(power_log_desc(4.000001, 0.0),
+                                       power_log_desc(4.0, 0.0)).status == FAILS
+        assert _symbolic_dominates_inf(power_log_desc(4.0, 3.000001),
+                                       power_log_desc(4.0, 3.0)).status == FAILS
+        assert _symbolic_dominates_inf(power_log_desc(4.0, 3.0),
+                                       power_log_desc(4.0, 3.000001)).status == HOLDS
+        assert _symbolic_dominates_zero(power_log_desc(3.999999, 5.0),
+                                        power_log_desc(4.0, 0.0)).status == FAILS
+        assert _symbolic_dominates_zero(power_log_desc(4.0, 0.0),
+                                        power_log_desc(4.0, 1e-6)).status == HOLDS
+        assert _symbolic_dominates_inf(exponential_desc(0.500001),
+                                       exponential_desc(0.5)).status == FAILS
+        assert _symbolic_dominates_zero(exp_reciprocal_desc(0.5),
+                                        exp_reciprocal_desc(0.500001)).status == FAILS
 
     def test_correlative_preserves_quasi_convexity(self):
         rng = np.random.default_rng(606)
