@@ -62,10 +62,6 @@ class AlternativeOutcome:
     rule: str
     extra: Optional[dict] = None
 
-    @property
-    def is_optimal(self):
-        return self.result == OPTIMAL
-
 
 # -- level classification ---------------------------------------------------
 
@@ -73,10 +69,6 @@ class AlternativeOutcome:
 def _generator_power(X):
     """Exponent p when the generator is a pure power for the relevant regime."""
     gen = X.generator
-    recipe = getattr(gen, "recipe", {}) or {}
-    if recipe.get("class") == "power-log" and not recipe.get("alpha_zero") \
-            and not recipe.get("alpha_inf"):
-        return float(recipe["p"])
     d_inf = gen.base.inf_desc
     if d_inf.kind == POWER_LOG and d_inf.alpha == 0.0:
         p = d_inf.p
@@ -115,9 +107,6 @@ def exp_level(X: SpaceDescriptor):
     if X.family == LORENTZ_ZYGMUND and X.p == INF and X.alpha == -1.0:
         return X.q / (X.q - 1.0)
     if X.family in (ORLICZ, LAMBDA, MARCINKIEWICZ):
-        recipe = getattr(X.generator, "recipe", {}) or {}
-        if recipe.get("class") == "exponential":
-            return float(recipe["gamma"])
         d = X.generator.base.inf_desc
         if d.kind == EXPONENTIAL:
             return float(d.gamma)
@@ -144,10 +133,7 @@ def weak_strong_collapse(X_orlicz_gen) -> bool:
     """Whether the weak Orlicz space collapses onto the Orlicz space on this
     level; true for exponential-rate and sup-norm-type generators."""
     d = X_orlicz_gen.base.inf_desc
-    if d.kind == EXPONENTIAL or X_orlicz_gen.t_inf < INF:
-        return True
-    recipe = getattr(X_orlicz_gen, "recipe", {}) or {}
-    return recipe.get("class") in ("exponential", "linfty")
+    return d.kind == EXPONENTIAL or X_orlicz_gen.t_inf < INF
 
 
 # -- the embedding decision ---------------------------------------------------

@@ -94,15 +94,10 @@ def _samples_arg(args):
     raise InputError("provide --samples FILE.csv or --fn JSON")
 
 
-def _points(args, lo=None, hi=None, n=9):
+def _points(args, lo=1e-8, hi=1e8):
     if getattr(args, "at", None):
         return [float(x) for x in args.at.split(",")]
-    span = max(getattr(args, "grid_decades", 16), 2)
-    if lo is None:
-        lo = 10.0 ** (-span / 2.0)
-    if hi is None:
-        hi = 10.0 ** (span / 2.0)
-    return list(np.geomspace(lo, hi, n))
+    return list(np.geomspace(lo, hi, 9))
 
 
 def _num(x):
@@ -303,8 +298,6 @@ def build_parser():
     p.add_argument("--json", action="store_true", help="emit JSON reports")
     p.add_argument("--tol", type=float, default=1e-10,
                    help="relative tolerance for bisection-based norms")
-    p.add_argument("--grid-decades", type=int, default=16,
-                   help="span of the sampling grids, in decades")
     p.add_argument("--batch", metavar="FILE",
                    help="run one query per line of FILE (shell-style words)")
     sub = p.add_subparsers(dest="cmd")

@@ -360,10 +360,8 @@ def classical_lorentz_Nlambda(A: YoungFn, w: SampledFn, q: float,
     # cumulative mass at the thresholds of the step weight
     thresholds = []   # descending distinct values of w
     masses = []       # W at the right end of each run
-    acc_width = 0.0
     acc_mass = 0.0
     for pv, pw in w.pieces:
-        acc_width += pw
         acc_mass += pv * pw
         if thresholds and pv == thresholds[-1]:
             masses[-1] = acc_mass

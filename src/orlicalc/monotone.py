@@ -17,7 +17,7 @@ collapse neighbouring points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,10 +26,6 @@ INF = math.inf
 GRID_LO_EXP = -8
 GRID_HI_EXP = 8
 POINTS_PER_DECADE = 64
-
-# Largest value kept in a table; constructors trim the grid instead of
-# storing astronomically large finite values.
-HUGE = 1e290
 
 # Descriptor kinds.  The first five form the public vocabulary; the last two
 # are internal closures of that vocabulary under reciprocal reflection and
@@ -64,15 +60,11 @@ class AsymptoticDescriptor:
     """
 
     kind: str
-    regime: str = ""
     p: float = 0.0
     alpha: float = 0.0
     gamma: float = 0.0
     threshold: float = 0.0
     limit: float = 0.0
-
-    def with_regime(self, regime):
-        return replace(self, regime=regime)
 
 
 def power_log_desc(p, alpha=0.0):
@@ -143,8 +135,8 @@ class MonotoneFn:
                 raise ValueError("+inf values must form a terminal block")
         self.t = t
         self.v = v
-        self.zero_desc = zero_desc.with_regime(NEAR_ZERO)
-        self.inf_desc = inf_desc.with_regime(NEAR_INFINITY)
+        self.zero_desc = zero_desc
+        self.inf_desc = inf_desc
         pos = np.flatnonzero(np.isfinite(v) & (v > 0))
         self._i_first_pos = int(pos[0]) if pos.size else -1
         fin = np.flatnonzero(np.isfinite(v))
@@ -233,7 +225,7 @@ class MonotoneFn:
         return float(out[0]) if scalar else out
 
     def _eval_positive(self, x):
-        t, v = self.t, self.v
+        t = self.t
         out = np.empty_like(x)
         lo = x < t[0]
         hi = x > t[-1]
@@ -398,19 +390,6 @@ class MonotoneFn:
         return MonotoneFn(self.t, self.v * c, self.zero_desc, self.inf_desc,
                           value_at_zero=self.value_at_zero * c,
                           value_at_inf=self.value_at_inf * c, validate=False)
-
-    def rescale_arg(self, k):
-        """t -> F(k t) as a new table (k > 0)."""
-        if k <= 0:
-            raise ValueError("argument scale must be positive")
-        d0, d1 = self.zero_desc, self.inf_desc
-        if d0.kind == ZERO_ON_INTERVAL:
-            d0 = zero_on_interval_desc(d0.threshold / k)
-        if d1.kind == INFINITE_BEYOND:
-            d1 = infinite_beyond_desc(d1.threshold / k)
-        return MonotoneFn(self.t / k, self.v, d0, d1,
-                          value_at_zero=self.value_at_zero,
-                          value_at_inf=self.value_at_inf, validate=False)
 
 
 def _mirror_desc(d):
@@ -577,21 +556,20 @@ def _power_segment_integral(vl, vr, tl, tr, weight_exp=0.0):
     ramp = (vl == 0.0) & (vr > 0.0) & ~inf_seg
     pw = (vl > 0.0) & ~inf_seg
     if ramp.any():
-        # linear ramp v(t) = vr (t-tl)/(tr-tl); integrate against t**w numerically
-        # exactly via expansion only for w == 0; otherwise use a fine closed form.
+        # linear ramp v(t) = vr (t-tl)/(tr-tl) against t**w
         w = weight_exp
         a, b = tl[ramp], tr[ramp]
         c = vr[ramp] / (b - a)
         if w == 0.0:
             out[ramp] = 0.5 * c * (b - a) ** 2
         else:
-            # integral of c (t-a) t^w dt = c [ t^{w+2}/(w+2) - a t^{w+1}/(w+1) ]
-            def prim(x):
-                term1 = x ** (w + 2.0) / (w + 2.0) if w != -2.0 else np.log(x)
-                term2 = a * (x ** (w + 1.0) / (w + 1.0)) if w != -1.0 else a * np.log(x)
-                return term1 - term2
-            with np.errstate(over="ignore", invalid="ignore"):
-                out[ramp] = c * (prim(b) - prim(a))
+            # integral of c (t-a) t^w over (a, b) = c a^(w+2) [E(w+2) - E(w+1)]
+            # with E(k) = (r^k - 1)/k and r = b/a; for w < -1 both E are
+            # bounded, and the one factor that may overflow is a power of a
+            log_r = np.log(b / a)
+            with np.errstate(over="ignore"):
+                scale = vr[ramp] * np.exp((w + 2.0) * np.log(a) - np.log(b - a))
+            out[ramp] = scale * (_power_increment(w + 2.0, log_r) - _power_increment(w + 1.0, log_r))
     if pw.any():
         a, b = tl[pw], tr[pw]
         va, vb = vl[pw], vr[pw]
@@ -607,6 +585,11 @@ def _power_segment_integral(vl, vr, tl, tr, weight_exp=0.0):
     out[zz] = 0.0
     out[degenerate] = 0.0
     return out
+
+
+def _power_increment(k, log_r):
+    """(r**k - 1) / k, which is log r at k = 0."""
+    return np.expm1(k * log_r) / k if k != 0.0 else log_r
 
 
 def _tail_zero_integral(fn, t0, weight_exp):

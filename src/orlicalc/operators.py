@@ -80,10 +80,6 @@ class ConditionViolated(ValueError):
     """A stated precondition verdict is negative."""
 
 
-class QuadratureNonConvergent(ArithmeticError):
-    """Tail estimates of an improper integral disagree beyond tolerance."""
-
-
 @dataclass(frozen=True)
 class SobolevContext:
     """Order and dimension of the embedding, on a normalized unit domain."""
@@ -199,7 +195,7 @@ def sobolev_reduced_target_generator(B: YoungFn, ctx: SobolevContext) -> YoungFn
     t = np.concatenate((below, s))
     v = np.concatenate((below * lead, bn_inv_vals))
     v = np.maximum.accumulate(v)
-    inf_desc = _reduced_inverse_desc(binv.inf_desc, alpha)
+    inf_desc = _domain_profile_desc(binv.inf_desc, alpha, 1.0)
     bn_inv = MonotoneFn(t, v, power_log_desc(1.0, 0.0), inf_desc,
                         value_at_zero=0.0, validate=False)
     qc = QuasiConvexFn(bn_inv.right_inverse(), validate=False)
@@ -216,18 +212,6 @@ def _target_generator(target):
     if target.family == LEBESGUE:
         return linfty_young() if math.isinf(target.p) else power_young(target.p)
     raise ConditionViolated("the reduced construction needs an Orlicz target")
-
-
-def _reduced_inverse_desc(d, alpha):
-    """Near-infinity class of the reduced inverse from the class of B^{-1}."""
-    if d.kind == POWER_LOG:
-        e = d.p + alpha - 1.0
-        if e < 0 or (e == 0 and d.alpha < 0):
-            return power_log_desc(d.p + alpha, d.alpha)
-        return power_log_desc(1.0, 0.0)
-    if d.kind == LIMIT_CONST:
-        return power_log_desc(alpha, 0.0)
-    return NUMERIC_DESC
 
 
 def sobolev_orlicz_domain(target, ctx: SobolevContext) -> AlternativeOutcome:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import integrate as _integrate
 
 from .monotone import (
     INF,
@@ -29,11 +28,10 @@ from .rearrangement import (
     SampledFn,
     classical_lorentz_norm,
     lambda_norm,
+    log_weight_integral,
     lorentz_power_norm,
     luxemburg_norm,
     marcinkiewicz_norm,
-    maximal,
-    rearrange,
 )
 from .young import (
     QuasiConvexFn,
@@ -236,10 +234,19 @@ def fundamental_function(X: SpaceDescriptor) -> FundamentalFn:
         if X.interval != UNIT:
             raise UnsupportedFamily("Lorentz-Zygmund profiles are catalogued "
                                     "on the unit interval")
-        expo = (0.0 if X.p == INF else 1.0 / X.p)
-        a = X.alpha + (1.0 / X.q if X.p == INF else 0.0)
         t = _unit_grid()
-        v = t ** expo * (1.0 - np.log(t)) ** a
+        if X.p == INF:
+            expo, a = 0.0, X.alpha + 1.0 / X.q
+            v = (1.0 - np.log(t)) ** a
+        else:
+            # the norm of the characteristic function of (0, t); for q = inf
+            # the supremum of t**(1/p) (1 - log t)**alpha up to its peak
+            expo, a = 1.0 / X.p, X.alpha
+            if math.isinf(X.q):
+                s = np.minimum(t, math.exp(1.0 - a * X.p) if a > 0 else INF)
+                v = s ** expo * (1.0 - np.log(s)) ** a
+            else:
+                v = log_weight_integral(X.q / X.p, a * X.q, 1.0 - np.log(t)) ** (1.0 / X.q)
         phi = MonotoneFn(t, v, power_log_desc(expo, a), limit_const_desc(float(v[-1])),
                          value_at_zero=0.0)
         return FundamentalFn(phi)
@@ -292,7 +299,9 @@ def char_norm_constant(X: SpaceDescriptor):
         if math.isinf(X.q) or X.p == X.q:
             return 1.0
         return (X.p / X.q) ** (1.0 / X.q)
-    return None  # surfaced as "up to equivalence" for Lorentz-Zygmund
+    if X.p != INF:
+        return 1.0  # the Lorentz-Zygmund profile is the norm itself
+    return None  # surfaced as "up to equivalence" at the exponential levels
 
 
 def fundamental_orlicz(phi: FundamentalFn) -> YoungFn:
@@ -381,7 +390,7 @@ def _dual_exp(p):
 
 def norm(X: SpaceDescriptor, f: SampledFn):
     """Evaluate the family's functional on a sampled function; exact on steps
-    for every family except Lorentz-Zygmund, which uses piecewise quadrature."""
+    for every family."""
     fam = X.family
     if fam == LEBESGUE:
         if X.p == INF:
@@ -390,7 +399,10 @@ def norm(X: SpaceDescriptor, f: SampledFn):
     if fam == LORENTZ:
         return lorentz_power_norm(f, X.p, X.q)
     if fam == LORENTZ_ZYGMUND:
-        return _lorentz_zygmund_norm(X, f)
+        if X.interval != UNIT:
+            raise UnsupportedFamily("Lorentz-Zygmund norms are catalogued "
+                                    "on the unit interval")
+        return lorentz_power_norm(f, X.p, X.q, X.alpha)
     if fam == ORLICZ:
         return luxemburg_norm(f, X.generator)
     if fam == LAMBDA:
@@ -400,40 +412,6 @@ def norm(X: SpaceDescriptor, f: SampledFn):
     if fam == CLASSICAL_LORENTZ:
         return classical_lorentz_norm(f, X.weight, X.q)
     raise UnsupportedFamily(fam)
-
-
-def _lorentz_zygmund_norm(X, f):
-    """Quadrature of the averaged-rearrangement functional on (0, 1)."""
-    if f.is_zero:
-        return 0.0
-    q = X.q
-    alpha = X.alpha
-    if X.p == INF:
-        avg = maximal(f)
-
-        def integrand(log_t):
-            t = math.exp(log_t)
-            return (avg._value(t) * (1.0 - log_t) ** alpha) ** q
-
-        cuts = sorted({p.lo for p in avg.pieces if 0 < p.lo < 1.0} | {1e-12, 1.0})
-        total = 0.0
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            part, _ = _integrate.quad(integrand, math.log(lo), math.log(hi),
-                                      limit=200)
-            total += part
-        return total ** (1.0 / q)
-    star = rearrange(f)
-
-    def integrand2(log_t):
-        t = math.exp(log_t)
-        return (t ** (1.0 / X.p) * (1.0 - log_t) ** alpha * star(t)) ** q
-
-    cuts = sorted({b for b in star.breaks if 0 < b < 1.0} | {1e-12, 1.0})
-    total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        part, _ = _integrate.quad(integrand2, math.log(lo), math.log(hi), limit=200)
-        total += part
-    return total ** (1.0 / q)
 
 
 def same_level(X: SpaceDescriptor, Y: SpaceDescriptor, window=(1e-6, 1.0),

@@ -64,10 +64,6 @@ class Verdict:
     def __bool__(self):
         return self.status == HOLDS
 
-    @property
-    def decided(self):
-        return self.status != UNDECIDED
-
 
 def holds(witness=None, reason=""):
     return Verdict(HOLDS, witness, reason)
@@ -119,11 +115,6 @@ class YoungFn(QuasiConvexFn):
     def inverse(self):
         """Right-continuous inverse of the function table."""
         return self.base.right_inverse()
-
-    def inv_correlative(self):
-        """Correlative of the right-continuous inverse; the profile of the
-        norm of characteristic functions in all three associated spaces."""
-        return self.base.right_inverse().correlative()
 
     # Exact evaluation through the derivative.  The table interpolates node
     # values log-log, which is exact for powers but only approximate for

@@ -8,9 +8,11 @@ from orlicalc.alternative import (
     power_level,
     principal_alternative_domain,
     principal_alternative_target,
+    weak_strong_collapse,
 )
 from orlicalc.monotone import INF
 from orlicalc.spaces import (
+    HALFLINE,
     LAMBDA,
     LEBESGUE,
     LORENTZ,
@@ -22,7 +24,15 @@ from orlicalc.spaces import (
     associate,
     same_level,
 )
-from orlicalc.young import FAILS, HOLDS, exp_young, power_young
+from orlicalc.young import (
+    FAILS,
+    HOLDS,
+    _table_to_json,
+    exp_young,
+    linfty_young,
+    power_young,
+    young_from_json,
+)
 
 
 def lorentz(p, q):
@@ -157,3 +167,17 @@ class TestLevelClassifiers:
         assert exp_level(Y) == pytest.approx(1.5)
         E = SpaceDescriptor(ORLICZ, UNIT, generator=exp_young(1.5))
         assert exp_level(E) == pytest.approx(1.5)
+
+    @pytest.mark.parametrize("gen", [power_young(2.5), exp_young(1.5), linfty_young(2.0)])
+    def test_tables_classify_as_their_class(self, gen):
+        # growth classes come from the descriptors, which a table loaded
+        # from JSON keeps, and never from the class tag
+        table = young_from_json({"class": "table", **_table_to_json(gen.base, ""),
+                                 **_table_to_json(gen.derivative, "derivative_")})
+        assert table.recipe == {"class": "table"}
+        assert weak_strong_collapse(table) == weak_strong_collapse(gen)
+        for interval in (UNIT, HALFLINE):
+            for fam in (ORLICZ, LAMBDA, MARCINKIEWICZ):
+                X, Y = (SpaceDescriptor(fam, interval, generator=g) for g in (gen, table))
+                assert power_level(Y) == power_level(X)
+                assert exp_level(Y) == exp_level(X)

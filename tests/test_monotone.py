@@ -7,6 +7,7 @@ from orlicalc.monotone import (
     INF,
     MonotoneFn,
     _invert_desc_inf,
+    _power_segment_integral,
     _invert_desc_zero,
     cumulative_integral,
     default_grid,
@@ -376,3 +377,21 @@ class TestIntegration:
         fn = power_table(1.0)
         integ = cumulative_integral(fn, weight_exp=-2.0)
         assert np.isinf(integ(1.0))
+
+    def test_ramp_segment_against_closed_form(self):
+        # a zero-left segment integrates its linear ramp c (t - a) against t**w:
+        # c [t**(w+2)/(w+2) - a t**(w+1)/(w+1)] from a to b, logs at w = -2, -1
+        a, b, vr = 0.3, 0.7, 2.0
+        c = vr / (b - a)
+        for w in [-4.33, -3.0, -2.0, -1.5, -1.0, -0.5, 0.0, 1.0]:
+            def prim(t):
+                one = math.log(t) if w == -2.0 else t ** (w + 2.0) / (w + 2.0)
+                two = math.log(t) if w == -1.0 else t ** (w + 1.0) / (w + 1.0)
+                return one - a * two
+            got = _power_segment_integral([0.0], [vr], [a], [b], w)[0]
+            assert got == pytest.approx(c * (prim(b) - prim(a)), rel=1e-14), w
+
+    def test_ramp_segment_overflow_is_inf_not_nan(self):
+        # both primitives overflow here; their difference was inf - inf = nan
+        got = _power_segment_integral([0.0], [1.0], [1e-200], [2e-200], -4.33)
+        assert got.tolist() == [INF]

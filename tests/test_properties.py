@@ -3,8 +3,9 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from orlicalc.monotone import MonotoneFn
-from orlicalc.rearrangement import SampledFn, luxemburg_norm, rearrange
+from orlicalc.monotone import INF, MonotoneFn
+from orlicalc.rearrangement import PowerTail, SampledFn, luxemburg_norm, rearrange
+from orlicalc.spaces import LORENTZ, LORENTZ_ZYGMUND, SpaceDescriptor, norm
 from orlicalc.young import power_young
 
 
@@ -69,3 +70,30 @@ def test_rearrangement_preserves_mass(f):
     star = rearrange(f)
     assert np.isclose(float(np.sum(star.values * star.widths)),
                       sum(v * w for v, w in f.pieces), rtol=1e-12)
+
+
+@st.composite
+def unit_steps_with_tails(draw):
+    """Step functions supported in (0, 1], half of them led by a power tail."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    vals = draw(st.lists(st.floats(0.01, 50.0), min_size=n, max_size=n))
+    widths = np.asarray(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    total = draw(st.floats(0.05, 1.0))
+    tail = None
+    if draw(st.booleans()):
+        width = draw(st.floats(1e-4, 0.5))
+        expo = draw(st.floats(0.02, 1.5))
+        # the tail profile sits above every step value
+        tail = PowerTail(max(vals) * width ** expo * draw(st.floats(1.0, 3.0)), expo, width)
+        total -= min(width, 0.5 * total)
+    pieces = list(zip(vals, widths * total / widths.sum()))
+    return SampledFn(pieces, tail=tail)
+
+
+@settings(max_examples=80, deadline=None)
+@given(unit_steps_with_tails(), st.floats(1.05, 20.0),
+       st.one_of(st.floats(1.0, 10.0), st.just(INF)))
+def test_lorentz_zygmund_without_log_is_lorentz(f, p, q):
+    lz = SpaceDescriptor(LORENTZ_ZYGMUND, p=p, q=q, alpha=0.0)
+    lorentz = SpaceDescriptor(LORENTZ, p=p, q=q)
+    assert norm(lz, f) == norm(lorentz, f)

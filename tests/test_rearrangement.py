@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -32,6 +33,19 @@ from orlicalc.young import (
     young_from_derivative,
     youngify,
 )
+
+
+def pointwise_average(avg, x):
+    """Reference for AveragedDecreasing.__call__: one scalar point, found by a
+    scan over the pieces."""
+    if x <= 0:
+        return INF if avg.pieces else 0.0
+    for p in avg.pieces:
+        if p.lo <= x < p.hi:
+            if p.kind == "hyperbolic":
+                return p.c1 + p.c2 / x
+            return p.c1 * x ** p.c2
+    return avg.total / x
 
 
 def random_sampled(rng, n_max=12, vmax=10.0):
@@ -173,14 +187,14 @@ class TestMaximal:
             t = np.concatenate((edges, np.nextafter(edges, 0.0), [0.0, -1.0, np.nan, INF],
                                 np.geomspace(1e-9, max(avg.support, 1.0) * 1e3, 97)))
             got = avg(t)
-            want = np.array([avg._value(float(x)) for x in t])
+            want = np.array([pointwise_average(avg, float(x)) for x in t])
             # the power piece of a tail uses numpy's power, which may be an ulp
             # off the C library's; every other piece is bit for bit
             power = np.array([any(p.kind == "power" and p.lo <= x < p.hi
                                   for p in avg.pieces) for x in t])
             assert np.array_equal(got[~power], want[~power], equal_nan=True)
             np.testing.assert_allclose(got[power], want[power], rtol=4e-16)
-            assert isinstance(avg(0.5), float) and avg(0.5) == avg._value(0.5)
+            assert isinstance(avg(0.5), float) and avg(0.5) == pointwise_average(avg, 0.5)
             assert avg(t[:96].reshape(2, 48)).shape == (2, 48)
 
 
@@ -329,6 +343,22 @@ class TestLambdaAndMarcinkiewicz:
             assert l <= lam * (1 + 1e-9)
 
 
+def test_lambda_norm_of_a_tail_with_subnormal_level_measures():
+    # on the 40-decade threshold grid the tail's level measures
+    # (coef / lambda)**(1 / expo) become subnormal, where phi gave inf and the
+    # norm nan; the grid now ends in the normal range
+    A = power_log_young(2.0, alpha_zero=0.0, alpha_inf=0.5)
+    tail = PowerTail(1.0, 0.13, 0.0025)
+    got = lambda_norm(SampledFn([], tail=tail), A)
+    # reference: lambda = coef m**-expo turns the threshold integral into one
+    # over the measure m, done in log m
+    phi = _char_profile(A)
+    y = np.linspace(math.log(1e-300), math.log(tail.width), 400001)
+    g = phi(np.exp(y)) * tail.coef * tail.expo * np.exp(-tail.expo * y)
+    want = tail.value_at(tail.width) * phi(tail.width) + np.trapezoid(g, y)
+    assert got == pytest.approx(want, rel=1e-4)
+
+
 def loop_marcinkiewicz(f, A, tol=1e-12):
     """Reference for marcinkiewicz_norm: one piece at a time, with scalar
     calls for the grid samples and the golden-section steps."""
@@ -338,7 +368,7 @@ def loop_marcinkiewicz(f, A, tol=1e-12):
     avg = maximal(f)
 
     def h(t):
-        return phi(t) * avg._value(t)
+        return phi(t) * pointwise_average(avg, t)
 
     if not np.isfinite(avg.total):
         return INF
@@ -494,3 +524,158 @@ class TestPairings:
         for _ in range(15):
             f, g = random_sampled(rng), random_sampled(rng)
             assert pairing(f, g) <= hardy_littlewood_pairing(f, g) * (1 + 1e-12)
+
+
+# -- Lorentz-Zygmund functional ------------------------------------------------
+
+
+def lz_reference(f, p, q, alpha):
+    """Reference for lorentz_power_norm(f, p, q, alpha) (see its docstring).
+
+    Finite p and q: the weight's primitive per step through mpmath's
+    incomplete gamma.  Infinite p: the constant first piece of f** in closed
+    form and mpmath quadrature in log t on the others.  Infinite q: a dense
+    maximum in log t on each piece, refined by golden section."""
+    with mp.workdps(30):
+        return _lz_reference(f, p, q, alpha)
+
+
+def _lz_reference(f, p, q, alpha):
+    star = rearrange(f)
+    end = INF if alpha == 0 else 1.0
+    cells = list(zip(star.values, star.breaks[:-1], np.minimum(star.breaks[1:], end)))
+    cells = [(float(v), float(lo), float(hi)) for v, lo, hi in cells if lo < hi]
+    if math.isinf(p):
+        if f.tail:
+            return INF
+        acc, pieces = 0.0, []
+        for v, lo, hi in cells:
+            pieces.append((lo, hi, v, acc - v * lo))
+            acc += v * (hi - lo)
+        if star.support < end:
+            pieces.append((star.support, end, 0.0, acc))
+        if math.isinf(q):
+            return max(_dense_max(lambda x: (c1 + c2 * np.exp(-x)) * (1 - x) ** alpha,
+                                  lo, hi) for lo, hi, c1, c2 in pieces)
+        gam = mp.mpf(alpha) * q
+        v0, hi0 = pieces[0][2], pieces[0][1]
+        if gam >= -1:
+            return INF
+        total = mp.mpf(v0) ** q * (1 - mp.log(hi0)) ** (gam + 1) / (-gam - 1)
+        for lo, hi, c1, c2 in pieces[1:]:
+            total += mp.quad(lambda x: (c1 + c2 * mp.exp(-x)) ** q * (1 - x) ** gam,
+                             [mp.log(lo), mp.log(hi)])
+        return float(total ** (1 / mp.mpf(q)))
+    if math.isinf(q):
+        best = 0.0
+        if f.tail:
+            t = f.tail
+            e = 1.0 / p - t.expo
+            if e < 0 or (e == 0 and alpha > 0):
+                return INF
+            best = _dense_max(lambda x: t.coef * np.exp(e * x) * (1 - x) ** alpha,
+                              0.0, min(t.width, end))
+        return max([best] + [_dense_max(lambda x: v * np.exp(x / p) * (1 - x) ** alpha,
+                                        lo, hi) for v, lo, hi in cells])
+    gam = mp.mpf(alpha) * q
+
+    def primitive(beta, t):
+        # integral of s**(beta - 1) (1 - log s)**gam over (0, t)
+        u = 1 - mp.log(t)
+        if beta > 0:
+            return mp.exp(beta) * beta ** (-gam - 1) * mp.gammainc(gam + 1, beta * u)
+        if beta == 0 and gam < -1:
+            return u ** (gam + 1) / (-gam - 1)
+        return mp.inf
+
+    beta = mp.mpf(q / p)
+    total = mp.mpf(0)
+    if f.tail:
+        t = f.tail
+        total += mp.mpf(t.coef) ** q * primitive(mp.mpf(q / p - t.expo * q),
+                                                 mp.mpf(min(t.width, end)))
+    for v, lo, hi in cells:
+        if alpha == 0:
+            total += mp.mpf(v) ** q * (mp.mpf(hi) ** beta - mp.mpf(lo) ** beta) / beta
+        else:
+            total += mp.mpf(v) ** q * (primitive(beta, mp.mpf(hi))
+                                       - (primitive(beta, mp.mpf(lo)) if lo > 0 else 0))
+    return INF if total == mp.inf else float(total ** (1 / mp.mpf(q)))
+
+
+def _dense_max(g, lo, hi, n=20001):
+    """Maximum of g(log t) over [lo, hi] (from hi * e**-300 when lo = 0): the
+    best of n points evenly spaced in log t, refined by golden section."""
+    xa = math.log(lo) if lo > 0 else math.log(hi) - 300.0
+    x = np.linspace(xa, math.log(hi), n)
+    y = g(x)
+    k = int(np.argmax(y))
+    a, b = x[max(k - 1, 0)], x[min(k + 1, n - 1)]
+    gr = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(80):
+        x1, x2 = b - gr * (b - a), a + gr * (b - a)
+        if g(x1) < g(x2):
+            a = x1
+        else:
+            b = x2
+    return max(float(y[k]), float(g(0.5 * (a + b))))
+
+
+def decreasing_steps(rng, n, total, first=None):
+    widths = rng.uniform(0.2, 1.0, n)
+    widths *= total / widths.sum()
+    if first is not None:
+        widths[0] = first
+    return SampledFn(list(zip(np.sort(rng.uniform(0.5, 20.0, n))[::-1], widths)))
+
+
+def lz_cases():
+    """Functions with 1, 20 and 160 pieces, a first step ending at 1e-10, and
+    a support reaching past 1."""
+    rng = np.random.default_rng(211)
+    return {"1": SampledFn([(3.0, 0.4)]),
+            "20": decreasing_steps(rng, 20, 0.9),
+            "160": decreasing_steps(rng, 160, 0.9),
+            "first 1e-10": decreasing_steps(rng, 6, 0.5, first=1e-10),
+            "past 1": decreasing_steps(rng, 6, 3.0)}
+
+
+def lz_alphas(p, q):
+    """alpha = 0, alpha > 1/p and alpha <= -1/q, as far as (p, q) admits."""
+    low = -1.0 / q - 0.25 if math.isfinite(q) else -0.5
+    if math.isinf(p):
+        return [low, -1.0 / q - 1.0 if math.isfinite(q) else -1.0]
+    return [0.0, 1.0 / p + 0.4, low]
+
+
+class TestLorentzZygmund:
+    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0, 50.0, 100.0, INF])
+    def test_matches_mpmath(self, p):
+        for q in [1.0, 1.5, 2.0, 3.0, INF]:
+            for alpha in lz_alphas(p, q):
+                for name, f in lz_cases().items():
+                    # the slow references run the 160-piece case once per p
+                    if name == "160" and (q != 2.0 or alpha != lz_alphas(p, q)[0]):
+                        continue
+                    got = lorentz_power_norm(f, p, q, alpha)
+                    want = lz_reference(f, p, q, alpha)
+                    assert got == pytest.approx(want, rel=1e-12), (q, alpha, name)
+
+    @pytest.mark.parametrize("p", [1.5, 4.0, 100.0])
+    def test_power_tails_match_mpmath(self, p):
+        # beta - expo q above, at and below 0
+        for q in [1.0, 2.0, 3.0, INF]:
+            for expo in [0.5 / p, 1.0 / p, 2.0 / p]:
+                for alpha in lz_alphas(p, q):
+                    for width in [0.05, 2.0]:
+                        tail = PowerTail(2.0, expo, width)
+                        top = tail.value_at(width)
+                        f = SampledFn([(0.9 * top, 0.2), (0.5 * top, 0.3)], tail=tail)
+                        got = lorentz_power_norm(f, p, q, alpha)
+                        want = lz_reference(f, p, q, alpha)
+                        assert got == pytest.approx(want, rel=1e-12), (q, expo, alpha)
+
+    def test_tail_under_infinite_p_is_infinite(self):
+        f = SampledFn([(1.0, 0.5)], tail=PowerTail(2.0, 0.1, 0.1))
+        assert lorentz_power_norm(f, INF, 2.0, -1.0) == INF
+        assert lorentz_power_norm(f, INF, INF, -1.0) == INF

@@ -40,6 +40,10 @@ def lebesgue(p, interval=UNIT):
     return SpaceDescriptor(LEBESGUE, interval, p=p)
 
 
+def lz(p, q, alpha):
+    return SpaceDescriptor(LORENTZ_ZYGMUND, UNIT, p=p, q=q, alpha=alpha)
+
+
 class TestFundamentalFunction:
     def test_lorentz_profile(self):
         X = lorentz(3.0, 2.0)
@@ -58,6 +62,18 @@ class TestFundamentalFunction:
         tg = phi.phi.t[phi.phi.t < 1.0]
         np.testing.assert_allclose(phi(tg), (1.0 - np.log(tg)) ** (m / n - 1.0),
                                    rtol=1e-12)
+
+    def test_finite_p_lorentz_zygmund_profile_is_the_norm(self):
+        # the norm of the characteristic function of (0, t) at p = q = 2,
+        # alpha = 1 is t**(1/2) u sqrt(1 + 2/u + 2/u**2) with u = 1 - log t
+        X = lz(2.0, 2.0, 1.0)
+        phi = fundamental_function(X).phi
+        u = 1.0 - np.log(phi.t)
+        np.testing.assert_allclose(
+            phi.v, np.sqrt(phi.t) * u * np.sqrt(1.0 + 2.0 / u + 2.0 / u ** 2), rtol=1e-13)
+        assert np.all(np.diff(phi.v) > 0)
+        assert char_norm_constant(X) == 1.0
+        assert char_norm_constant(lz(INF, 2.0, -1.0)) is None
 
     def test_orlicz_power_profile(self):
         X = SpaceDescriptor(ORLICZ, UNIT, generator=power_young(2.5))
@@ -188,6 +204,15 @@ class TestNorm:
                 s = float(10.0 ** rng.uniform(-5, 0))
                 got = norm(X, characteristic(s))
                 assert got == pytest.approx(c * phi(s), rel=1e-9)
+        # finite-p Lorentz-Zygmund profiles are exact at the table's points
+        for p, q, alpha in [(2.0, 2.0, 1.0), (3.0, 1.5, -0.9), (1.5, 1.0, 0.0),
+                            (4.0, INF, 0.5), (2.0, 3.0, -0.4)]:
+            X = lz(p, q, alpha)
+            phi = fundamental_function(X)
+            c = char_norm_constant(X)
+            for s in rng.choice(phi.phi.t, 6):
+                got = norm(X, characteristic(float(s)))
+                assert got == pytest.approx(c * phi(float(s)), rel=1e-12)
 
     def test_zero_function(self):
         assert norm(lorentz(2.0, 1.0), SampledFn([])) == 0.0
@@ -199,6 +224,28 @@ class TestNorm:
             f = random_sampled(rng)
             expect = math.sqrt(sum(v * v * w for v, w in f.pieces))
             assert norm(X, f) == pytest.approx(expect, rel=1e-11)
+
+    def test_lorentz_zygmund_exact_values(self):
+        # an adaptive quadrature cut at t = 1e-12 gave 23.45, 8.70, 1.626 and
+        # 0.982 here, and 1.0 for every function at q = inf
+        half, one = characteristic(0.5), characteristic(1.0)
+        assert norm(lz(100.0, 1.0, 0.0), half) == pytest.approx(99.30924954370359,
+                                                               rel=1e-13)
+        assert norm(lz(10.0, 1.0, 0.0), half) == pytest.approx(9.330329915368074,
+                                                              rel=1e-13)
+        assert norm(lz(INF, 1.0, -1.5), one) == pytest.approx(2.0, rel=1e-13)
+        assert norm(lz(INF, 2.0, -1.0), one) == pytest.approx(1.0, rel=1e-13)
+        s = 0.3
+        for value in [1.0, 5.0]:
+            got = norm(lz(INF, INF, -1.0), characteristic(s, value))
+            assert got == pytest.approx(value / (1.0 - math.log(s)), rel=1e-13)
+        got = norm(lz(2.0, INF, 1.0), characteristic(s))
+        assert got == pytest.approx(math.sqrt(s) * (1.0 - math.log(s)), rel=1e-13)
+
+    def test_lorentz_zygmund_on_the_half_line_is_unsupported(self):
+        X = SpaceDescriptor(LORENTZ_ZYGMUND, HALFLINE, p=2.0, q=2.0, alpha=1.0)
+        with pytest.raises(UnsupportedFamily):
+            norm(X, characteristic(0.5))
 
     def test_lorentz_zygmund_on_characteristic(self):
         n = 3.0
