@@ -301,8 +301,8 @@ class MonotoneFn:
             if alpha != 0.0:
                 # log(1/x) / log(1/ta) is non-positive at x <= 1 when
                 # ta >= 1; the form anchored at ta stays positive there
-                log_ratio = (np.log(1.0 / x) / np.log(1.0 / ta) if ta < 1.0
-                             else 1.0 + np.log(ta / x))
+                log_ratio = (_log_quotient(1.0, x) / np.log(1.0 / ta) if ta < 1.0
+                             else 1.0 + _log_quotient(ta, x))
                 out = out * log_ratio ** alpha
         return out
 
@@ -536,6 +536,12 @@ def _inverse(fn, side):
 
 
 # -- exact piecewise-power integration ----------------------------------
+
+
+def _log_quotient(num, x):
+    """log(num / x), also where num / x overflows (a subnormal x)."""
+    q = num / x
+    return np.where(np.isinf(q), np.log(num) - np.log(x), np.log(q))
 
 
 def _power_segment_integral(vl, vr, tl, tr, weight_exp=0.0):

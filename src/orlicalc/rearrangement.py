@@ -311,96 +311,196 @@ def maximal(f: SampledFn) -> AveragedDecreasing:
 # -- modulars and norms ------------------------------------------------------
 
 
-def _tail_modular(A: QuasiConvexFn, tail: PowerTail, scale=1.0):
-    """Exact integral of A(scale * tail profile) over (0, width)."""
+def _tail_modular(A: QuasiConvexFn, tail: PowerTail, scales):
+    """Exact integral of A(scale * tail profile) over (0, width), for each
+    of a 1-d array of scales."""
     # change of variables u = scale * coef * s**-expo:
     #   integral = (scale*coef)**(1/expo) / expo * int_u0^inf A(u) u**(-1/expo - 1) du
-    c = scale * tail.coef
-    u0 = c * tail.width ** (-tail.expo)
+    # over the segment from u0 to the first node above it, the table's
+    # segments from there on and an extension beyond the table; only the
+    # first depends on the scale
     w_exp = -1.0 / tail.expo - 1.0
-    base = A.base
-    t = base.t[base.t > u0]
-    pts = np.concatenate(([u0], t))
-    vals = A(pts)
-    if np.isinf(vals).any():
-        return INF
-    seg = _power_segment_integral(vals[:-1], vals[1:], pts[:-1], pts[1:], w_exp)
-    total = float(np.sum(seg))
+    t, v = A.base.t, A.base.v
+    c = scales * tail.coef
+    u0 = c * tail.width ** (-tail.expo)
+    vu = A(u0)
+    k = np.searchsorted(t, u0, side="right")
+    inside = k < t.size
+    kin = k[inside]
+    first = np.zeros_like(u0)
+    first[inside] = _power_segment_integral(vu[inside], v[kin], u0[inside], t[kin], w_exp)
+    inf_from = np.logical_or.accumulate(np.isinf(v)[::-1])[::-1]
+    live = ~np.isinf(vu)
+    live[inside] &= ~inf_from[kin]
+    # a scale's total is the pairwise sum of its own segment and the table's
+    # segments from node k on; buf holds those one place to the right, so
+    # with its entry k - lowest set to the scale's segment, buf[k - lowest:]
+    # is that list
+    lowest = kin.min(initial=t.size - 1)
+    buf = np.concatenate(([0.0], _power_segment_integral(
+        v[lowest:-1], v[lowest + 1:], t[lowest:-1], t[lowest + 1:], w_exp)))
+    beyond = {}
+    out = np.full_like(u0, INF)
+    for i in np.flatnonzero(live).tolist():
+        if inside[i]:
+            j = k[i] - lowest
+            keep, buf[j] = buf[j], first[i]
+            total, hi = float(np.add.reduce(buf[j:])), t[-1]
+            buf[j] = keep
+        else:
+            total, hi = 0.0, u0[i]
+        if hi not in beyond:
+            beyond[hi] = _beyond_table(A, hi, w_exp)
+        if beyond[hi] is None:
+            continue
+        total += beyond[hi][0]
+        total += beyond[hi][1]
+        try:
+            out[i] = (float(c[i]) ** (1.0 / tail.expo) / tail.expo) * total
+        except OverflowError:  # the modular leaves the float range: +inf
+            pass
+    return out
+
+
+def _beyond_table(A: QuasiConvexFn, hi, w_exp):
+    """The integral of A(u) u**w_exp over u > hi as the pair (geometric
+    segments up to hi * 1e30, closed-form residue beyond them), or None
+    where it diverges."""
     # beyond the table: values grow at least linearly, weight decays as
     # u**(-1/expo - 1); the residue converges iff growth power < 1/expo
-    hi = pts[-1]
     ext = geometric_grid(hi, hi * 1e30, 8)
     ve = A(ext)
     if np.isinf(ve).any():
-        return INF
-    seg2 = _power_segment_integral(ve[:-1], ve[1:], ext[:-1], ext[1:], w_exp)
-    total += float(np.sum(seg2))
+        return None
+    seg = _power_segment_integral(ve[:-1], ve[1:], ext[:-1], ext[1:], w_exp)
+    base = A.base
     p_eff = base.inf_desc.p if base.inf_desc.kind == "power-log" else base._edge_slope_inf()
     if p_eff + w_exp + 1.0 >= 0:
-        return INF
-    total += float(ve[-1] * ext[-1] ** (w_exp + 1.0) / -(p_eff + w_exp + 1.0))
-    return (c ** (1.0 / tail.expo) / tail.expo) * total
+        return None
+    return (float(np.sum(seg)),
+            float(ve[-1] * ext[-1] ** (w_exp + 1.0) / -(p_eff + w_exp + 1.0)))
 
 
 def modular(f: SampledFn, A: QuasiConvexFn, scale=1.0):
-    """Sum of A(scale * value) * width over the pieces; exact."""
-    if f.is_zero:
-        return 0.0
-    total = 0.0
-    if f.pieces:
-        values, widths = np.array(f.pieces).T
-        av = A.integral_value(scale * values) if isinstance(A, YoungFn) \
-            else A(scale * values)
-        if np.isinf(av).any():
-            return INF
-        # a running sum keeps the left-to-right order of the pieces
-        total = float(np.cumsum(av * widths)[-1])
-    if f.tail is not None:
-        total += _tail_modular(A, f.tail, scale)
-    return total
+    """Sum of A(scale * value) * width over the pieces; exact.
+
+    ``scale`` may be a 1-d array of scales: the result is then the array of
+    the modulars, each bit for bit what a call with that scale alone gives.
+    A scalar gives a ``float``.  A modular that diverges is ``+inf``.
+    """
+    arr = np.asarray(scale, dtype=float)
+    scales = np.atleast_1d(arr)
+    total = np.zeros(scales.shape)
+    if not f.is_zero:
+        live = np.ones(scales.shape, dtype=bool)
+        if f.pieces:
+            values, widths = np.array(f.pieces).T
+            x = np.multiply.outer(scales, values)
+            av = A.integral_value(x) if isinstance(A, YoungFn) else A(x)
+            live = ~np.isinf(av).any(axis=1)
+            total[~live] = INF
+            # a running sum keeps the left-to-right order of the pieces
+            total[live] = np.cumsum(av[live] * widths, axis=1)[:, -1]
+        if f.tail is not None and live.any():
+            total[live] += _tail_modular(A, f.tail, scales[live])
+    return float(total[0]) if arr.ndim == 0 else total
 
 
-def least_admissible_scale(ok, start, rel_tol):
+_EPS = float(np.finfo(float).eps)
+
+
+def least_admissible_scale(ok, start, rel_tol, depth=1):
     """The least lam > 0 with ok(lam), for a predicate that is false below
-    its answer and true above it.
+    its answer and true above it; ``ok`` maps a 1-d array of scales to
+    booleans.
 
     Halves or doubles from ``start`` to a bracket, then bisects the log
     scale down to relative width ``rel_tol`` and returns the admissible
     end.  Past ``start * 2**64`` the doubling step squares itself, so a
     predicate that fails everywhere costs tens of calls, not a thousand.
     Gives 0 when ok holds down to 1e-300 and +inf when it fails up to 1e300.
+    A tolerance below the float spacing 2**-52 raises ``ValueError``.
+
+    After the call at ``start``, each call of ``ok`` takes up to
+    ``2**depth - 1`` scales: the next halvings or doublings, or the
+    midpoints of the bisection tree below the bracket, ``depth`` levels
+    deep.  The search then follows the answers at the scales that
+    one-at-a-time bisection visits, so the result is the same float for
+    every depth, and depth 1 makes the same calls, one scale each.
     """
+    if not rel_tol >= _EPS:
+        raise ValueError(f"relative tolerance {rel_tol!r} is below the float "
+                         f"spacing {_EPS!r}: the bisection would not end")
+    width = 2 ** depth - 1
+
+    def first(points, want):
+        """Index of the first point where ok gives ``want``, or None."""
+        if not points:
+            return None
+        hit = np.flatnonzero(np.asarray(ok(np.array(points)), dtype=bool) == want)
+        return int(hit[0]) if hit.size else None
+
     b = start
-    if ok(b):
+    if first([b], True) is not None:
         a = b
         while True:
-            a /= 2.0
-            if a < 1e-300:
-                return 0.0
-            if not ok(a):
+            halves = []
+            while len(halves) < width:
+                a /= 2.0
+                if a < 1e-300:
+                    break
+                halves.append(a)
+            i = first(halves, False)
+            if i is not None:
+                a = halves[i]
                 break
+            if len(halves) < width:
+                return 0.0
         b = 2.0 * a
     else:
         step = 2.0
         while True:
-            if b >= 1e300:
-                return INF
-            a = b
-            if b > start * 2.0 ** 64:
-                step *= step
-            b = min(b * step, 1e300)
-            if ok(b):
+            steps = []
+            while len(steps) < width and b < 1e300:
+                a = b
+                if b > start * 2.0 ** 64:
+                    step *= step
+                b = min(b * step, 1e300)
+                steps.append((a, b))
+            i = first([hi for _, hi in steps], True)
+            if i is not None:
+                a, b = steps[i]
                 break
+            if len(steps) < width:
+                return INF
     # invariant: ok(b), not ok(a)
     while b / a > 1.0 + rel_tol:
-        mid = math.sqrt(a * b)
-        if not a < mid < b:  # a * b left the float range
-            mid = math.sqrt(a) * math.sqrt(b)
-        if ok(mid):
-            b = mid
-        else:
-            a = mid
+        # the midpoints of the bisection tree below (a, b), as deep as the
+        # tolerance needs and at most depth levels, in heap order: node j
+        # has the children 2j + 1 (ok at its midpoint) and 2j + 2
+        levels = math.ceil(math.log2((math.log(b) - math.log(a)) / math.log1p(rel_tol)))
+        cells, mids = [(a, b)], []
+        while len(mids) < 2 ** min(max(levels, 1), depth) - 1:
+            lo, hi = cells[len(mids)]
+            mid = math.sqrt(lo * hi)
+            if not lo < mid < hi:  # lo * hi left the float range
+                mid = math.sqrt(lo) * math.sqrt(hi)
+            mids.append(mid)
+            cells += [(lo, mid), (mid, hi)]
+        good = np.asarray(ok(np.array(mids)), dtype=bool)
+        j = 0
+        while j < len(mids) and b / a > 1.0 + rel_tol:
+            if good[j]:
+                b, j = mids[j], 2 * j + 1
+            else:
+                a, j = mids[j], 2 * j + 2
     return b
+
+
+# points per call of the batched bisection, and the cost of a tail piece in
+# points: past about 2048 the larger arrays cost more than the saved calls
+_BATCH_POINTS = 2048
+_TAIL_POINTS = 16
 
 
 def luxemburg_norm(f: SampledFn, A: QuasiConvexFn, rel_tol=1e-10):
@@ -410,8 +510,10 @@ def luxemburg_norm(f: SampledFn, A: QuasiConvexFn, rel_tol=1e-10):
     start = max(f.sup_value(), 1.0)
     if math.isinf(start):
         start = 1.0
+    cost = len(f.pieces) + (_TAIL_POINTS if f.tail is not None else 0)
+    depth = max([1] + [d for d in range(2, 7) if (2 ** d - 1) * cost <= _BATCH_POINTS])
     return least_admissible_scale(lambda lam: modular(f, A, scale=1.0 / lam) <= 1.0,
-                                  start, rel_tol)
+                                  start, rel_tol, depth)
 
 
 def lambda_norm(f: SampledFn, A: QuasiConvexFn):
@@ -425,9 +527,8 @@ def lambda_norm(f: SampledFn, A: QuasiConvexFn):
     prev_value = 0.0
     # ascend through values: measure above lambda is constant between values
     vals = star.values[::-1]
-    meas = star.breaks[1:][::-1]
-    for v, m in zip(vals, meas):
-        total += (v - prev_value) * phi(m)
+    for v, phi_m in zip(vals, phi(star.breaks[1:][::-1])):
+        total += (v - prev_value) * phi_m
         prev_value = v
     if star.tail is not None:
         t = star.tail

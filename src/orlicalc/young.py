@@ -126,10 +126,13 @@ class YoungFn(QuasiConvexFn):
         """A(x) as the integral of the derivative over (0, x].
 
         Array in, array of the same shape out; a scalar gives a ``float``.
-        A divergent or overflowing tail gives ``+inf``, never an exception.
+        The rows of an array of two or more dimensions (along its last axis)
+        are each bit for bit what a call on that row alone gives.  A
+        divergent or overflowing tail gives ``+inf``, never an exception.
         """
         arr = np.asarray(x, dtype=float)
-        out = _integral_value(self, arr.ravel()).reshape(arr.shape)
+        row = np.arange(arr.size) // max(arr.shape[-1], 1) if arr.ndim > 1 else None
+        out = _integral_value(self, arr.ravel(), row).reshape(arr.shape)
         return float(out) if arr.ndim == 0 else out
 
     def integral_inverse(self, s):
@@ -366,27 +369,44 @@ def _pure_power_exponent(d, edge_slope):
     return None
 
 
-def _integral_from(a, lo, x, anchor):
+def _integral_from(a, lo, x, anchor, row=None):
     """Integral of the derivative over [lo, x] for each x >= lo, exact per
     segment of the grid anchor * 10**(k/16), k integer, cut to [lo, max(x)].
 
     The nodes sit at fixed places, so a point's value does not depend on
     the other points of the batch (beyond the rounding of a running sum).
+    With ``row``, one index per point, ``lo`` holds one start per row: the
+    rows share the nodes and keep running sums of their own, so each row's
+    values are those of a call with that row's points alone.
     """
+    lo = np.atleast_1d(lo)
+    row = np.zeros(x.shape, dtype=np.intp) if row is None else row
     hi, log_anchor = float(x.max()), math.log10(anchor)
-    k = np.arange(math.floor(16.0 * (math.log10(lo) - log_anchor)),
+    k = np.arange(math.floor(16.0 * (math.log10(lo.min()) - log_anchor)),
                   math.ceil(16.0 * (math.log10(hi) - log_anchor)) + 1)
     with np.errstate(over="ignore"):
-        ext = np.clip(anchor * 10.0 ** (k / 16.0), lo, hi)
-    vals = a(ext)
-    seg = _power_segment_integral(vals[:-1], vals[1:], ext[:-1], ext[1:])
-    cum = np.concatenate(([0.0], np.cumsum(seg)))
-    j = np.searchsorted(ext, x, side="right") - 1
-    return cum[j] + _power_segment_integral(vals[j], a(x), ext[j], x)
+        nodes = np.minimum(anchor * 10.0 ** (k / 16.0), hi)
+    vals = a(nodes)
+    # a row runs from its start to the first node above it, then from node
+    # to node: column c of its sums ends at node c
+    first = np.searchsorted(nodes, lo, side="right")
+    cols = np.arange(nodes.size)
+    segs = np.where(cols > first[:, None], np.concatenate(
+        ([0.0], _power_segment_integral(vals[:-1], vals[1:], nodes[:-1], nodes[1:]))), 0.0)
+    v_lo = a(lo)
+    r = np.flatnonzero(first < nodes.size)
+    segs[r, first[r]] = _power_segment_integral(v_lo[r], vals[first[r]], lo[r], nodes[first[r]])
+    cum = np.cumsum(segs, axis=1)
+    j = np.searchsorted(nodes, x, side="right") - 1
+    past = j >= first[row]
+    return (np.where(past, cum[row, j], 0.0)
+            + _power_segment_integral(np.where(past, vals[j], v_lo[row]), a(x),
+                                      np.where(past, nodes[j], lo[row]), x))
 
 
-def _integral_below_grid(a, x):
-    """Integral of the derivative over (0, x] for 0 < x below its grid."""
+def _integral_below_grid(a, x, row=None):
+    """Integral of the derivative over (0, x] for 0 < x below its grid; with
+    ``row``, each row as if alone (see :func:`_integral_from`)."""
     d = a.zero_desc
     out = np.zeros_like(x)
     if d.kind == ZERO_ON_INTERVAL:
@@ -403,11 +423,15 @@ def _integral_below_grid(a, x):
     p = d.p if d.kind == POWER_LOG else a._edge_slope_zero()
     if d.kind == POWER_LOG and d.alpha != 0.0:
         # the log factor has no closed-form primitive: integrate from 45
-        # decades below the smallest point and close with the pure-power
-        # remainder there
-        lo = max(float(x.min()) * 1e-45, 1e-300)
-        r = np.minimum(x, lo)
-        out[live] = (_integral_from(a, lo, np.maximum(x, lo), a.t[0])
+        # decades below the smallest point of the row and close with the
+        # pure-power remainder there
+        rows, row = np.unique(np.zeros(x.size, dtype=np.intp) if row is None
+                              else row[live], return_inverse=True)
+        least = np.full(rows.size, INF)
+        np.minimum.at(least, row, x)
+        lo = np.maximum(least * 1e-45, 1e-300)
+        r = np.minimum(x, lo[row])
+        out[live] = (_integral_from(a, lo, np.maximum(x, lo[row]), a.t[0], row)
                      + a(r) * r / max(p + 1.0, 1e-9))
         return out
     out[live] = ax * x / (p + 1.0)
@@ -431,8 +455,9 @@ def _integral_above_grid(A, x):
         return total + aN * tN * ((x / tN) ** (p + 1.0) - 1.0) / (p + 1.0)
 
 
-def _integral_value(A, x):
-    """Array kernel of :meth:`YoungFn.integral_value`."""
+def _integral_value(A, x, row=None):
+    """Array kernel of :meth:`YoungFn.integral_value`; ``row`` gives each
+    point's row."""
     a, base = A.derivative, A.base
     t = a.t
     out = np.full_like(x, np.nan)
@@ -440,7 +465,7 @@ def _integral_value(A, x):
     out[x == INF] = base.value_at_inf
     head = (x > 0.0) & (x < t[0])
     if head.any():
-        out[head] = _integral_below_grid(a, x[head])
+        out[head] = _integral_below_grid(a, x[head], None if row is None else row[head])
     tail = (x > t[-1]) & (x < INF)
     if tail.any():
         out[tail] = _integral_above_grid(A, x[tail])

@@ -1,8 +1,11 @@
 """Shared generators and brute-force oracles for the test suite."""
 
+import math
+
 import numpy as np
 
-from orlicalc.monotone import INF, MonotoneFn, NUMERIC_DESC
+from orlicalc.monotone import (
+    INF, MonotoneFn, NUMERIC_DESC, _power_segment_integral, geometric_grid)
 
 
 def scan_right_inverse(fn, s, taus):
@@ -34,3 +37,98 @@ def random_step_monotone(rng, n_max=12, with_plateaus=True):
 
 def dense_taus(lo=1e-6, hi=1e6, n=120001):
     return np.geomspace(lo, hi, n)
+
+
+# -- one-scale-at-a-time references for the batched Luxemburg search ----------
+
+
+def sequential_least_admissible_scale(ok, start, rel_tol):
+    """The scale search one scalar predicate call at a time: bracket by
+    halving or doubling (the step squares itself past start * 2**64), then
+    bisect the log scale."""
+    b = start
+    if ok(b):
+        a = b
+        while True:
+            a /= 2.0
+            if a < 1e-300:
+                return 0.0
+            if not ok(a):
+                break
+        b = 2.0 * a
+    else:
+        step = 2.0
+        while True:
+            if b >= 1e300:
+                return INF
+            a = b
+            if b > start * 2.0 ** 64:
+                step *= step
+            b = min(b * step, 1e300)
+            if ok(b):
+                break
+    while b / a > 1.0 + rel_tol:
+        mid = math.sqrt(a * b)
+        if not a < mid < b:
+            mid = math.sqrt(a) * math.sqrt(b)
+        if ok(mid):
+            b = mid
+        else:
+            a = mid
+    return b
+
+
+def scalar_tail_modular(A, tail, scale):
+    """Integral of A(scale * tail profile) over (0, width) at one scale."""
+    c = scale * tail.coef
+    u0 = c * tail.width ** (-tail.expo)
+    w_exp = -1.0 / tail.expo - 1.0
+    base = A.base
+    t = base.t[base.t > u0]
+    pts = np.concatenate(([u0], t))
+    vals = A(pts)
+    if np.isinf(vals).any():
+        return INF
+    seg = _power_segment_integral(vals[:-1], vals[1:], pts[:-1], pts[1:], w_exp)
+    total = float(np.sum(seg))
+    hi = pts[-1]
+    ext = geometric_grid(hi, hi * 1e30, 8)
+    ve = A(ext)
+    if np.isinf(ve).any():
+        return INF
+    seg2 = _power_segment_integral(ve[:-1], ve[1:], ext[:-1], ext[1:], w_exp)
+    total += float(np.sum(seg2))
+    p_eff = base.inf_desc.p if base.inf_desc.kind == "power-log" else base._edge_slope_inf()
+    if p_eff + w_exp + 1.0 >= 0:
+        return INF
+    total += float(ve[-1] * ext[-1] ** (w_exp + 1.0) / -(p_eff + w_exp + 1.0))
+    return (c ** (1.0 / tail.expo) / tail.expo) * total
+
+
+def scalar_modular(f, A, scale=1.0):
+    """The modular at one scale: a running sum over the pieces in order,
+    plus the tail."""
+    if f.is_zero:
+        return 0.0
+    total = 0.0
+    if f.pieces:
+        values, widths = np.array(f.pieces).T
+        av = A.integral_value(scale * values) if hasattr(A, "integral_value") \
+            else A(scale * values)
+        if np.isinf(av).any():
+            return INF
+        total = float(np.cumsum(av * widths)[-1])
+    if f.tail is not None:
+        total += scalar_tail_modular(A, f.tail, scale)
+    return total
+
+
+def sequential_luxemburg_norm(f, A, rel_tol=1e-10):
+    """inf{lam : modular(f / lam) <= 1}, one scale per modular call."""
+    if f.is_zero:
+        return 0.0
+    start = max(f.sup_value(), 1.0)
+    if math.isinf(start):
+        start = 1.0
+    return sequential_least_admissible_scale(
+        lambda lam: scalar_modular(f, A, 1.0 / lam) <= 1.0, start, rel_tol)

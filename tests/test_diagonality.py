@@ -59,6 +59,7 @@ from orlicalc.young import (
     young_from_derivative,
 )
 
+from helpers import sequential_least_admissible_scale
 from test_rearrangement import random_sampled
 
 
@@ -595,6 +596,31 @@ class TestLiftedNorm:
         for _ in range(5):
             f = random_sampled(rng, n_max=5)
             assert lifted_norm(F, X, f) == pytest.approx(space_norm(X, f), rel=1e-9)
+
+    def test_one_scale_per_predicate_call(self, monkeypatch):
+        # the scale search may batch scales; the lift still asks for one
+        # space norm per scale, and as many as the one-at-a-time search
+        X = SpaceDescriptor(LORENTZ, UNIT, p=2.0, q=1.5)
+        F = power_young(2.0)
+        f = SampledFn([(2.0, 0.3), (0.5, 0.2), (7.0, 0.01)])
+        seen = []
+        space_norm = diagonality.space_norm
+
+        def counted(*args):
+            seen.append(args)
+            return space_norm(*args)
+
+        monkeypatch.setattr(diagonality, "space_norm", counted)
+        got = lifted_norm(F, X, f)
+        batched = len(seen)
+        seen.clear()
+        values, widths = np.array(f.pieces).T
+        want = sequential_least_admissible_scale(
+            lambda lam: counted(X, SampledFn(zip(F.integral_value(values / lam), widths),
+                                             f.length)) <= 1.0,
+            max(f.sup_value(), 1.0), 1e-10)
+        assert got == want
+        assert batched == len(seen)
 
     def test_power_lift_of_characteristic(self):
         p, q, r = 2.0, 1.0, 2.0

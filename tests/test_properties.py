@@ -3,10 +3,25 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from orlicalc.monotone import INF, MonotoneFn
-from orlicalc.rearrangement import PowerTail, SampledFn, luxemburg_norm, rearrange
+from orlicalc.monotone import INF, MonotoneFn, geometric_grid
+from orlicalc.rearrangement import (
+    PowerTail,
+    SampledFn,
+    least_admissible_scale,
+    luxemburg_norm,
+    modular,
+    rearrange,
+)
 from orlicalc.spaces import LORENTZ, LORENTZ_ZYGMUND, SpaceDescriptor, norm
-from orlicalc.young import power_young
+from orlicalc.young import (
+    exp_young,
+    linfty_young,
+    power_log_young,
+    power_young,
+    young_from_derivative,
+)
+
+from helpers import sequential_luxemburg_norm
 
 
 @st.composite
@@ -97,3 +112,46 @@ def test_lorentz_zygmund_without_log_is_lorentz(f, p, q):
     lz = SpaceDescriptor(LORENTZ_ZYGMUND, p=p, q=q, alpha=0.0)
     lorentz = SpaceDescriptor(LORENTZ, p=p, q=q)
     assert norm(lz, f) == norm(lorentz, f)
+
+
+_TABLE_T = geometric_grid(1e-4, 1e4, 32)
+GENERATORS = {
+    "power 1.3": power_young(1.3),
+    "power 3": power_young(3.0),
+    "power-log 2, -1, 1": power_log_young(2.0, alpha_zero=-1.0, alpha_inf=1.0),
+    "power-log 1.5, 0.5, -0.5": power_log_young(1.5, alpha_zero=0.5, alpha_inf=-0.5),
+    "exp 1": exp_young(1.0),
+    "linfty": linfty_young(1.0),
+    "table": young_from_derivative(MonotoneFn(
+        _TABLE_T, 0.7 * _TABLE_T ** 0.4 + 2.0 * _TABLE_T ** 1.8)),
+}
+
+
+@st.composite
+def luxemburg_cases(draw):
+    """Step functions of 1 to 40 pieces over many decades of values, half
+    of them led by a power tail, under every generator class."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    vals = 10.0 ** np.asarray(draw(st.lists(st.floats(-12.0, 4.0), min_size=n, max_size=n)))
+    widths = 10.0 ** np.asarray(draw(st.lists(st.floats(-3.0, 1.0), min_size=n, max_size=n)))
+    tail = None
+    if draw(st.booleans()):
+        expo = draw(st.floats(0.02, 0.9))
+        width = draw(st.floats(0.01, 3.0))
+        tail = PowerTail(float(vals.max()) * width ** expo * draw(st.floats(1.0, 3.0)),
+                         expo, width)
+    f = SampledFn(list(zip(vals.tolist(), widths.tolist())), tail=tail)
+    return f, GENERATORS[draw(st.sampled_from(sorted(GENERATORS)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(luxemburg_cases(), st.sampled_from([1e-6, 1e-10, 1e-13]),
+       st.integers(min_value=1, max_value=6))
+def test_batched_luxemburg_is_the_sequential_search(case, tol, depth):
+    f, A = case
+    want = sequential_luxemburg_norm(f, A, tol)
+    assert luxemburg_norm(f, A, tol) == want
+    start = max(f.sup_value(), 1.0)
+    start = 1.0 if start == INF else start
+    assert least_admissible_scale(lambda lam: modular(f, A, 1.0 / lam) <= 1.0,
+                                  start, tol, depth) == want

@@ -22,7 +22,7 @@ from orlicalc.rearrangement import (
     pairing,
     rearrange,
 )
-from orlicalc.monotone import MonotoneFn
+from orlicalc.monotone import MonotoneFn, _power_segment_integral, geometric_grid
 from orlicalc.rearrangement import _char_profile, _golden_section_max
 from orlicalc.young import (
     QuasiConvexFn,
@@ -32,6 +32,12 @@ from orlicalc.young import (
     power_young,
     young_from_derivative,
     youngify,
+)
+
+from helpers import (
+    scalar_modular,
+    sequential_least_admissible_scale,
+    sequential_luxemburg_norm,
 )
 
 
@@ -292,8 +298,8 @@ class TestScaleSearch:
         calls = []
 
         def never(lam):
-            calls.append(lam)
-            return False
+            calls.extend(lam)
+            return np.zeros(len(lam), dtype=bool)
 
         assert least_admissible_scale(never, 1.0, 1e-10) == INF
         # plain doubling up to start * 2**64, then a squared step per call
@@ -302,6 +308,164 @@ class TestScaleSearch:
         for answer, start in ((1e25, 1.0), (1e200, 1.0), (1e-200, 1e-150)):
             got = least_admissible_scale(lambda lam: lam >= answer, start, 1e-10)
             assert answer <= got <= answer * (1 + 1e-10)
+
+    def test_every_depth_gives_the_sequential_answer(self):
+        cases = [(lambda lam, answer=answer: lam >= answer, answer, start)
+                 for answer in (1e-250, 3.7e-5, 0.25, 1.0, 42.0, 9e7, 1e25, 1e200)
+                 for start in (1e-150, 1.0, 1e3)]
+        cases += [(lambda lam: lam > 0.0, 0.0, 1.0), (lambda lam: lam > INF, INF, 1.0)]
+        for pred, answer, start in cases:
+            for tol in (1e-6, 1e-10, 1e-13):
+                want = sequential_least_admissible_scale(pred, start, tol)
+                assert answer <= want <= answer * (1 + tol)
+                for depth in range(1, 7):
+                    assert least_admissible_scale(pred, start, tol, depth) == want
+
+    def test_tolerance_below_float_spacing_is_rejected(self):
+        # below 2**-52 adjacent floats still differ by more than the
+        # tolerance, and the bisection never ended
+        for tol in (0.0, -1e-3, 1e-17):
+            with pytest.raises(ValueError, match="float spacing"):
+                least_admissible_scale(lambda lam: lam >= 42.0, 1.0, tol)
+        assert least_admissible_scale(lambda lam: lam >= 42.0, 1.0, 2.0 ** -52) == 42.0
+
+    def test_depth_one_asks_what_the_sequential_search_asks(self):
+        for answer, start in ((3.7e-5, 1.0), (42.0, 1.0), (1e200, 1.0), (0.0, 1.0)):
+            seq, batched = [], []
+
+            def ok_seq(lam):
+                seq.append(lam)
+                return lam > answer
+
+            def ok_batched(lams):
+                assert len(lams) == 1
+                batched.extend(lams)
+                return lams > answer
+
+            sequential_least_admissible_scale(ok_seq, start, 1e-10)
+            least_admissible_scale(ok_batched, start, 1e-10)
+            assert batched == seq
+
+    def test_deeper_batches_make_fewer_calls(self):
+        # from 1 to the answer 42: the call at 1, six doublings to 64, then
+        # 33 bisections to relative width 1e-10; depth d asks 2**d - 1
+        # doublings or d levels of bisection per call
+        for depth in range(1, 7):
+            sizes = []
+
+            def ok(lams):
+                sizes.append(len(lams))
+                return lams >= 42.0
+
+            least_admissible_scale(ok, 1.0, 1e-10, depth)
+            assert max(sizes) <= 2 ** depth - 1
+            assert len(sizes) == 1 + math.ceil(6 / (2 ** depth - 1)) + math.ceil(33 / depth)
+
+
+class TestBatchedLuxemburg:
+    def generators(self):
+        return [power_young(2.0), power_log_young(2.0, alpha_zero=0.7, alpha_inf=-0.5),
+                power_log_young(1.5, alpha_zero=-1.0, alpha_inf=1.0), exp_young(1.0),
+                linfty_young(1.0),
+                young_from_derivative(MonotoneFn(np.geomspace(1e-4, 1e4, 257),
+                                                 np.geomspace(1e-4, 1e4, 257) ** 1.3)),
+                QuasiConvexFn(MonotoneFn(np.geomspace(1e-3, 1e3, 61),
+                                         np.geomspace(1e-3, 1e3, 61) ** 1.7))]
+
+    def functions(self, rng, count):
+        for _ in range(count):
+            n = int(rng.integers(1, 41))
+            vals = 10.0 ** rng.uniform(-12.0, 3.0, n)
+            tail = None
+            if rng.random() < 0.5:
+                expo, width = float(rng.uniform(0.1, 0.9)), float(10 ** rng.uniform(-2, 0.5))
+                tail = PowerTail(float(vals.max() * width ** expo * rng.uniform(1.0, 3.0)),
+                                 expo, width)
+            yield SampledFn(list(zip(vals, 10.0 ** rng.uniform(-3.0, 1.0, n))), tail=tail)
+
+    def test_array_modular_is_the_scalar_modular_per_scale(self):
+        rng = np.random.default_rng(97)
+        scales = np.concatenate((10.0 ** rng.uniform(-20.0, 15.0, 40), [1.0, 1e-300]))
+        for A in self.generators():
+            for f in self.functions(rng, 6):
+                got = modular(f, A, scales)
+                want = [scalar_modular(f, A, s) for s in scales.tolist()]
+                assert got.shape == scales.shape
+                # the far scales of a tail can give nan (0 * inf), as before
+                assert np.array_equal(got, want, equal_nan=True)
+                assert modular(f, A, 0.5) == scalar_modular(f, A, 0.5)
+                assert isinstance(modular(f, A, 0.5), float)
+
+    def test_luxemburg_is_the_sequential_search(self):
+        rng = np.random.default_rng(98)
+        for A in self.generators():
+            for f in self.functions(rng, 3):
+                for tol in (1e-6, 1e-13):
+                    assert luxemburg_norm(f, A, tol) == sequential_luxemburg_norm(f, A, tol)
+
+    def test_far_speculative_scales_of_a_thin_tail(self):
+        # halving from 1 evaluates scales up to 2**63 at once, where
+        # (scale * coef)**(1 / expo) leaves the float range
+        A = power_young(2.0)
+        for expo in (0.1, 0.05, 0.03):
+            f = SampledFn([], tail=PowerTail(0.01, expo, 0.01))
+            assert luxemburg_norm(f, A) == sequential_luxemburg_norm(f, A)
+        assert modular(SampledFn([], tail=PowerTail(0.01, 0.03, 0.01)), A, 2.0 ** 63) == INF
+
+    def test_zero_function_at_many_scales(self):
+        got = modular(SampledFn([(0.0, 1.0)]), power_young(2.0), np.array([0.5, 2.0]))
+        assert got.tolist() == [0.0, 0.0]
+
+
+def reference_lambda_norm(f, A):
+    """lambda_norm with one phi call per step value."""
+    if f.is_zero:
+        return 0.0
+    phi = _char_profile(A)
+    star = rearrange(f)
+    total = 0.0
+    prev_value = 0.0
+    vals = star.values[::-1]
+    meas = star.breaks[1:][::-1]
+    for v, m in zip(vals, meas):
+        total += (v - prev_value) * phi(m)
+        prev_value = v
+    if star.tail is not None:
+        t = star.tail
+        v_cut = t.value_at(t.width)
+        total += (v_cut - prev_value) * phi(t.width)
+        lam_grid = geometric_grid(v_cut, v_cut * 1e40, 32)
+        mvals = (t.coef / lam_grid) ** (1.0 / t.expo)
+        normal = mvals >= np.finfo(float).tiny
+        lam_grid, pv = lam_grid[normal], phi(mvals[normal])
+        pos = pv > 0
+        seg = _power_segment_integral(
+            np.maximum(pv[:-1], 1e-300), np.maximum(pv[1:], 1e-300),
+            lam_grid[:-1], lam_grid[1:])
+        total += float(np.sum(seg[pos[:-1] & pos[1:]]))
+        if pv[-1] > 0 and pv.size > 1 and pv[-2] > 0:
+            p_eff = math.log(pv[-1] / pv[-2]) / math.log(lam_grid[-1] / lam_grid[-2])
+            if p_eff + 1.0 >= 0:
+                return INF
+            total += float(pv[-1] * lam_grid[-1] / -(p_eff + 1.0))
+    return total
+
+
+def test_lambda_norm_is_the_one_step_at_a_time_sum():
+    rng = np.random.default_rng(99)
+    gens = TestBatchedLuxemburg().generators()
+    for A in gens[:4] + gens[5:6]:
+        for f in TestBatchedLuxemburg().functions(rng, 4):
+            assert lambda_norm(f, A) == reference_lambda_norm(f, A)
+
+
+def test_char_profile_is_monotone_at_subnormal_measures():
+    # log(1/x) overflows for subnormal x; the profile gave inf at 4.6e-310
+    # and 6.6e-154 at 2.3e-308
+    got = _char_profile(power_log_young(2.0, 0.0, 0.5))(np.array([4.6e-310, 2.3e-308, 1e-300]))
+    assert np.all(np.isfinite(got)) and np.all(got > 0)
+    assert np.all(np.diff(got) >= 0)
+
 
 class TestLambdaAndMarcinkiewicz:
     def test_characteristic_power_all_three(self):

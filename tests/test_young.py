@@ -254,6 +254,33 @@ class TestIntegralKernel:
             assert np.array_equal(inv, [A.integral_inverse(q) for q in x])
             assert not np.isnan(inv).any()
 
+    @pytest.mark.parametrize("alpha", [-1.0, 0.5])
+    def test_rows_equal_calls_of_their_own(self, alpha):
+        # below its grid a log factor is integrated from 45 decades under
+        # the smallest point of the call; a 2-d array keeps that per row
+        A = power_log_young(2.0, alpha_zero=alpha, alpha_inf=0.0)
+        rng = np.random.default_rng(11)
+        x = 10.0 ** rng.uniform(-300.0, 2.0, (24, 9))
+        x[3] = 10.0 ** rng.uniform(-14.0, -9.0, 9)
+        x[5, :4] = 0.0
+        got = A.integral_value(x)
+        assert got.shape == x.shape
+        for row, want in zip(x, got):
+            assert np.array_equal(A.integral_value(row), want)
+        assert np.array_equal(A.integral_value(x[:, None, :]), got[:, None, :])
+
+    def test_log_factor_start_above_its_first_node(self):
+        # with its grid from 1e-5, the start 1e-300 lies an ulp below the
+        # first node 10**(-300 + ...) of the integration grid; a point at the
+        # start took the integral up to the largest point of the call
+        t = np.geomspace(1e-5, 1e5, 161)
+        a = MonotoneFn(t, t * (1.0 - np.log(np.minimum(t, 1.0))) ** 0.5,
+                       power_log_desc(1.0, 0.5), power_log_desc(1.0, 0.0), validate=False)
+        A = young_from_derivative(a)
+        got = A.integral_value(np.array([1e-305, 1e-6]))
+        assert got[0] == A.integral_value(1e-305) == 0.0
+        assert got[1] == A.integral_value(1e-6) > 0.0
+
     def test_overflowing_tail_is_inf(self):
         # the power-tail primitive overflows beyond the grid of the double
         # conjugate of exp(t) - 1 - t
