@@ -356,9 +356,17 @@ def _tail_modular(A: QuasiConvexFn, tail: PowerTail, scales):
         total += beyond[hi][0]
         total += beyond[hi][1]
         try:
-            out[i] = (float(c[i]) ** (1.0 / tail.expo) / tail.expo) * total
+            factor = float(c[i]) ** (1.0 / tail.expo) / tail.expo
         except OverflowError:  # the modular leaves the float range: +inf
-            pass
+            continue
+        out[i] = factor * total
+        if inside[i] and not math.isfinite(out[i]):
+            # at a small scale the first segment overflows and the factor
+            # underflows; u = u0 * y folds the factor into the segment, as
+            # factor * u0**(w_exp + 1) = width / expo
+            rest = float(np.add.reduce(buf[j + 1:])) + beyond[hi][0] + beyond[hi][1]
+            out[i] = (tail.width / tail.expo) * float(_power_segment_integral(
+                vu[i], v[k[i]], 1.0, t[k[i]] / u0[i], w_exp)) + factor * rest
     return out
 
 

@@ -425,9 +425,9 @@ def _integral_below_grid(a, x, row=None):
         # the log factor has no closed-form primitive: integrate from 45
         # decades below the smallest point of the row and close with the
         # pure-power remainder there
-        rows, row = np.unique(np.zeros(x.size, dtype=np.intp) if row is None
-                              else row[live], return_inverse=True)
-        least = np.full(rows.size, INF)
+        row = np.unique(np.zeros(x.size, dtype=np.intp) if row is None else row[live],
+                        return_inverse=True)[1]
+        least = np.full(row.max() + 1, INF)
         np.minimum.at(least, row, x)
         lo = np.maximum(least * 1e-45, 1e-300)
         r = np.minimum(x, lo[row])
