@@ -322,8 +322,8 @@ class TestScaleSearch:
                     assert least_admissible_scale(pred, start, tol, depth) == want
 
     def test_tolerance_below_float_spacing_is_rejected(self):
-        # below 2**-52 adjacent floats still differ by more than the
-        # tolerance, and the bisection never ended
+        # below 2**-52 two adjacent floats can differ by more than the
+        # tolerance, so the bisection would never end
         for tol in (0.0, -1e-3, 1e-17):
             with pytest.raises(ValueError, match="float spacing"):
                 least_admissible_scale(lambda lam: lam >= 42.0, 1.0, tol)
@@ -413,9 +413,10 @@ class TestBatchedLuxemburg:
         assert modular(SampledFn([], tail=PowerTail(0.01, 0.03, 0.01)), A, 2.0 ** 63) == INF
 
     def test_tail_at_small_scales(self):
-        # the first tail segment overflowed while (scale * coef)**(1 / expo)
-        # underflowed: the modular was inf from 1e-63 and nan from 1e-100,
-        # and a norm near 1e100 came out inf (the search overshoots there)
+        # at these scales the first tail segment overflows while
+        # (scale * coef)**(1 / expo) underflows (inf from 1e-63, nan from
+        # 1e-100 without the folded factor); the doubling search for a norm
+        # near 1e100 overshoots into that range
         A = power_young(2.0)
         f = SampledFn([(1.0, 0.5)], tail=PowerTail(3.0, 0.2, 0.1))
         m = modular(f, A, 1.0)
