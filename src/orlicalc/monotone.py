@@ -280,6 +280,24 @@ class MonotoneFn:
         i = self.t.size - 1 if i < 0 else i
         return self.t[i], self.v[i]
 
+    def power_log_form(self, zero_side):
+        """The extrapolation below (zero_side) or above the grid as
+        (p, alpha, anchor, slope): a constant times (t / anchor)**p l**alpha
+        with l = 1 + slope log(t / anchor); None where F is 0 or inf there."""
+        d = self.zero_desc if zero_side else self.inf_desc
+        anchor, va = self._anchor_zero() if zero_side else self._anchor_inf()
+        va = d.limit if d.kind == LIMIT_CONST else va
+        ok = d.kind in (POWER_LOG, NUMERIC_ONLY, LIMIT_CONST) and 0.0 < va < INF
+        if not ok or (not zero_side and np.isinf(self.v[-1])):
+            return None
+        p, alpha = (d.p, d.alpha) if d.kind != NUMERIC_ONLY else (
+            self._edge_slope_zero() if zero_side else self._edge_slope_inf(), 0.0)
+        # l is log t / log anchor, or 1 + |log(t / anchor)| where that ratio
+        # would turn negative, as in _tail_zero and _tail_inf
+        log_form = anchor < 1.0 if zero_side else anchor > 1.0
+        return p, alpha, float(anchor), (1.0 / math.log(anchor) if log_form
+                                         else -1.0 if zero_side else 1.0)
+
     def _tail_zero(self, x):
         d = self.zero_desc
         if d.kind == ZERO_ON_INTERVAL:

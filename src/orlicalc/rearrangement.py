@@ -4,7 +4,7 @@ A sampled function is a finite list of (value, width) pieces, optionally
 with one unbounded tail whose decreasing profile is a pure power.  Every
 norm in the package is then exactly computable: rearrangements are sorts,
 modulars are finite sums, averaged rearrangements are piecewise c1 + c2/t,
-and the remaining one-dimensional suprema are searched per piece.
+and suprema against a fundamental function sit at cell ends or closed forms.
 """
 
 from __future__ import annotations
@@ -570,77 +570,77 @@ def _char_profile(A: QuasiConvexFn) -> MonotoneFn:
     return A.base.right_inverse().correlative()
 
 
-def marcinkiewicz_norm(f: SampledFn, A: QuasiConvexFn, tol=1e-12):
-    """sup over t of phi(t) * averaged rearrangement(t), searched per piece.
+def marcinkiewicz_norm(f: SampledFn, A: QuasiConvexFn):
+    """sup over t of phi(t) * averaged rearrangement(t), exact on steps.
 
-    Each piece of the average (and the hyperbolic stretch beyond the
-    support) is sampled at its ends and at phi's grid points inside it, and
-    a golden-section search in log t refines around its best sample; the
-    samples of all pieces are one call, and the searches run side by side."""
+    The pieces of the average, and the stretch beyond the support where it
+    is total / t, are cut at phi's grid nodes into cells, and h = phi * avg
+    is evaluated at all cell ends in one call.  Where phi is one power
+    segment t**s (on the grid, or a pure power off it) and avg is
+    c1 + c2 / t, h' has the sign of s c1 t + (s - 1) c2: the only critical
+    point t* = c2 (1 - s) / (c1 s) is a minimum for s in [0, 1].  Under a
+    power average, and on ramp, flat and jump segments, h is monotone.  So
+    the supremum sits at the cell ends; h(t*) is evaluated too.  Off the
+    grid phi may carry a log factor: under an average c t**q the critical
+    point is closed form, and with c1, c2 > 0 the sign of (log h)' is
+    bisected on the cells whose bound phi(b) avg(a) beats the best end.
+    Under a power tail the limit at 0+ is read from phi's zero descriptor."""
     if f.is_zero:
         return 0.0
-    phi = _char_profile(A)
     avg = maximal(f)
-
-    def h(t):
-        return phi(t) * avg(t)
-
     if not np.isfinite(avg.total):
         return INF
-    bounds = [(p.lo, p.hi) for p in avg.pieces]
-    if avg.support > 0:
-        bounds.append((avg.support, avg.support * 1e8))
-    cands = []
-    for lo, hi in bounds:
-        lo, hi = (lo if lo > 0 else min(hi, avg.support) * 1e-12,
-                  hi if np.isfinite(hi) else avg.support * 1e8)
-        cands.append(np.sort(np.concatenate((phi.t[(phi.t > lo) & (phi.t < hi)],
-                                             [lo, hi]))))
-    vals = np.split(h(np.concatenate(cands)), np.cumsum([c.size for c in cands])[:-1])
-    peaks, brackets = [], []
-    for cand, v in zip(cands, vals):
-        k = int(np.argmax(v))
-        peaks.append(float(v[k]))
-        a = float(cand[max(k - 1, 0)])
-        b = float(cand[min(k + 1, len(cand) - 1)])
-        a, b = min(a, b), max(a, b)
-        brackets.append((a, b) if 0 < a < b else None)
-    # golden-section refinement around the best grid sample, in log t
-    la = [math.log(br[0]) for br in brackets if br]
-    lb = [math.log(br[1]) for br in brackets if br]
-    f1, f2 = _golden_section_max(lambda x: h(np.exp(x)), la, lb, tol)
-    best = 0.0
-    j = 0
-    for peak, br in zip(peaks, brackets):
-        best = max(best, peak)
-        if br:
-            best = max(best, f1[j], f2[j])
-            j += 1
-    return float(best)
+    phi = _char_profile(A)
+    forms = (phi.power_log_form(True), phi.power_log_form(False))
+    # h ~ t**(p - e) l**alpha at 0+: infinite by the exponent, then the log
+    if avg._power[0] and forms[0] and (forms[0][0] + avg._c2[0], -forms[0][1]) < (0, 0):
+        return INF
+    bounds = np.unique(np.append(avg._hi, avg.support))
+    ends = np.insert(phi.t, np.searchsorted(phi.t, bounds), bounds)
+    ph, av = phi(ends), avg(ends)
+    best = float(np.max(ph * av))
+    # the cells (a, b) tile (0, inf); cell j lies in piece k[j], and k = n
+    # is the stretch beyond the support
+    a, b = np.append(0.0, ends), np.append(ends, INF)
+    pa, pb = np.append(phi.value_at_zero, ph), np.append(ph, phi.value_at_inf)
+    k = np.searchsorted(avg._hi, a, side="right")
+    c1, c2 = np.append(avg._c1, 0.0)[k], np.append(avg._c2, avg.total)[k]
+    power = np.append(avg._power, False)[k]
+    pure = power | (c1 == 0.0) | (c2 == 0.0)
+    q = np.where(power, c2, np.where(c1 == 0.0, -1.0, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.log(pb / pa) / np.log(b / a)
+        cands, found = [np.where(power, np.nan, c2 * (1.0 - s) / (c1 * s))], []
+        for side, form in zip((b <= phi.t[0], a >= phi.t[-1]), forms):
+            if form is None or form[1] == 0.0:
+                continue
+            p, alpha, anchor, slope = form
+            # (log h)' in log t is p + alpha slope / l + (log avg)'
+            l_star = np.where(side & pure, -alpha * slope / (p + q), np.nan)
+            cands.append(np.where(l_star > 0, anchor * np.exp((l_star - 1.0) / slope), np.nan))
+            search = side & ~pure & (pb * np.append(INF, av) > best)
+            if search.any():
+                x0, w, d1, d2 = math.log(anchor), alpha * slope, c1[search], c2[search]
+                found.append(np.exp(_rising_end(
+                    lambda x: p + w / (1.0 + slope * (x - x0)) - d2 / (d1 * np.exp(x) + d2),
+                    np.log(a[search]), np.log(b[search]))))
+    t = np.concatenate([c[(a < c) & (c < b)] for c in cands] + found)
+    if t.size:
+        best = max(best, float(np.max(phi(t) * avg(t))))
+    return best
 
 
-def _golden_section_max(g, la, lb, tol):
-    """Golden-section search for the maximum of g on each bracket [la, lb]
-    until it is no wider than tol, all brackets in step: one call of g per
-    step.  Returns g at the two final inner points of each bracket."""
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    la, lb = np.array(la, dtype=float), np.array(lb, dtype=float)
-    x1 = lb - gr * (lb - la)
-    x2 = la + gr * (lb - la)
-    f1, f2 = g(x1), g(x2)
-    live = lb - la > tol
-    while live.any():
-        up = live & (f1 < f2)
-        down = live & ~(f1 < f2)
-        la[up], x1[up], f1[up] = x1[up], x2[up], f2[up]
-        lb[down], x2[down], f2[down] = x2[down], x1[down], f1[down]
-        new = np.where(up, la + gr * (lb - la), lb - gr * (lb - la))
-        f_new = np.zeros_like(new)
-        f_new[live] = g(new[live])
-        x2[up], f2[up] = new[up], f_new[up]
-        x1[down], f1[down] = new[down], f_new[down]
-        live = lb - la > tol
-    return f1, f2
+def _rising_end(dlog, xa, xb):
+    """Bisect each bracket [xa, xb] of log t down to adjacent floats, moving
+    xa to the midpoints where dlog > 0 and xb to the others: xa ends where
+    h stops rising, a local maximum where h rises at xa and falls at xb."""
+    while True:
+        xm = 0.5 * (xa + xb)
+        live = (xa < xm) & (xm < xb)
+        if not live.any():
+            return xa
+        up = dlog(xm) > 0
+        xa, xb = np.where(live & up, xm, xa), np.where(live & ~up, xm, xb)
 
 
 def lorentz_power_norm(f: SampledFn, p, q, alpha=0.0):

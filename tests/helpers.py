@@ -6,6 +6,7 @@ import numpy as np
 
 from orlicalc.monotone import (
     INF, MonotoneFn, NUMERIC_DESC, _power_segment_integral, geometric_grid)
+from orlicalc.rearrangement import _char_profile, maximal
 
 
 def scan_right_inverse(fn, s, taus):
@@ -132,3 +133,64 @@ def sequential_luxemburg_norm(f, A, rel_tol=1e-10):
         start = 1.0
     return sequential_least_admissible_scale(
         lambda lam: scalar_modular(f, A, 1.0 / lam) <= 1.0, start, rel_tol)
+
+
+def pointwise_average(avg, x):
+    """Reference for AveragedDecreasing.__call__: one scalar point, found by a
+    scan over the pieces."""
+    if x <= 0:
+        return INF if avg.pieces else 0.0
+    for p in avg.pieces:
+        if p.lo <= x < p.hi:
+            if p.kind == "hyperbolic":
+                return p.c1 + p.c2 / x
+            return p.c1 * x ** p.c2
+    return avg.total / x
+
+
+def loop_marcinkiewicz(f, A, tol=1e-12):
+    """The golden-section reference for marcinkiewicz_norm: one piece at a
+    time, scalar calls for the grid samples, and a search in log t around
+    the best one, from 1e-12 * width near 0 to 1e8 * support."""
+    if f.is_zero:
+        return 0.0
+    phi = _char_profile(A)
+    avg = maximal(f)
+
+    def h(t):
+        return phi(t) * pointwise_average(avg, t)
+
+    if not np.isfinite(avg.total):
+        return INF
+    best = 0.0
+    pieces = [(p.lo, p.hi) for p in avg.pieces]
+    if avg.support > 0:
+        pieces.append((avg.support, avg.support * 1e8))
+    for p_lo, p_hi in pieces:
+        lo = p_lo if p_lo > 0 else min(p_hi, avg.support) * 1e-12
+        hi = p_hi if np.isfinite(p_hi) else avg.support * 1e8
+        cand = np.sort(np.concatenate((phi.t[(phi.t > lo) & (phi.t < hi)], [lo, hi])))
+        vals = [h(float(c)) for c in cand]
+        k = int(np.argmax(vals))
+        best = max(best, vals[k])
+        a = float(cand[max(k - 1, 0)])
+        b = float(cand[min(k + 1, len(cand) - 1)])
+        a, b = min(a, b), max(a, b)
+        if a <= 0 or b <= a:
+            continue
+        la, lb = math.log(a), math.log(b)
+        gr = (math.sqrt(5.0) - 1.0) / 2.0
+        x1 = lb - gr * (lb - la)
+        x2 = la + gr * (lb - la)
+        f1, f2 = h(math.exp(x1)), h(math.exp(x2))
+        while lb - la > tol:
+            if f1 < f2:
+                la, x1, f1 = x1, x2, f2
+                x2 = la + gr * (lb - la)
+                f2 = h(math.exp(x2))
+            else:
+                lb, x2, f2 = x2, x1, f1
+                x1 = lb - gr * (lb - la)
+                f1 = h(math.exp(x1))
+        best = max(best, f1, f2)
+    return float(best)

@@ -60,6 +60,13 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out)["outcome"]["value"] == pytest.approx(12 ** 0.5)
 
+    def test_marcinkiewicz_norm_of_a_steep_tail_is_inf(self):
+        code, out = run(["--json", "norm", "--space",
+                         '{"family":"marcinkiewicz","params":{"generator":{"class":"power-log","p":2}}}',
+                         "--fn", '{"pieces":[],"tail":{"coef":1,"expo":0.6,"width":0.5}}'])
+        assert code == 0
+        assert json.loads(out)["outcome"]["value"] == "inf"
+
     def test_alternative_target(self):
         code, out = run(["--json", "alternative", "target", "--space",
                          '{"family":"lorentz","params":{"p":4,"q":2}}'])

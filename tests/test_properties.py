@@ -7,8 +7,10 @@ from orlicalc.monotone import INF, MonotoneFn, geometric_grid
 from orlicalc.rearrangement import (
     PowerTail,
     SampledFn,
+    _char_profile,
     least_admissible_scale,
     luxemburg_norm,
+    marcinkiewicz_norm,
     modular,
     rearrange,
 )
@@ -21,7 +23,7 @@ from orlicalc.young import (
     young_from_derivative,
 )
 
-from helpers import sequential_luxemburg_norm
+from helpers import loop_marcinkiewicz, sequential_luxemburg_norm
 
 
 @st.composite
@@ -155,3 +157,40 @@ def test_batched_luxemburg_is_the_sequential_search(case, tol, depth):
     start = 1.0 if start == INF else start
     assert least_admissible_scale(lambda lam: modular(f, A, 1.0 / lam) <= 1.0,
                                   start, tol, depth) == want
+
+
+LOG_GENERATORS = {
+    "power-log 2, 0.5, -0.5": power_log_young(2.0, alpha_zero=0.5, alpha_inf=-0.5),
+    "power-log 1.5, -1, 1.5": power_log_young(1.5, alpha_zero=-1.0, alpha_inf=1.5),
+    "power-log 2, -1, 1": GENERATORS["power-log 2, -1, 1"],
+    "exp 1": GENERATORS["exp 1"],
+    "exp 2": exp_young(2.0),
+    "power 3": GENERATORS["power 3"],
+}
+
+
+@st.composite
+def marcinkiewicz_cases(draw):
+    """1 to 160 steps with widths over 38 decades, so that cells fall off
+    phi's grid at both ends where its log factors act; some are led by a
+    power tail flatter than phi at 0, so that the norm stays finite."""
+    A = LOG_GENERATORS[draw(st.sampled_from(sorted(LOG_GENERATORS)))]
+    n = draw(st.integers(min_value=1, max_value=160))
+    vals = 10.0 ** np.asarray(draw(st.lists(st.floats(-6.0, 3.0), min_size=n, max_size=n)))
+    widths = 10.0 ** np.asarray(draw(st.lists(st.floats(-20.0, 18.0), min_size=n, max_size=n)))
+    head = _char_profile(A).zero_desc.p
+    tail = None
+    if head > 0 and draw(st.booleans()):
+        expo = head * draw(st.floats(0.05, 0.95))
+        width = 10.0 ** draw(st.floats(-3.0, 0.0))
+        tail = PowerTail(float(vals.max()) * width ** expo * draw(st.floats(1.0, 3.0)),
+                         expo, width)
+    return SampledFn(list(zip(vals.tolist(), widths.tolist())), tail=tail), A
+
+
+@settings(max_examples=40, deadline=None)
+@given(marcinkiewicz_cases())
+def test_marcinkiewicz_never_below_the_golden_section_search(case):
+    f, A = case
+    want = loop_marcinkiewicz(f, A)
+    assert marcinkiewicz_norm(f, A) >= want * (1.0 - 1e-12)

@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import mpmath as mp
@@ -23,7 +24,8 @@ from orlicalc.rearrangement import (
     rearrange,
 )
 from orlicalc.monotone import MonotoneFn, _power_segment_integral, geometric_grid
-from orlicalc.rearrangement import _char_profile, _golden_section_max
+from orlicalc import rearrangement
+from orlicalc.rearrangement import _char_profile, _rising_end as rising_end
 from orlicalc.young import (
     QuasiConvexFn,
     exp_young,
@@ -35,23 +37,12 @@ from orlicalc.young import (
 )
 
 from helpers import (
+    loop_marcinkiewicz,
+    pointwise_average,
     scalar_modular,
     sequential_least_admissible_scale,
     sequential_luxemburg_norm,
 )
-
-
-def pointwise_average(avg, x):
-    """Reference for AveragedDecreasing.__call__: one scalar point, found by a
-    scan over the pieces."""
-    if x <= 0:
-        return INF if avg.pieces else 0.0
-    for p in avg.pieces:
-        if p.lo <= x < p.hi:
-            if p.kind == "hyperbolic":
-                return p.c1 + p.c2 / x
-            return p.c1 * x ** p.c2
-    return avg.total / x
 
 
 def random_sampled(rng, n_max=12, vmax=10.0):
@@ -538,53 +529,6 @@ def test_lambda_norm_of_a_tail_with_subnormal_level_measures():
     assert got == pytest.approx(want, rel=1e-4)
 
 
-def loop_marcinkiewicz(f, A, tol=1e-12):
-    """Reference for marcinkiewicz_norm: one piece at a time, with scalar
-    calls for the grid samples and the golden-section steps."""
-    if f.is_zero:
-        return 0.0
-    phi = _char_profile(A)
-    avg = maximal(f)
-
-    def h(t):
-        return phi(t) * pointwise_average(avg, t)
-
-    if not np.isfinite(avg.total):
-        return INF
-    best = 0.0
-    pieces = [(p.lo, p.hi) for p in avg.pieces]
-    if avg.support > 0:
-        pieces.append((avg.support, avg.support * 1e8))
-    for p_lo, p_hi in pieces:
-        lo = p_lo if p_lo > 0 else min(p_hi, avg.support) * 1e-12
-        hi = p_hi if np.isfinite(p_hi) else avg.support * 1e8
-        cand = np.sort(np.concatenate((phi.t[(phi.t > lo) & (phi.t < hi)], [lo, hi])))
-        vals = [h(float(c)) for c in cand]
-        k = int(np.argmax(vals))
-        best = max(best, vals[k])
-        a = float(cand[max(k - 1, 0)])
-        b = float(cand[min(k + 1, len(cand) - 1)])
-        a, b = min(a, b), max(a, b)
-        if a <= 0 or b <= a:
-            continue
-        la, lb = math.log(a), math.log(b)
-        gr = (math.sqrt(5.0) - 1.0) / 2.0
-        x1 = lb - gr * (lb - la)
-        x2 = la + gr * (lb - la)
-        f1, f2 = h(math.exp(x1)), h(math.exp(x2))
-        while lb - la > tol:
-            if f1 < f2:
-                la, x1, f1 = x1, x2, f2
-                x2 = la + gr * (lb - la)
-                f2 = h(math.exp(x2))
-            else:
-                lb, x2, f2 = x2, x1, f1
-                x1 = lb - gr * (lb - la)
-                f1 = h(math.exp(x1))
-        best = max(best, f1, f2)
-    return float(best)
-
-
 class TestMarcinkiewiczSearch:
     def generators(self, rng):
         t = np.geomspace(1e-4, 1e4, 257)
@@ -594,18 +538,28 @@ class TestMarcinkiewiczSearch:
                 power_log_young(2.0, alpha_zero=0.5, alpha_inf=-0.5), table,
                 linfty_young(2.0)]
 
+    def functions(self, rng):
+        fns = [random_sampled(rng, n_max=60), characteristic(0.3),
+               SampledFn([(2.0, 0.5)], tail=PowerTail(1.0, 0.4, 0.02))]
+        f = random_sampled(rng, n_max=20)
+        fns.append(SampledFn(f.pieces, tail=PowerTail(
+            15.0, float(rng.uniform(0.1, 0.6)), float(rng.uniform(0.01, 0.5)))))
+        return fns
+
     def test_equals_piece_by_piece_loop(self):
         rng = np.random.default_rng(83)
         for _ in range(4):
-            fns = [random_sampled(rng, n_max=60), characteristic(0.3),
-                   SampledFn([(2.0, 0.5)], tail=PowerTail(1.0, 0.4, 0.02))]
-            f = random_sampled(rng, n_max=20)
-            fns.append(SampledFn(f.pieces, tail=PowerTail(
-                15.0, float(rng.uniform(0.1, 0.6)), float(rng.uniform(0.01, 0.5)))))
+            fns = self.functions(rng)
             for A in self.generators(rng):
                 for f in fns:
                     want = loop_marcinkiewicz(f, A)
                     got = marcinkiewicz_norm(f, A)
+                    if got == INF and f.tail:
+                        # phi grows slower than the tail's average at 0+:
+                        # the loop's window, down to 1e-12 * width, missed it
+                        tiny = 1e-300
+                        assert _char_profile(A)(tiny) * maximal(f)(tiny) > 1e6 * want
+                        continue
                     # numpy's exp and power may be an ulp off the C library's
                     assert got == pytest.approx(want, rel=4e-16)
 
@@ -619,23 +573,159 @@ class TestMarcinkiewiczSearch:
                   SampledFn([], tail=PowerTail(1.0, 0.5, 1.0))):
             assert marcinkiewicz_norm(f, A) == loop_marcinkiewicz(f, A)
 
-    def test_golden_section_in_step(self):
-        calls = []
 
-        def g(x):
-            calls.append(x.size)
-            return -(x - 1.0) ** 2
+    def test_steep_power_tail_is_infinite(self):
+        # f** = t**-e / (1 - e) against phi = t**0.5: the search stopped at
+        # 1e-12 * width and gave finite values (42.47 for e = 0.6)
+        A = power_young(2.0)
+        for e in (0.6, 0.8, 0.95):
+            assert marcinkiewicz_norm(SampledFn([], tail=PowerTail(1.0, e, 0.5)), A) == INF
+        flat = marcinkiewicz_norm(SampledFn([], tail=PowerTail(1.0, 0.5, 0.5)), A)
+        assert flat == pytest.approx(2.0, rel=1e-15, abs=0)
+        peak = marcinkiewicz_norm(SampledFn([], tail=PowerTail(1.0, 0.3, 0.5)), A)
+        assert peak == pytest.approx(0.5 ** 0.2 / 0.7, rel=1e-15, abs=0)
+        # with equal exponents the log factor of phi at 0 decides
+        B = power_log_young(1.5, alpha_zero=-1.0, alpha_inf=1.5)   # alpha 1 at 0
+        C = power_log_young(2.0, alpha_zero=0.5, alpha_inf=-0.5)   # alpha -1/4 at 0
+        assert marcinkiewicz_norm(SampledFn([], tail=PowerTail(1.0, 1 / 1.5, 0.5)), B) == INF
+        assert marcinkiewicz_norm(SampledFn([], tail=PowerTail(1.0, 0.5, 0.5)), C) < INF
 
-        la = np.array([0.0, -1.0, 1.0 - 5e-13, 5.0])
-        lb = np.array([3.0, 0.5, 1.0 + 4e-13, 10.0])
-        want = -(np.clip(1.0, la, lb) - 1.0) ** 2
-        f1, f2 = _golden_section_max(g, la, lb, 1e-12)
-        np.testing.assert_allclose(np.maximum(f1, f2), want, rtol=0, atol=1e-11)
-        # a bracket no wider than tol takes no step; the others shrink together
-        assert calls[:2] == [4, 4] and max(calls[2:]) == 3
-        calls.clear()
-        f1, f2 = _golden_section_max(g, [], [], 1e-12)
-        assert f1.size == f2.size == 0 and calls == [0, 0]
+    def test_bisects_only_off_grid_cells_that_can_beat_the_ends(self, monkeypatch):
+        A = power_log_young(2.0, alpha_zero=0.5, alpha_inf=-0.5)
+        phi = _char_profile(A)
+        searched = []
+
+        def spy(dlog, xa, xb):
+            searched.extend(zip(np.exp(xa), np.exp(xb)))
+            return rising_end(dlog, xa, xb)
+
+        monkeypatch.setattr(rearrangement, "_rising_end", spy)
+        marcinkiewicz_norm(random_sampled(np.random.default_rng(5), n_max=60), A)
+        assert searched == []
+        # below phi's grid (from 4.3e-16) the second and third pieces mix
+        # c1 and c2; only the third can rise above the best cell end
+        f = SampledFn([(3.0, 1e-20), (2.0, 1e-18), (1.0, 1e-17)])
+        marcinkiewicz_norm(f, A)
+        avg = maximal(f)
+        ends = np.concatenate((phi.t, avg._hi))
+        best_end = np.max(phi(ends) * avg(ends))
+        mixed = [(p.lo, p.hi) for p in avg.pieces if p.c1 > 0 and p.c2 > 0]
+        assert len(mixed) == 2 and mixed[-1][1] < phi.t[0]
+        assert [phi(b) * avg(a) > best_end for a, b in mixed] == [False, True]
+        assert np.allclose(searched, mixed[1:], rtol=1e-14, atol=0)
+
+    def test_matches_mpmath_brute_force(self):
+        rng = np.random.default_rng(89)
+        log_gens = [power_log_young(2.0, alpha_zero=0.5, alpha_inf=-0.5),
+                    power_log_young(1.5, alpha_zero=-1.0, alpha_inf=1.5),
+                    exp_young(1.0), exp_young(2.0)]
+        # steps beyond both ends of phi's grid, where its log factors act
+        far = [SampledFn([(3.0, 1e-20), (2.0, 1e-18), (1.0, 1e-17)]),
+               SampledFn([(1.0, 1e15), (0.5, 1e16), (0.4, 1e18)])]
+        for _ in range(2):
+            fns = self.functions(rng) + far
+            for A in self.generators(rng) + log_gens:
+                for f in fns:
+                    got = marcinkiewicz_norm(f, A)
+                    want = mp_marcinkiewicz(f, A)
+                    if got == INF:
+                        # h still grows far below the float range
+                        tiny = mp.mpf("1e-10000")
+                        assert f.tail and mp_phi(_char_profile(A), tiny) * mp_average(f)(tiny) > 10 * want
+                    else:
+                        assert got == pytest.approx(float(want), rel=1e-13)
+
+
+def mp_phi(phi, t):
+    """phi(t) in mpmath from phi's table and descriptors: log-log between
+    the nodes, and beyond them the descriptor's power-log form anchored at
+    the extreme positive node, the form MonotoneFn extrapolates with."""
+    T, V = phi.t, phi.v
+    if T[0] <= t <= T[-1]:
+        if T.size == 1:
+            return mp.mpf(V[0])
+        i = min(int(np.searchsorted(T, float(t), side="right")) - 1, T.size - 2)
+        tl, tr, vl, vr = (mp.mpf(x) for x in (T[i], T[i + 1], V[i], V[i + 1]))
+        if t == tl or (vl > 0 and vl == vr):
+            return vl
+        if mp.isinf(vr):
+            return mp.inf
+        if vl == 0:
+            return vr * (t - tl) / (tr - tl)
+        return vl * (t / tl) ** (mp.log(vr / vl) / mp.log(tr / tl))
+    zero = t < T[0]
+    d = phi.zero_desc if zero else phi.inf_desc
+    if d.kind == "limit-const":
+        return mp.mpf(d.limit)
+    if d.kind == "zero-on-interval" or (not zero and np.isinf(V[-1])):
+        return mp.mpf(0) if zero else mp.inf
+    ta, va = (mp.mpf(x) for x in (phi._anchor_zero() if zero else phi._anchor_inf()))
+    if d.kind == "infinite-beyond":
+        return va if t <= d.threshold else mp.inf
+    if va == 0:
+        return mp.mpf(0)
+    if d.kind == "power-log":
+        p, alpha = d.p, d.alpha
+    else:
+        p, alpha = (phi._edge_slope_zero() if zero else phi._edge_slope_inf()), 0.0
+    if zero:
+        ell = mp.log(t) / mp.log(ta) if ta < 1 else 1 + mp.log(ta / t)
+    else:
+        ell = mp.log(t) / mp.log(ta) if ta > 1 else 1 + mp.log(t / ta)
+    return va * (t / ta) ** p * ell ** alpha
+
+
+def mp_average(f):
+    """t -> (1/t) * integral of f* over (0, t) in mpmath, from f's pieces."""
+    steps = sorted((p for p in f.pieces if p[0] > 0), reverse=True)
+    lo, acc = [mp.mpf(f.tail.width if f.tail else 0)], [mp.mpf(0)]
+    if f.tail:
+        acc[0] = f.tail.coef * lo[0] ** (1 - mp.mpf(f.tail.expo)) / (1 - mp.mpf(f.tail.expo))
+    for v, w in steps:
+        lo.append(lo[-1] + w)
+        acc.append(acc[-1] + v * mp.mpf(w))
+
+    def average(t):
+        if t < lo[0]:
+            e = mp.mpf(f.tail.expo)
+            return f.tail.coef * t ** -e / (1 - e)
+        k = bisect.bisect_right(lo, t) - 1
+        return (acc[k] + (steps[k][0] * (t - lo[k]) if k < len(steps) else 0)) / t
+
+    return average
+
+
+def mp_marcinkiewicz(f, A, n=40001, dps=20):
+    """sup of phi * average by brute force: a dense float scan in log t from
+    1e-300, then a golden-section search in mpmath around each of the best
+    three local maxima of the scan, to 1e-17 in log t."""
+    phi, avg, mp_avg = _char_profile(A), maximal(f), mp_average(f)
+    hi = min(1e300, 100.0 * max(phi.t[-1], avg.support))
+    t = np.geomspace(1e-300, hi, n)
+    h = phi(t) * avg(t)
+    peak = np.flatnonzero((h >= np.append(0.0, h[:-1])) & (h >= np.append(h[1:], 0.0)))
+    gr = (mp.sqrt(5) - 1) / 2
+
+    def mp_h(t):
+        return mp_phi(phi, t) * mp_avg(t)
+
+    with mp.workdps(dps):
+        best = mp.mpf(float(np.max(h)))
+        for i in peak[np.argsort(h[peak])[-3:]]:
+            la, lb = mp.log(t[max(i - 1, 0)]), mp.log(t[min(i + 1, n - 1)])
+            x1, x2 = lb - gr * (lb - la), la + gr * (lb - la)
+            g1, g2 = mp_h(mp.exp(x1)), mp_h(mp.exp(x2))
+            while lb - la > 1e-17:
+                if g1 < g2:
+                    la, x1, g1 = x1, x2, g2
+                    x2 = la + gr * (lb - la)
+                    g2 = mp_h(mp.exp(x2))
+                else:
+                    lb, x2, g2 = x2, x1, g1
+                    x1 = lb - gr * (lb - la)
+                    g1 = mp_h(mp.exp(x1))
+            best = max(best, g1, g2)
+    return best
 
 
 class TestYoungifySandwich:
