@@ -599,8 +599,8 @@ def marcinkiewicz_norm(f: SampledFn, A: QuasiConvexFn):
     ends = np.insert(phi.t, np.searchsorted(phi.t, bounds), bounds)
     ph, av = phi(ends), avg(ends)
     best = float(np.max(ph * av))
-    # the cells (a, b) tile (0, inf); cell j lies in piece k[j], and k = n
-    # is the stretch beyond the support
+    # the cells (a, b) tile (0, inf); cell j lies in piece k[j], and the
+    # index one past the last piece is the stretch beyond the support
     a, b = np.append(0.0, ends), np.append(ends, INF)
     pa, pb = np.append(phi.value_at_zero, ph), np.append(ph, phi.value_at_inf)
     k = np.searchsorted(avg._hi, a, side="right")
