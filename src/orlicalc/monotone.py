@@ -7,6 +7,13 @@ behaviour below and above the grid.  Between grid points the function is
 interpolated log-log, so pure powers are exact; a jump to +inf is located
 at the last finite grid point and the function is left-continuous there.
 
+Evaluation reads one segment table, built on a table's first evaluation
+(the table is never written after construction): the log-log slope of
+every segment.  A point costs one search, one gather and one formula,
+vl * (x / tl)**s; ramps out of zero and jumps to +inf are patched only on
+tables that have them, and a point on a node gets that node's value to the
+bit.  NaN gives NaN, and every x <= 0 (-inf included) gives the value at 0.
+
 Generalized inverses are computed by transposing the table (exact on power
 segments) with sup/inf plateau conventions, and the reciprocal-reflection
 ``t -> 1/F(1/t)`` is an exact grid transform.  Grids are assumed geometric:
@@ -106,10 +113,17 @@ def geometric_grid(lo, hi, per_decade=POINTS_PER_DECADE):
 
 
 class MonotoneFn:
-    """A non-decreasing function on [0, inf] backed by a sample table."""
+    """A non-decreasing function on [0, inf] backed by a sample table.
+
+    Calls take any array shape and return that shape (a float for a
+    scalar).  Between nodes the value is vl * (x / tl)**s with the slope
+    s of the segment, from a per-table slope array built on the first
+    call; a node returns its stored value exactly.  Below and above the
+    grid the descriptors extrapolate; NaN gives NaN, and x <= 0 (-inf
+    included) gives value_at_zero, without a RuntimeWarning."""
 
     __slots__ = ("t", "v", "zero_desc", "inf_desc", "value_at_zero",
-                 "value_at_inf", "_i_first_pos", "_i_last_fin")
+                 "value_at_inf", "_i_first_pos", "_i_last_fin", "_seg")
 
     def __init__(self, t, v, zero_desc=NUMERIC_DESC, inf_desc=NUMERIC_DESC,
                  value_at_zero=None, value_at_inf=None, validate=True):
@@ -135,6 +149,7 @@ class MonotoneFn:
                 raise ValueError("+inf values must form a terminal block")
         self.t = t
         self.v = v
+        self._seg = None
         self.zero_desc = zero_desc
         self.inf_desc = inf_desc
         pos = np.flatnonzero(np.isfinite(v) & (v > 0))
@@ -211,63 +226,70 @@ class MonotoneFn:
     # -- evaluation -----------------------------------------------------
 
     def __call__(self, x):
+        """F at each point of x, in x's shape (a float for a scalar).  NaN
+        gives NaN, and x <= 0 (-inf included) gives value_at_zero."""
         arr = np.asarray(x, dtype=float)
-        scalar = arr.ndim == 0
-        xq = np.atleast_1d(arr)
-        out = np.empty_like(xq)
-        m_zero = xq == 0.0
-        m_inf = np.isinf(xq)
-        out[m_zero] = self.value_at_zero
-        out[m_inf] = self.value_at_inf
-        m_mid = ~(m_zero | m_inf)
-        if m_mid.any():
-            out[m_mid] = self._eval_positive(xq[m_mid])
-        return float(out[0]) if scalar else out
-
-    def _eval_positive(self, x):
+        xs = arr.reshape(-1)
         t = self.t
-        out = np.empty_like(x)
-        lo = x < t[0]
-        hi = x > t[-1]
-        mid = ~(lo | hi)
-        if mid.any():
-            out[mid] = self._interp(x[mid])
-        if lo.any():
-            out[lo] = self._tail_zero(x[lo])
-        if hi.any():
-            out[hi] = self._tail_inf(x[hi])
-        return out
+        j = np.searchsorted(t, xs, side="right")
+        # NaN sorts past the grid and comes out of the formula as NaN; the
+        # points off the grid are overwritten
+        out = self._interp(xs, np.maximum(j - 1, 0))
+        below = j == 0
+        if below.any():
+            out[below] = self.value_at_zero
+            below &= xs > 0.0
+            out[below] = self._tail_zero(xs[below])
+        above = xs > t[-1]
+        if above.any():
+            out[above] = self.value_at_inf
+            above &= xs < INF
+            out[above] = self._tail_inf(xs[above])
+        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
-    def _interp(self, x):
-        t, v = self.t, self.v
-        if t.size == 1:
-            return np.full_like(x, v[0])
-        idx = np.searchsorted(t, x, side="right") - 1
-        idx = np.clip(idx, 0, t.size - 2)
-        tl, tr = t[idx], t[idx + 1]
-        vl, vr = v[idx], v[idx + 1]
-        out = np.empty_like(x)
-        jump = np.isinf(vr)
-        hit_left = x <= tl
-        out[jump & hit_left] = vl[jump & hit_left]
-        out[jump & ~hit_left] = INF
-        ramp = (vl == 0.0) & np.isfinite(vr) & (vr > 0.0)
-        if ramp.any():
-            out[ramp] = vr[ramp] * (x[ramp] - tl[ramp]) / (tr[ramp] - tl[ramp])
-        flat0 = (vl == 0.0) & (vr == 0.0)
-        out[flat0] = 0.0
-        pw = (vl > 0.0) & np.isfinite(vr)
-        if pw.any():
+    def _segments(self):
+        """The segment table, built on the first evaluation: the log-log
+        slope of every power segment with a flat one appended for the last
+        node (0 on the other segments), a per-node ramp flag (None without
+        ramps), the node beyond which the table is +inf, and whether some
+        slope or abscissa ratio is not finite."""
+        if self._seg is None:
+            t, v = self.t, self.v
+            vl, vr = v[:-1], v[1:]
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                s = np.where(vr[pw] == vl[pw], 0.0,
-                             np.log(vr[pw] / vl[pw]) / np.log(tr[pw] / tl[pw]))
-                out[pw] = vl[pw] * np.exp(s * np.log(x[pw] / tl[pw]))
-        # node hits must be bitwise exact: steep inverse tails amplify a
-        # one-ulp interpolation residue into visible error
-        exact_l = x == tl
-        out[exact_l] = vl[exact_l]
-        exact_r = x == tr
-        out[exact_r] = vr[exact_r]
+                ratio = t[1:] / t[:-1]
+                s = np.where(vr == vl, 0.0, np.log(vr / vl) / np.log(ratio))
+            slope = np.append(np.where((vl > 0.0) & np.isfinite(vr), s, 0.0), 0.0)
+            ramp = np.append((vl == 0.0) & np.isfinite(vr) & (vr > 0.0), False)
+            t_jump = t[max(self._i_last_fin, 0)] if np.isinf(v[-1]) else INF
+            careful = not (np.isfinite(slope).all() and np.isfinite(ratio).all())
+            self._seg = slope, ramp if ramp.any() else None, t_jump, careful
+        return self._seg
+
+    def _interp(self, x, idx):
+        """F at the points x in [t[0], t[-1]], idx the node at or left of
+        each: vl (x / tl)**s on power segments, patched on ramp and jump
+        segments; a flat zero segment has vl = 0 and s = 0.  Other points
+        get values that the caller overwrites."""
+        slope, ramp, t_jump, careful = self._segments()
+        tl, vl = self.t[idx], self.v[idx]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = vl * np.exp(slope[idx] * np.log(x / tl))
+        if careful:
+            # node hits must be bitwise exact, since steep inverse tails
+            # amplify a one-ulp residue into visible error: a finite slope
+            # gives vl there by itself, but one that overflows, or an
+            # abscissa ratio that does, gives NaN there and on flat zeros
+            hit = x == tl
+            out[hit] = vl[hit]
+            out[(vl == 0.0) & (x <= self.t[-1])] = 0.0
+        if ramp is not None:
+            r = ramp[idx]
+            if r.any():
+                i = idx[r] + 1
+                out[r] = self.v[i] * (x[r] - tl[r]) / (self.t[i] - tl[r])
+        if t_jump < INF:
+            out[x > t_jump] = INF
         return out
 
     def _anchor_zero(self):
@@ -315,7 +337,7 @@ class MonotoneFn:
         else:  # numeric-only (exponential is invalid near zero)
             p, alpha = self._edge_slope_zero(), 0.0
         with np.errstate(over="ignore", under="ignore", divide="ignore"):
-            out = va * np.exp(p * np.log(x / ta))
+            out = va * np.exp(p * _log_quotient(x, ta))
             if alpha != 0.0:
                 # log(1/x) / log(1/ta) is non-positive at x <= 1 when
                 # ta >= 1; the form anchored at ta stays positive there
@@ -346,12 +368,12 @@ class MonotoneFn:
         if vb == 0.0:
             return np.zeros_like(x)
         with np.errstate(over="ignore", divide="ignore"):
-            out = vb * np.exp(p * np.log(x / tb))
+            out = vb * np.exp(p * _log_quotient(x, tb))
             if alpha != 0.0:
                 # log(x) / log(tb) is non-positive at x >= 1 when tb <= 1;
                 # the form anchored at tb stays positive there
                 log_ratio = (np.log(x) / np.log(tb) if tb > 1.0
-                             else 1.0 + np.log(x / tb))
+                             else 1.0 + _log_quotient(x, tb))
                 out = out * log_ratio ** alpha
         return out
 
@@ -557,9 +579,10 @@ def _inverse(fn, side):
 
 
 def _log_quotient(num, x):
-    """log(num / x), also where num / x overflows (a subnormal x)."""
+    """log(num / x), also where num / x overflows or underflows (a
+    subnormal x or num)."""
     q = num / x
-    return np.where(np.isinf(q), np.log(num) - np.log(x), np.log(q))
+    return np.where(np.isinf(q) | (q == 0.0), np.log(num) - np.log(x), np.log(q))
 
 
 def _power_segment_integral(vl, vr, tl, tr, weight_exp=0.0):

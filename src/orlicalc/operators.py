@@ -344,18 +344,23 @@ def exp_weight_transform(F: MonotoneFn, t_grid=None, cutoff=50.0):
         return t_grid, out
     cut = _exp_weight_cutoffs(F.inf_desc, t_grid, cutoff)
     live = np.flatnonzero(np.isfinite(cut))
+    # each scale's head refinement ends at the first node of F over it, or
+    # at the cutoff where that lies beyond; rows of geomspace are independent
+    b_head = F.t[0] / t_grid[live]
+    b_head = np.where(b_head < cut[live], b_head, cut[live])
+    head = np.geomspace(b_head * 1e-12, b_head, 120, axis=1)
     step = max(1, _BLOCK // F.t.size)
     for lo in range(0, live.size, step):
         idx = live[lo:lo + step]
-        out[idx] = _exp_weight_block(F, t_grid[idx], cut[idx], cutoff)
+        out[idx] = _exp_weight_block(F, t_grid[idx], cut[idx], head[lo:lo + step], cutoff)
     return t_grid, out
 
 
-def _exp_weight_block(F, t, cut, cutoff):
+def _exp_weight_block(F, t, cut, head, cutoff):
     """The transform at the scales t, each truncated at its own cutoff, in
     one array pass."""
     n = t.size
-    taus, rows = _tau_breakpoints(F.t, t, cut)
+    taus, rows = _tau_breakpoints(F.t, t, cut, head)
     vals = F(t[rows] * taus)
     bounds = np.searchsorted(rows, np.arange(n + 1))
     bad = np.zeros(n, dtype=bool)
@@ -366,28 +371,33 @@ def _exp_weight_block(F, t, cut, cutoff):
         seg &= ~bad[rows[:-1]]
     a, b, va, vb = taus[:-1][seg], taus[1:][seg], vals[:-1][seg], vals[1:][seg]
     seg_rows = rows[:-1][seg]
-    ramp = va == 0.0
+    seg_bounds = np.searchsorted(seg_rows, np.arange(n + 1))
+    # F(t tau) rises with tau, so a row's first segment is the only one
+    # that can start at 0: a linear ramp
+    first = seg_bounds[:-1][seg_bounds[:-1] < seg_bounds[1:]]
+    ramp = first[va[first] == 0.0]
+    ramp_rows = seg_rows[ramp]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ar, br = a[ramp], b[ramp]
         c = vb[ramp] / (br - ar)
-        ramp_pieces = c * (_gamma_integral(1.0, ar, br)
-                           - ar * _gamma_integral(0.0, ar, br))
-        pw = ~ramp
-        a, b, va, vb = a[pw], b[pw], va[pw], vb[pw]
+        ramp_total = np.zeros(n)
+        ramp_total[ramp_rows] = c * (_gamma_integral(1.0, ar, br)
+                                     - ar * _gamma_integral(0.0, ar, br))
+        # the power-segment formula runs over the ramps too; they are
+        # left out of the checks and sums below
         sigma = np.where(vb == va, 0.0, np.log(vb / va) / np.log(b / a))
         log_piece = (np.log(va) - sigma * np.log(a)
                      + _special.gammaln(sigma + 1.0) + _log_gamma_diff(sigma, a, b))
         pieces = np.exp(log_piece)
-    pw_rows = seg_rows[pw]
-    bad[pw_rows[~np.isfinite(pieces)]] = True
-    ramp_bounds = np.searchsorted(seg_rows[ramp], np.arange(n + 1))
-    pw_bounds = np.searchsorted(pw_rows, np.arange(n + 1))
-    # one sum per scale over its own slice, ramps first: the bits of the
-    # pairwise summation depend on which values are summed together
-    total = np.empty(n)
-    for i in range(n):
-        total[i] = (float(np.sum(ramp_pieces[ramp_bounds[i]:ramp_bounds[i + 1]]))
-                    + float(np.sum(pieces[pw_bounds[i]:pw_bounds[i + 1]])))
+    finite = np.isfinite(pieces)
+    finite[ramp] = True
+    bad[seg_rows[~finite]] = True
+    start = seg_bounds[:-1].copy()
+    start[ramp_rows] += 1
+    # one sum per scale over its own power segments, after its ramp: the
+    # bits of the pairwise summation depend on which values are summed together
+    total = ramp_total + [float(np.add.reduce(pieces[i:j]))
+                          for i, j in zip(start.tolist(), seg_bounds[1:].tolist())]
     tail = _exp_weight_tail(F.inf_desc, vals[bounds[1:] - 1], cut, cutoff)
     total += tail
     total[bad | np.isinf(tail)] = INF
@@ -420,19 +430,16 @@ def _exp_weight_cutoffs(d, t_grid, cutoff):
     return out
 
 
-def _tau_breakpoints(grid, t, cut):
+def _tau_breakpoints(grid, t, cut, head):
     """The tau breakpoints of every scale in one flat array, with row ids.
 
-    Row i holds 0, a geometric refinement of the head (so power behaviour is
-    respected there), the grid of F mapped through tau = x / t[i] inside
-    (0, cut[i]), and cut[i].  Each row is sorted by construction; repeats
-    are dropped as np.unique would drop them."""
+    Row i holds 0, the geometric refinement head[i] of the head (so power
+    behaviour is respected there), the grid of F mapped through
+    tau = x / t[i] inside (0, cut[i]), and cut[i].  Each row is sorted by
+    construction; repeats are dropped as np.unique would drop them."""
     n = t.size
     inner = grid[None, :] / t[:, None]
     inside = (inner > 0) & (inner < cut[:, None])
-    first = inner[np.arange(n), inside.argmax(axis=1)]
-    b_head = np.where(inside.any(axis=1), first, cut)
-    head = np.geomspace(b_head * 1e-12, b_head, 120, axis=1)
     table = np.concatenate((np.zeros((n, 1)), head, inner, cut[:, None]), axis=1)
     keep = np.concatenate((np.ones((n, 121), dtype=bool), inside,
                            np.ones((n, 1), dtype=bool)), axis=1)
@@ -450,11 +457,10 @@ def _log_gamma_diff(sigma, a, b):
     # a window in the upper tail is a difference of Q, any other one of P
     upper = a >= s1
     lower = ~upper
+    su, sl = s1[upper], s1[lower]
     with np.errstate(divide="ignore", invalid="ignore"):
-        diff[upper] = (_special.gammaincc(s1[upper], a[upper])
-                       - _special.gammaincc(s1[upper], b[upper]))
-        diff[lower] = (_special.gammainc(s1[lower], b[lower])
-                       - _special.gammainc(s1[lower], a[lower]))
+        diff[upper] = _special.gammaincc(su, a[upper]) - _special.gammaincc(su, b[upper])
+        diff[lower] = _special.gammainc(sl, b[lower]) - _special.gammainc(sl, a[lower])
         return np.log(np.maximum(diff, 0.0))
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -140,8 +141,10 @@ class DecreasingFn:
         self.values = np.asarray(values, dtype=float)
         self.widths = np.asarray(widths, dtype=float)
         self.tail = tail
-        self.breaks = (self.tail.width if tail else 0.0) + np.concatenate(
-            ([0.0], np.cumsum(self.widths)))
+        self.breaks = np.zeros(self.widths.size + 1)
+        np.add.accumulate(self.widths, out=self.breaks[1:])
+        if tail:
+            self.breaks += tail.width
         self.support = float(self.breaks[-1])
 
     def __call__(self, s):
@@ -220,45 +223,33 @@ class _TailDistribution:
 
 def rearrange(f: SampledFn) -> DecreasingFn:
     """Sort the pieces by value (descending) and merge equal values."""
-    pieces = sorted((p for p in f.pieces if p[0] > 0.0), key=lambda p: -p[0])
-    values, widths = [], []
-    for v, w in pieces:
-        if values and v == values[-1]:
-            widths[-1] += w
-        else:
-            values.append(v)
-            widths.append(w)
+    vw = np.fromiter(itertools.chain.from_iterable(f.pieces), float,
+                     2 * len(f.pieces)).reshape(-1, 2)
+    if len(vw) > 1:
+        vw = vw[np.argsort(-vw[:, 0], kind="stable")]
+        start = np.flatnonzero(np.concatenate(([True], vw[1:, 0] != vw[:-1, 0])))
+        if start.size < len(vw):
+            end = np.append(start[1:], len(vw))
+            merged = vw[start]
+            # the widths of equal values add up left to right
+            for k in np.flatnonzero(end - start > 1).tolist():
+                merged[k, 1] = np.add.accumulate(vw[start[k]:end[k], 1])[-1]
+            vw = merged
+    # zero values sort last and are dropped
+    values, widths = vw[:np.count_nonzero(vw[:, 0])].T
     return DecreasingFn(values, widths, f.tail)
 
 
-@dataclass(frozen=True)
-class AveragedPiece:
-    """One piece of the running average of the rearrangement.
-
-    kind "hyperbolic": value c1 + c2 / t on [lo, hi)
-    kind "power":      value c1 * t**c2 on [lo, hi)
-    """
-
-    lo: float
-    hi: float
-    kind: str
-    c1: float
-    c2: float
-
-
 class AveragedDecreasing:
-    """t -> (1/t) * integral of the rearrangement over (0, t)."""
+    """t -> (1/t) * integral of the rearrangement over (0, t).
 
-    def __init__(self, pieces, total, support):
-        self.pieces = pieces
+    The pieces tile (0, support) left to right; piece k ends at hi[k] and
+    is c1[k] * t**c2[k] where power[k], c1[k] + c2[k] / t elsewhere."""
+
+    def __init__(self, hi, power, c1, c2, total, support):
+        self.hi, self.power, self.c1, self.c2 = hi, power, c1, c2
         self.total = total        # integral over the whole support
         self.support = support
-        # the pieces tile (0, support) left to right, so the piece holding t
-        # is the first whose right end exceeds t
-        self._hi = np.array([p.hi for p in pieces], dtype=float)
-        self._c1 = np.array([p.c1 for p in pieces], dtype=float)
-        self._c2 = np.array([p.c2 for p in pieces], dtype=float)
-        self._power = np.array([p.kind == "power" for p in pieces], dtype=bool)
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
@@ -266,17 +257,18 @@ class AveragedDecreasing:
         q = np.atleast_1d(arr)
         out = np.empty_like(q)
         low = q <= 0
-        out[low] = INF if self.pieces else 0.0
+        out[low] = INF if self.hi.size else 0.0
         x = q[~low]
-        k = np.searchsorted(self._hi, x, side="right")
+        # the piece holding t is the first whose right end exceeds t
+        k = np.searchsorted(self.hi, x, side="right")
         val = np.empty_like(x)
-        beyond = k == self._hi.size
+        beyond = k == self.hi.size
         with np.errstate(invalid="ignore"):     # inf / inf is nan, as for floats
             val[beyond] = self.total / x[beyond]
         kin = k[~beyond]
         xin = x[~beyond]
-        power = self._power[kin]
-        c1, c2 = self._c1[kin], self._c2[kin]
+        power = self.power[kin]
+        c1, c2 = self.c1[kin], self.c2[kin]
         val_in = np.empty_like(xin)
         val_in[power] = c1[power] * xin[power] ** c2[power]
         val_in[~power] = c1[~power] + c2[~power] / xin[~power]
@@ -287,25 +279,24 @@ class AveragedDecreasing:
 
 def maximal(f: SampledFn) -> AveragedDecreasing:
     star = rearrange(f)
-    pieces = []
-    acc = 0.0
-    lo = 0.0
-    if star.tail:
-        t = star.tail
-        if t.expo >= 1.0:
-            # not locally integrable: the average is infinite everywhere
-            return AveragedDecreasing([AveragedPiece(0.0, INF, "hyperbolic", INF, 0.0)],
-                                      INF, star.support)
-        c = t.coef / (1.0 - t.expo)
-        pieces.append(AveragedPiece(0.0, t.width, "power", c, -t.expo))
-        acc = t.coef * t.width ** (1.0 - t.expo) / (1.0 - t.expo)
-        lo = t.width
-    for v, w in zip(star.values, star.widths):
-        hi = lo + w
-        pieces.append(AveragedPiece(lo, hi, "hyperbolic", v, acc - v * lo))
-        acc += v * w
-        lo = hi
-    return AveragedDecreasing(pieces, acc, star.support)
+    v, w, t = star.values, star.widths, star.tail
+    if t and t.expo >= 1.0:
+        # not locally integrable: the average is infinite everywhere
+        return AveragedDecreasing(np.array([INF]), np.array([False]), np.array([INF]),
+                                  np.array([0.0]), INF, star.support)
+    lo, acc = (t.width, t.coef * t.width ** (1.0 - t.expo) / (1.0 - t.expo)) if t else (0.0, 0.0)
+    # the ends of the pieces and the integrals up to them: running sums
+    # from the end of the tail, added left to right
+    ends = np.add.accumulate(np.concatenate(([lo], w)))
+    accs = np.add.accumulate(np.concatenate(([acc], v * w)))
+    if not t:
+        return AveragedDecreasing(ends[1:], np.zeros(v.size, dtype=bool), v,
+                                  accs[:-1] - v * ends[:-1], float(accs[-1]), star.support)
+    # the tail's power piece comes first
+    power, c1, c2 = np.zeros(ends.size, dtype=bool), np.empty(ends.size), np.empty(ends.size)
+    power[0], c1[0], c2[0] = True, t.coef / (1.0 - t.expo), -t.expo
+    c1[1:], c2[1:] = v, accs[:-1] - v * ends[:-1]
+    return AveragedDecreasing(ends, power, c1, c2, float(accs[-1]), star.support)
 
 
 # -- modulars and norms ------------------------------------------------------
@@ -593,9 +584,9 @@ def marcinkiewicz_norm(f: SampledFn, A: QuasiConvexFn):
     phi = _char_profile(A)
     forms = (phi.power_log_form(True), phi.power_log_form(False))
     # h ~ t**(p - e) l**alpha at 0+: infinite by the exponent, then the log
-    if avg._power[0] and forms[0] and (forms[0][0] + avg._c2[0], -forms[0][1]) < (0, 0):
+    if avg.power[0] and forms[0] and (forms[0][0] + avg.c2[0], -forms[0][1]) < (0, 0):
         return INF
-    bounds = np.unique(np.append(avg._hi, avg.support))
+    bounds = np.unique(np.append(avg.hi, avg.support))
     ends = np.insert(phi.t, np.searchsorted(phi.t, bounds), bounds)
     ph, av = phi(ends), avg(ends)
     best = float(np.max(ph * av))
@@ -603,9 +594,9 @@ def marcinkiewicz_norm(f: SampledFn, A: QuasiConvexFn):
     # index one past the last piece is the stretch beyond the support
     a, b = np.append(0.0, ends), np.append(ends, INF)
     pa, pb = np.append(phi.value_at_zero, ph), np.append(ph, phi.value_at_inf)
-    k = np.searchsorted(avg._hi, a, side="right")
-    c1, c2 = np.append(avg._c1, 0.0)[k], np.append(avg._c2, avg.total)[k]
-    power = np.append(avg._power, False)[k]
+    k = np.searchsorted(avg.hi, a, side="right")
+    c1, c2 = np.append(avg.c1, 0.0)[k], np.append(avg.c2, avg.total)[k]
+    power = np.append(avg.power, False)[k]
     pure = power | (c1 == 0.0) | (c2 == 0.0)
     q = np.where(power, c2, np.where(c1 == 0.0, -1.0, 0.0))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -673,8 +664,9 @@ def lorentz_power_norm(f: SampledFn, p, q, alpha=0.0):
         if tail:
             return INF
         avg = maximal(f)
-        lo, hi, c1, c2 = np.array([(pc.lo, pc.hi, pc.c1, pc.c2) for pc in avg.pieces]
-                                  + [(avg.support, INF, 0.0, avg.total)]).T
+        lo = np.concatenate(([0.0], avg.hi[:-1], [avg.support]))
+        hi = np.append(avg.hi, INF)
+        c1, c2 = np.append(avg.c1, 0.0), np.append(avg.c2, avg.total)
     else:
         lo, hi, c1 = star.breaks[:-1], star.breaks[1:], star.values
         c2 = np.zeros_like(c1)

@@ -53,6 +53,39 @@ class TestEvaluation:
         assert fn.t_inf == 1.0
         assert fn.t_zero == 1.0
 
+    @pytest.mark.parametrize("fn", [
+        linfty_young(2.0).base,
+        MonotoneFn([1.0, 2.0, 3.0], [1.0, 2.0, INF]),
+        MonotoneFn([2.0], [3.0]),
+        power_table(2.0),
+        exp_young(1.0).base,
+    ])
+    def test_nan_gives_nan_and_negatives_the_value_at_zero(self, fn):
+        # the RuntimeWarning filters of the suite turn any warning into an error
+        x = np.array([[np.nan, -1.0], [-INF, -5e-324]])
+        out = fn(x)
+        assert out.shape == (2, 2)
+        assert math.isnan(out[0, 0]) and math.isnan(fn(np.nan))
+        assert np.all(out.ravel()[1:] == fn.value_at_zero)
+        assert fn(-1.0) == fn(-INF) == fn.value_at_zero
+
+    def test_tail_below_a_subnormal_quotient(self):
+        # x / t[0] underflows to 0: the power comes from log x - log t[0]
+        assert MonotoneFn([2.0], [3.0])(5e-324) == 3.0
+        fn = MonotoneFn([2.0], [3.0], power_log_desc(0.01))
+        expect = 3.0 * math.exp(0.01 * (math.log(5e-324) - math.log(2.0)))
+        assert fn(5e-324) == pytest.approx(expect, rel=1e-14)
+        assert fn(5e-324) > 0.0
+
+    def test_tail_above_an_overflowing_quotient(self):
+        # x / t[-1] overflows: the power comes from log x - log t[-1]
+        assert MonotoneFn([1e-8], [3.0])(1e308) == 3.0
+        fn = MonotoneFn([1e-8, 1e-7], [3.0, 4.0], power_log_desc(1.0),
+                        power_log_desc(0.01, 1.0))
+        log_q = math.log(1e308) - math.log(1e-7)
+        expect = 4.0 * math.exp(0.01 * log_q) * (1.0 + log_q)
+        assert fn(1e308) == pytest.approx(expect, rel=1e-14)
+
 
 class TestLogTails:
     """power-log tails with a log factor stay positive and increasing on

@@ -13,6 +13,7 @@ from orlicalc.monotone import (
     MonotoneFn,
     default_grid,
     geometric_grid,
+    infinite_beyond_desc,
     power_log_desc,
     zero_on_interval_desc,
 )
@@ -51,7 +52,10 @@ from orlicalc.young import (
     power_young,
     young_from_callable,
     young_from_json,
+    young_from_values,
 )
+
+from helpers import reference_exp_weight_transform
 
 
 def profile(fn, zero_desc, lo=-8, hi=0):
@@ -491,7 +495,43 @@ TRANSFORM_CASES = {
 SHORT_GRID = np.array([1e-8, 1e-6, 1e-5, 1e-2, 0.5, 0.99, 1.0, 3.0, 1e3, 1e8])
 
 
+def _zero_head_inf_block_young():
+    # zero on (0, 1], (t - 1)^2 up to 10 and +inf beyond
+    t = geometric_grid(1e-3, 1e3, 16)
+    v = np.where(t <= 1.0, 0.0, np.where(t <= 10.0, (t - 1.0) ** 2, INF))
+    return young_from_values(t, v, zero_on_interval_desc(1.0), infinite_beyond_desc(10.0))
+
+
+CONJUGATE_CASES = {
+    "t^1.5": lambda: power_young(1.5),
+    "t^2": lambda: power_young(2.0),
+    "t^3": lambda: power_young(3.0),
+    "t^4": lambda: power_young(4.0),
+    "exp 1": lambda: exp_young(1.0),
+    "log factors": lambda: power_log_young(1.5, -1.0, 1.0),
+    "zero head and +inf block": _zero_head_inf_block_young,
+}
+
+
 class TestExpWeightTransform:
+    @pytest.mark.parametrize("name", sorted(CONJUGATE_CASES))
+    @pytest.mark.parametrize("grid", ["default", "short"])
+    def test_bit_identical_to_the_untrimmed_blocks(self, name, grid):
+        F = conjugate(CONJUGATE_CASES[name]()).base
+        t_grid = None if grid == "default" else SHORT_GRID
+        _, new = exp_weight_transform(F, t_grid)
+        _, old = reference_exp_weight_transform(F, t_grid)
+        assert np.array_equal(new, old, equal_nan=True)
+        assert np.isfinite(new).any()
+
+    @pytest.mark.parametrize("name", sorted(TRANSFORM_CASES))
+    def test_bit_identical_to_the_untrimmed_blocks_on_tables(self, name):
+        F = TRANSFORM_CASES[name]()
+        for t_grid in (None, SHORT_GRID):
+            _, new = exp_weight_transform(F, t_grid)
+            _, old = reference_exp_weight_transform(F, t_grid)
+            assert np.array_equal(new, old, equal_nan=True)
+
     @pytest.mark.parametrize("name", sorted(TRANSFORM_CASES))
     @pytest.mark.parametrize("grid", ["default", "short"])
     def test_bit_identical_to_scalar_loop(self, name, grid):

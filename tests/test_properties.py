@@ -1,9 +1,22 @@
 """Property-based checks for the inverse calculus and norm axioms."""
 
+import math
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from orlicalc.monotone import INF, MonotoneFn, geometric_grid
+from orlicalc.monotone import (
+    INF,
+    NUMERIC_DESC,
+    MonotoneFn,
+    exp_reciprocal_desc,
+    exponential_desc,
+    geometric_grid,
+    infinite_beyond_desc,
+    limit_const_desc,
+    power_log_desc,
+    zero_on_interval_desc,
+)
 from orlicalc.rearrangement import (
     PowerTail,
     SampledFn,
@@ -11,6 +24,7 @@ from orlicalc.rearrangement import (
     least_admissible_scale,
     luxemburg_norm,
     marcinkiewicz_norm,
+    maximal,
     modular,
     rearrange,
 )
@@ -23,7 +37,14 @@ from orlicalc.young import (
     young_from_derivative,
 )
 
-from helpers import loop_marcinkiewicz, sequential_luxemburg_norm
+from helpers import (
+    averaged_pieces,
+    loop_marcinkiewicz,
+    loop_maximal,
+    loop_rearrange,
+    reference_eval,
+    sequential_luxemburg_norm,
+)
 
 
 @st.composite
@@ -194,3 +215,102 @@ def test_marcinkiewicz_never_below_the_golden_section_search(case):
     f, A = case
     want = loop_marcinkiewicz(f, A)
     assert marcinkiewicz_norm(f, A) >= want * (1.0 - 1e-12)
+
+
+def _descriptor(draw, t, zero_side):
+    """Any descriptor kind, with thresholds placed off the grid."""
+    kind = draw(st.integers(0, 8))
+    edge = t[0] if zero_side else t[-1]
+    return [power_log_desc(2.0), power_log_desc(0.5, -1.0), power_log_desc(0.0, 1.5),
+            exponential_desc(0.5), exp_reciprocal_desc(1.0),
+            zero_on_interval_desc(edge / 3.0), infinite_beyond_desc(edge * 3.0),
+            limit_const_desc(draw(st.sampled_from([0.0, 0.25, INF]))),
+            NUMERIC_DESC][kind]
+
+
+@st.composite
+def evaluation_tables(draw):
+    """Tables of 1 to 12 nodes, some ulp-paired: zero heads (ramps), flat
+    zero runs, plateaus, a terminal +inf block, values over up to 600
+    decades (slopes that overflow), and any descriptor at either end."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    exps = draw(st.lists(st.floats(-300.0, 300.0) if draw(st.booleans())
+                         else st.floats(-6.0, 6.0), min_size=n, max_size=n, unique=True))
+    t = np.unique(10.0 ** np.asarray(exps))
+    if t.size > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, t.size - 2))
+        t[i + 1] = np.nextafter(t[i], INF)
+    n = t.size
+    span = draw(st.sampled_from([3.0, 300.0]))
+    v = 10.0 ** np.sort(np.asarray(draw(st.lists(st.floats(-span, span),
+                                                 min_size=n, max_size=n))))
+    plateau = np.asarray(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    for i in np.flatnonzero(plateau[1:]) + 1:
+        v[i] = v[i - 1]
+    zeros = draw(st.integers(0, n))
+    infs = draw(st.integers(0, n - zeros))
+    v[:zeros] = 0.0
+    v[n - infs:] = INF
+    return MonotoneFn(t, v, _descriptor(draw, t, True), _descriptor(draw, t, False))
+
+
+def _evaluation_points(fn):
+    """Nodes, one ulp either side of each, midpoints, 0, +inf, subnormals
+    and points beyond both ends."""
+    t = fn.t
+    pts = np.concatenate((t, np.nextafter(t, 0.0), np.nextafter(t, INF),
+                          np.sqrt(t[:-1] * t[1:]),
+                          [0.0, INF, 5e-324, 1e-310, 2.2e-308, 1e-200, 1e300],
+                          t[0] * np.array([1e-9, 0.5]), t[-1] * np.array([2.0, 1e9])))
+    return pts[np.isfinite(pts) | (pts == INF)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(evaluation_tables())
+def test_segment_table_evaluation_is_the_mask_per_case_evaluation(fn):
+    # values spanning 600 decades overflow in the tails and on ramps, in
+    # both evaluations alike
+    with np.errstate(all="ignore"):
+        x = _evaluation_points(fn)
+        want = reference_eval(fn, x)
+        got = fn(x)
+        m = x.size // 2
+        grid = fn(x[:2 * m].reshape(2, m))
+        ones = [[fn(arg) for arg in (xi, np.float64(xi), np.asarray(xi))]
+                for xi in x.tolist()]
+    assert got.shape == x.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert grid.shape == (2, m)
+    assert np.array_equal(grid.ravel(), want[:2 * m], equal_nan=True)
+    for one, wi in zip(ones, want.tolist()):
+        assert all(type(o) is float for o in one)
+        assert np.array_equal(one, [wi] * 3, equal_nan=True)
+
+
+@st.composite
+def tied_steps(draw):
+    """0 to 40 pieces drawn from a few values (zero among them), so that
+    ties merge, half of them led by a power tail, integrable or not."""
+    n = draw(st.integers(min_value=0, max_value=40))
+    levels = draw(st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=6)) + [0.0]
+    vals = [draw(st.sampled_from(levels)) for _ in range(n)]
+    widths = draw(st.lists(st.floats(1e-6, 10.0), min_size=n, max_size=n))
+    tail = None
+    if draw(st.booleans()):
+        width = draw(st.floats(1e-4, 2.0))
+        expo = draw(st.floats(0.05, 1.5))
+        tail = PowerTail(max(vals + [1e-3]) * width ** expo * draw(st.floats(1.0, 3.0)),
+                         expo, width)
+    return SampledFn(list(zip(vals, widths)), tail=tail)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_steps())
+def test_array_rearrange_and_maximal_are_the_loops(f):
+    values, widths = loop_rearrange(f)
+    star = rearrange(f)
+    assert star.values.tolist() == values and star.widths.tolist() == widths
+    pieces, total = loop_maximal(f)
+    avg = maximal(f)
+    assert averaged_pieces(avg) == pieces
+    assert avg.total == total or (math.isnan(avg.total) and math.isnan(total))

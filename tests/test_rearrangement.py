@@ -37,6 +37,7 @@ from orlicalc.young import (
 )
 
 from helpers import (
+    averaged_pieces,
     loop_marcinkiewicz,
     pointwise_average,
     scalar_modular,
@@ -180,15 +181,16 @@ class TestMaximal:
             fns.append(f)
         for f in fns:
             avg = maximal(f)
-            edges = np.array([p.lo for p in avg.pieces] + [p.hi for p in avg.pieces])
+            pieces = averaged_pieces(avg)
+            edges = np.array([p[0] for p in pieces] + [p[1] for p in pieces])
             t = np.concatenate((edges, np.nextafter(edges, 0.0), [0.0, -1.0, np.nan, INF],
                                 np.geomspace(1e-9, max(avg.support, 1.0) * 1e3, 97)))
             got = avg(t)
             want = np.array([pointwise_average(avg, float(x)) for x in t])
             # the power piece of a tail uses numpy's power, which may be an ulp
             # off the C library's; every other piece is bit for bit
-            power = np.array([any(p.kind == "power" and p.lo <= x < p.hi
-                                  for p in avg.pieces) for x in t])
+            power = np.array([any(pw and lo <= x < hi for lo, hi, pw, _, _ in pieces)
+                              for x in t])
             assert np.array_equal(got[~power], want[~power], equal_nan=True)
             np.testing.assert_allclose(got[power], want[power], rtol=4e-16)
             assert isinstance(avg(0.5), float) and avg(0.5) == pointwise_average(avg, 0.5)
@@ -607,9 +609,9 @@ class TestMarcinkiewiczSearch:
         f = SampledFn([(3.0, 1e-20), (2.0, 1e-18), (1.0, 1e-17)])
         marcinkiewicz_norm(f, A)
         avg = maximal(f)
-        ends = np.concatenate((phi.t, avg._hi))
+        ends = np.concatenate((phi.t, avg.hi))
         best_end = np.max(phi(ends) * avg(ends))
-        mixed = [(p.lo, p.hi) for p in avg.pieces if p.c1 > 0 and p.c2 > 0]
+        mixed = [(lo, hi) for lo, hi, _, c1, c2 in averaged_pieces(avg) if c1 > 0 and c2 > 0]
         assert len(mixed) == 2 and mixed[-1][1] < phi.t[0]
         assert [phi(b) * avg(a) > best_end for a, b in mixed] == [False, True]
         assert np.allclose(searched, mixed[1:], rtol=1e-14, atol=0)
