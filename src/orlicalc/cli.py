@@ -81,16 +81,21 @@ def _space_arg(text):
         return SpaceDescriptor.from_json(_load_json(text, "space"))
     except InputError:
         raise
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise InputError(f"bad space description: {exc}")
 
 
 def _samples_arg(args):
-    if args.samples:
-        with open(args.samples) as fh:
-            return SampledFn.from_csv(fh.read())
-    if getattr(args, "fn", None):
-        return SampledFn.from_json(_load_json(args.fn, "sampled function"))
+    try:
+        if args.samples:
+            with open(args.samples) as fh:
+                return SampledFn.from_csv(fh.read())
+        if getattr(args, "fn", None):
+            return SampledFn.from_json(_load_json(args.fn, "sampled function"))
+    except InputError:
+        raise
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InputError(f"bad sampled function: {exc}")
     raise InputError("provide --samples FILE.csv or --fn JSON")
 
 

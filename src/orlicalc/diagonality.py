@@ -32,7 +32,6 @@ from .monotone import (
 )
 from .rearrangement import (
     SampledFn,
-    distribution,
     lambda_norm,
     least_admissible_scale,
     modular,
@@ -318,14 +317,13 @@ def ol_inequality_gap(A: YoungFn, G: YoungFn, v: SampledFn, f: SampledFn,
         raise ValueError("need lam > 0")
     G_inv = G.base.left_inverse()
     g_inv = G.derivative.left_inverse()
-    d = distribution(f)
+    star = rearrange(f)
+    d = star.distribution
     # left side: piecewise-constant integrand against the weight steps; the
     # cut points are the breaks of the weight and the distinct values of |f|,
     # where its level measure steps
-    weights = np.asarray([wv for wv, _ in v.pieces], dtype=float)
-    breaks = np.concatenate(([0.0], np.cumsum([ww for _, ww in v.pieces])))
-    value_knots = d.knots() if f.pieces else np.asarray([])
-    cuts = np.unique(np.clip(np.concatenate((breaks, value_knots)), 0.0, breaks[-1]))
+    weights, breaks = v.values, v.breaks
+    cuts = np.unique(np.clip(np.concatenate((breaks, star.values)), 0.0, breaks[-1]))
     a, b = cuts[:-1], cuts[1:]
     w_cut = weights[np.searchsorted(breaks, a, side="right") - 1]
     on = w_cut != 0.0
@@ -354,87 +352,66 @@ def classical_lorentz_Nlambda(A: YoungFn, w: SampledFn, q: float,
     classical Lorentz space with a non-increasing step weight."""
     if lam <= 0 or q <= 0:
         raise ValueError("need lam > 0 and q > 0")
-    vals = [pv for pv, _ in w.pieces]
-    if any(b > a * (1 + 1e-12) for a, b in zip(vals[:-1], vals[1:])):
+    vals = w.values
+    if np.any(vals[1:] > vals[:-1] * (1 + 1e-12)):
         raise ValueError("the weight must be non-increasing")
-    # cumulative mass at the thresholds of the step weight
-    thresholds = []   # descending distinct values of w
-    masses = []       # W at the right end of each run
-    acc_mass = 0.0
-    for pv, pw in w.pieces:
-        acc_mass += pv * pw
-        if thresholds and pv == thresholds[-1]:
-            masses[-1] = acc_mass
-        else:
-            thresholds.append(pv)
-            masses.append(acc_mass)
-    thresholds = np.asarray(thresholds)
-    masses = np.asarray(masses)
-    total_mass = acc_mass
+    # the descending distinct values of w, and the mass W at the right end
+    # of each run of equal values, added in order
+    run_end = np.append(vals[1:] != vals[:-1], True)[:vals.size]
+    thresholds = vals[run_end]
+    masses = np.cumsum(vals * w.widths)
+    total_mass = float(masses[-1]) if masses.size else 0.0
+    mass_above = np.append(0.0, masses[run_end])
 
     def outer_step(y):
         """W(w_inverse(y)): mass of the region where the weight exceeds y."""
-        if y <= 0:
-            return total_mass
-        idx = np.searchsorted(-thresholds, -y, side="right")
-        # idx counts thresholds strictly above y
-        return float(masses[idx - 1]) if idx > 0 else 0.0
+        # the index counts the thresholds at or above y
+        idx = np.searchsorted(-thresholds, -np.asarray(y, dtype=float), side="right")
+        return np.where(y > 0, mass_above[idx], total_mass)
 
-    # integrand: outer_step(lam a(t) t^(1-q)) t^(q-1); walk the derivative's
-    # segments, splitting at preimages of the thresholds
+    # integrand: outer_step(lam a(t) t^(1-q)) t^(q-1) on the segments of the
+    # derivative, each cut where the inner map crosses a threshold
     a = A.derivative
     t0, t1 = a.t[0], a.t[-1]
     edges = np.unique(np.concatenate((geometric_grid(t0 * 1e-30, t0, 8),
                                       a.t, geometric_grid(t1, t1 * 1e30, 8))))
     av = a(edges)
-    total = 0.0
-    for k in range(edges.size - 1):
-        ta, tb = float(edges[k]), float(edges[k + 1])
-        va, vb = float(av[k]), float(av[k + 1])
-        piece = _step_outer_piece(outer_step, thresholds, lam, q, ta, tb, va, vb)
-        if math.isinf(piece):
-            return INF
-        total += piece
+    ta, tb, va, vb = edges[:-1], edges[1:], av[:-1], av[1:]
+    pieces = np.zeros(ta.size)
+    # where the derivative vanishes the whole mass counts; from its jump to
+    # +inf on, the mass above any level is zero
+    zero = vb == 0.0
+    pieces[zero] = total_mass * (tb[zero] ** q - ta[zero] ** q) / q
+    live = ~zero & ~np.isinf(va)
+    ta, tb, va, vb = ta[live], tb[live], va[live], vb[live]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        sigma = np.where((vb == va) | (va == 0.0), 0.0, np.log(vb / va) / np.log(tb / ta))
+        expo = (sigma + 1.0 - q)[:, None]
+        # on the segment the inner map is C t**expo
+        C = (lam * np.where(va == 0.0, vb * (ta / tb), va) * ta ** -sigma)[:, None]
+        cross = (thresholds[thresholds > 0] / C) ** (1.0 / expo)
+        inside = (C > 0) & (expo != 0.0) & (ta[:, None] < cross) & (cross < tb[:, None])
+        cuts = np.sort(np.column_stack((ta, np.where(inside, cross, tb[:, None]), tb)), axis=1)
+        lo, hi = cuts[:, :-1], cuts[:, 1:]
+        mass = outer_step(C * np.sqrt(lo * hi) ** expo)
+        cells = np.where((hi > lo) & (mass > 0), mass * (hi ** q - lo ** q) / q, 0.0)
+    pieces[live] = np.cumsum(cells, axis=1)[:, -1]
+    if np.isinf(pieces).any():
+        return INF
+    total = float(np.cumsum(np.append(0.0, pieces))[-1])
     # residual near zero: inner -> 0 when the derivative vanishes fast enough
     lead = outer_step(lam * av[0] * edges[0] ** (1.0 - q)) if av[0] > 0 else total_mass
     total += lead * edges[0] ** q / q
     # residual near infinity: the integrand vanishes beyond the preimage of
-    # the smallest threshold whenever the inner map grows
+    # the smallest threshold whenever the inner map grows, as it does where
+    # the derivative is +inf
     v1, v2 = a(edges[-1] / 2.0), a(edges[-1])
-    grow = (v2 * edges[-1] ** (1.0 - q)) / max(v1 * (edges[-1] / 2.0) ** (1.0 - q), 1e-300)
+    grow = INF if v2 == INF else \
+        (v2 * edges[-1] ** (1.0 - q)) / max(v1 * (edges[-1] / 2.0) ** (1.0 - q), 1e-300)
     if grow <= 1.0 + 1e-12:
         inner_end = lam * v2 * edges[-1] ** (1.0 - q)
         if outer_step(inner_end) > 0:
             return INF
-    return total
-
-
-def _step_outer_piece(outer_step, thresholds, lam, q, ta, tb, va, vb):
-    if tb <= ta or vb == 0.0:
-        mass = outer_step(0.0) if vb == 0.0 else 0.0
-        return mass * (tb ** q - ta ** q) / q if vb == 0.0 else 0.0
-    if np.isinf(va):
-        return 0.0  # inner infinite: the outer mass above any level is zero
-    sigma = 0.0 if (vb == va or va == 0.0) else math.log(vb / va) / math.log(tb / ta)
-    expo = sigma + 1.0 - q
-    if va == 0.0:
-        va = vb * (ta / tb) ** max(sigma, 1.0)
-    # inner(t) = lam * va * (t/ta)^sigma * t^(1-q) = C t^expo
-    C = lam * va * ta ** (-sigma)
-    cuts = [ta, tb]
-    for y in thresholds:
-        if C <= 0 or expo == 0.0 or y <= 0:
-            continue
-        t_star = (y / C) ** (1.0 / expo)
-        if ta < t_star < tb:
-            cuts.append(t_star)
-    cuts = np.unique(np.asarray(cuts))
-    total = 0.0
-    for a_, b_ in zip(cuts[:-1], cuts[1:]):
-        tm = math.sqrt(a_ * b_)
-        mass = outer_step(C * tm ** expo)
-        if mass > 0:
-            total += mass * (b_ ** q - a_ ** q) / q
     return total
 
 
@@ -450,6 +427,10 @@ def construct_witness_young(f: SampledFn, E: QuasiConvexFn) -> YoungFn:
     h the function normalized by twice its endpoint norm; plateaus are stored
     with ulp-paired nodes so integrals of the step are exact.
     """
+    if f.tail is not None:
+        # the derivative is +inf past the top step value, where a tail goes on
+        raise ValueError("the witness takes step functions only, "
+                         "not a function with a tail piece")
     if f.is_zero:
         raise ZeroFunction("the witness needs a nonzero function")
     lamE = lambda_norm(f, E)
@@ -461,25 +442,14 @@ def construct_witness_young(f: SampledFn, E: QuasiConvexFn) -> YoungFn:
     values = h.values[::-1]               # ascending distinct values of |h|
     above = h.breaks[1:][::-1]            # measure of {|h| >= that value}
     # on [v_j, v_{j+1}) the measure above the threshold is the mass above
-    # v_{j+1}; below v_1 it is the full mass
-    levels = [float(data.w(float(above[0])))]      # on (0, v_1)
-    for m in above[1:]:
-        levels.append(float(data.w(float(m))))
-    grid, vals = [], []
-    prev = 0.0
-    for v_j, lev in zip(values, levels):
-        if prev > 0.0:
-            grid.append(prev)
-            vals.append(lev)
-        grid.append(np.nextafter(float(v_j), 0.0))
-        vals.append(lev)
-        prev = float(v_j)
-    grid.append(prev)
-    vals.append(vals[-1])
-    grid.append(prev * (1 + 2 ** -40))
-    vals.append(INF)
-    grid = np.asarray(grid)
-    vals = np.maximum.accumulate(np.asarray(vals))
+    # v_{j+1}; below v_1 it is the full mass.  The step at v_j is the node
+    # pair (v_j - ulp, v_j), and the last value is followed by +inf
+    levels = data.w(above)
+    prev = float(values[-1])
+    grid = np.append(np.column_stack((np.nextafter(values, 0.0), values)),
+                     prev * (1 + 2 ** -40))
+    vals = np.append(np.column_stack((levels, np.append(levels[1:], levels[-1]))), INF)
+    vals = np.maximum.accumulate(vals)
     keep = np.empty(grid.size, dtype=bool)
     keep[0] = True
     keep[1:] = grid[1:] > grid[:-1]
@@ -596,26 +566,14 @@ def subdiagonality_status(X: SpaceDescriptor) -> DiagonalityStatus:
 
 def _weight_halving_constant(w: SampledFn):
     """Search for c with 2 w(c t) <= w(t) on the support grid."""
-    if not w.pieces:
+    if not w.values.size:
         return None
-    breaks = np.concatenate(([0.0], np.cumsum([pw for _, pw in w.pieces])))
-    mids = 0.5 * (breaks[:-1] + breaks[1:])
-
-    def val(x):
-        idx = np.searchsorted(breaks, x, side="right") - 1
-        out = np.zeros_like(x)
-        inside = (idx >= 0) & (idx < len(w.pieces))
-        vals = np.asarray([pv for pv, _ in w.pieces])
-        out[inside] = vals[idx[inside]]
-        return out
-
-    for k in range(1, 24):
-        c = 2.0 ** (-k)
-        if np.all(2.0 * val(c * mids) <= val(mids) + 1e-300):
-            lead = val(np.asarray([c * mids[0]]))[0]
-            if lead > 0 and np.all(val(mids) > 0):
-                return c
-    return None
+    mids = 0.5 * (w.breaks[:-1] + w.breaks[1:])
+    base = w.layout(mids)
+    c = np.ldexp(1.0, -np.arange(1, 24))
+    scaled = w.layout(np.multiply.outer(c, mids))
+    ok = (2.0 * scaled <= base + 1e-300).all(axis=1) & (scaled[:, 0] > 0) & (base > 0).all()
+    return float(c[ok][0]) if ok.any() else None
 
 
 # -- norm lifting ---------------------------------------------------------------
@@ -630,11 +588,9 @@ def lifted_norm(F: YoungFn, X: SpaceDescriptor, f: SampledFn,
                          "not a function with a tail piece")
     if f.is_zero:
         return 0.0
-    values, widths = np.array(f.pieces).T
-
     def ok(lam):
-        image = F.integral_value(values / lam)
-        return space_norm(X, SampledFn(zip(image, widths), f.length)) <= 1.0
+        image = F.integral_value(f.values / lam)
+        return space_norm(X, SampledFn(np.column_stack((image, f.widths)), f.length)) <= 1.0
 
     return least_admissible_scale(lambda lams: [ok(lam) for lam in lams],
                                   max(f.sup_value(), 1.0), rel_tol)

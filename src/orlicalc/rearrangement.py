@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -19,7 +18,7 @@ from typing import Optional
 import numpy as np
 from scipy import special as _special
 
-from .monotone import INF, MonotoneFn, _power_segment_integral, geometric_grid
+from .monotone import INF, POWER_LOG, MonotoneFn, _power_segment_integral, geometric_grid
 from .young import QuasiConvexFn, YoungFn
 
 
@@ -32,8 +31,8 @@ class PowerTail:
     width: float
 
     def __post_init__(self):
-        if not (self.coef > 0 and self.expo > 0 and self.width > 0):
-            raise ValueError("tail needs positive coefficient, exponent and width")
+        if not all(0 < x < INF for x in (self.coef, self.expo, self.width)):
+            raise ValueError("tail needs finite positive coefficient, exponent and width")
 
     def value_at(self, s):
         return self.coef * s ** (-self.expo)
@@ -42,62 +41,86 @@ class PowerTail:
 class SampledFn:
     """A measurable function on (0, L) given by value/width pieces.
 
-    Only the multiset of pieces matters to any operation here; the function
-    is 0 on the rest of the interval.  ``tail`` adds one unbounded piece
-    whose rearranged profile is coef * s**-expo on (0, width).
+    The pieces are held as two float arrays, ``values`` and ``widths``, and
+    ``breaks`` holds their ends laid out from 0 in the order given.  Only
+    the multiset of pieces matters to the norms; weights and pairings read
+    the layout.  The function is 0 on the rest of the interval.  ``tail``
+    adds one unbounded piece whose rearranged profile is coef * s**-expo on
+    (0, width).
     """
 
     def __init__(self, pieces, length=None, tail: Optional[PowerTail] = None):
-        clean = []
-        for value, width in pieces:
-            value = float(value)
-            width = float(width)
-            if width <= 0:
-                raise ValueError("piece widths must be positive")
-            if value < 0 or math.isinf(value) or math.isnan(value):
-                raise ValueError("piece values must be finite and nonnegative")
-            # zero-value pieces are kept: they carry layout information for
-            # weight-like uses, and rearrangement drops them anyway
-            clean.append((value, width))
-        self.pieces = clean
+        try:
+            vw = np.array(pieces if isinstance(pieces, (list, tuple, np.ndarray))
+                          else list(pieces), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"pieces must be [value, width] pairs of numbers: {exc}") from None
+        if vw.shape == (0,):
+            vw = vw.reshape(0, 2)
+        if vw.ndim != 2 or vw.shape[1] != 2:
+            raise ValueError("pieces must be [value, width] pairs")
+        low = vw.min(axis=0, initial=INF)   # NaN if any entry is NaN
+        if not (low[0] >= 0 and low[1] > 0 and vw.max(initial=0.0) < INF):
+            ok = (vw[:, 0] >= 0) & (vw[:, 1] > 0) & np.isfinite(vw).all(axis=1)
+            i = int(np.argmin(ok))
+            raise ValueError(f"piece {i + 1} is {vw[i].tolist()}: a piece needs a finite "
+                             "value >= 0 and a finite width > 0")
+        # zero-value pieces are kept: they carry layout information for
+        # weight-like uses, and rearrangement drops them anyway
+        vw = np.ascontiguousarray(vw.T)
+        vw.flags.writeable = False
+        self.values, self.widths = vw
+        self.breaks = np.concatenate(([0.0], np.cumsum(self.widths)))
+        self.breaks.flags.writeable = False
         self.tail = tail
-        total = sum(w for _, w in clean) + (tail.width if tail else 0.0)
+        total = float(self.breaks[-1]) + (tail.width if tail else 0.0)
         self.length = total if length is None else float(length)
-        if self.length < total * (1 - 1e-12):
+        if not self.length >= total * (1 - 1e-12):
             raise ValueError("pieces exceed the interval length")
-        if tail and clean:
-            top = max(v for v, _ in clean)
-            if tail.value_at(tail.width) < top * (1 - 1e-12):
+        if tail and self.values.size:
+            if tail.value_at(tail.width) < self.values.max() * (1 - 1e-12):
                 raise ValueError("the tail profile must sit above every step value")
 
     @property
+    def pieces(self):
+        """The pieces as a list of (value, width) floats."""
+        return list(zip(self.values.tolist(), self.widths.tolist()))
+
+    @property
     def is_zero(self):
-        return self.tail is None and all(v == 0.0 for v, _ in self.pieces)
+        return self.tail is None and not np.count_nonzero(self.values)
 
     def scale(self, c):
         """c * |f| for c > 0."""
         tail = None
         if self.tail:
             tail = PowerTail(self.tail.coef * c, self.tail.expo, self.tail.width)
-        return SampledFn([(v * c, w) for v, w in self.pieces], self.length, tail)
+        return SampledFn(np.column_stack((self.values * c, self.widths)), self.length, tail)
 
     def sup_value(self):
         if self.tail is not None:
             return INF
-        return max((v for v, _ in self.pieces), default=0.0)
+        return float(self.values.max(initial=0.0))
+
+    def layout(self, x):
+        """The pieces laid out from 0 in the order given, at points x >= 0;
+        0 beyond the last piece."""
+        return np.append(self.values, 0.0)[np.searchsorted(self.breaks, x, side="right") - 1]
 
     @staticmethod
     def from_json(obj):
+        if not isinstance(obj, dict) or "pieces" not in obj:
+            raise ValueError('a sampled function is an object with a "pieces" list')
         length = obj.get("length")
         length = INF if length == "inf" else (float(length) if length is not None else None)
         tail = None
         if "tail" in obj:
             t = obj["tail"]
             tail = PowerTail(float(t["coef"]), float(t["expo"]), float(t["width"]))
-        return SampledFn([(p[0], p[1]) for p in obj["pieces"]], length, tail)
+        return SampledFn(obj["pieces"], length, tail)
 
     def to_json(self):
-        out = {"pieces": [[v, w] for v, w in self.pieces]}
+        out = {"pieces": np.column_stack((self.values, self.widths)).tolist()}
         if self.length is not None:
             out["length"] = "inf" if math.isinf(self.length) else self.length
         if self.tail:
@@ -107,15 +130,23 @@ class SampledFn:
 
     @staticmethod
     def from_csv(text):
-        """Rows of value,width with an optional header line."""
-        rows = []
-        for row in csv.reader(io.StringIO(text)):
-            if not row:
+        """Rows of value,width.  Blank lines, lines starting with ``#`` and a
+        header line before the first row are skipped; any other row that is
+        not two finite numbers raises ``ValueError`` naming its line."""
+        rows, first = [], True
+        for line, row in enumerate(csv.reader(io.StringIO(text)), 1):
+            if not "".join(row).strip() or row[0].lstrip().startswith("#"):
                 continue
             try:
-                rows.append((float(row[0]), float(row[1])))
+                nums = [float(x) for x in row]
             except ValueError:
-                continue  # header or comment line
+                nums = None if first else []
+            first = False
+            if nums is None:
+                continue  # the header
+            if len(nums) != 2 or not all(map(math.isfinite, nums)):
+                raise ValueError(f"line {line}: expected value,width, got {','.join(row)!r}")
+            rows.append(nums)
         return SampledFn(rows)
 
 
@@ -130,7 +161,7 @@ def from_profile(fn, lo, hi, per_decade=64, length=None):
     mids = np.sqrt(edges[:-1] * edges[1:])
     vals = np.asarray(fn(mids), dtype=float)
     widths = np.diff(edges)
-    return SampledFn(list(zip(vals, widths)), length)
+    return SampledFn(np.column_stack((vals, widths)), length)
 
 
 class DecreasingFn:
@@ -149,95 +180,54 @@ class DecreasingFn:
 
     def __call__(self, s):
         arr = np.asarray(s, dtype=float)
-        scalar = arr.ndim == 0
-        sq = np.atleast_1d(arr).copy()
-        out = np.zeros_like(sq)
+        q = np.atleast_1d(arr)
+        # 0 before the first break (where the tail is) and past the last
+        out = np.concatenate(([0.0], self.values, [0.0]))[
+            np.searchsorted(self.breaks, q, side="right")]
         if self.tail:
-            m = sq < self.tail.width
-            out[m] = self.tail.value_at(sq[m])
-        if self.values.size:
-            inside = (sq >= self.breaks[0]) & (sq < self.breaks[-1])
-            idx = np.searchsorted(self.breaks, sq[inside], side="right") - 1
-            out[inside] = self.values[np.clip(idx, 0, self.values.size - 1)]
-        return float(out[0]) if scalar else out
+            m = q < self.tail.width
+            out[m] = self.tail.value_at(q[m])
+        return float(out[0]) if arr.ndim == 0 else out
+
+    def distribution(self, lam):
+        """The measure of the level sets, lam -> |{f* > lam}|: the end of the
+        last value above lam, and (coef / lam)**(1 / expo) on the tail."""
+        arr = np.asarray(lam, dtype=float)
+        q = np.atleast_1d(arr)
+        out = self.breaks[np.searchsorted(-self.values, -q)]
+        if self.tail:
+            t = self.tail
+            hi = q >= t.value_at(t.width)
+            out[hi] = (t.coef / np.maximum(q[hi], 1e-300)) ** (1.0 / t.expo)
+        return float(out[0]) if arr.ndim == 0 else out
 
     def as_sampled(self, length=None):
-        return SampledFn(list(zip(self.values, self.widths)), length, self.tail)
+        return SampledFn(np.column_stack((self.values, self.widths)), length, self.tail)
 
 
 def distribution(f: SampledFn):
     """The measure of level sets, lambda -> |{|f| > lambda}|, as a
-    non-increasing step function of the threshold."""
-    star = rearrange(f)
-    if star.tail is not None:
-        return _TailDistribution(star)
-    # thresholds descend through the distinct values
-    values = star.values
-    cums = star.breaks[1:]  # measure above each successive value
-    return _StepDistribution(values, cums)
-
-
-class _StepDistribution:
-    """Right-continuous non-increasing step function lambda -> measure."""
-
-    def __init__(self, values, cums):
-        self.values = np.asarray(values, dtype=float)   # decreasing
-        self.cums = np.asarray(cums, dtype=float)       # increasing measures
-
-    def __call__(self, lam):
-        arr = np.asarray(lam, dtype=float)
-        scalar = arr.ndim == 0
-        q = np.atleast_1d(arr)
-        out = np.zeros_like(q)
-        if self.values.size:
-            asc = self.values[::-1]
-            count_gt = self.values.size - np.searchsorted(asc, q, side="right")
-            pos = count_gt > 0
-            out[pos] = self.cums[count_gt[pos] - 1]
-        return float(out[0]) if scalar else out
-
-    def knots(self):
-        return self.values
-
-
-class _TailDistribution:
-    def __init__(self, star):
-        self.star = star
-        self.step = _StepDistribution(star.values, star.breaks[1:])
-        self.cut = star.values[0] if star.values.size else 0.0
-
-    def __call__(self, lam):
-        arr = np.asarray(lam, dtype=float)
-        scalar = arr.ndim == 0
-        q = np.atleast_1d(arr)
-        out = np.zeros_like(q)
-        t = self.star.tail
-        hi = q >= t.value_at(t.width)
-        out[hi] = (t.coef / np.maximum(q[hi], 1e-300)) ** (1.0 / t.expo)
-        out[~hi] = np.maximum(self.step(q[~hi]), t.width)
-        return float(out[0]) if scalar else out
-
-    def knots(self):
-        return self.step.knots()
+    non-increasing function of the threshold."""
+    return rearrange(f).distribution
 
 
 def rearrange(f: SampledFn) -> DecreasingFn:
     """Sort the pieces by value (descending) and merge equal values."""
-    vw = np.fromiter(itertools.chain.from_iterable(f.pieces), float,
-                     2 * len(f.pieces)).reshape(-1, 2)
-    if len(vw) > 1:
-        vw = vw[np.argsort(-vw[:, 0], kind="stable")]
-        start = np.flatnonzero(np.concatenate(([True], vw[1:, 0] != vw[:-1, 0])))
-        if start.size < len(vw):
-            end = np.append(start[1:], len(vw))
-            merged = vw[start]
+    values, widths = f.values, f.widths
+    if values.size > 1:
+        order = np.argsort(-values, kind="stable")
+        values, widths = values[order], widths[order]
+        start = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+        if start.size < values.size:
+            end = np.append(start[1:], values.size)
+            merged = widths[start]
             # the widths of equal values add up left to right
             for k in np.flatnonzero(end - start > 1).tolist():
-                merged[k, 1] = np.add.accumulate(vw[start[k]:end[k], 1])[-1]
-            vw = merged
+                merged[k] = np.add.accumulate(widths[start[k]:end[k]])[-1]
+            values, widths = values[start], merged
     # zero values sort last and are dropped
-    values, widths = vw[:np.count_nonzero(vw[:, 0])].T
-    return DecreasingFn(values, widths, f.tail)
+    n = np.count_nonzero(values)
+    return DecreasingFn(values[:n], widths[:n], f.tail)
 
 
 class AveragedDecreasing:
@@ -373,7 +363,7 @@ def _beyond_table(A: QuasiConvexFn, hi, w_exp):
         return None
     seg = _power_segment_integral(ve[:-1], ve[1:], ext[:-1], ext[1:], w_exp)
     base = A.base
-    p_eff = base.inf_desc.p if base.inf_desc.kind == "power-log" else base._edge_slope_inf()
+    p_eff = base.inf_desc.p if base.inf_desc.kind == POWER_LOG else base._edge_slope_inf()
     if p_eff + w_exp + 1.0 >= 0:
         return None
     return (float(np.sum(seg)),
@@ -392,14 +382,13 @@ def modular(f: SampledFn, A: QuasiConvexFn, scale=1.0):
     total = np.zeros(scales.shape)
     if not f.is_zero:
         live = np.ones(scales.shape, dtype=bool)
-        if f.pieces:
-            values, widths = np.array(f.pieces).T
-            x = np.multiply.outer(scales, values)
+        if f.values.size:
+            x = np.multiply.outer(scales, f.values)
             av = A.integral_value(x) if isinstance(A, YoungFn) else A(x)
             live = ~np.isinf(av).any(axis=1)
             total[~live] = INF
             # a running sum keeps the left-to-right order of the pieces
-            total[live] = np.cumsum(av[live] * widths, axis=1)[:, -1]
+            total[live] = np.cumsum(av[live] * f.widths, axis=1)[:, -1]
         if f.tail is not None and live.any():
             total[live] += _tail_modular(A, f.tail, scales[live])
     return float(total[0]) if arr.ndim == 0 else total
@@ -509,7 +498,7 @@ def luxemburg_norm(f: SampledFn, A: QuasiConvexFn, rel_tol=1e-10):
     start = max(f.sup_value(), 1.0)
     if math.isinf(start):
         start = 1.0
-    cost = len(f.pieces) + (_TAIL_POINTS if f.tail is not None else 0)
+    cost = f.values.size + (_TAIL_POINTS if f.tail is not None else 0)
     depth = max([1] + [d for d in range(2, 7) if (2 ** d - 1) * cost <= _BATCH_POINTS])
     return least_admissible_scale(lambda lam: modular(f, A, scale=1.0 / lam) <= 1.0,
                                   start, rel_tol, depth)
@@ -522,13 +511,12 @@ def lambda_norm(f: SampledFn, A: QuasiConvexFn):
         return 0.0
     phi = _char_profile(A)
     star = rearrange(f)
-    total = 0.0
-    prev_value = 0.0
-    # ascend through values: measure above lambda is constant between values
-    vals = star.values[::-1]
-    for v, phi_m in zip(vals, phi(star.breaks[1:][::-1])):
-        total += (v - prev_value) * phi_m
-        prev_value = v
+    # ascend through values: measure above lambda is constant between
+    # values; the running sum adds the steps in that order
+    levels = np.concatenate(([0.0], star.values[::-1]))
+    steps = (levels[1:] - levels[:-1]) * phi(star.breaks[:0:-1])
+    total = np.cumsum(np.append(0.0, steps))[-1]
+    prev_value = levels[-1]
     if star.tail is not None:
         t = star.tail
         v_cut = t.value_at(t.width)
@@ -760,42 +748,31 @@ def _cell_integrals(a, b, rate, integrand):
 
 def classical_lorentz_norm(f: SampledFn, w: SampledFn, q):
     """(integral of rearrangement**q against the weight)**(1/q); the weight is
-    a step function laid out from 0 in the order given."""
+    a step function laid out from 0 in the order given.  Exact for steps and
+    power tails: each weight step [lo, hi] integrates f*(s)**q over its
+    overlap with the tail and then with each piece of f*, in order."""
     if f.is_zero:
         return 0.0
     star = rearrange(f)
-    total = 0.0
-    pos = 0.0
-    for wv, ww in w.pieces:
-        lo, hi = pos, pos + ww
-        pos = hi
-        if wv == 0.0:
-            continue
-        total += wv * _power_integral_of_rearrangement(star, lo, hi, q)
-        if math.isinf(total):
-            return INF
-    return total ** (1.0 / q)
-
-
-def _power_integral_of_rearrangement(star: DecreasingFn, lo, hi, q):
-    """integral of f*(s)**q over [lo, hi]; exact for steps and power tails."""
-    total = 0.0
-    if star.tail:
-        t = star.tail
-        a, b = max(lo, 0.0), min(hi, t.width)
-        if b > a:
+    on = w.values != 0.0
+    lo, hi = w.breaks[:-1][on, None], w.breaks[1:][on, None]
+    a, b = np.maximum(lo, star.breaks[:-1]), np.minimum(hi, star.breaks[1:])
+    # the products off the overlaps are not used
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cells = np.where(b > a, star.values ** q * (b - a), 0.0)
+        if star.tail:
+            t = star.tail
+            b = np.minimum(hi, t.width)
             e = 1.0 - q * t.expo
-            if a == 0.0 and e <= 0:
-                return INF
             if e == 0.0:
-                total += t.coef ** q * math.log(b / max(a, 1e-300))
+                part = t.coef ** q * np.log(b / np.maximum(lo, 1e-300))
             else:
-                total += t.coef ** q * (b ** e - (a ** e if a > 0 else 0.0)) / e
-    for v, plo, phi_ in zip(star.values, star.breaks[:-1], star.breaks[1:]):
-        a, b = max(lo, plo), min(hi, phi_)
-        if b > a:
-            total += v ** q * (b - a)
-    return total
+                part = t.coef ** q * (b ** e - lo ** e) / e
+            part[(lo == 0.0) & (e <= 0)] = INF
+            cells = np.concatenate((np.where(b > lo, part, 0.0), cells), axis=1)
+    inner = np.cumsum(cells, axis=1)[:, -1]
+    total = np.cumsum(np.append(0.0, w.values[on] * inner))[-1]
+    return float(total) ** (1.0 / q)
 
 
 def hardy_littlewood_pairing(f: SampledFn, g: SampledFn):
@@ -812,21 +789,6 @@ def pairing(f: SampledFn, g: SampledFn):
     """integral of f g with both laid out from 0 in the order given."""
     if f.tail is not None or g.tail is not None:
         raise ValueError("pairing supports step functions only")
-    fb = np.concatenate(([0.0], np.cumsum([w for _, w in f.pieces])))
-    gb = np.concatenate(([0.0], np.cumsum([w for _, w in g.pieces])))
-    edges = np.unique(np.concatenate((fb, gb)))
-    fv = _layout_eval(f, edges)
-    gv = _layout_eval(g, edges)
-    return float(np.sum(fv * gv * np.diff(edges)))
-
-
-def _layout_eval(f, edges):
+    edges = np.unique(np.concatenate((f.breaks, g.breaks)))
     mids = 0.5 * (edges[:-1] + edges[1:])
-    vals = np.zeros_like(mids)
-    pos = 0.0
-    for v, w in f.pieces:
-        lo, hi = pos, pos + w
-        pos = hi
-        m = (mids >= lo) & (mids < hi)
-        vals[m] = v
-    return vals
+    return float(np.sum(f.layout(mids) * g.layout(mids) * np.diff(edges)))

@@ -258,15 +258,10 @@ def fundamental_function(X: SpaceDescriptor) -> FundamentalFn:
                          validate=False)
         return FundamentalFn(phi)
     if fam == CLASSICAL_LORENTZ:
-        breaks = [0.0]
-        vals = [0.0]
-        acc = 0.0
-        for wv, ww in X.weight.pieces:
-            acc += wv * ww
-            breaks.append(breaks[-1] + ww)
-            vals.append(acc)
-        t = np.asarray(breaks[1:])
-        v = np.asarray(vals[1:]) ** (1.0 / X.q)
+        # the weight's mass up to the end of each step, added in order
+        wt = X.weight
+        t = wt.breaks[1:]
+        v = np.cumsum(wt.values * wt.widths) ** (1.0 / X.q)
         phi = MonotoneFn(t, v, power_log_desc(1.0 / X.q),
                          limit_const_desc(float(v[-1])), value_at_zero=0.0)
         return FundamentalFn(phi)

@@ -10,7 +10,8 @@ from orlicalc.monotone import (
     INF, MonotoneFn, NUMERIC_DESC, _power_segment_integral, geometric_grid)
 from orlicalc.operators import (
     _BLOCK, _exp_weight_cutoffs, _exp_weight_tail, _gamma_integral, _log_gamma_diff)
-from orlicalc.rearrangement import _char_profile, maximal
+from orlicalc.diagonality import build_gw, integrate_outer_reciprocal
+from orlicalc.rearrangement import _char_profile, lambda_norm, maximal, modular, rearrange
 
 
 def scan_right_inverse(fn, s, taus):
@@ -382,3 +383,304 @@ def loop_marcinkiewicz(f, A, tol=1e-12):
                 f1 = h(math.exp(x1))
         best = max(best, f1, f2)
     return float(best)
+
+
+# -- the per-piece loops that the step-function arrays replaced ---------------
+
+
+def loop_distribution(f):
+    """lambda -> |{|f| > lambda}| as the step and tail classes computed it:
+    a search in the ascending values, the measure above the last value
+    passed, and the tail's (coef / lambda)**(1/expo) above its edge."""
+    star = rearrange(f)
+
+    def step(q):
+        out = np.zeros_like(q)
+        if star.values.size:
+            asc = star.values[::-1]
+            count_gt = star.values.size - np.searchsorted(asc, q, side="right")
+            pos = count_gt > 0
+            out[pos] = star.breaks[1:][count_gt[pos] - 1]
+        return out
+
+    def d(lam):
+        arr = np.asarray(lam, dtype=float)
+        q = np.atleast_1d(arr)
+        if star.tail is None:
+            out = step(q)
+        else:
+            t = star.tail
+            out = np.zeros_like(q)
+            hi = q >= t.value_at(t.width)
+            out[hi] = (t.coef / np.maximum(q[hi], 1e-300)) ** (1.0 / t.expo)
+            out[~hi] = np.maximum(step(q[~hi]), t.width)
+        return float(out[0]) if arr.ndim == 0 else out
+
+    return d
+
+
+def loop_lambda_norm(f, A):
+    """lambda_norm with the step values accumulated one at a time."""
+    if f.is_zero:
+        return 0.0
+    phi = _char_profile(A)
+    star = rearrange(f)
+    total = 0.0
+    prev_value = 0.0
+    vals = star.values[::-1]
+    for v, phi_m in zip(vals, phi(star.breaks[1:][::-1])):
+        total += (v - prev_value) * phi_m
+        prev_value = v
+    if star.tail is not None:
+        t = star.tail
+        v_cut = t.value_at(t.width)
+        total += (v_cut - prev_value) * phi(t.width)
+        lam_grid = geometric_grid(v_cut, v_cut * 1e40, 32)
+        mvals = (t.coef / lam_grid) ** (1.0 / t.expo)
+        normal = mvals >= np.finfo(float).tiny
+        lam_grid, pv = lam_grid[normal], phi(mvals[normal])
+        pos = pv > 0
+        seg = _power_segment_integral(
+            np.maximum(pv[:-1], 1e-300), np.maximum(pv[1:], 1e-300),
+            lam_grid[:-1], lam_grid[1:])
+        total += float(np.sum(seg[pos[:-1] & pos[1:]]))
+        if pv[-1] > 0 and pv.size > 1 and pv[-2] > 0:
+            p_eff = math.log(pv[-1] / pv[-2]) / math.log(lam_grid[-1] / lam_grid[-2])
+            if p_eff + 1.0 >= 0:
+                return INF
+            total += float(pv[-1] * lam_grid[-1] / -(p_eff + 1.0))
+    return total
+
+
+def loop_classical_lorentz_norm(f, w, q):
+    """classical_lorentz_norm one weight step at a time, each step summing
+    its overlaps with the pieces of f* one at a time."""
+    if f.is_zero:
+        return 0.0
+    star = rearrange(f)
+    total = 0.0
+    pos = 0.0
+    for wv, ww in w.pieces:
+        lo, hi = pos, pos + ww
+        pos = hi
+        if wv == 0.0:
+            continue
+        total += wv * _loop_power_integral(star, lo, hi, q)
+        if math.isinf(total):
+            return INF
+    return total ** (1.0 / q)
+
+
+def _loop_power_integral(star, lo, hi, q):
+    total = 0.0
+    if star.tail:
+        t = star.tail
+        a, b = max(lo, 0.0), min(hi, t.width)
+        if b > a:
+            e = 1.0 - q * t.expo
+            if a == 0.0 and e <= 0:
+                return INF
+            if e == 0.0:
+                total += t.coef ** q * math.log(b / max(a, 1e-300))
+            else:
+                total += t.coef ** q * (b ** e - (a ** e if a > 0 else 0.0)) / e
+    for v, plo, phi_ in zip(star.values, star.breaks[:-1], star.breaks[1:]):
+        a, b = max(lo, plo), min(hi, phi_)
+        if b > a:
+            total += v ** q * (b - a)
+    return total
+
+
+def loop_pairing(f, g):
+    """pairing with each function laid out one piece at a time."""
+    fb = np.concatenate(([0.0], np.cumsum([w for _, w in f.pieces])))
+    gb = np.concatenate(([0.0], np.cumsum([w for _, w in g.pieces])))
+    edges = np.unique(np.concatenate((fb, gb)))
+    return float(np.sum(_loop_layout(f, edges) * _loop_layout(g, edges) * np.diff(edges)))
+
+
+def _loop_layout(f, edges):
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    vals = np.zeros_like(mids)
+    pos = 0.0
+    for v, w in f.pieces:
+        lo, hi = pos, pos + w
+        pos = hi
+        m = (mids >= lo) & (mids < hi)
+        vals[m] = v
+    return vals
+
+
+def loop_classical_lorentz_fundamental(w, q):
+    """The nodes and values of the classical Lorentz fundamental function,
+    the weight's mass accumulated one step at a time."""
+    breaks = [0.0]
+    vals = [0.0]
+    acc = 0.0
+    for wv, ww in w.pieces:
+        acc += wv * ww
+        breaks.append(breaks[-1] + ww)
+        vals.append(acc)
+    return np.asarray(breaks[1:]), np.asarray(vals[1:]) ** (1.0 / q)
+
+
+def loop_ol_inequality_gap(A, G, v, f, lam):
+    """ol_inequality_gap reading the weight through per-piece lists."""
+    G_inv = G.base.left_inverse()
+    g_inv = G.derivative.left_inverse()
+    d = loop_distribution(f)
+    weights = np.asarray([wv for wv, _ in v.pieces], dtype=float)
+    breaks = np.concatenate(([0.0], np.cumsum([ww for _, ww in v.pieces])))
+    value_knots = rearrange(f).values if f.pieces else np.asarray([])
+    cuts = np.unique(np.clip(np.concatenate((breaks, value_knots)), 0.0, breaks[-1]))
+    a, b = cuts[:-1], cuts[1:]
+    w_cut = weights[np.searchsorted(breaks, a, side="right") - 1]
+    on = w_cut != 0.0
+    terms = G_inv(d(0.5 * (a[on] + b[on]))) * w_cut[on] * (b[on] - a[on])
+    lhs = float(np.cumsum(terms)[-1]) if terms.size else 0.0
+    rhs = 0.0
+    for wv, seg_lo, seg_hi in zip(weights, breaks[:-1], breaks[1:]):
+        if wv == 0.0:
+            continue
+        piece = integrate_outer_reciprocal(g_inv, A.derivative, wv / lam, seg_lo, seg_hi)
+        if math.isinf(piece):
+            return lhs, INF
+        rhs += piece * wv
+    mod = modular(f, A)
+    if math.isinf(mod):
+        return lhs, INF
+    rhs += lam * mod
+    return lhs, rhs
+
+
+def loop_classical_lorentz_Nlambda(A, w, q, lam):
+    """classical_lorentz_Nlambda with the thresholds gathered one weight step
+    at a time and each derivative segment cut and summed on its own."""
+    vals = [pv for pv, _ in w.pieces]
+    if any(b > a * (1 + 1e-12) for a, b in zip(vals[:-1], vals[1:])):
+        raise ValueError("the weight must be non-increasing")
+    thresholds = []
+    masses = []
+    acc_mass = 0.0
+    for pv, pw in w.pieces:
+        acc_mass += pv * pw
+        if thresholds and pv == thresholds[-1]:
+            masses[-1] = acc_mass
+        else:
+            thresholds.append(pv)
+            masses.append(acc_mass)
+    thresholds = np.asarray(thresholds)
+    masses = np.asarray(masses)
+    total_mass = acc_mass
+
+    def outer_step(y):
+        if y <= 0:
+            return total_mass
+        idx = np.searchsorted(-thresholds, -y, side="right")
+        return float(masses[idx - 1]) if idx > 0 else 0.0
+
+    a = A.derivative
+    t0, t1 = a.t[0], a.t[-1]
+    edges = np.unique(np.concatenate((geometric_grid(t0 * 1e-30, t0, 8),
+                                      a.t, geometric_grid(t1, t1 * 1e30, 8))))
+    av = a(edges)
+    total = 0.0
+    for k in range(edges.size - 1):
+        ta, tb = float(edges[k]), float(edges[k + 1])
+        va, vb = float(av[k]), float(av[k + 1])
+        piece = _loop_step_outer_piece(outer_step, thresholds, lam, q, ta, tb, va, vb)
+        if math.isinf(piece):
+            return INF
+        total += piece
+    lead = outer_step(lam * av[0] * edges[0] ** (1.0 - q)) if av[0] > 0 else total_mass
+    total += lead * edges[0] ** q / q
+    v1, v2 = a(edges[-1] / 2.0), a(edges[-1])
+    grow = (v2 * edges[-1] ** (1.0 - q)) / max(v1 * (edges[-1] / 2.0) ** (1.0 - q), 1e-300)
+    if grow <= 1.0 + 1e-12:
+        inner_end = lam * v2 * edges[-1] ** (1.0 - q)
+        if outer_step(inner_end) > 0:
+            return INF
+    return total
+
+
+def _loop_step_outer_piece(outer_step, thresholds, lam, q, ta, tb, va, vb):
+    if tb <= ta or vb == 0.0:
+        mass = outer_step(0.0) if vb == 0.0 else 0.0
+        return mass * (tb ** q - ta ** q) / q if vb == 0.0 else 0.0
+    if np.isinf(va):
+        return 0.0
+    sigma = 0.0 if (vb == va or va == 0.0) else math.log(vb / va) / math.log(tb / ta)
+    expo = sigma + 1.0 - q
+    if va == 0.0:
+        va = vb * (ta / tb) ** max(sigma, 1.0)
+    C = lam * va * ta ** (-sigma)
+    cuts = [ta, tb]
+    for y in thresholds:
+        if C <= 0 or expo == 0.0 or y <= 0:
+            continue
+        t_star = (y / C) ** (1.0 / expo)
+        if ta < t_star < tb:
+            cuts.append(t_star)
+    cuts = np.unique(np.asarray(cuts))
+    total = 0.0
+    for a_, b_ in zip(cuts[:-1], cuts[1:]):
+        tm = math.sqrt(a_ * b_)
+        mass = outer_step(C * tm ** expo)
+        if mass > 0:
+            total += mass * (b_ ** q - a_ ** q) / q
+    return total
+
+
+def loop_witness_derivative(f, E):
+    """The derivative table of construct_witness_young, one level and one
+    node pair per value of the normalized function."""
+    data = build_gw(E)
+    h = rearrange(f.scale(1.0 / (2.0 * lambda_norm(f, E))))
+    values = h.values[::-1]
+    above = h.breaks[1:][::-1]
+    levels = [float(data.w(float(above[0])))]
+    for m in above[1:]:
+        levels.append(float(data.w(float(m))))
+    grid, vals = [], []
+    prev = 0.0
+    for v_j, lev in zip(values, levels):
+        if prev > 0.0:
+            grid.append(prev)
+            vals.append(lev)
+        grid.append(np.nextafter(float(v_j), 0.0))
+        vals.append(lev)
+        prev = float(v_j)
+    grid.append(prev)
+    vals.append(vals[-1])
+    grid.append(prev * (1 + 2 ** -40))
+    vals.append(INF)
+    grid = np.asarray(grid)
+    vals = np.maximum.accumulate(np.asarray(vals))
+    keep = np.empty(grid.size, dtype=bool)
+    keep[0] = True
+    keep[1:] = grid[1:] > grid[:-1]
+    return grid[keep], vals[keep]
+
+
+def loop_weight_halving_constant(w):
+    """The halving search one scale c = 2**-k at a time."""
+    if not w.pieces:
+        return None
+    breaks = np.concatenate(([0.0], np.cumsum([pw for _, pw in w.pieces])))
+    mids = 0.5 * (breaks[:-1] + breaks[1:])
+
+    def val(x):
+        idx = np.searchsorted(breaks, x, side="right") - 1
+        out = np.zeros_like(x)
+        inside = (idx >= 0) & (idx < len(w.pieces))
+        vals = np.asarray([pv for pv, _ in w.pieces])
+        out[inside] = vals[idx[inside]]
+        return out
+
+    for k in range(1, 24):
+        c = 2.0 ** (-k)
+        if np.all(2.0 * val(c * mids) <= val(mids) + 1e-300):
+            lead = val(np.asarray([c * mids[0]]))[0]
+            if lead > 0 and np.all(val(mids) > 0):
+                return c
+    return None

@@ -136,6 +136,54 @@ class TestErrorsAndModes:
         assert code == 1
         assert out.startswith("error:") and "tail" in out
 
+    @pytest.mark.parametrize("fn", [
+        '{"pieces":[[1]]}', '{"pieces":[null]}', '{"pieces":[[1,0.5,7]]}',
+        '{"pieces":[[1,"nan"]]}', '{"pieces":[[1,"inf"]]}', '{"pieces":[[1,2],[3]]}',
+        '{"pieces":[[-1,1]]}', '{"pieces":[[1,0]]}', '{"pieces":[[1,{}]]}',
+        '{"pieces":7}', '[[1,1]]', '{}', '{"pieces":[],"tail":{"coef":null,"expo":1,"width":1}}',
+        '{"pieces":[],"tail":[1,2]}', '{"pieces":[],"tail":{"coef":"inf","expo":1,"width":1}}',
+        '{"pieces":[[1,1]],"length":"nan"}'])
+    def test_malformed_step_function_is_exit_1(self, fn, capfd):
+        code, out = run(["--json", "norm", "--space", '{"family":"lebesgue","params":{"p":2}}',
+                         "--fn", fn])
+        assert code == 1
+        assert out.startswith("error: bad sampled function") and "NaN" not in out
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("weight", ['{"pieces":[[1]]}', '{"pieces":[[1,"nan"]]}',
+                                        '{"pieces":[],"tail":3}', '5'])
+    def test_malformed_weight_is_exit_1(self, weight):
+        space = '{"family":"classical-lorentz","params":{"weight":%s,"q":2}}' % weight
+        code, out = run(["--json", "norm", "--space", space, "--fn", '{"pieces":[[1,1]]}'])
+        assert code == 1
+        assert out.startswith("error: bad space description")
+
+    @pytest.mark.parametrize("text, line", [
+        ("value,width\n1,0.5\n2\n", 3), ("1,0.5\n1,abc\n0.5,0.3\n", 2), ("2\n", 1)])
+    def test_malformed_csv_row_is_exit_1_naming_its_line(self, tmp_path, text, line):
+        path = tmp_path / "f.csv"
+        path.write_text(text)
+        code, out = run(["--json", "norm", "--space", '{"family":"lebesgue","params":{"p":2}}',
+                         "--samples", str(path)])
+        assert code == 1
+        assert out.startswith("error: bad sampled function") and f"line {line}:" in out
+
+    def test_csv_comments_blank_lines_and_header_are_skipped(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("# f\n\nvalue,width\n2,0.5\n\n# the rest\n1,1.5\n")
+        code, out = run(["--json", "norm", "--space", '{"family":"lebesgue","params":{"p":2}}',
+                         "--samples", str(path)])
+        assert code == 0
+        assert json.loads(out)["outcome"]["value"] == pytest.approx(3.5 ** 0.5)
+
+    def test_witness_with_tail_is_exit_1(self):
+        for pieces in ("[]", "[[1,1]]"):
+            code, out = run(["--json", "witness", "--generator", '{"class":"power-log","p":2}',
+                             "--fn", '{"pieces":%s,"tail":{"coef":2,"expo":0.3,"width":0.5}}'
+                             % pieces])
+            assert code == 1
+            assert out.startswith("error:") and "tail" in out
+
     def test_norm_infinite_at_every_scale_is_quick_and_quiet(self, capfd):
         # the modular of exp(t) along the s^-0.3 tail is infinite at every
         # scale, so the scale search runs out to its cap

@@ -39,6 +39,7 @@ from orlicalc.rearrangement import (
     lambda_norm,
     luxemburg_norm,
     modular,
+    rearrange,
 )
 from orlicalc.spaces import (
     CLASSICAL_LORENTZ,
@@ -397,7 +398,7 @@ class TestOLInequality:
             d = distribution(f)
             expect = 0.0
             pos = 0.0
-            knots = np.sort(d.knots()) if f.pieces else np.asarray([])
+            knots = np.sort(rearrange(f).values)
             for wv, ww in v.pieces:
                 seg_lo, seg_hi = pos, pos + ww
                 pos = seg_hi
@@ -468,6 +469,22 @@ class TestClassicalLorentzCertificate:
             ratio = classical_lorentz_norm(f, w, q) / luxemburg_norm(f, A)
             worst = max(worst, ratio)
         assert worst <= const * (1 + 1e-9)
+
+    def test_exponential_generator_certificate_bounds_the_ratios(self):
+        # past the derivative's grid e**t leaves the float range: the inner
+        # map is +inf there, which once raised OverflowError
+        A = exp_young(1.0)
+        w = SampledFn([(2.0, 0.5), (1.0, 1.0)])
+        rng = np.random.default_rng(229)
+        from orlicalc.rearrangement import classical_lorentz_norm
+        for q in (1.0, 1.5, 2.0):
+            n = classical_lorentz_Nlambda(A, w, q, 1.0)
+            assert math.isfinite(n)
+            const = (q * n + q) ** (1.0 / q)
+            for _ in range(10):
+                f = random_sampled(rng)
+                assert classical_lorentz_norm(f, w, q) <= \
+                    const * luxemburg_norm(f, A) * (1 + 1e-9)
 
 
 class TestWitness:

@@ -1,8 +1,9 @@
 """Layout rules for the package source, checked with the standard ``ast``
 module: imports sit at module level, scipy is used through ``scipy.special``
-alone, growth classes are never read from a generator's ``recipe``, and
-every top-level function and class is used somewhere in the source or the
-tests."""
+alone, growth classes are never read from a generator's ``recipe``, step
+functions are read through their ``values`` and ``widths`` arrays, never
+their ``pieces`` list, and every top-level function and class is used
+somewhere in the source or the tests."""
 
 import ast
 import os
@@ -103,3 +104,11 @@ def test_recipe_is_read_only_by_young_and_labels():
                   if line not in allowed]
     assert not found, "recipe read outside young.py and spaces._gen_label: " \
         + ", ".join(found)
+
+
+def test_step_functions_are_read_through_their_arrays():
+    # ``SampledFn.pieces`` is a list of tuples kept for callers outside the
+    # package; inside it the arrays are the one representation
+    found = [f"{path.name}:{node.lineno}" for path in SOURCES for node in ast.walk(parse(path))
+             if isinstance(node, ast.Attribute) and node.attr == "pieces"]
+    assert not found, "reads of .pieces: " + ", ".join(found)

@@ -3,7 +3,7 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orlicalc.monotone import (
     INF,
@@ -17,18 +17,35 @@ from orlicalc.monotone import (
     power_log_desc,
     zero_on_interval_desc,
 )
+from orlicalc.diagonality import (
+    _weight_halving_constant,
+    classical_lorentz_Nlambda,
+    construct_witness_young,
+    ol_inequality_gap,
+)
 from orlicalc.rearrangement import (
     PowerTail,
     SampledFn,
     _char_profile,
+    classical_lorentz_norm,
+    distribution,
+    lambda_norm,
     least_admissible_scale,
     luxemburg_norm,
     marcinkiewicz_norm,
     maximal,
     modular,
+    pairing,
     rearrange,
 )
-from orlicalc.spaces import LORENTZ, LORENTZ_ZYGMUND, SpaceDescriptor, norm
+from orlicalc.spaces import (
+    CLASSICAL_LORENTZ,
+    LORENTZ,
+    LORENTZ_ZYGMUND,
+    SpaceDescriptor,
+    fundamental_function,
+    norm,
+)
 from orlicalc.young import (
     exp_young,
     linfty_young,
@@ -39,9 +56,18 @@ from orlicalc.young import (
 
 from helpers import (
     averaged_pieces,
+    loop_classical_lorentz_fundamental,
+    loop_classical_lorentz_Nlambda,
+    loop_classical_lorentz_norm,
+    loop_distribution,
+    loop_lambda_norm,
     loop_marcinkiewicz,
     loop_maximal,
+    loop_ol_inequality_gap,
+    loop_pairing,
     loop_rearrange,
+    loop_weight_halving_constant,
+    loop_witness_derivative,
     reference_eval,
     sequential_luxemburg_norm,
 )
@@ -314,3 +340,112 @@ def test_array_rearrange_and_maximal_are_the_loops(f):
     avg = maximal(f)
     assert averaged_pieces(avg) == pieces
     assert avg.total == total or (math.isnan(avg.total) and math.isnan(total))
+
+
+@st.composite
+def step_functions(draw, max_pieces=400, tails=True):
+    """1 to 400 pieces whose values repeat a few levels (zero among them)
+    or not, over 1 or 16 decades (over one, no term of a sum drowns the
+    others), with widths over 1, 4 or 30 decades around 1 (so that a tail of
+    width up to 1 is not lost in the sums), laid out as drawn, ascending or
+    descending; with no tail or a power tail."""
+    n = draw(st.integers(min_value=1, max_value=max_pieces))
+    k = draw(st.sampled_from([1, 2, 5, n]))
+    half = draw(st.sampled_from([0.5, 8.0]))
+    levels = 10.0 ** np.asarray(draw(st.lists(st.floats(-half, half), min_size=k, max_size=k)))
+    idx = np.asarray(draw(st.lists(st.integers(-1, k - 1), min_size=n, max_size=n)))
+    vals = np.where(idx < 0, 0.0, levels[idx])
+    half = draw(st.sampled_from([0.5, 2.0, 15.0]))
+    widths = 10.0 ** np.asarray(draw(st.lists(st.floats(-half, half), min_size=n, max_size=n)))
+    order = draw(st.sampled_from(["drawn", "ascending", "descending"]))
+    if order != "drawn":
+        vals = np.sort(vals) if order == "ascending" else -np.sort(-vals)
+    tail = None
+    if tails and draw(st.booleans()):
+        expo = draw(st.floats(0.05, 1.5))
+        width = 10.0 ** draw(st.floats(-3.0, 0.0))
+        tail = PowerTail(max(float(vals.max()), 1e-3) * width ** expo
+                         * draw(st.floats(1.0, 3.0)), expo, width)
+    return SampledFn(np.column_stack((vals, widths)), tail=tail)
+
+
+def _same(got, want, rel=0.0):
+    """Equal floats, both NaN, or (with rel) within rel of each other."""
+    if math.isnan(want) or math.isinf(want):
+        return got == want or (math.isnan(got) and math.isnan(want))
+    return abs(got - want) <= rel * abs(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(step_functions(), st.sampled_from(sorted(GENERATORS)))
+def test_array_distribution_and_lambda_norm_are_the_loops(f, name):
+    star = rearrange(f)
+    lam = np.concatenate(([0.0, 1e-300, 1e300], star.values, np.nextafter(star.values, 0.0),
+                          0.5 * star.values))
+    if f.tail:
+        edge = f.tail.value_at(f.tail.width)
+        lam = np.concatenate((lam, edge * np.array([0.5, 1.0, 2.0, 1e8])))
+    with np.errstate(all="ignore"):
+        want_d = loop_distribution(f)(lam)
+        got_d = distribution(f)(lam)
+        assert np.array_equal(got_d, want_d)
+        assert all(type(distribution(f)(x)) is float for x in lam[:4].tolist())
+        assert _same(lambda_norm(f, GENERATORS[name]), loop_lambda_norm(f, GENERATORS[name]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(step_functions(), step_functions(tails=False), st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]))
+# a halving constant needs a first weight value of at most 1e-300: c t stays
+# in the first step for t in it; the second weight has a zero step
+@example(SampledFn([(1.0, 1.0)]), SampledFn([(1e-301, 1.0), (4.0, 1.0), (16.0, 2.0)]), 1.0)
+@example(SampledFn([(1.0, 1.0)]), SampledFn([(1e-301, 1.0), (0.0, 1.0), (4.0, 1.0)]), 1.0)
+def test_array_classical_lorentz_and_pairing_are_the_loops(f, w, q):
+    # a scalar ** became an array power: equal within one rounding per term
+    with np.errstate(all="ignore"):
+        assert _same(classical_lorentz_norm(f, w, q), loop_classical_lorentz_norm(f, w, q), 1e-15)
+    if f.tail is None:
+        assert pairing(f, w) == loop_pairing(f, w)
+    assert _weight_halving_constant(w) == loop_weight_halving_constant(w)
+    t, v = loop_classical_lorentz_fundamental(w, q)
+    try:
+        phi = fundamental_function(SpaceDescriptor(CLASSICAL_LORENTZ, q=q, weight=w)).phi
+    except ValueError:  # a profile that MonotoneFn or FundamentalFn rejects
+        return
+    assert np.array_equal(phi.t, t) and np.array_equal(phi.v, v)
+
+
+NLAMBDA_GENERATORS = ["power 1.3", "power 3", "power-log 2, -1, 1", "exp 1", "table"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(step_functions(tails=False), st.sampled_from(NLAMBDA_GENERATORS),
+       st.sampled_from([0.5, 1.0, 1.5, 2.0]), st.sampled_from([0.25, 1.0, 4.0]))
+def test_array_classical_lorentz_Nlambda_is_the_segment_walk(w, name, q, lam):
+    # the weight must be non-increasing
+    w = SampledFn(np.column_stack((-np.sort(-w.values), w.widths)))
+    A = GENERATORS[name]
+    with np.errstate(all="ignore"):
+        got = classical_lorentz_Nlambda(A, w, q, lam)
+        try:
+            want = loop_classical_lorentz_Nlambda(A, w, q, lam)
+        except (OverflowError, ZeroDivisionError):
+            return  # the scalar walk raises where the inner map leaves the float range
+    # logs and powers became array ufuncs, which differ from the scalar
+    # functions in the last bit; C = lam va ta**-sigma scales a change of
+    # sigma by |sigma log ta| (up to about 100 on edges 30 decades past the
+    # table), and a threshold crossing (y / C)**(1 / expo) moves by 1 / expo
+    # times a change of C, so the certificates agree to a few 1e-15
+    assert _same(got, want, 1e-14)
+
+
+@settings(max_examples=30, deadline=None)
+@given(step_functions(), step_functions(max_pieces=6, tails=False),
+       st.sampled_from(["power 1.3", "power 3", "exp 1"]), st.sampled_from([0.5, 2.0]))
+def test_array_gap_and_witness_are_the_loops(f, v, name, lam):
+    A, G = GENERATORS[name], GENERATORS["power 3"]
+    assert ol_inequality_gap(A, G, v, f, lam) == loop_ol_inequality_gap(A, G, v, f, lam)
+    if f.tail or f.is_zero or not math.isfinite(lambda_norm(f, A)):
+        return  # the witness takes nonzero step functions of the space
+    deriv = construct_witness_young(f, A).derivative
+    t, vals = loop_witness_derivative(f, A)
+    assert np.array_equal(deriv.t, t) and np.array_equal(deriv.v, vals)

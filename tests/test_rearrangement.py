@@ -75,6 +75,63 @@ def _runs(f):
         pos += w
 
 
+class TestSampledFnInput:
+    def test_pieces_are_two_read_only_arrays(self):
+        f = SampledFn([(2, 0.5), ("1.5", 1)])
+        assert f.values.tolist() == [2.0, 1.5] and f.widths.tolist() == [0.5, 1.0]
+        assert f.breaks.tolist() == [0.0, 0.5, 1.5] and f.length == 1.5
+        assert f.pieces == [(2.0, 0.5), (1.5, 1.0)]
+        assert all(type(x) is float for p in f.pieces for x in p)
+        with pytest.raises(ValueError):
+            f.values[0] = 3.0
+        g = SampledFn(zip([1.0, 0.0], [2.0, 1.0]))
+        assert g.pieces == [(1.0, 2.0), (0.0, 1.0)] and not g.is_zero
+        assert SampledFn([]).values.shape == (0,) and SampledFn([]).is_zero
+
+    @pytest.mark.parametrize("pieces", [
+        [[1]], [None], [[1, 0.5, 7]], [[1, 2], [3]], [[]], [[1, "abc"]], [[1, {}]],
+        [[1, "nan"]], [[1, "inf"]], [["inf", 1]], [[-1, 1]], [[1, 0]], [[1, -2]], 5])
+    def test_anything_but_finite_pairs_is_rejected(self, pieces):
+        with pytest.raises(ValueError, match="piece"):
+            SampledFn(pieces)
+
+    def test_bad_piece_is_named(self):
+        with pytest.raises(ValueError, match=r"piece 2 is \[1\.0, nan\]"):
+            SampledFn([[1, 1], [1, float("nan")]])
+
+    @pytest.mark.parametrize("obj", [[1, 2], {"values": [1]}, {"pieces": [[1]]}])
+    def test_from_json_rejects_malformed_objects(self, obj):
+        with pytest.raises(ValueError):
+            SampledFn.from_json(obj)
+
+    def test_csv_skips_blank_comment_and_header_lines_only(self):
+        f = SampledFn.from_csv("# a comment\n\nvalue,width\n2,0.5\n  \n# more\n1,1.5\n")
+        assert f.pieces == [(2.0, 0.5), (1.0, 1.5)]
+        assert SampledFn.from_csv("2,0.5\n").pieces == [(2.0, 0.5)]
+
+    @pytest.mark.parametrize("text, line", [
+        ("value,width\n1,0.5\n2\n", 3),
+        ("1,0.5\n1,abc\n0.5,0.3\n", 2),
+        ("value,width\nv,w\n1,1\n", 2),
+        ("1,0.5,7\n", 1),
+        ("2\n", 1),
+        ("1,0.5\n1,nan\n", 2),
+        ("# c\n\n1,0.5\n1,inf\n", 4),
+    ])
+    def test_csv_names_the_line_of_a_bad_row(self, text, line):
+        with pytest.raises(ValueError, match=f"line {line}:"):
+            SampledFn.from_csv(text)
+
+    def test_csv_negative_value_is_rejected(self):
+        with pytest.raises(ValueError, match="piece 2"):
+            SampledFn.from_csv("1,0.5\n-1,0.5\n")
+
+    def test_layout_reads_the_pieces_in_order(self):
+        f = SampledFn([(3.0, 1.0), (0.0, 0.5), (2.0, 1.0)])
+        x = np.array([0.0, 0.5, 1.0, 1.2, 1.5, 2.4, 2.5, 9.0])
+        assert f.layout(x).tolist() == [3.0, 3.0, 0.0, 0.0, 2.0, 2.0, 0.0, 0.0]
+
+
 class TestDistribution:
     def test_single_block(self):
         f = SampledFn([(3.0, 2.0)])
@@ -223,7 +280,7 @@ class TestModular:
             f = random_sampled(rng)
             A = power_young(float(rng.uniform(1.0, 4.0)))
             d = distribution(f)
-            knots = np.concatenate(([0.0], np.sort(d.knots())))
+            knots = np.concatenate(([0.0], np.sort(rearrange(f).values)))
             expect = 0.0
             for lo, hi in zip(knots[:-1], knots[1:]):
                 expect += d((lo + hi) / 2.0) * (A.integral_value(hi) - A.integral_value(lo))
