@@ -72,7 +72,7 @@ def _young_arg(text):
         return young_from_json(_load_json(text, "function"))
     except InputError:
         raise
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise InputError(f"bad function description: {exc}")
 
 
@@ -217,14 +217,13 @@ def _cmd_sobolev(args):
     ctx = SobolevContext(args.m, args.n)
     if args.side == "domain":
         text = args.target
-        if text == "linfty":
-            out = sobolev_orlicz_domain(linfty_young(), ctx)
+        if text is None:
+            raise InputError("provide --target: a function, a space or 'linfty'")
+        obj = None if text == "linfty" else _load_json(text, "target")
+        if obj is None or (isinstance(obj, dict) and "class" in obj):
+            out = sobolev_orlicz_domain(_young_arg(text), ctx)
         else:
-            obj = _load_json(text, "target")
-            if "class" in obj:
-                out = sobolev_orlicz_domain(young_from_json(obj), ctx)
-            else:
-                out = sobolev_no_largest_on_level(SpaceDescriptor.from_json(obj), ctx)
+            out = sobolev_no_largest_on_level(_space_arg(text), ctx)
         return Report({"op": "sobolev", "side": "domain", "m": args.m, "n": args.n},
                       _outcome_json(out), exit_code=_exit_for_result(out.result),
                       rule=out.rule)

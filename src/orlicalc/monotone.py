@@ -287,7 +287,11 @@ class MonotoneFn:
             r = ramp[idx]
             if r.any():
                 i = idx[r] + 1
-                out[r] = self.v[i] * (x[r] - tl[r]) / (self.t[i] - tl[r])
+                vr, dx, width = self.v[i], x[r] - tl[r], self.t[i] - tl[r]
+                with np.errstate(over="ignore"):
+                    rise = vr * dx
+                # the value is at most vr: divide first where the product overflows
+                out[r] = np.where(np.isinf(rise), vr * (dx / width), rise / width)
         if t_jump < INF:
             out[x > t_jump] = INF
         return out
@@ -509,9 +513,13 @@ def _inverse(fn, side):
         raise ValueError("cannot invert a function with no finite positive values")
 
     # a run extends flat beyond the grid exactly when the boundary limit
-    # equals the run value, whatever descriptor encodes that
-    flat_bottom = tz == 0.0 and ta[0] == t[0] and fn.value_at_zero == val[0]
-    flat_top = t_inf == INF and tb[-1] == t[-1] and fn.value_at_inf == val[-1]
+    # equals the run value, whatever descriptor encodes that; a limit-const
+    # descriptor holds the limit, which can differ from the value at the
+    # end (a right inverse's value at +inf is +inf past its last level)
+    limits = [d.limit if d.kind == LIMIT_CONST else at for d, at in
+              ((fn.zero_desc, fn.value_at_zero), (fn.inf_desc, fn.value_at_inf))]
+    flat_bottom = tz == 0.0 and ta[0] == t[0] and limits[0] == val[0]
+    flat_top = t_inf == INF and tb[-1] == t[-1] and limits[1] == val[-1]
     lo_ext = np.zeros(val.size, dtype=bool)
     lo_ext[0] = flat_bottom
     hi_ext = np.zeros(val.size, dtype=bool)

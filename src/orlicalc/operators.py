@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy import special as _special
 
 from .alternative import (
     DOMAIN,
@@ -47,6 +46,7 @@ from .monotone import (
     infinite_beyond_desc,
     power_log_desc,
 )
+from .rearrangement import _log_gamma_mass
 from .spaces import (
     HALFLINE,
     LEBESGUE,
@@ -381,13 +381,13 @@ def _exp_weight_block(F, t, cut, head, cutoff):
         ar, br = a[ramp], b[ramp]
         c = vb[ramp] / (br - ar)
         ramp_total = np.zeros(n)
-        ramp_total[ramp_rows] = c * (_gamma_integral(1.0, ar, br)
-                                     - ar * _gamma_integral(0.0, ar, br))
+        # c (tau - a) e**-tau integrates to c (mass at s = 2 - a mass at s = 1)
+        m2, m1 = np.exp(_log_gamma_mass(np.array([[2.0], [1.0]]), ar, br))
+        ramp_total[ramp_rows] = c * (m2 - ar * m1)
         # the power-segment formula runs over the ramps too; they are
         # left out of the checks and sums below
         sigma = np.where(vb == va, 0.0, np.log(vb / va) / np.log(b / a))
-        log_piece = (np.log(va) - sigma * np.log(a)
-                     + _special.gammaln(sigma + 1.0) + _log_gamma_diff(sigma, a, b))
+        log_piece = np.log(va) - sigma * np.log(a) + _log_gamma_mass(sigma + 1.0, a, b)
         pieces = np.exp(log_piece)
     finite = np.isfinite(pieces)
     finite[ramp] = True
@@ -450,30 +450,6 @@ def _tau_breakpoints(grid, t, cut, head):
     return taus[new], rows[new]
 
 
-def _log_gamma_diff(sigma, a, b):
-    """log of the regularized incomplete-gamma mass of [a, b] at shape sigma+1."""
-    s1 = sigma + 1.0
-    diff = np.empty_like(s1)
-    # a window in the upper tail is a difference of Q, any other one of P
-    upper = a >= s1
-    lower = ~upper
-    su, sl = s1[upper], s1[lower]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        diff[upper] = _special.gammaincc(su, a[upper]) - _special.gammaincc(su, b[upper])
-        diff[lower] = _special.gammainc(sl, b[lower]) - _special.gammainc(sl, a[lower])
-        return np.log(np.maximum(diff, 0.0))
-
-
-def _gamma_integral(sigma, a, b):
-    """Integral of tau**sigma e^-tau over [a, b] for one sigma > -1,
-    elementwise in a and b; inf where Gamma(sigma + 1) overflows."""
-    s1 = sigma + 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = _special.gamma(s1)
-        out = g * (_special.gammainc(s1, b) - _special.gammainc(s1, a))
-    return np.where(np.isinf(g), INF, out)
-
-
 def _transform_desc_zero(d):
     """Asymptotic class near zero of the exponential-weight transform."""
     if d.kind == POWER_LOG:
@@ -504,7 +480,7 @@ def _exp_weight_tail(d, v_end, cut, cutoff):
             decay = np.array([math.exp(-c / 2.0) for c in cut.tolist()])
             return np.where(cut < 700, 2.0 * v_end * decay, 0.0)
         p = d.p if d.kind == POWER_LOG else 1.0
-        weight = float(_gamma_integral(p, cutoff, max(cutoff * 4, 700.0)))
+        weight = np.exp(_log_gamma_mass(p + 1.0, cutoff, max(cutoff * 4, 700.0)))
         return v_end * cutoff ** (-p) * weight
 
 

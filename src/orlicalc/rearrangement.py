@@ -10,13 +10,13 @@ and suprema against a fundamental function sit at cell ends or closed forms.
 from __future__ import annotations
 
 import csv
+import importlib
 import io
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import special as _special
 
 from .monotone import INF, POWER_LOG, MonotoneFn, _power_segment_integral, geometric_grid
 from .young import QuasiConvexFn, YoungFn
@@ -696,7 +696,8 @@ def log_weight_integral(beta, gamma, u0):
     weight t**(beta - 1) (1 - log t)**gamma integrated over (0, e**(1 - u0))."""
     u0 = np.asarray(u0, dtype=float)
     if beta > 0:
-        return math.exp(beta) * beta ** (-gamma - 1.0) * _upper_gamma(gamma + 1.0, beta * u0)
+        return np.exp(beta - (gamma + 1.0) * math.log(beta)
+                      + _log_gamma_mass(gamma + 1.0, beta * u0, INF))
     if beta == 0 and gamma < -1:
         return u0 ** (gamma + 1.0) / (-gamma - 1.0)
     return np.full_like(u0, INF)
@@ -705,38 +706,44 @@ def log_weight_integral(beta, gamma, u0):
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
-def _upper_gamma(s, x):
-    """Gamma(s, x), the integral of e**-v v**(s - 1) over v > x, for real s
-    and an array of x > 0.  Positive s uses scipy's regularized function;
-    otherwise the Lentz continued fraction e**-x x**s / (x + 1 - s - 1 (1 - s)
-    / (x + 3 - s - ...)) gives Gamma(s, max(x, 4)) in about 30 steps, and
-    Gauss-Legendre in log v adds the integral over (x, 4)."""
-    if s > 0:
-        return _special.gammaincc(s, x) * _special.gamma(s)
-    lo = np.log(np.minimum(x, 4.0))
-    below = _cell_integrals(lo, np.full_like(lo, math.log(4.0)), abs(s) + 4.0,
-                            lambda y, k: np.exp(s * y - np.exp(y)))
-    z = np.maximum(x, 4.0)
-    b = z + 1.0 - s
-    c, d = np.full_like(z, INF), 1.0 / b
-    h = d
-    for i in range(1, 200):
-        an = -i * (i - s)
-        b = b + 2.0
-        d = 1.0 / (an * d + b)
-        c = b + an / c
-        h = h * (d * c)
-        if np.all(np.abs(d * c - 1.0) <= 2.3e-16):
-            break
-    return np.exp(s * np.log(z) - z) * h + below.reshape(x.shape)
+def _log_gamma_mass(s, a, b):
+    """The log of the integral of v**(s - 1) e**-v over [a, b], 0 <= a <= b
+    <= inf, elementwise over broadcast arrays; NaN where an input is NaN or
+    where s <= 0 and a = 0.  For s > 0, log Gamma(s) plus the log of one
+    difference of scipy's regularized incomplete gammas per element: of Q
+    where a >= s or b = inf, of P elsewhere (-inf where it underflows).  For
+    s <= 0, Gauss-Legendre over v = a e**x, cut at a + 50 when b = inf
+    (beyond lies under e**-50 of the whole).  scipy.special is imported on
+    the first call, so importing the package does not load scipy."""
+    special = importlib.import_module("scipy.special")
+    s, a, b = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (s, a, b)))
+    # scipy gives NaN at s <= 0 (rewritten below) and at NaN inputs
+    diff = np.empty(s.shape)
+    upper = (a >= s) | (b == INF)
+    for m, f, lo, hi in ((upper, special.gammaincc, b, a), (~upper, special.gammainc, a, b)):
+        diff[m] = f(s[m], hi[m]) - f(s[m], lo[m])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.asarray(special.gammaln(s) + np.log(np.maximum(diff, 0.0)))
+        neg = s <= 0
+        if neg.any():
+            neg &= (a > 0) & (b >= a)
+            # the integrand is a**s e**-a exp(s x - a expm1(x)) dx, at most
+            # a**s e**-a on x >= 0
+            sn, an = s[neg], a[neg]
+            X = np.log1p(np.where(b[neg] == INF, 50.0, b[neg] - an) / an)
+            cells = _cell_integrals(np.zeros_like(X), X, np.abs(sn) + an * np.exp(X),
+                                    lambda x, k: np.exp(sn[k] * x - an[k] * np.expm1(x)))
+            out[neg] = sn * np.log(an) - an + np.log(cells)
+    return out
 
 
 def _cell_integrals(a, b, rate, integrand):
     """Integral of ``integrand(x, k)`` over each cell [a[k], b[k]]: 24-node
     Gauss-Legendre on equal sub-cells at most min(1, 32 / rate) long, where
-    ``rate`` bounds the integrand's logarithmic derivative, all in one array."""
+    ``rate`` (a scalar or one per cell) bounds the integrand's logarithmic
+    derivative, all in one array."""
     a, b = np.ravel(a), np.ravel(b)
-    width = 1.0 / max(1.0, abs(rate) / 32.0)
+    width = 1.0 / np.maximum(1.0, np.abs(rate) / 32.0)
     n = np.maximum(np.ceil((b - a) / width), 1.0).astype(np.int64)
     k = np.repeat(np.arange(a.size), n)
     h = (b - a)[k] / n[k]

@@ -139,6 +139,10 @@ class SpaceDescriptor:
 
     @staticmethod
     def from_json(obj):
+        if not (isinstance(obj, dict) and isinstance(obj.get("family", ""), str)
+                and isinstance(obj.get("params", {}), dict)):
+            raise ValueError("a space description is a JSON object with a family "
+                             "name and an object of params")
         fam = obj.get("family", "").lower()
         interval = obj.get("interval", UNIT)
         P = obj.get("params", {})

@@ -250,9 +250,13 @@ def exp_young(gamma):
     The derivative is exp(t**gamma) - 1, which is non-decreasing for
     gamma > 0 and behaves like t**gamma near zero.
     """
-    if gamma <= 0:
-        raise ValueError("need gamma > 0")
-    hi = 650.0 ** (1.0 / gamma)
+    if not 0 < gamma < INF:
+        raise ValueError("need a finite gamma > 0")
+    try:
+        hi = 650.0 ** (1.0 / gamma)
+    except OverflowError:
+        raise ValueError(f"gamma {gamma:g} is too small: the table would end "
+                         "at 650**(1/gamma), past the float range") from None
     t = geometric_grid(1e-8, hi, per_decade=64)
     with np.errstate(over="ignore"):
         a_vals = np.expm1(t ** gamma)
@@ -268,6 +272,8 @@ def exp_young(gamma):
 def linfty_young(threshold=1.0):
     """The sup-norm generator: 0 on [0, threshold], +inf beyond."""
     c = float(threshold)
+    if not 0 < c < INF:
+        raise ValueError("need a finite threshold > 0")
     t = np.array([c * 1e-8, c, c * (1 + 2 ** -40), c * 1e8])
     v = np.array([0.0, 0.0, INF, INF])
     base = MonotoneFn(t, v, zero_on_interval_desc(c), infinite_beyond_desc(c),
@@ -959,6 +965,9 @@ def _table_from_json(obj, prefix=""):
     """Inverse of :func:`_table_to_json`; absent descriptors are numeric-only
     and absent boundary values take the table's defaults."""
     grid = obj[prefix + "grid"]
+    if not isinstance(grid, list) or not all(isinstance(row, list) and len(row) == 2
+                                             for row in grid):
+        raise ValueError(f"{prefix}grid must be a list of [t, value] pairs")
     t = np.array([row[0] for row in grid], dtype=float)
     v = np.array([_num_from_json(row[1]) for row in grid])
     descs = [_desc_from_json(obj[prefix + key]) if prefix + key in obj else NUMERIC_DESC
@@ -1011,6 +1020,8 @@ def young_to_json(A: QuasiConvexFn) -> dict:
 
 
 def young_from_json(obj: dict) -> YoungFn:
+    if not isinstance(obj, dict):
+        raise ValueError("a function description is a JSON object")
     cls = obj.get("class")
     if cls == "power-log":
         p = float(obj["p"])
@@ -1038,6 +1049,6 @@ def young_from_json(obj: dict) -> YoungFn:
 
 def quasi_convex_from_json(obj: dict) -> QuasiConvexFn:
     """Load a generator that is only required to be quasi-convex."""
-    if obj.get("class") == "table":
+    if isinstance(obj, dict) and obj.get("class") == "table":
         return QuasiConvexFn(_table_from_json(obj))
     return young_from_json(obj)

@@ -8,8 +8,7 @@ from scipy import special
 
 from orlicalc.monotone import (
     INF, MonotoneFn, NUMERIC_DESC, _power_segment_integral, geometric_grid)
-from orlicalc.operators import (
-    _BLOCK, _exp_weight_cutoffs, _exp_weight_tail, _gamma_integral, _log_gamma_diff)
+from orlicalc.operators import _BLOCK, _exp_weight_cutoffs, _exp_weight_tail
 from orlicalc.diagonality import build_gw, integrate_outer_reciprocal
 from orlicalc.rearrangement import _char_profile, lambda_norm, maximal, modular, rearrange
 
@@ -132,6 +131,17 @@ def reference_exp_weight_transform(F, t_grid=None, cutoff=50.0):
     return t_grid, out
 
 
+def two_branch_log_gamma_mass(s, a, b):
+    """log of the integral of v**(s - 1) e**-v over [a, b] for s > 0, from
+    scipy's regularized incomplete gammas with both differences evaluated
+    on every element: of Q where a >= s or b = inf, of P elsewhere."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diff = np.where((a >= s) | (b == INF),
+                        special.gammaincc(s, a) - special.gammaincc(s, b),
+                        special.gammainc(s, b) - special.gammainc(s, a))
+        return special.gammaln(s) + np.log(np.maximum(diff, 0.0))
+
+
 def _reference_exp_weight_block(F, t, cut, cutoff):
     n = t.size
     taus, rows = _reference_tau_breakpoints(F.t, t, cut)
@@ -148,13 +158,13 @@ def _reference_exp_weight_block(F, t, cut, cutoff):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ar, br = a[ramp], b[ramp]
         c = vb[ramp] / (br - ar)
-        ramp_pieces = c * (_gamma_integral(1.0, ar, br)
-                           - ar * _gamma_integral(0.0, ar, br))
+        ramp_pieces = c * (np.exp(two_branch_log_gamma_mass(2.0, ar, br))
+                           - ar * np.exp(two_branch_log_gamma_mass(1.0, ar, br)))
         pw = ~ramp
         a, b, va, vb = a[pw], b[pw], va[pw], vb[pw]
         sigma = np.where(vb == va, 0.0, np.log(vb / va) / np.log(b / a))
         log_piece = (np.log(va) - sigma * np.log(a)
-                     + special.gammaln(sigma + 1.0) + _log_gamma_diff(sigma, a, b))
+                     + two_branch_log_gamma_mass(sigma + 1.0, a, b))
         pieces = np.exp(log_piece)
     pw_rows = seg_rows[pw]
     bad[pw_rows[~np.isfinite(pieces)]] = True

@@ -176,6 +176,32 @@ class TestErrorsAndModes:
         assert code == 0
         assert json.loads(out)["outcome"]["value"] == pytest.approx(3.5 ** 0.5)
 
+    @pytest.mark.parametrize("argv", [
+        ["conj", "--young", '{"class":"table","grid":[[1]]}'],
+        ["conj", "--young", '{"class":"table","grid":[[1,1]],"derivative_grid":[1]}'],
+        ["conj", "--young", '{"class":"power-log","p":null}'],
+        ["conj", "--young", "[1]"],
+        ["conj", "--young", '{"class":"exponential","gamma":1e-9}'],
+        ["conj", "--young", '{"class":"exponential","gamma":"inf"}'],
+        ["conj", "--young", '{"class":"linfty","threshold":-1}'],
+        ["conj", "--young", '{"class":"linfty","threshold":0}'],
+        ["conj", "--young", '{"class":"linfty","threshold":"inf"}'],
+        ["norm", "--space", "[]", "--fn", '{"pieces":[[1,1]]}'],
+        ["norm", "--space", '{"family":"lebesgue","params":[]}', "--fn", '{"pieces":[[1,1]]}'],
+        ["norm", "--space", '{"family":5,"params":{}}', "--fn", '{"pieces":[[1,1]]}'],
+        ["norm", "--space", '{"family":"lambda","params":{"generator":[1]}}',
+         "--fn", '{"pieces":[[1,1]]}'],
+        ["sobolev", "domain", "--m", "1", "--n", "3"],
+        ["sobolev", "domain", "--m", "1", "--n", "3", "--target", "[]"],
+        ["sobolev", "domain", "--m", "1", "--n", "3", "--target", "5"],
+        ["sobolev", "domain", "--m", "1", "--n", "3", "--target", '{"class":"power-log","p":null}'],
+    ])
+    def test_malformed_description_is_exit_1(self, argv, capfd):
+        code, out = run(["--json"] + argv)
+        assert code == 1
+        assert out.startswith("error:") and "NaN" not in out
+        assert capfd.readouterr().err == ""
+
     def test_witness_with_tail_is_exit_1(self):
         for pieces in ("[]", "[[1,1]]"):
             code, out = run(["--json", "witness", "--generator", '{"class":"power-log","p":2}',

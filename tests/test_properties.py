@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
@@ -27,6 +28,7 @@ from orlicalc.rearrangement import (
     PowerTail,
     SampledFn,
     _char_profile,
+    _log_gamma_mass,
     classical_lorentz_norm,
     distribution,
     lambda_norm,
@@ -291,20 +293,39 @@ def _evaluation_points(fn):
     return pts[np.isfinite(pts) | (pts == INF)]
 
 
+def _overflowing_ramp_points(fn, x):
+    """The points of x inside a ramp segment (0 at its left node, finite and
+    positive at its right) where the product vr (x - tl) overflows, and the
+    divided form vr ((x - tl) / (tr - tl)) at every point."""
+    t, v = fn.t, fn.v
+    if t.size < 2:
+        return np.zeros(x.shape, dtype=bool), x
+    idx = np.clip(np.searchsorted(t, x, side="right") - 1, 0, t.size - 2)
+    tl, tr, vl, vr = t[idx], t[idx + 1], v[idx], v[idx + 1]
+    ramp = (x >= t[0]) & (x < tr) & (vl == 0.0) & np.isfinite(vr) & (vr > 0.0)
+    return ramp & np.isinf(vr * (x - tl)), vr * ((x - tl) / (tr - tl))
+
+
 @settings(max_examples=300, deadline=None)
 @given(evaluation_tables())
+@example(MonotoneFn([1.0, 1e10], [0.0, 1e300]))
 def test_segment_table_evaluation_is_the_mask_per_case_evaluation(fn):
-    # values spanning 600 decades overflow in the tails and on ramps, in
-    # both evaluations alike
+    # values spanning 600 decades overflow in the tails, in both evaluations
+    # alike; on a ramp the reference overflows where vr (x - tl) does, and
+    # the evaluation divides first there, so its value is at most vr
     with np.errstate(all="ignore"):
         x = _evaluation_points(fn)
         want = reference_eval(fn, x)
+        over, divided = _overflowing_ramp_points(fn, x)
+        assert np.isinf(want[over]).all()
+        want[over] = divided[over]
         got = fn(x)
         m = x.size // 2
         grid = fn(x[:2 * m].reshape(2, m))
         ones = [[fn(arg) for arg in (xi, np.float64(xi), np.asarray(xi))]
                 for xi in x.tolist()]
     assert got.shape == x.shape
+    assert np.isfinite(got[over]).all()
     assert np.array_equal(got, want, equal_nan=True)
     assert grid.shape == (2, m)
     assert np.array_equal(grid.ravel(), want[:2 * m], equal_nan=True)
@@ -449,3 +470,71 @@ def test_array_gap_and_witness_are_the_loops(f, v, name, lam):
     deriv = construct_witness_young(f, A).derivative
     t, vals = loop_witness_derivative(f, A)
     assert np.array_equal(deriv.t, t) and np.array_equal(deriv.v, vals)
+
+
+@st.composite
+def gamma_windows(draw):
+    """(s, a, b) for the incomplete-gamma kernel: s in (-5, 200); for s > 0
+    a window [a, inf), a window from 0, a window across a = s, or one
+    beside s with b / a - 1 from 1e-8 to 10; for s <= 0 a tail [a, inf);
+    now and then one entry NaN.  0 < |s| < 1e-6 is left to the examples:
+    there the lower gammas grow like 1 / s, and the mpmath reference needs
+    -log10(s) more digits, which costs seconds per draw near 1e-300."""
+    s = draw(st.one_of(st.floats(-5.0, -1e-6, exclude_min=True), st.just(0.0),
+                       st.floats(1e-6, 200.0, exclude_max=True)))
+    if s <= 0:
+        a, b = 10.0 ** draw(st.floats(-3.0, 3.0)), INF
+    else:
+        a = s * math.exp(draw(st.floats(-1.5, 1.5)))
+        kind = draw(st.sampled_from(["tail", "from zero", "across", "beside"]))
+        if kind == "tail":
+            b = INF
+        elif kind == "from zero":
+            a, b = 0.0, a
+        elif kind == "across":
+            a, b = min(a, s), max(a, s) * math.exp(draw(st.floats(1e-8, 1.5)))
+        else:
+            b = a * (1.0 + 10.0 ** draw(st.floats(-8.0, 1.0)))
+    out = [s, a, b]
+    nan = draw(st.sampled_from([None] * 9 + [0, 1, 2]))
+    if nan is not None:
+        out[nan] = math.nan
+    return tuple(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gamma_windows())
+@example((0.0, 1e-3, INF))
+@example((1e-12, 1e-13, 1e-13 * (1.0 + 1e-8)))
+@example((1e-30, 0.0, 2.0))
+@example((-1e-30, 3.0, INF))
+@example((1.0, 0.0, 1e-300))
+@example((199.9, 199.9, 199.9 * (1.0 + 1e-8)))
+@example((-4.999, 1e3, INF))
+def test_log_gamma_mass_matches_mpmath(window):
+    s, a, b = window
+    got = _log_gamma_mass(s, a, b)
+    assert got.shape == () and got.dtype == float
+    if any(math.isnan(x) for x in window):
+        assert math.isnan(got)
+        return
+    # the larger of the two incomplete gammas whose difference is the mass,
+    # taken on the side where the kernel takes it; mpmath's three-argument
+    # gammainc(s, a, b) loses digits on narrow windows (seen 2e-5 at 50
+    # digits), one-sided calls do not.  The lower ones grow like 1 / s as
+    # s -> 0, so tiny s cancels about -log10(s) more digits
+    with mp.workdps(50 + max(0, round(-math.log10(abs(s)))) if s else 50):
+        if a < s and b < INF:
+            big = mp.gammainc(s, 0, b)
+            mass = big - mp.gammainc(s, 0, a)
+        else:
+            big = mp.gammainc(s, a)
+            mass = big - (mp.gammainc(s, b) if b < INF else 0)
+        want, cancel = float(mp.log(mass)), float(big / mass)
+    # 1e-13 relative (absolute below |log| = 1, where it is the relative
+    # error of the mass), times the cancellation of the difference: scipy's
+    # regularized values are good to a few 1e-14, and a window of relative
+    # width w cancels all but about w of them.  Where that leaves no digit
+    # the difference may round to 0, a log of -inf
+    tol = 1e-13 * max(1.0, abs(want)) * cancel
+    assert abs(float(got) - want) <= tol or (tol >= 1.0 and got == -INF)

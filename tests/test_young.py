@@ -8,6 +8,7 @@ from orlicalc.diagonality import construct_witness_young
 from orlicalc.monotone import (
     GLOBAL,
     INF,
+    INFINITE_BEYOND,
     LIMIT_CONST,
     NEAR_INFINITY,
     NEAR_ZERO,
@@ -140,6 +141,17 @@ class TestConjugate:
         At = conjugate(A)
         x = np.geomspace(1e-6, 1e6, 60)
         np.testing.assert_allclose(At(x), x, rtol=1e-9)
+
+    def test_double_conjugate_of_sup_norm_generator_is_itself(self):
+        # the conjugate's derivative is a right inverse whose limit at +inf,
+        # its limit-const descriptor 2, is not its value there, +inf
+        At = conjugate(linfty_young(2.0))
+        reloaded = young_from_json(json.loads(json.dumps(young_to_json(At))))
+        x = [1e-3, 1.0, 1.999, 2.001, 10.0]
+        for B in (conjugate(At), conjugate(reloaded)):
+            assert B.integral_value(x).tolist() == [0.0, 0.0, 0.0, INF, INF]
+            d = B.base.inf_desc
+            assert d.kind == INFINITE_BEYOND and d.threshold == 2.0
 
     def test_conjugate_of_identity_is_sup_norm_generator(self):
         A = power_young(1.0)
