@@ -166,7 +166,7 @@ def _cmd_conj(args):
     A = _young_arg(args.young)
     At = conjugate(A)
     pts = _points(args)
-    vals = {str(p): _num(float(v)) for p, v in zip(pts, At.integral_value(pts))}
+    vals = {str(p): _num(float(v)) for p, v in zip(pts, At(pts))}
     return Report({"op": "conj"}, {"function": young_to_json(At), "values": vals})
 
 

@@ -589,7 +589,7 @@ def lifted_norm(F: YoungFn, X: SpaceDescriptor, f: SampledFn,
     if f.is_zero:
         return 0.0
     def ok(lam):
-        image = F.integral_value(f.values / lam)
+        image = F(f.values / lam)
         return space_norm(X, SampledFn(np.column_stack((image, f.widths)), f.length)) <= 1.0
 
     return least_admissible_scale(lambda lams: [ok(lam) for lam in lams],

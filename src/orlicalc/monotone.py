@@ -23,6 +23,7 @@ collapse neighbouring points.
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
 
@@ -382,17 +383,22 @@ class MonotoneFn:
         return out
 
     def _edge_slope_zero(self):
-        """Log-log slope of the first grid segment (0 for a flat start)."""
+        """Log-log slope of the first grid segment (0 for a flat start); a
+        segment one ulp wide, the node pair of a step, is passed over."""
         t, v = self.t, self.v
         i = self._i_first_pos
-        if i < 0 or i + 1 >= t.size or not np.isfinite(v[i + 1]) or v[i + 1] <= v[i]:
+        j = i + 2 if i + 2 < t.size and t[i + 1] == np.nextafter(t[i], INF) else i + 1
+        if i < 0 or j >= t.size or not np.isfinite(v[j]) or v[j] <= v[i]:
             return 0.0
-        return math.log(v[i + 1] / v[i]) / math.log(t[i + 1] / t[i])
+        return math.log(v[j] / v[i]) / math.log(t[j] / t[i])
 
     def _edge_slope_inf(self):
-        """Log-log slope of the last finite grid segment (0 for a flat end)."""
+        """Log-log slope of the last finite grid segment (0 for a flat end);
+        a segment one ulp wide, the node pair of a step, is passed over."""
         t, v = self.t, self.v
         k = self._i_last_fin
+        if k >= 2 and t[k] == np.nextafter(t[k - 1], INF):
+            k -= 1
         if k <= 0 or v[k - 1] <= 0 or v[k - 1] >= v[k]:
             return 0.0
         return math.log(v[k] / v[k - 1]) / math.log(t[k] / t[k - 1])
@@ -647,6 +653,81 @@ def _power_increment(k, log_r):
     return np.expm1(k * log_r) / k if k != 0.0 else log_r
 
 
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(24)
+
+
+def _log_gamma_mass(s, a, b):
+    """The log of the integral of v**(s - 1) e**-v over [a, b], 0 <= a <= b
+    <= inf, elementwise over broadcast arrays; NaN where an input is NaN or
+    where s <= 0 and a = 0.  For s > 0, log Gamma(s) plus the log of one
+    difference of scipy's regularized incomplete gammas per element: of Q
+    where a >= s or b = inf, of P elsewhere.  For s <= 0, and where that
+    difference underflows (below the least normal float) while v**(s - 1)
+    e**-v falls on [a, b] (a > s) or rises on it (b < s), Gauss-Legendre
+    from the larger end (:func:`_log_mass_from_end`).  scipy.special is
+    imported on the first call, so importing the package does not load
+    scipy."""
+    special = importlib.import_module("scipy.special")
+    s, a, b = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (s, a, b)))
+    # scipy gives NaN at s <= 0 (rewritten below) and at NaN inputs
+    diff = np.empty(s.shape)
+    upper = (a >= s) | (b == INF)
+    for m, f, lo, hi in ((upper, special.gammaincc, b, a), (~upper, special.gammainc, a, b)):
+        diff[m] = f(s[m], hi[m]) - f(s[m], lo[m])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.asarray(special.gammaln(s) + np.log(np.maximum(diff, 0.0)))
+    # underflowed differences, and the NaN that scipy gives at s <= 0
+    ends = np.array(~(diff >= np.finfo(float).tiny))
+    if ends.any():
+        se, ae, be = s[ends], a[ends], b[ends]
+        ends[ends] = np.where(se > 0, (diff[ends] < np.finfo(float).tiny) & (se < INF)
+                              & (ae < be) & ((ae > se) | (be < se)),
+                              (se <= 0) & (ae > 0) & (be >= ae))
+    if ends.any():
+        out[ends] = _log_mass_from_end(s[ends], a[ends], b[ends])
+    return out
+
+
+def _log_mass_from_end(s, a, b, scaled=False):
+    """The log mass of :func:`_log_gamma_mass`, one per element of the
+    broadcast inputs, where v**(s - 1) e**-v falls on [a, b] (a > s) or
+    rises on it (b < s): with v = c e**(+-x) from the larger end c, it is
+    c**s e**-c times the integral of exp(+-s x - c expm1(+-x)), which
+    starts at 1 and falls.  The integral stops where that is below e**-50:
+    falling, from v = a + 50 / (1 - max(s - 1, 0) / a) on; rising, after
+    x = 50 / (s - b), as the exponent falls at least at rate s - b.  With
+    ``scaled``, the log of e**c times the mass, which adding c back would
+    round at the scale of c."""
+    s, a, b = np.broadcast_arrays(*(np.atleast_1d(np.asarray(x, dtype=float))
+                                    for x in (s, a, b)))
+    fall = a > s
+    sign, c = np.where(fall, 1.0, -1.0), np.where(fall, a, b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reach = np.where(fall, np.log1p(np.fmin(
+            b - a, 50.0 / (1.0 - np.maximum(s - 1.0, 0.0) / a)) / a),
+            np.minimum(np.log(b / a), 50.0 / (s - b)))
+        lead = s * np.log(c) - (0.0 if scaled else c)
+    cells = _cell_integrals(np.zeros_like(reach), reach, np.abs(s) + c * np.exp(sign * reach),
+                            lambda x, k: np.exp(sign[k] * s[k] * x - c[k] * np.expm1(sign[k] * x)))
+    return lead + np.log(cells)
+
+
+def _cell_integrals(a, b, rate, integrand):
+    """Integral of ``integrand(x, k)`` over each cell [a[k], b[k]]: 24-node
+    Gauss-Legendre on equal sub-cells at most min(1, 32 / rate) long, where
+    ``rate`` (a scalar or one per cell) bounds the integrand's logarithmic
+    derivative, all in one array."""
+    a, b = np.ravel(a), np.ravel(b)
+    width = 1.0 / np.maximum(1.0, np.abs(rate) / 32.0)
+    n = np.maximum(np.ceil((b - a) / width), 1.0).astype(np.int64)
+    k = np.repeat(np.arange(a.size), n)
+    h = (b - a)[k] / n[k]
+    mid = a[k] + (np.arange(k.size) - np.repeat(np.cumsum(n) - n, n) + 0.5) * h
+    x = mid[:, None] + (0.5 * h)[:, None] * _GAUSS_NODES
+    parts = (integrand(x, k[:, None]) @ _GAUSS_WEIGHTS) * (0.5 * h)
+    return np.bincount(k, weights=parts, minlength=a.size)
+
+
 def _tail_zero_integral(fn, t0, weight_exp):
     """Integral of F(t) t**w over (0, t0), t0 = fn.t[0], from the zero tail."""
     d = fn.zero_desc
@@ -664,15 +745,22 @@ def _tail_zero_integral(fn, t0, weight_exp):
             return INF
         base = c * t0 ** e / e if e > 0 else 0.0
         return float(base)
+    if d.kind == EXP_RECIPROCAL:
+        # F(t) = v0 exp(u0 - t**-g), u0 = t0**-g: u = t**-g makes the integral
+        # (v0 / g) e**u0 Gamma(s, u0), s = -(w + 1) / g
+        s = -(weight_exp + 1.0) / d.gamma
+        with np.errstate(over="ignore"):
+            u0 = t0 ** -d.gamma
+        if u0 == INF:
+            return 0.0
+        log_head = (_log_mass_from_end(s, u0, INF, scaled=True)[0] if u0 > s
+                    else float(_log_gamma_mass(s, u0, INF)) + u0)
+        return float(v0 / d.gamma * np.exp(log_head))
     # effective local power p (+ slowly varying log factor handled numerically)
     if d.kind == POWER_LOG:
         p, alpha = d.p, d.alpha
-    elif d.kind == EXP_RECIPROCAL:
-        p, alpha = INF, 0.0
     else:
         p, alpha = fn._edge_slope_zero(), 0.0
-    if p == INF:
-        return 0.0  # vanishes faster than any power
     e = p + weight_exp + 1.0
     if e < 0 or (e == 0 and alpha >= -1.0):
         return INF
@@ -680,13 +768,19 @@ def _tail_zero_integral(fn, t0, weight_exp):
         if e == 0:
             return INF
         return float(v0 * t0 ** (weight_exp + 1.0) / e)
-    # log-corrected tail: integrate numerically on an extension grid
-    ext = geometric_grid(t0 * 1e-45, t0, per_decade=16)
+    # log-corrected tail: integrate numerically on an extension grid, which
+    # stops above the subnormals (their powers overflow)
+    ext = geometric_grid(max(t0 * 1e-45, min(1e-300, 0.5 * t0)), t0, per_decade=16)
     vals = fn(ext)
     total = float(np.sum(_power_segment_integral(vals[:-1], vals[1:],
                                                  ext[:-1], ext[1:], weight_exp)))
-    ee = max(e, 1e-9)
-    total += float(vals[0] * ext[0] ** (weight_exp + 1.0) / ee)
+    # below the grid's first node x0 the pure power's remainder; at e = 0
+    # F(t) t**w is c l**alpha / t, with l log(1 / t) over log(1 / anchor) or
+    # 1 + log(anchor / t), whose integral in log t gives l(x0) / (-alpha - 1)
+    x0, anchor = ext[0], fn._anchor_zero()[0]
+    rest = 1.0 / e if e > 0 else (math.log(1.0 / x0) if anchor < 1.0
+                                  else 1.0 + math.log(anchor / x0)) / (-alpha - 1.0)
+    total += float(vals[0] * x0 ** (weight_exp + 1.0) * rest)
     return total
 
 

@@ -522,7 +522,7 @@ def maximal_optimal_target(A: YoungFn) -> AlternativeOutcome:
                            inf_desc, convexify=True)
     B_A = conjugate(Bt)
     # averaged-domination gate, via the domain construction applied to B_A
-    G = _averaged_domination_profile(B_A)
+    G = _averaged_domination_profile(cumulative_integral(B_A.base, weight_exp=-2.0))
     verdict = dominates(A, QuasiConvexFn(G, validate=False), GLOBAL)
     space = SpaceDescriptor(ORLICZ, HALFLINE, generator=B_A)
     extra = {"smallest_scale": smallest_t0, "constant": verdict.witness}
@@ -538,10 +538,9 @@ def maximal_optimal_target(A: YoungFn) -> AlternativeOutcome:
                               rule="averaged-domination", extra=extra)
 
 
-def _averaged_domination_profile(B: YoungFn) -> MonotoneFn:
-    """t times the integral of B(tau)/tau**2 up to t; the canonical largest
-    domain profile for the averaging maximal operator."""
-    integ = cumulative_integral(B.base, weight_exp=-2.0)
+def _averaged_domination_profile(integ: MonotoneFn) -> MonotoneFn:
+    """t times integ(t), integ the integral of B(tau)/tau**2 up to t; the
+    canonical largest domain profile for the averaging maximal operator."""
     vals = integ.v * integ.t
     zd = integ.zero_desc
     if zd.kind == POWER_LOG:
@@ -561,7 +560,7 @@ def maximal_optimal_domain(B: YoungFn) -> AlternativeOutcome:
         return AlternativeOutcome(DOMAIN, NO_OPTIMAL, None, ev,
                                   rule="averaged-tail-gate",
                                   extra={"reason": "no Orlicz domain space"})
-    prof = _averaged_domination_profile(B)
+    prof = _averaged_domination_profile(integ)
     qc = QuasiConvexFn(prof, validate=False)
     space = SpaceDescriptor(ORLICZ, HALFLINE, generator=qc)
     ev = holds(1.0, reason="averaged tail converges; the averaged profile is "
@@ -583,7 +582,7 @@ def laplace_optimal_target(A: YoungFn) -> AlternativeOutcome:
         return AlternativeOutcome(TARGET, NO_OPTIMAL, None, ev,
                                   rule="log-moment-gate",
                                   extra={"reason": "no Orlicz target exists"})
-    G = _averaged_domination_profile(At)
+    G = _averaged_domination_profile(integ)
     B_table = G.correlative()
     B_A = youngify(QuasiConvexFn(B_table, validate=False))
     space = SpaceDescriptor(ORLICZ, HALFLINE, generator=B_A)
@@ -607,7 +606,7 @@ def laplace_optimal_target(A: YoungFn) -> AlternativeOutcome:
                                          "representative": rep.label()})
     if _is_quadratic_log(A):
         t = np.geomspace(1e-4, 1e4, 41)
-        ratio = B_A(t) / np.maximum(A(t), 1e-300)
+        ratio = B_A.base(t) / np.maximum(A.base(t), 1e-300)
         if np.isfinite(ratio).all() and ratio.max() <= 16.0 and ratio.min() >= 1.0 / 16.0:
             ev = holds(float(ratio.max()),
                        reason="self-mapped quadratic-log level")

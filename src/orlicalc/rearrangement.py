@@ -10,7 +10,6 @@ and suprema against a fundamental function sit at cell ends or closed forms.
 from __future__ import annotations
 
 import csv
-import importlib
 import io
 import math
 from dataclasses import dataclass
@@ -18,8 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .monotone import INF, POWER_LOG, MonotoneFn, _power_segment_integral, geometric_grid
-from .young import QuasiConvexFn, YoungFn
+from .monotone import (INF, POWER_LOG, _cell_integrals, _log_gamma_mass,
+                       _power_segment_integral, geometric_grid)
+from .young import QuasiConvexFn
 
 
 @dataclass(frozen=True)
@@ -304,7 +304,7 @@ def _tail_modular(A: QuasiConvexFn, tail: PowerTail, scales):
     t, v = A.base.t, A.base.v
     c = scales * tail.coef
     u0 = c * tail.width ** (-tail.expo)
-    vu = A(u0)
+    vu = A.base(u0)
     k = np.searchsorted(t, u0, side="right")
     inside = k < t.size
     kin = k[inside]
@@ -358,7 +358,7 @@ def _beyond_table(A: QuasiConvexFn, hi, w_exp):
     # beyond the table: values grow at least linearly, weight decays as
     # u**(-1/expo - 1); the residue converges iff growth power < 1/expo
     ext = geometric_grid(hi, hi * 1e30, 8)
-    ve = A(ext)
+    ve = A.base(ext)
     if np.isinf(ve).any():
         return None
     seg = _power_segment_integral(ve[:-1], ve[1:], ext[:-1], ext[1:], w_exp)
@@ -384,7 +384,7 @@ def modular(f: SampledFn, A: QuasiConvexFn, scale=1.0):
         live = np.ones(scales.shape, dtype=bool)
         if f.values.size:
             x = np.multiply.outer(scales, f.values)
-            av = A.integral_value(x) if isinstance(A, YoungFn) else A(x)
+            av = A(x)
             live = ~np.isinf(av).any(axis=1)
             total[~live] = INF
             # a running sum keeps the left-to-right order of the pieces
@@ -509,7 +509,7 @@ def lambda_norm(f: SampledFn, A: QuasiConvexFn):
     the characteristic-norm profile of the generator; exact on steps."""
     if f.is_zero:
         return 0.0
-    phi = _char_profile(A)
+    phi = A.char_profile
     star = rearrange(f)
     # ascend through values: measure above lambda is constant between
     # values; the running sum adds the steps in that order
@@ -543,12 +543,6 @@ def lambda_norm(f: SampledFn, A: QuasiConvexFn):
     return total
 
 
-def _char_profile(A: QuasiConvexFn) -> MonotoneFn:
-    """Norm of characteristic functions by measure: the correlative of the
-    right-continuous inverse of the generator."""
-    return A.base.right_inverse().correlative()
-
-
 def marcinkiewicz_norm(f: SampledFn, A: QuasiConvexFn):
     """sup over t of phi(t) * averaged rearrangement(t), exact on steps.
 
@@ -569,7 +563,7 @@ def marcinkiewicz_norm(f: SampledFn, A: QuasiConvexFn):
     avg = maximal(f)
     if not np.isfinite(avg.total):
         return INF
-    phi = _char_profile(A)
+    phi = A.char_profile
     forms = (phi.power_log_form(True), phi.power_log_form(False))
     # h ~ t**(p - e) l**alpha at 0+: infinite by the exponent, then the log
     if avg.power[0] and forms[0] and (forms[0][0] + avg.c2[0], -forms[0][1]) < (0, 0):
@@ -701,56 +695,6 @@ def log_weight_integral(beta, gamma, u0):
     if beta == 0 and gamma < -1:
         return u0 ** (gamma + 1.0) / (-gamma - 1.0)
     return np.full_like(u0, INF)
-
-
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(24)
-
-
-def _log_gamma_mass(s, a, b):
-    """The log of the integral of v**(s - 1) e**-v over [a, b], 0 <= a <= b
-    <= inf, elementwise over broadcast arrays; NaN where an input is NaN or
-    where s <= 0 and a = 0.  For s > 0, log Gamma(s) plus the log of one
-    difference of scipy's regularized incomplete gammas per element: of Q
-    where a >= s or b = inf, of P elsewhere (-inf where it underflows).  For
-    s <= 0, Gauss-Legendre over v = a e**x, cut at a + 50 when b = inf
-    (beyond lies under e**-50 of the whole).  scipy.special is imported on
-    the first call, so importing the package does not load scipy."""
-    special = importlib.import_module("scipy.special")
-    s, a, b = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (s, a, b)))
-    # scipy gives NaN at s <= 0 (rewritten below) and at NaN inputs
-    diff = np.empty(s.shape)
-    upper = (a >= s) | (b == INF)
-    for m, f, lo, hi in ((upper, special.gammaincc, b, a), (~upper, special.gammainc, a, b)):
-        diff[m] = f(s[m], hi[m]) - f(s[m], lo[m])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.asarray(special.gammaln(s) + np.log(np.maximum(diff, 0.0)))
-        neg = s <= 0
-        if neg.any():
-            neg &= (a > 0) & (b >= a)
-            # the integrand is a**s e**-a exp(s x - a expm1(x)) dx, at most
-            # a**s e**-a on x >= 0
-            sn, an = s[neg], a[neg]
-            X = np.log1p(np.where(b[neg] == INF, 50.0, b[neg] - an) / an)
-            cells = _cell_integrals(np.zeros_like(X), X, np.abs(sn) + an * np.exp(X),
-                                    lambda x, k: np.exp(sn[k] * x - an[k] * np.expm1(x)))
-            out[neg] = sn * np.log(an) - an + np.log(cells)
-    return out
-
-
-def _cell_integrals(a, b, rate, integrand):
-    """Integral of ``integrand(x, k)`` over each cell [a[k], b[k]]: 24-node
-    Gauss-Legendre on equal sub-cells at most min(1, 32 / rate) long, where
-    ``rate`` (a scalar or one per cell) bounds the integrand's logarithmic
-    derivative, all in one array."""
-    a, b = np.ravel(a), np.ravel(b)
-    width = 1.0 / np.maximum(1.0, np.abs(rate) / 32.0)
-    n = np.maximum(np.ceil((b - a) / width), 1.0).astype(np.int64)
-    k = np.repeat(np.arange(a.size), n)
-    h = (b - a)[k] / n[k]
-    mid = a[k] + (np.arange(k.size) - np.repeat(np.cumsum(n) - n, n) + 0.5) * h
-    x = mid[:, None] + (0.5 * h)[:, None] * _GAUSS_NODES
-    parts = (integrand(x, k[:, None]) @ _GAUSS_WEIGHTS) * (0.5 * h)
-    return np.bincount(k, weights=parts, minlength=a.size)
 
 
 def classical_lorentz_norm(f: SampledFn, w: SampledFn, q):

@@ -255,12 +255,7 @@ def fundamental_function(X: SpaceDescriptor) -> FundamentalFn:
                          value_at_zero=0.0)
         return FundamentalFn(phi)
     if fam in (ORLICZ, LAMBDA, MARCINKIEWICZ):
-        gen = X.generator
-        phi = gen.base.right_inverse().correlative()
-        phi = MonotoneFn(phi.t, phi.v, phi.zero_desc, phi.inf_desc,
-                         value_at_zero=0.0, value_at_inf=phi.value_at_inf,
-                         validate=False)
-        return FundamentalFn(phi)
+        return FundamentalFn(X.generator.char_profile)
     if fam == CLASSICAL_LORENTZ:
         # the weight's mass up to the end of each step, added in order
         wt = X.weight

@@ -1,9 +1,10 @@
 """Calculus of quasi-convex and Young functions.
 
-A Young function is stored together with its non-decreasing derivative
-table, so that convex conjugation can be computed through the inverse of
-the derivative (exact on power segments) rather than through a raw
-sup-scan.  Growth-condition and domination verdicts are decided
+A Young function is defined by its non-decreasing derivative table: A(x)
+is the derivative's integral, exact per segment, and the value table is a
+cache of it on the same nodes.  Convex conjugation is computed through the
+inverse of the derivative (exact on power segments) rather than through a
+raw sup-scan.  Growth-condition and domination verdicts are decided
 symbolically from the asymptotic descriptors whenever possible, with an
 honest three-state fallback for numeric-only tables.
 """
@@ -12,13 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .monotone import (
     EXP_RECIPROCAL,
-    _power_segment_integral,
     EXPONENTIAL,
     GLOBAL,
     INF,
@@ -33,6 +34,9 @@ from .monotone import (
     ZERO_ON_INTERVAL,
     AsymptoticDescriptor,
     MonotoneFn,
+    _log_mass_from_end,
+    _power_segment_integral,
+    _tail_zero_integral,
     cumulative_integral,
     default_grid,
     exp_reciprocal_desc,
@@ -97,32 +101,34 @@ class QuasiConvexFn:
     def t_inf(self):
         return self.base.t_inf
 
+    @cached_property
+    def char_profile(self) -> MonotoneFn:
+        """The norm of characteristic functions by measure, built on first
+        use: the correlative of the right-continuous inverse of the table,
+        which is 0 at 0 as that inverse is +inf at +inf."""
+        return self.base.right_inverse().correlative()
+
     def correlative(self):
         return QuasiConvexFn(self.base.correlative(), validate=False)
 
 
 class YoungFn(QuasiConvexFn):
-    """A convex Young function together with its non-decreasing derivative."""
+    """A convex Young function, defined by its non-decreasing derivative:
+    A(x) is the integral of ``derivative`` over (0, x], exact per segment.
+    ``base``, the value table, caches that integral on the derivative's
+    nodes; its log-log interpolant ``A.base(x)`` is what the growth scans,
+    the inverse tables and the tail modular read."""
 
-    def __init__(self, base: MonotoneFn, derivative: MonotoneFn, recipe=None,
-                 validate=True):
+    def __init__(self, base: MonotoneFn, derivative: MonotoneFn, recipe=None):
         super().__init__(base, validate=False)
         self.derivative = derivative
         self.recipe = recipe or {"class": "table"}
-        if validate:
-            _check_young(self)
 
     def inverse(self):
         """Right-continuous inverse of the function table."""
         return self.base.right_inverse()
 
-    # Exact evaluation through the derivative.  The table interpolates node
-    # values log-log, which is exact for powers but only approximate for
-    # mixed profiles; these two methods instead integrate the stored
-    # derivative in closed form per segment, so the pair (A, conjugate(A))
-    # stays exactly conjugate at every query point.
-
-    def integral_value(self, x):
+    def __call__(self, x):
         """A(x) as the integral of the derivative over (0, x].
 
         Array in, array of the same shape out; a scalar gives a ``float``.
@@ -132,12 +138,11 @@ class YoungFn(QuasiConvexFn):
         """
         arr = np.asarray(x, dtype=float)
         row = np.arange(arr.size) // max(arr.shape[-1], 1) if arr.ndim > 1 else None
-        out = _integral_value(self, arr.ravel(), row).reshape(arr.shape)
+        out = _exact_value(self, arr.ravel(), row).reshape(arr.shape)
         return float(out) if arr.ndim == 0 else out
 
     def integral_inverse(self, s):
-        """Right-continuous inverse of :meth:`integral_value`:
-        sup{tau : A(tau) <= s}.
+        """Right-continuous inverse of A: sup{tau : A(tau) <= s}.
 
         Array in, array of the same shape out; a scalar gives a ``float``.
         A level the function never exceeds gives ``+inf``, never an
@@ -160,36 +165,6 @@ def _check_ratio_monotone(base, tol=1e-9):
                 f"ratio A(t)/t decreases near t={t[fin][k]:.6g}; not quasi-convex")
 
 
-def _check_young(A, rel_tol=1e-6):
-    base, a = A.base, A.derivative
-    t, v = base.t, base.v
-    fin = np.isfinite(v)
-    if not fin.any() or (v[fin] == 0).all() and base.t_inf == INF:
-        raise ValueError("a Young function may not vanish identically")
-    # midpoint convexity on a thinned set of grid pairs, evaluated through
-    # the derivative so that the test sees the model's exact values
-    idx = np.unique(np.linspace(0, t.size - 1, 33).astype(int))
-    ti, vi = t[idx], v[idx]
-    good = np.isfinite(vi)
-    ti, vi = ti[good], vi[good]
-    mid = 0.5 * (ti[:, None] + ti[None, :])
-    chord = 0.5 * (vi[:, None] + vi[None, :])
-    val = A.integral_value(mid)
-    bad = val > chord * (1 + rel_tol) + 1e-300
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise ValueError(f"midpoint convexity fails between t={ti[i]:.4g} and t={ti[j]:.4g}")
-    # A(t) <= t a(t) <= A(2t) on the grid
-    at = a(t)
-    two = base(2.0 * t)
-    with np.errstate(invalid="ignore"):
-        lhs_bad = (v > t * at * (1 + rel_tol)) & np.isfinite(v)
-        rhs_bad = (t * at > two * (1 + rel_tol)) & np.isfinite(t * at)
-    if lhs_bad.any() or rhs_bad.any():
-        k = int(np.flatnonzero(lhs_bad | rhs_bad)[0])
-        raise ValueError(f"derivative table inconsistent with values near t={t[k]:.6g}")
-
-
 # -- constructors ---------------------------------------------------------
 
 
@@ -210,8 +185,7 @@ def power_young(p, coef=1.0):
                       validate=False)
     deriv = MonotoneFn(t, coef * p * t ** (p - 1.0), power_log_desc(p - 1.0),
                        power_log_desc(p - 1.0), validate=False)
-    return YoungFn(base, deriv, recipe={"class": "power-log", "p": p, "coef": coef},
-                   validate=False)
+    return YoungFn(base, deriv, recipe={"class": "power-log", "p": p, "coef": coef})
 
 
 def power_log_young(p, alpha_zero=0.0, alpha_inf=0.0):
@@ -241,7 +215,7 @@ def power_log_young(p, alpha_zero=0.0, alpha_inf=0.0):
                       power_log_desc(p, alpha_inf), value_at_zero=0.0, validate=False)
     return YoungFn(base, deriv,
                    recipe={"class": "power-log", "p": p, "alpha_zero": alpha_zero,
-                           "alpha_inf": alpha_inf}, validate=False)
+                           "alpha_inf": alpha_inf})
 
 
 def exp_young(gamma):
@@ -265,8 +239,7 @@ def exp_young(gamma):
     base = cumulative_integral(deriv)
     base = MonotoneFn(base.t, base.v, power_log_desc(gamma + 1.0),
                       exponential_desc(gamma), value_at_zero=0.0, validate=False)
-    return YoungFn(base, deriv, recipe={"class": "exponential", "gamma": gamma},
-                   validate=False)
+    return YoungFn(base, deriv, recipe={"class": "exponential", "gamma": gamma})
 
 
 def linfty_young(threshold=1.0):
@@ -279,8 +252,7 @@ def linfty_young(threshold=1.0):
     base = MonotoneFn(t, v, zero_on_interval_desc(c), infinite_beyond_desc(c),
                       validate=False)
     deriv = base
-    return YoungFn(base, deriv, recipe={"class": "linfty", "threshold": c},
-                   validate=False)
+    return YoungFn(base, deriv, recipe={"class": "linfty", "threshold": c})
 
 
 def young_from_derivative(deriv: MonotoneFn, recipe=None):
@@ -288,7 +260,7 @@ def young_from_derivative(deriv: MonotoneFn, recipe=None):
     base = cumulative_integral(deriv)
     if np.isinf(base.v).all():
         raise IntegralDiverges("derivative is not integrable at zero")
-    return YoungFn(base, deriv, recipe=recipe, validate=False)
+    return YoungFn(base, deriv, recipe=recipe)
 
 
 def convex_minorant(t, v):
@@ -316,28 +288,91 @@ def convex_minorant(t, v):
 def young_from_values(t, v, zero_desc=NUMERIC_DESC, inf_desc=NUMERIC_DESC,
                       recipe=None, convexify=False, value_at_zero=None,
                       value_at_inf=None):
-    """Build a Young function from sampled values; the derivative comes from
-    chord slopes, which are non-decreasing exactly when the data is convex."""
+    """Build a Young function from convex samples (or from their greatest
+    convex minorant, with ``convexify``).
+
+    The derivative is the step function of the chord slopes, each step on
+    a node pair one ulp apart, so that its integral from sample to sample
+    is the chord's rise.  Below the samples it takes the form of the zero
+    descriptor, scaled so that its integral is the first sample; above
+    them, the power of the inf descriptor, from no lower than the last
+    chord slope (a numeric-only end takes the samples' edge slope).  The
+    value table is the derivative's integral on its nodes, with the
+    samples' descriptors and end values, and gives each sample back to a
+    few ulp.  A slope that falls, the head's and the tail's included,
+    raises ValueError naming the node, unless the fall is within 1e-9 or
+    the chords' rounding: the later slopes are then raised to it.
+    """
     if convexify:
         v = convex_minorant(t, v)
-    base = MonotoneFn(t, v, zero_desc, inf_desc, value_at_zero=value_at_zero,
-                      value_at_inf=value_at_inf)
-    tt, vv = base.t, base.v
-    fin = np.isfinite(vv)
-    slopes = np.full_like(tt, INF)
-    d = np.diff(vv[fin]) / np.diff(tt[fin])
-    k = np.flatnonzero(fin)
-    slopes[k[:-1]] = d
-    if fin.all():
-        slopes[-1] = d[-1] if d.size else 0.0
-    d0 = base.zero_desc
-    if d0.kind == POWER_LOG:
-        d0 = power_log_desc(max(d0.p - 1.0, 0.0), d0.alpha)
-    d1 = base.inf_desc
-    if d1.kind == POWER_LOG:
-        d1 = power_log_desc(max(d1.p - 1.0, 0.0), d1.alpha)
-    deriv = MonotoneFn(tt, np.maximum.accumulate(slopes), d0, d1, validate=False)
+    samples = MonotoneFn(t, v, zero_desc, inf_desc, value_at_zero=value_at_zero,
+                         value_at_inf=value_at_inf)
+    t, v = samples.t, samples.v
+    k = samples._i_last_fin
+    if k < 0 or (v[:k + 1] == 0).all() and samples.t_inf == INF:
+        raise ValueError("a Young function may not vanish identically")
+    d0 = _derivative_desc(samples.zero_desc, samples._edge_slope_zero(),
+                          (ZERO_ON_INTERVAL, EXP_RECIPROCAL))
+    if v[0] == 0.0 and d0.kind != ZERO_ON_INTERVAL:
+        d0 = zero_on_interval_desc(t[0])
+    d1 = _derivative_desc(samples.inf_desc, samples._edge_slope_inf(),
+                          (EXPONENTIAL, INFINITE_BEYOND))
+    head = _head_integral(d0, t[0])
+    if v[0] > 0.0 and not 0.0 < head < INF:
+        raise ValueError(f"the zero descriptor's head cannot integrate to the "
+                         f"first sample at t={t[0]:.6g}")
+    tk, vk = t[:k + 1], v[:k + 1]
+    steps = np.concatenate(([v[0] / head if v[0] > 0.0 else 0.0], np.diff(vk) / np.diff(tk)))
+    tail = steps[-1]
+    if k == t.size - 1 and d1.kind == POWER_LOG:
+        tail = max(tail, (d1.p + 1.0) * v[k] / t[k])
+    steps = np.append(steps, tail)
+    err = 1e-9 * steps
+    err[1:-1] += 4.0 * np.finfo(float).eps * (vk[:-1] + vk[1:] + steps[1:-1]
+                                              * (tk[:-1] + tk[1:])) / np.diff(tk)
+    fall = steps[1:] < steps[:-1] - err[1:] - err[:-1]
+    if fall.any():
+        raise ValueError(f"the samples are not convex: the slope falls at "
+                         f"t={t[int(np.flatnonzero(fall)[0])]:.6g}")
+    steps = np.maximum.accumulate(steps)
+    # sample i carries the step on its left, the node one ulp above it the
+    # step on its right, left out where the two are equal; the integral over
+    # that ulp is taken off the chord's rise, so that the step after it
+    # still ends on the next sample, as far as the steps stay in order
+    above = np.nextafter(tk, INF)
+    pair = (steps[1:] != steps[:-1]) & (above < np.append(t[1:], INF)[:k + 1])
+    start = np.where(pair, above, tk)
+    fill = _power_segment_integral(steps[:-1], steps[1:], tk, start)
+    steps[1:-1] = np.clip((np.diff(vk) - fill[:-1]) / (tk[1:] - start[:-1]),
+                          steps[1:-1], steps[2:])
+    grid = np.column_stack((tk, above)).ravel()
+    vals = np.column_stack((steps[:-1], steps[1:])).ravel()
+    keep = np.ones(grid.size, dtype=bool)
+    keep[1::2] = pair
+    deriv = MonotoneFn(np.append(grid[keep], t[k + 1:]),
+                       np.append(vals[keep], v[k + 1:]), d0, d1, validate=False)
+    table = cumulative_integral(deriv)
+    base = MonotoneFn(table.t, table.v, samples.zero_desc, samples.inf_desc,
+                      value_at_zero=samples.value_at_zero,
+                      value_at_inf=samples.value_at_inf, validate=False)
     return YoungFn(base, deriv, recipe=recipe)
+
+
+def _head_integral(d, t0):
+    """The integral over (0, t0) of a derivative with zero descriptor d and
+    the value 1 at t0; it scales with that value."""
+    return _tail_zero_integral(MonotoneFn([t0], [1.0], d, validate=False), t0, 0.0)
+
+
+def _derivative_desc(d, edge_slope, keep):
+    """The derivative's descriptor at one end of a Young function whose
+    descriptor there is d: a kind in ``keep`` carries over, a power drops
+    by one (to no less than 0), and any other end takes the power of the
+    edge slope."""
+    if d.kind in keep:
+        return d
+    p, alpha = (d.p, d.alpha) if d.kind == POWER_LOG else (edge_slope, 0.0)
+    return power_log_desc(max(p - 1.0, 0.0), alpha)
 
 
 def young_from_callable(f, zero_desc=NUMERIC_DESC, inf_desc=NUMERIC_DESC,
@@ -426,6 +461,12 @@ def _integral_below_grid(a, x, row=None):
     if d.kind == LIMIT_CONST:
         out[live] = d.limit * x
         return out
+    if d.kind == EXP_RECIPROCAL:
+        # a(t) = a(x) exp(u - t**-gamma), u = x**-gamma: as in
+        # cumulative_integral's head, (a(x) / gamma) e**u Gamma(-1 / gamma, u)
+        out[live] = ax / d.gamma * np.exp(_log_mass_from_end(
+            -1.0 / d.gamma, x ** -d.gamma, INF, scaled=True))
+        return out
     p = d.p if d.kind == POWER_LOG else a._edge_slope_zero()
     if d.kind == POWER_LOG and d.alpha != 0.0:
         # the log factor has no closed-form primitive: integrate from 45
@@ -461,9 +502,9 @@ def _integral_above_grid(A, x):
         return total + aN * tN * ((x / tN) ** (p + 1.0) - 1.0) / (p + 1.0)
 
 
-def _integral_value(A, x, row=None):
-    """Array kernel of :meth:`YoungFn.integral_value`; ``row`` gives each
-    point's row."""
+def _exact_value(A, x, row=None):
+    """Array kernel of :meth:`YoungFn.__call__`; ``row`` gives each point's
+    row."""
     a, base = A.derivative, A.base
     t = a.t
     out = np.full_like(x, np.nan)
@@ -484,11 +525,11 @@ def _integral_value(A, x, row=None):
 
 
 def _bisect_log(A, s, lo, hi, steps=80):
-    """The largest tau in [lo, hi] with A.integral_value(tau) <= s, for each
-    s, by bisection of the log scale; lo must satisfy the bound."""
+    """The largest tau in [lo, hi] with A(tau) <= s, for each s, by
+    bisection of the log scale; lo must satisfy the bound."""
     for _ in range(steps):
         mid = np.sqrt(lo) * np.sqrt(hi)
-        low = A.integral_value(mid) <= s
+        low = A(mid) <= s
         lo = np.where(low, mid, lo)
         hi = np.where(low, hi, mid)
     return lo
@@ -521,7 +562,7 @@ def _inverse_above_table(A, s):
     short = np.ones(s.shape, dtype=bool)
     for _ in range(1100):
         hi[short] *= 2.0
-        short[short] = A.integral_value(hi[short]) < s[short]
+        short[short] = A(hi[short]) < s[short]
         if not short.any():
             break
     out = _bisect_log(A, s, np.full_like(s, tN), hi)
@@ -534,10 +575,7 @@ def _inverse_in_table(A, s):
     nodes_t, nodes_v = base.t, base.v
     i = np.clip(np.searchsorted(nodes_v, s, side="right") - 1, 0, nodes_t.size - 2)
     tl, tr = nodes_t[i], nodes_t[i + 1]
-    if a.t.size == nodes_t.size:
-        al, ar = a.v[i], a.v[i + 1]
-    else:
-        al, ar = a(tl), a(tr)
+    al, ar = a.v[i], a.v[i + 1]
     need = s - nodes_v[i]
     out = np.empty_like(s)
     exact = need == 0.0
@@ -627,7 +665,7 @@ def conjugate(A: YoungFn) -> YoungFn:
         base = MonotoneFn(base.t, base.v, keep_z, keep_i, value_at_zero=0.0,
                           validate=False)
     recipe = {"class": "conjugate", "of": A.recipe}
-    return YoungFn(base, a_inv, recipe=recipe, validate=False)
+    return YoungFn(base, a_inv, recipe=recipe)
 
 
 def youngify(B: QuasiConvexFn) -> YoungFn:
@@ -640,7 +678,7 @@ def youngify(B: QuasiConvexFn) -> YoungFn:
     base = cumulative_integral(slope)
     if not np.isfinite(base.v).any():
         raise IntegralDiverges("B(t)/t is not integrable at zero")
-    return YoungFn(base, slope, recipe={"class": "youngified"}, validate=False)
+    return YoungFn(base, slope, recipe={"class": "youngified"})
 
 
 def _ratio_zero_desc(d):
@@ -994,9 +1032,13 @@ def young_to_json(A: QuasiConvexFn) -> dict:
     - ``value_at_zero`` / ``value_at_inf``: the values at 0 and at +inf.
 
     A Young function adds its derivative table under the same names with a
-    ``derivative_`` prefix.  All of these except ``grid`` are optional on
-    input: an absent descriptor is ``numeric-only`` and an absent boundary
-    value takes the table's default, so hand-written grids load as before.
+    ``derivative_`` prefix, on the same nodes: ``grid`` holds the
+    derivative's integrals, and an input whose values are off them by more
+    than 1e-9 relative is rejected.  Without a derivative table the grid is
+    a set of convex samples (:func:`young_from_values`).  All of these
+    except ``grid`` are optional on input: an absent descriptor is
+    ``numeric-only`` and an absent boundary value takes the table's
+    default.
     """
     recipe = getattr(A, "recipe", None) or {"class": "table"}
     cls = recipe.get("class")
@@ -1038,12 +1080,24 @@ def young_from_json(obj: dict) -> YoungFn:
     if cls == "linfty":
         return linfty_young(float(obj.get("threshold", 1.0)))
     if cls == "table":
-        base = _table_from_json(obj)
-        if "derivative_grid" in obj:
-            return YoungFn(base, _table_from_json(obj, "derivative_"))
-        return young_from_values(base.t, base.v, base.zero_desc, base.inf_desc,
-                                 value_at_zero=base.value_at_zero,
-                                 value_at_inf=base.value_at_inf)
+        table = _table_from_json(obj)
+        if "derivative_grid" not in obj:
+            return young_from_values(table.t, table.v, table.zero_desc, table.inf_desc,
+                                     value_at_zero=table.value_at_zero,
+                                     value_at_inf=table.value_at_inf)
+        A = young_from_derivative(_table_from_json(obj, "derivative_"))
+        t, v, n = A.base.t, A.base.v, min(table.t.size, A.base.t.size)
+        with np.errstate(invalid="ignore"):
+            off = (table.t[:n] != t[:n]) | (table.v[:n] != v[:n]) \
+                & ~(np.abs(table.v[:n] - v[:n]) <= 1e-9 * v[:n])
+        i = int(np.argmax(np.append(off, True)))
+        if i < max(table.t.size, t.size):
+            raise ValueError(f"grid is not the integral of derivative_grid on its "
+                             f"nodes at t={np.append(table.t, t[n:])[i]:.6g}")
+        base = MonotoneFn(t, v, table.zero_desc, table.inf_desc,
+                          value_at_zero=table.value_at_zero,
+                          value_at_inf=table.value_at_inf, validate=False)
+        return YoungFn(base, A.derivative)
     raise ValueError(f"unknown function class {cls!r}")
 
 

@@ -7,10 +7,11 @@ import numpy as np
 from scipy import special
 
 from orlicalc.monotone import (
-    INF, MonotoneFn, NUMERIC_DESC, _power_segment_integral, geometric_grid)
+    INF, MonotoneFn, NUMERIC_DESC, _log_mass_from_end, _power_segment_integral,
+    geometric_grid)
 from orlicalc.operators import _BLOCK, _exp_weight_cutoffs, _exp_weight_tail
 from orlicalc.diagonality import build_gw, integrate_outer_reciprocal
-from orlicalc.rearrangement import _char_profile, lambda_norm, maximal, modular, rearrange
+from orlicalc.rearrangement import lambda_norm, maximal, modular, rearrange
 
 
 def scan_right_inverse(fn, s, taus):
@@ -134,12 +135,17 @@ def reference_exp_weight_transform(F, t_grid=None, cutoff=50.0):
 def two_branch_log_gamma_mass(s, a, b):
     """log of the integral of v**(s - 1) e**-v over [a, b] for s > 0, from
     scipy's regularized incomplete gammas with both differences evaluated
-    on every element: of Q where a >= s or b = inf, of P elsewhere."""
+    on every element: of Q where a >= s or b = inf, of P elsewhere; where
+    that difference underflows, the kernel's form from the larger end."""
+    s, a, b = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (s, a, b)))
     with np.errstate(divide="ignore", invalid="ignore"):
         diff = np.where((a >= s) | (b == INF),
                         special.gammaincc(s, a) - special.gammaincc(s, b),
                         special.gammainc(s, b) - special.gammainc(s, a))
-        return special.gammaln(s) + np.log(np.maximum(diff, 0.0))
+        out = np.asarray(special.gammaln(s) + np.log(np.maximum(diff, 0.0)))
+    low = (s > 0) & (diff < np.finfo(float).tiny) & (a < b) & ((a > s) | (b < s))
+    out[low] = _log_mass_from_end(s[low], a[low], b[low])
+    return out
 
 
 def _reference_exp_weight_block(F, t, cut, cutoff):
@@ -244,14 +250,14 @@ def scalar_tail_modular(A, tail, scale):
     base = A.base
     t = base.t[base.t > u0]
     pts = np.concatenate(([u0], t))
-    vals = A(pts)
+    vals = A.base(pts)
     if np.isinf(vals).any():
         return INF
     seg = _power_segment_integral(vals[:-1], vals[1:], pts[:-1], pts[1:], w_exp)
     total = float(np.sum(seg))
     hi = pts[-1]
     ext = geometric_grid(hi, hi * 1e30, 8)
-    ve = A(ext)
+    ve = A.base(ext)
     if np.isinf(ve).any():
         return INF
     seg2 = _power_segment_integral(ve[:-1], ve[1:], ext[:-1], ext[1:], w_exp)
@@ -271,8 +277,7 @@ def scalar_modular(f, A, scale=1.0):
     total = 0.0
     if f.pieces:
         values, widths = np.array(f.pieces).T
-        av = A.integral_value(scale * values) if hasattr(A, "integral_value") \
-            else A(scale * values)
+        av = A(scale * values)
         if np.isinf(av).any():
             return INF
         total = float(np.cumsum(av * widths)[-1])
@@ -353,7 +358,7 @@ def loop_marcinkiewicz(f, A, tol=1e-12):
     the best one, from 1e-12 * width near 0 to 1e8 * support."""
     if f.is_zero:
         return 0.0
-    phi = _char_profile(A)
+    phi = A.char_profile
     avg = maximal(f)
 
     def h(t):
@@ -433,7 +438,7 @@ def loop_lambda_norm(f, A):
     """lambda_norm with the step values accumulated one at a time."""
     if f.is_zero:
         return 0.0
-    phi = _char_profile(A)
+    phi = A.char_profile
     star = rearrange(f)
     total = 0.0
     prev_value = 0.0

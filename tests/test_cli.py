@@ -101,6 +101,22 @@ class TestSubcommands:
         assert payload["outcome"]["result"] == "no-optimal"
         assert payload["outcome"]["witness_data"]["reason"] == "no Orlicz target exists"
 
+    def test_maximal_target_just_above_the_linear_log_class(self):
+        # the transform's own table used to fail a midpoint-convexity scan
+        code, out = run(["--json", "maximal", "target", "--young",
+                         '{"class":"power-log","p":1,"alpha_zero":-1.5,"alpha_inf":1.01}'])
+        assert code == 0
+        assert json.loads(out)["outcome"]["result"] == "optimal"
+
+    def test_conj_of_sampled_square(self):
+        # the samples of t^2 at 1, 2 and 4: below them the derivative is 2t,
+        # so the conjugate is s^2 / 4 up to s = 2
+        code, out = run(["--json", "conj", "--young",
+                         '{"class":"table","grid":[[1,1],[2,4],[4,16]]}', "--at", "0.5,1,2"])
+        assert code == 0
+        vals = list(json.loads(out)["outcome"]["values"].values())
+        assert vals == pytest.approx([0.0625, 0.25, 1.0], rel=1e-12, abs=0)
+
     def test_laplace_dichotomy(self):
         code, out = run(["--json", "laplace", "target", "--young",
                          '{"class":"power-log","p":3}'])
@@ -200,6 +216,22 @@ class TestErrorsAndModes:
         code, out = run(["--json"] + argv)
         assert code == 1
         assert out.startswith("error:") and "NaN" not in out
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("young, node", [
+        # the values of t^2 on a grid that is not the derivative's
+        ('{"class":"table","grid":[[1,1],[2,4],[4,16],[8,64]],'
+         '"derivative_grid":[[2,4],[4,8],[8,16]]}', "t=1"),
+        # one value off the integral of 2t
+        ('{"class":"table","grid":[[1,1],[2,5],[4,16]],'
+         '"derivative_grid":[[1,2],[2,4],[4,8]]}', "t=2"),
+        # samples whose slope falls
+        ('{"class":"table","grid":[[1,1],[2,4],[4,5]]}', "t=2"),
+    ])
+    def test_inconsistent_table_is_exit_1_naming_the_node(self, young, node, capfd):
+        code, out = run(["--json", "conj", "--young", young])
+        assert code == 1
+        assert out.startswith("error:") and node in out
         assert capfd.readouterr().err == ""
 
     def test_witness_with_tail_is_exit_1(self):

@@ -633,7 +633,7 @@ class TestLiftedNorm:
         seen.clear()
         values, widths = np.array(f.pieces).T
         want = sequential_least_admissible_scale(
-            lambda lam: counted(X, SampledFn(zip(F.integral_value(values / lam), widths),
+            lambda lam: counted(X, SampledFn(zip(F(values / lam), widths),
                                              f.length)) <= 1.0,
             max(f.sup_value(), 1.0), 1e-10)
         assert got == want

@@ -26,7 +26,7 @@ def parse(path):
 # the one function allowed a run-time import: the incomplete-gamma kernel
 # imports scipy.special on its first call, so that importing the package
 # (and a CLI query that needs no incomplete gamma) does not load scipy
-GAMMA_KERNEL = ("rearrangement.py", "_log_gamma_mass")
+GAMMA_KERNEL = ("monotone.py", "_log_gamma_mass")
 
 
 def _kernel_lines(path, tree):

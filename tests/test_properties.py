@@ -1,14 +1,24 @@
 """Property-based checks for the inverse calculus and norm axioms."""
 
+import json
 import math
+import re
 
 import mpmath as mp
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from orlicalc.monotone import (
+    EXP_RECIPROCAL,
+    EXPONENTIAL,
     INF,
+    INFINITE_BEYOND,
+    LIMIT_CONST,
     NUMERIC_DESC,
+    NUMERIC_ONLY,
+    POWER_LOG,
+    ZERO_ON_INTERVAL,
     MonotoneFn,
     exp_reciprocal_desc,
     exponential_desc,
@@ -27,7 +37,6 @@ from orlicalc.diagonality import (
 from orlicalc.rearrangement import (
     PowerTail,
     SampledFn,
-    _char_profile,
     _log_gamma_mass,
     classical_lorentz_norm,
     distribution,
@@ -54,6 +63,9 @@ from orlicalc.young import (
     power_log_young,
     power_young,
     young_from_derivative,
+    young_from_json,
+    young_from_values,
+    young_to_json,
 )
 
 from helpers import (
@@ -227,7 +239,7 @@ def marcinkiewicz_cases(draw):
     n = draw(st.integers(min_value=1, max_value=160))
     vals = 10.0 ** np.asarray(draw(st.lists(st.floats(-6.0, 3.0), min_size=n, max_size=n)))
     widths = 10.0 ** np.asarray(draw(st.lists(st.floats(-20.0, 18.0), min_size=n, max_size=n)))
-    head = _char_profile(A).zero_desc.p
+    head = A.char_profile.zero_desc.p
     tail = None
     if head > 0 and draw(st.booleans()):
         expo = head * draw(st.floats(0.05, 0.95))
@@ -476,7 +488,9 @@ def test_array_gap_and_witness_are_the_loops(f, v, name, lam):
 def gamma_windows(draw):
     """(s, a, b) for the incomplete-gamma kernel: s in (-5, 200); for s > 0
     a window [a, inf), a window from 0, a window across a = s, or one
-    beside s with b / a - 1 from 1e-8 to 10; for s <= 0 a tail [a, inf);
+    beside s with b / a - 1 from 1e-8 to 10, with a up to e**6 times s or
+    down to e**-6 times it, where scipy's regularized difference can
+    underflow; for s <= 0 a tail [a, inf);
     now and then one entry NaN.  0 < |s| < 1e-6 is left to the examples:
     there the lower gammas grow like 1 / s, and the mpmath reference needs
     -log10(s) more digits, which costs seconds per draw near 1e-300."""
@@ -485,7 +499,7 @@ def gamma_windows(draw):
     if s <= 0:
         a, b = 10.0 ** draw(st.floats(-3.0, 3.0)), INF
     else:
-        a = s * math.exp(draw(st.floats(-1.5, 1.5)))
+        a = s * math.exp(draw(st.floats(-6.0, 6.0)))
         kind = draw(st.sampled_from(["tail", "from zero", "across", "beside"]))
         if kind == "tail":
             b = INF
@@ -511,6 +525,8 @@ def gamma_windows(draw):
 @example((1.0, 0.0, 1e-300))
 @example((199.9, 199.9, 199.9 * (1.0 + 1e-8)))
 @example((-4.999, 1e3, INF))
+@example((195.07570908, 0.0, 1.865117871258583))
+@example((101.0, 2.0 * (1.0 - math.log(1e-300)), INF))
 def test_log_gamma_mass_matches_mpmath(window):
     s, a, b = window
     got = _log_gamma_mass(s, a, b)
@@ -538,3 +554,112 @@ def test_log_gamma_mass_matches_mpmath(window):
     # the difference may round to 0, a log of -inf
     tol = 1e-13 * max(1.0, abs(want)) * cancel
     assert abs(float(got) - want) <= tol or (tol >= 1.0 and got == -INF)
+
+
+@st.composite
+def convex_samples(draw, margin=True):
+    """(t, v, zero_desc, inf_desc): 2 to 64 samples of a convex function
+    through the origin, on abscissae 10**(0.002 .. 1) apart, under every
+    descriptor kind that a Young function can have at each end, with a
+    terminal +inf block now and then.  With ``margin`` the slopes rise by
+    at least 1e-6 at every sample, the head's included, so the samples are
+    convex as floats; without it slopes may repeat, and a head may meet
+    the first chord, which leaves it to rounding whether they fall."""
+    n = draw(st.integers(2, 64))
+    t0 = 10.0 ** draw(st.floats(-6.0, 2.0))
+    steps = np.array(draw(st.lists(st.floats(0.002, 1.0), min_size=n - 1, max_size=n - 1)))
+    t = t0 * np.concatenate(([1.0], np.cumprod(10.0 ** steps)))
+    low = 1e-6 if margin else 0.0
+    rises = draw(st.lists(st.just(low) | st.floats(low, 3.0), min_size=n - 2, max_size=n - 2))
+    s0 = 10.0 ** draw(st.floats(-3.0, 3.0))
+    slopes = s0 * np.cumprod(np.concatenate(([1.0], 1.0 + np.array(rises))))
+    # the head's derivative at t0, v0 / (its integral at anchor 1), stays
+    # below the first chord s0 by the factor frac
+    frac = draw(st.floats(0.01, 1.0 - low))
+    zero = draw(st.sampled_from([NUMERIC_ONLY, POWER_LOG, EXP_RECIPROCAL, ZERO_ON_INTERVAL,
+                                 LIMIT_CONST]))
+    if zero == POWER_LOG:
+        p = draw(st.floats(1.0, 4.0))
+        d0, v0 = power_log_desc(p), frac * s0 * t0 / p
+    elif zero == EXP_RECIPROCAL:
+        g = draw(st.floats(0.2, 2.0))
+        u0 = t0 ** -g
+        d0 = exp_reciprocal_desc(g)
+        with mp.workdps(30):
+            v0 = frac * s0 * float(mp.e ** u0 / g * mp.gammainc(-1.0 / g, u0))
+    elif zero == ZERO_ON_INTERVAL:
+        d0, v0 = zero_on_interval_desc(t0 * draw(st.floats(0.1, 1.0))), 0.0
+    else:
+        # a numeric head is the power of the edge slope; below 1 it is linear
+        d0 = NUMERIC_DESC if zero == NUMERIC_ONLY else limit_const_desc(0.0)
+        v0 = frac * s0 * t0
+    v = v0 + np.concatenate(([0.0], np.cumsum(slopes * np.diff(t))))
+    inf = draw(st.sampled_from([NUMERIC_ONLY, POWER_LOG, EXPONENTIAL, INFINITE_BEYOND,
+                                LIMIT_CONST]))
+    d1 = {NUMERIC_ONLY: NUMERIC_DESC,
+          POWER_LOG: power_log_desc(draw(st.floats(1.0, 4.0)), draw(st.floats(-1.0, 1.0))),
+          EXPONENTIAL: exponential_desc(draw(st.floats(0.5, 2.0))),
+          INFINITE_BEYOND: infinite_beyond_desc(2.0 * t[-1]),
+          LIMIT_CONST: limit_const_desc(float(v[-1]))}[inf]
+    n_inf = draw(st.integers(0, min(3, n - 2)))
+    if n_inf:
+        v[-n_inf:] = INF
+    return t, v, d0, d1
+
+
+def _check_sampled_young(t, v, d0, d1, tol):
+    """Build from the samples and check the tables; ``tol(scale)`` bounds
+    how far each sample may come back off, given the larger of its value
+    and t a(t), the scale at which the integral up to it rounds."""
+    A = young_from_values(t, v, d0, d1)
+    a, base = A.derivative, A.base
+    assert np.array_equal(base.t, a.t)
+    assert np.all(a.v[1:] >= a.v[:-1])
+    # every sample is a node of both tables
+    at = np.searchsorted(base.t, t)
+    assert np.array_equal(base.t[at], t)
+    assert np.array_equal(np.isinf(base.v[at]), np.isinf(v))
+    fin = np.isfinite(v)
+    bound = tol(np.maximum(v, t * a(t)))[fin]
+    for got in (base.v[at], A(t)):
+        assert np.all(np.abs(got[fin] - v[fin]) <= bound)
+    obj = json.loads(json.dumps(young_to_json(A)))
+    B = young_from_json(obj)
+    assert young_to_json(B) == obj
+    for x, y in ((A.base, B.base), (A.derivative, B.derivative)):
+        assert np.array_equal(x.t, y.t) and np.array_equal(x.v, y.v)
+        assert (x.zero_desc, x.inf_desc, x.value_at_zero, x.value_at_inf) \
+            == (y.zero_desc, y.inf_desc, y.value_at_zero, y.value_at_inf)
+    return A
+
+
+@settings(max_examples=150, deadline=None)
+@given(convex_samples(), st.integers(1, 62), st.booleans())
+def test_sampled_young_function_gives_its_samples_back(case, j, bump):
+    t, v, d0, d1 = case
+    # 4 ulp for the head and each step up to a sample: a step's integral
+    # is its anchor term times exp(log r) - 1, which rounds by about
+    # 1 + log r ulp of t a(t) (3.3 at the widest ratio r = 10 drawn here),
+    # and the running sum rounds once per step
+    _check_sampled_young(t, v, d0, d1, lambda scale: 4.0 * np.arange(1, t.size + 1)
+                         * np.spacing(scale))
+    # a sample moved above the chord of its neighbours is not convex there
+    k = int(np.flatnonzero(np.isfinite(v))[-1])
+    if bump and 1 <= j < k and v[j + 1] > v[j - 1]:
+        lam = (t[j] - t[j - 1]) / (t[j + 1] - t[j - 1])
+        chord = v[j - 1] + lam * (v[j + 1] - v[j - 1])
+        v = v.copy()
+        v[j] = chord + 0.5 * (v[j + 1] - chord)
+        with pytest.raises(ValueError, match=re.escape(f"falls at t={t[j]:.6g}")):
+            young_from_values(t, v, d0, d1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(convex_samples(margin=False))
+def test_sampled_young_function_levels_rounding(case):
+    # samples convex up to rounding: a fall within the rounding of a chord,
+    # or within 1e-9 of a slope (as where a head's integral rounds), is
+    # levelled by raising the slopes after it, which moves the samples after
+    # it by as much, relative to the scale
+    t, v, d0, d1 = case
+    _check_sampled_young(t, v, d0, d1, lambda scale: 1e-9 * scale)

@@ -25,7 +25,7 @@ from orlicalc.rearrangement import (
 )
 from orlicalc.monotone import MonotoneFn, _power_segment_integral, geometric_grid
 from orlicalc import rearrangement
-from orlicalc.rearrangement import _char_profile, _rising_end as rising_end
+from orlicalc.rearrangement import _rising_end as rising_end
 from orlicalc.young import (
     QuasiConvexFn,
     exp_young,
@@ -270,7 +270,7 @@ class TestModular:
             scale = float(rng.uniform(0.1, 2.0))
             expect = 0.0
             for v, w in f.pieces:
-                expect += A.integral_value(scale * v) * w
+                expect += A(scale * v) * w
             assert modular(f, A, scale) == expect
 
     def test_layer_cake_oracle(self):
@@ -283,7 +283,7 @@ class TestModular:
             knots = np.concatenate(([0.0], np.sort(rearrange(f).values)))
             expect = 0.0
             for lo, hi in zip(knots[:-1], knots[1:]):
-                expect += d((lo + hi) / 2.0) * (A.integral_value(hi) - A.integral_value(lo))
+                expect += d((lo + hi) / 2.0) * (A(hi) - A(lo))
             assert modular(f, A) == pytest.approx(expect, rel=1e-10)
 
 
@@ -486,7 +486,7 @@ def reference_lambda_norm(f, A):
     """lambda_norm with one phi call per step value."""
     if f.is_zero:
         return 0.0
-    phi = _char_profile(A)
+    phi = A.char_profile
     star = rearrange(f)
     total = 0.0
     prev_value = 0.0
@@ -527,7 +527,7 @@ def test_lambda_norm_is_the_one_step_at_a_time_sum():
 def test_char_profile_is_monotone_at_subnormal_measures():
     # log(1/x) overflows for subnormal x; the profile gave inf at 4.6e-310
     # and 6.6e-154 at 2.3e-308
-    got = _char_profile(power_log_young(2.0, 0.0, 0.5))(np.array([4.6e-310, 2.3e-308, 1e-300]))
+    got = power_log_young(2.0, 0.0, 0.5).char_profile(np.array([4.6e-310, 2.3e-308, 1e-300]))
     assert np.all(np.isfinite(got)) and np.all(got > 0)
     assert np.all(np.diff(got) >= 0)
 
@@ -581,7 +581,7 @@ def test_lambda_norm_of_a_tail_with_subnormal_level_measures():
     got = lambda_norm(SampledFn([], tail=tail), A)
     # reference: lambda = coef m**-expo turns the threshold integral into one
     # over the measure m, done in log m
-    phi = _char_profile(A)
+    phi = A.char_profile
     y = np.linspace(math.log(1e-300), math.log(tail.width), 400001)
     g = phi(np.exp(y)) * tail.coef * tail.expo * np.exp(-tail.expo * y)
     want = tail.value_at(tail.width) * phi(tail.width) + np.trapezoid(g, y)
@@ -617,7 +617,7 @@ class TestMarcinkiewiczSearch:
                         # phi grows slower than the tail's average at 0+:
                         # the loop's window, down to 1e-12 * width, missed it
                         tiny = 1e-300
-                        assert _char_profile(A)(tiny) * maximal(f)(tiny) > 1e6 * want
+                        assert A.char_profile(tiny) * maximal(f)(tiny) > 1e6 * want
                         continue
                     # numpy's exp and power may be an ulp off the C library's
                     assert got == pytest.approx(want, rel=4e-16)
@@ -651,7 +651,7 @@ class TestMarcinkiewiczSearch:
 
     def test_bisects_only_off_grid_cells_that_can_beat_the_ends(self, monkeypatch):
         A = power_log_young(2.0, alpha_zero=0.5, alpha_inf=-0.5)
-        phi = _char_profile(A)
+        phi = A.char_profile
         searched = []
 
         def spy(dlog, xa, xb):
@@ -690,7 +690,7 @@ class TestMarcinkiewiczSearch:
                     if got == INF:
                         # h still grows far below the float range
                         tiny = mp.mpf("1e-10000")
-                        assert f.tail and mp_phi(_char_profile(A), tiny) * mp_average(f)(tiny) > 10 * want
+                        assert f.tail and mp_phi(A.char_profile, tiny) * mp_average(f)(tiny) > 10 * want
                     else:
                         assert got == pytest.approx(float(want), rel=1e-13)
 
@@ -758,7 +758,7 @@ def mp_marcinkiewicz(f, A, n=40001, dps=20):
     """sup of phi * average by brute force: a dense float scan in log t from
     1e-300, then a golden-section search in mpmath around each of the best
     three local maxima of the scan, to 1e-17 in log t."""
-    phi, avg, mp_avg = _char_profile(A), maximal(f), mp_average(f)
+    phi, avg, mp_avg = A.char_profile, maximal(f), mp_average(f)
     hi = min(1e300, 100.0 * max(phi.t[-1], avg.support))
     t = np.geomspace(1e-300, hi, n)
     h = phi(t) * avg(t)

@@ -57,8 +57,8 @@ def conjugate_scan_oracle(A, t, taus):
     return max(0.0, float(np.max(taus[fin] * t - vals[fin])))
 
 
-def reference_integral_value(A, x):
-    """Point-by-point integral_value in Python floats, for the table and the
+def reference_value(A, x):
+    """Point-by-point A(x) in Python floats, for the table and the
     closed-form head and tail; None where the kernel integrates numerically."""
     a, base, t = A.derivative, A.base, A.derivative.t
     if x <= 0.0:
@@ -149,7 +149,7 @@ class TestConjugate:
         reloaded = young_from_json(json.loads(json.dumps(young_to_json(At))))
         x = [1e-3, 1.0, 1.999, 2.001, 10.0]
         for B in (conjugate(At), conjugate(reloaded)):
-            assert B.integral_value(x).tolist() == [0.0, 0.0, 0.0, INF, INF]
+            assert B(x).tolist() == [0.0, 0.0, 0.0, INF, INF]
             d = B.base.inf_desc
             assert d.kind == INFINITE_BEYOND and d.threshold == 2.0
 
@@ -166,7 +166,7 @@ class TestConjugate:
             A = random_young(rng)
             At = conjugate(A)
             tau, t = np.meshgrid(pts, pts)
-            bound = A.integral_value(tau.ravel()) + At.integral_value(t.ravel())
+            bound = A(tau.ravel()) + At(t.ravel())
             prod = tau.ravel() * t.ravel()
             ok = prod <= bound * (1 + 1e-10) + 1e-12
             assert ok.all()
@@ -179,7 +179,7 @@ class TestConjugate:
             t = A.base.t
             v = A.base.v
             fin = np.isfinite(v) & (v > 1e-280)
-            np.testing.assert_allclose(Att.integral_value(t[fin]), v[fin], rtol=1e-6)
+            np.testing.assert_allclose(Att(t[fin]), v[fin], rtol=1e-6)
 
     def test_value_of_inverse_below_argument_everywhere(self):
         # with A(0) = 0 the bound holds on the whole positive axis
@@ -187,7 +187,7 @@ class TestConjugate:
         s = np.geomspace(1e-6, 1e6, 120)
         for _ in range(12):
             A = random_young(rng)
-            back = A.integral_value(A.integral_inverse(s))
+            back = A(A.integral_inverse(s))
             fin = np.isfinite(back)
             assert np.all(back[fin] <= s[fin] * (1 + 1e-10))
 
@@ -203,8 +203,8 @@ class TestConjugate:
 
 
 class TestIntegralKernel:
-    """integral_value and integral_inverse take arrays and give arrays of the
-    same shape, a float for a scalar, and +inf rather than an exception."""
+    """A(x) and integral_inverse take arrays and give arrays of the same
+    shape, a float for a scalar, and +inf rather than an exception."""
 
     FUNCTIONS = [
         power_young(2.0),
@@ -221,12 +221,12 @@ class TestIntegralKernel:
 
     def test_scalar_gives_float_and_arrays_keep_shape(self):
         A = power_young(2.0)
-        assert type(A.integral_value(3.0)) is float
+        assert type(A(3.0)) is float
         assert type(A.integral_inverse(9.0)) is float
         x = np.array([[0.5, 1.0], [2.0, 4.0]])
-        assert A.integral_value(x).shape == (2, 2)
+        assert A(x).shape == (2, 2)
         assert A.integral_inverse(x).shape == (2, 2)
-        np.testing.assert_allclose(A.integral_value(x), x ** 2, rtol=1e-12)
+        np.testing.assert_allclose(A(x), x ** 2, rtol=1e-12)
 
     def test_matches_pointwise_reference(self):
         # equal on the table; off it numpy's array power may differ from
@@ -240,9 +240,9 @@ class TestIntegralKernel:
                 x = np.concatenate((np.geomspace(t[0] * 1e-6, t[-1] * 1e6, 200),
                                     t[:: max(1, t.size // 50)], [0.0, INF]))
                 with np.errstate(over="ignore"):
-                    got = B.integral_value(x)
+                    got = B(x)
                 for q, g in zip(x, got):
-                    ref = reference_integral_value(B, float(q))
+                    ref = reference_value(B, float(q))
                     if ref is None:
                         continue
                     if t[0] <= q <= t[-1]:
@@ -259,8 +259,8 @@ class TestIntegralKernel:
         A = self.FUNCTIONS[k]
         x = np.concatenate((np.geomspace(1e-40, 1e40, 41), [1e300, 1.7e308, 0.0, INF]))
         with np.errstate(over="ignore", invalid="ignore"):
-            batch = A.integral_value(x)
-            assert np.array_equal(batch, [A.integral_value(q) for q in x])
+            batch = A(x)
+            assert np.array_equal(batch, [A(q) for q in x])
             assert not np.isnan(batch).any()
             inv = A.integral_inverse(x)
             assert np.array_equal(inv, [A.integral_inverse(q) for q in x])
@@ -275,11 +275,11 @@ class TestIntegralKernel:
         x = 10.0 ** rng.uniform(-300.0, 2.0, (24, 9))
         x[3] = 10.0 ** rng.uniform(-14.0, -9.0, 9)
         x[5, :4] = 0.0
-        got = A.integral_value(x)
+        got = A(x)
         assert got.shape == x.shape
         for row, want in zip(x, got):
-            assert np.array_equal(A.integral_value(row), want)
-        assert np.array_equal(A.integral_value(x[:, None, :]), got[:, None, :])
+            assert np.array_equal(A(row), want)
+        assert np.array_equal(A(x[:, None, :]), got[:, None, :])
 
     def test_log_factor_start_above_its_first_node(self):
         # with its grid from 1e-5, the start 1e-300 lies an ulp below the
@@ -289,17 +289,17 @@ class TestIntegralKernel:
         a = MonotoneFn(t, t * (1.0 - np.log(np.minimum(t, 1.0))) ** 0.5,
                        power_log_desc(1.0, 0.5), power_log_desc(1.0, 0.0), validate=False)
         A = young_from_derivative(a)
-        got = A.integral_value(np.array([1e-305, 1e-6]))
-        assert got[0] == A.integral_value(1e-305) == 0.0
-        assert got[1] == A.integral_value(1e-6) > 0.0
+        got = A(np.array([1e-305, 1e-6]))
+        assert got[0] == A(1e-305) == 0.0
+        assert got[1] == A(1e-6) > 0.0
 
     def test_overflowing_tail_is_inf(self):
         # the power-tail primitive overflows beyond the grid of the double
         # conjugate of exp(t) - 1 - t
         A = conjugate(conjugate(exp_young(1.0)))
-        assert A.integral_value(65000.0) == INF
-        assert A.integral_value(np.array([65000.0]))[0] == INF
-        assert math.isfinite(A.integral_value(float(A.derivative.t[-1])))
+        assert A(65000.0) == INF
+        assert A(np.array([65000.0]))[0] == INF
+        assert math.isfinite(A(float(A.derivative.t[-1])))
 
 
 class TestYoungify:
@@ -489,7 +489,7 @@ class TestWireFormat:
         from orlicalc.monotone import MonotoneFn, zero_on_interval_desc, infinite_beyond_desc
         base = MonotoneFn(t, v, zero_on_interval_desc(1.0), infinite_beyond_desc(1.0))
         from orlicalc.young import YoungFn
-        A = YoungFn(base, base, validate=False)
+        A = YoungFn(base, base)
         obj = young_to_json(A)
         assert ["inf" in row for row in map(str, obj["grid"])].count(True) == 2
         B = young_from_json(obj)
@@ -509,14 +509,16 @@ class TestWireFormat:
         B = young_from_json({"class": "table", "grid": grid, "derivative_grid": dgrid})
         assert B.derivative.zero_desc.kind == B.derivative.inf_desc.kind == NUMERIC_ONLY
         old = YoungFn(MonotoneFn(t, t ** 2), MonotoneFn(t, 2.0 * t))
+        assert np.array_equal(B.base(x), old.base(x))
         assert np.array_equal(B(x), old(x))
-        assert np.array_equal(B.integral_value(x), old.integral_value(x))
-        assert B.integral_value(0.5) == pytest.approx(0.25, rel=1e-12)
+        assert B(0.5) == pytest.approx(0.25, rel=1e-12)
 
-        # a flat numeric-only table still keeps its value at zero
+        # a flat numeric-only table still keeps its value at zero, while
+        # A itself is the integral of the constant derivative
         C = young_from_json({"class": "table", "grid": [[1.0, 2.0]],
                              "derivative_grid": [[1.0, 2.0]]})
-        assert C(1e-3) == 2.0
+        assert C.base(1e-3) == 2.0
+        assert C(1e-3) == 2e-3
 
     def test_table_fields_name_descriptors_and_boundary_values(self):
         obj = young_to_json(conjugate(linfty_young(2.0)))
@@ -532,8 +534,34 @@ class TestWireFormat:
         C = young_from_json(obj)
         x = np.geomspace(B.base.t[0] * 1e-4, B.base.t[-1] * 1e4, 120)
         with np.errstate(over="ignore", invalid="ignore"):
-            np.testing.assert_allclose(C(x), B(x), rtol=1e-12)
-        np.testing.assert_allclose(C.integral_value(x), B.integral_value(x), rtol=1e-12)
+            np.testing.assert_allclose(C.base(x), B.base(x), rtol=1e-12)
+        np.testing.assert_allclose(C(x), B(x), rtol=1e-12)
         for regime in (NEAR_ZERO, NEAR_INFINITY):
             assert delta2(C, regime).status == delta2(B, regime).status
             assert nabla2(C, regime).status == nabla2(B, regime).status
+
+
+GENERATOR_BUILDERS = TABLE_CLASS_BUILDERS + [
+    pytest.param(lambda: power_young(2.0, coef=0.5), id="power"),
+    pytest.param(lambda: power_log_young(1.5, -1.0, 1.0), id="power-log"),
+    pytest.param(lambda: exp_young(1.0), id="exponential"),
+    pytest.param(lambda: linfty_young(2.0), id="linfty"),
+    pytest.param(lambda: young_from_callable(lambda t: t ** 3), id="young-from-callable"),
+    pytest.param(lambda: young_from_derivative(random_step_monotone(np.random.default_rng(3))),
+                 id="young-from-derivative"),
+    pytest.param(lambda: young_from_json({"class": "table", "grid": [[1, 1], [2, 4], [4, 16]]}),
+                 id="json-samples"),
+    pytest.param(lambda: QuasiConvexFn(power_young(3.0).base), id="quasi-convex"),
+    pytest.param(lambda: power_log_young(2.0, 0.5, 1.0).correlative(), id="correlative"),
+]
+
+
+@pytest.mark.parametrize("build", GENERATOR_BUILDERS)
+def test_char_profile_is_built_once_and_vanishes_at_zero(build):
+    # the correlative maps the right inverse's value at +inf, which is +inf,
+    # to the value 0 at 0
+    A = build()
+    assert A.base.right_inverse().value_at_inf == INF
+    phi = A.char_profile
+    assert phi.value_at_zero == 0.0 and phi(0.0) == 0.0
+    assert A.char_profile is phi
