@@ -326,39 +326,115 @@ def sobolev_optimal_target_fundamental(phi_X: FundamentalFn, ctx: SobolevContext
 
 
 # grid points of F times scales per array pass of the exponential-weight
-# transform: 16 scales of a 1,025-point table, a working set of ~2.4 MB
+# transform, which bounds the working memory at ~2.4 MB: 16 scales of a
+# 1,025-point table that has no collinear run (a merged power table of a
+# few dozen nodes takes all 257 default scales in one pass)
 _BLOCK = 1 << 14
+
+# a merged power segment reproduces every node it passes over to this
+# relative bound, and so all of F between them (the two differ linearly in
+# log-log between nodes): ~225 ulp, far above the rounding of a sampled
+# power (the conjugate power tables lie within 4.6e-15 of one power), far
+# below any slope change that a table records
+_COLLINEAR_RTOL = 5e-14
+# the longest merged segment, as a factor in abscissa: without this cap
+# (one chord on each side of t = 1 for a power table) the transform of the
+# t**2 conjugate is 2.1e-15 off mpmath in the median, against 7.2e-16, and
+# that of the t**4 conjugate 1.2e-14 at most, against 2.1e-15.  Cells of
+# abscissa, not counts of nodes, make a merged table merge to itself
+_RUN_SPAN = 10.0
 
 
 def exp_weight_transform(F: MonotoneFn, t_grid=None, cutoff=50.0):
     """G(t) = integral over tau of F(t tau) e^{-tau}; exact per power segment
     through incomplete-gamma differences, truncated at the cutoff with a
-    descriptor-driven tail estimate.  The scales go through array passes
-    of _BLOCK grid points each, which bounds the working memory whatever
-    the size of the table."""
+    descriptor-driven tail estimate.
+
+    Each power piece of F is integrated once: runs of nodes on one log-log
+    line are merged first (:func:`_merge_collinear`), and below the first
+    node a pure power (alpha = 0) is integrated in closed form from 0; a
+    log or exp-reciprocal factor there gets a 120-point geometric
+    refinement and a linear ramp from 0.  The scales go through array
+    passes of _BLOCK grid points each, which bounds the working memory
+    whatever the size of the table."""
     if t_grid is None:
         t_grid = geometric_grid(1e-8, 1e8, 16)
     t_grid = np.asarray(t_grid, dtype=float)
     out = np.full(t_grid.shape, INF)
     if F.t_inf < INF:
         return t_grid, out
+    F = _merge_collinear(F)
     cut = _exp_weight_cutoffs(F.inf_desc, t_grid, cutoff)
     live = np.flatnonzero(np.isfinite(cut))
-    # each scale's head refinement ends at the first node of F over it, or
-    # at the cutoff where that lies beyond; rows of geomspace are independent
+    # each scale's head ends at the first node of F over it, or at the
+    # cutoff where that lies beyond
     b_head = F.t[0] / t_grid[live]
     b_head = np.where(b_head < cut[live], b_head, cut[live])
-    head = np.geomspace(b_head * 1e-12, b_head, 120, axis=1)
+    form = F.power_log_form(True)
+    head_power = form[0] if form is not None and form[1] == 0.0 else None
+    if head_power is None:
+        # rows of geomspace are independent
+        head = np.concatenate((np.zeros((live.size, 1)),
+                               np.geomspace(b_head * 1e-12, b_head, 120, axis=1)), axis=1)
+    else:
+        head = b_head[:, None]
     step = max(1, _BLOCK // F.t.size)
     for lo in range(0, live.size, step):
         idx = live[lo:lo + step]
-        out[idx] = _exp_weight_block(F, t_grid[idx], cut[idx], head[lo:lo + step], cutoff)
+        out[idx] = _exp_weight_block(F, t_grid[idx], cut[idx], head[lo:lo + step],
+                                     head_power, cutoff)
     return t_grid, out
 
 
-def _exp_weight_block(F, t, cut, head, cutoff):
+def _merge_collinear(F):
+    """F without the nodes that the log-log chord of their kept neighbours
+    reproduces to _COLLINEAR_RTOL, each chord within one _RUN_SPAN cell of
+    abscissa; F itself where no node drops.  Zero and infinite values, the
+    first node of each cell, node pairs one ulp apart and the first and
+    last three positive finite nodes are kept: the edge slopes that
+    extrapolate a numeric-only descriptor read the first and last segments
+    (past a one-ulp pair), so the merged table equals F beyond its grid."""
+    t, v = F.t, F.v
+
+    def misses(k, lo, hi):
+        # the chord evaluated as MonotoneFn evaluates a power segment; a zero
+        # or infinite end gives NaN, which misses
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            s = np.log(v[hi] / v[lo]) / np.log(t[hi] / t[lo])
+            fit = v[lo] * np.exp(s * np.log(t[k] / t[lo]))
+            return ~(np.abs(fit - v[k]) <= _COLLINEAR_RTOL * v[k])
+
+    k = np.arange(1, t.size - 1)
+    keep = np.ones(t.size, dtype=bool)
+    keep[k] = misses(k, k - 1, k + 1)
+    cell = np.floor(np.log(t) / math.log(_RUN_SPAN))
+    keep[1:] |= cell[1:] != cell[:-1]
+    ends = np.flatnonzero((v > 0.0) & np.isfinite(v))
+    keep[ends[:3]] = keep[ends[-3:]] = True
+    # a node pair one ulp apart records a step of F's derivative
+    pair = t[1:] == np.nextafter(t[:-1], INF)
+    keep[1:] |= pair
+    keep[:-1] |= pair
+    while not keep.all():
+        kept, drop = np.flatnonzero(keep), np.flatnonzero(~keep)
+        right = np.searchsorted(kept, drop)
+        lo, hi = kept[right - 1], kept[right]
+        bad = misses(drop, lo, hi)
+        if not bad.any():
+            return MonotoneFn(t[keep], v[keep], F.zero_desc, F.inf_desc,
+                              value_at_zero=F.value_at_zero,
+                              value_at_inf=F.value_at_inf, validate=False)
+        # halve each chord that misses a node; a chord over one node passed
+        # above, so this ends
+        keep[(lo[bad] + hi[bad]) // 2] = True
+    return F
+
+
+def _exp_weight_block(F, t, cut, head, head_power, cutoff):
     """The transform at the scales t, each truncated at its own cutoff, in
-    one array pass."""
+    one array pass.  Each row of head starts the scale's breakpoints; with
+    a head_power p, F is c x**p below its first node and the integral from
+    0 to the row's one head point b is closed: F(t b) b**-p gamma(p + 1, b)."""
     n = t.size
     taus, rows = _tau_breakpoints(F.t, t, cut, head)
     vals = F(t[rows] * taus)
@@ -398,6 +474,13 @@ def _exp_weight_block(F, t, cut, head, cutoff):
     # bits of the pairwise summation depend on which values are summed together
     total = ramp_total + [float(np.add.reduce(pieces[i:j]))
                           for i, j in zip(start.tolist(), seg_bounds[1:].tolist())]
+    if head_power is not None:
+        b, vb = taus[bounds[:-1]], vals[bounds[:-1]]
+        # vb multiplies outside exp: its log, far from 0 for a steep power,
+        # would round the sum to tens of ulp
+        with np.errstate(invalid="ignore", over="ignore"):
+            total += vb * np.exp(_log_gamma_mass(head_power + 1.0, 0.0, b)
+                                 - head_power * np.log(b))
     tail = _exp_weight_tail(F.inf_desc, vals[bounds[1:] - 1], cut, cutoff)
     total += tail
     total[bad | np.isinf(tail)] = INF
@@ -433,15 +516,15 @@ def _exp_weight_cutoffs(d, t_grid, cutoff):
 def _tau_breakpoints(grid, t, cut, head):
     """The tau breakpoints of every scale in one flat array, with row ids.
 
-    Row i holds 0, the geometric refinement head[i] of the head (so power
-    behaviour is respected there), the grid of F mapped through
-    tau = x / t[i] inside (0, cut[i]), and cut[i].  Each row is sorted by
-    construction; repeats are dropped as np.unique would drop them."""
+    Row i holds the head points head[i] up to the first node of F, the grid
+    of F mapped through tau = x / t[i] inside (0, cut[i]), and cut[i].
+    Each row is sorted by construction; repeats are dropped as np.unique
+    would drop them."""
     n = t.size
     inner = grid[None, :] / t[:, None]
     inside = (inner > 0) & (inner < cut[:, None])
-    table = np.concatenate((np.zeros((n, 1)), head, inner, cut[:, None]), axis=1)
-    keep = np.concatenate((np.ones((n, 121), dtype=bool), inside,
+    table = np.concatenate((head, inner, cut[:, None]), axis=1)
+    keep = np.concatenate((np.ones(head.shape, dtype=bool), inside,
                            np.ones((n, 1), dtype=bool)), axis=1)
     taus = table[keep]
     rows = np.repeat(np.arange(n), keep.sum(axis=1))

@@ -114,9 +114,12 @@ def _reference_interp(fn, x):
 # -- the exponential-weight transform before its head and ramp trims ----------
 
 
-def reference_exp_weight_transform(F, t_grid=None, cutoff=50.0):
-    """exp_weight_transform with a geomspace call per block for the head
-    refinements and masked gathers for the ramp and power segments."""
+def reference_exp_weight_transform(F, t_grid=None, cutoff=50.0, closed_head=False):
+    """exp_weight_transform of a table that it integrates as it stands, with
+    a geomspace call per block for the 120 head points below the first node
+    (or, with ``closed_head``, F's zero-end power integrated in closed form
+    from 0 to the first node) and masked gathers for the ramp and power
+    segments."""
     if t_grid is None:
         t_grid = geometric_grid(1e-8, 1e8, 16)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -128,7 +131,8 @@ def reference_exp_weight_transform(F, t_grid=None, cutoff=50.0):
     step = max(1, _BLOCK // F.t.size)
     for lo in range(0, live.size, step):
         idx = live[lo:lo + step]
-        out[idx] = _reference_exp_weight_block(F, t_grid[idx], cut[idx], cutoff)
+        out[idx] = _reference_exp_weight_block(F, t_grid[idx], cut[idx], cutoff,
+                                               closed_head)
     return t_grid, out
 
 
@@ -148,9 +152,9 @@ def two_branch_log_gamma_mass(s, a, b):
     return out
 
 
-def _reference_exp_weight_block(F, t, cut, cutoff):
+def _reference_exp_weight_block(F, t, cut, cutoff, closed_head):
     n = t.size
-    taus, rows = _reference_tau_breakpoints(F.t, t, cut)
+    taus, rows = _reference_tau_breakpoints(F.t, t, cut, closed_head)
     vals = F(t[rows] * taus)
     bounds = np.searchsorted(rows, np.arange(n + 1))
     bad = np.zeros(n, dtype=bool)
@@ -180,21 +184,27 @@ def _reference_exp_weight_block(F, t, cut, cutoff):
     for i in range(n):
         total[i] = (float(np.sum(ramp_pieces[ramp_bounds[i]:ramp_bounds[i + 1]]))
                     + float(np.sum(pieces[pw_bounds[i]:pw_bounds[i + 1]])))
+    if closed_head:
+        p = F.power_log_form(True)[0]
+        b, vb = taus[bounds[:-1]], vals[bounds[:-1]]
+        total += vb * np.exp(two_branch_log_gamma_mass(p + 1.0, 0.0, b) - p * np.log(b))
     tail = _exp_weight_tail(F.inf_desc, vals[bounds[1:] - 1], cut, cutoff)
     total += tail
     total[bad | np.isinf(tail)] = INF
     return total
 
 
-def _reference_tau_breakpoints(grid, t, cut):
+def _reference_tau_breakpoints(grid, t, cut, closed_head):
     n = t.size
     inner = grid[None, :] / t[:, None]
     inside = (inner > 0) & (inner < cut[:, None])
     first = inner[np.arange(n), inside.argmax(axis=1)]
     b_head = np.where(inside.any(axis=1), first, cut)
-    head = np.geomspace(b_head * 1e-12, b_head, 120, axis=1)
-    table = np.concatenate((np.zeros((n, 1)), head, inner, cut[:, None]), axis=1)
-    keep = np.concatenate((np.ones((n, 121), dtype=bool), inside,
+    head = (b_head[:, None] if closed_head else
+            np.concatenate((np.zeros((n, 1)), np.geomspace(b_head * 1e-12, b_head, 120, axis=1)),
+                           axis=1))
+    table = np.concatenate((head, inner, cut[:, None]), axis=1)
+    keep = np.concatenate((np.ones(head.shape, dtype=bool), inside,
                            np.ones((n, 1), dtype=bool)), axis=1)
     taus = table[keep]
     rows = np.repeat(np.arange(n), keep.sum(axis=1))
