@@ -309,8 +309,8 @@ class MonotoneFn:
 
     def power_log_form(self, zero_side):
         """The extrapolation below (zero_side) or above the grid as
-        (p, alpha, anchor, slope): a constant times (t / anchor)**p l**alpha
-        with l = 1 + slope log(t / anchor); None where F is 0 or inf there."""
+        (p, alpha, anchor, slope, va): va (t / anchor)**p l**alpha with
+        l = 1 + slope log(t / anchor); None where F is 0 or inf there."""
         d = self.zero_desc if zero_side else self.inf_desc
         anchor, va = self._anchor_zero() if zero_side else self._anchor_inf()
         va = d.limit if d.kind == LIMIT_CONST else va
@@ -323,7 +323,7 @@ class MonotoneFn:
         # would turn negative, as in _tail_zero and _tail_inf
         log_form = anchor < 1.0 if zero_side else anchor > 1.0
         return p, alpha, float(anchor), (1.0 / math.log(anchor) if log_form
-                                         else -1.0 if zero_side else 1.0)
+                                         else -1.0 if zero_side else 1.0), float(va)
 
     def _tail_zero(self, x):
         d = self.zero_desc
@@ -654,6 +654,7 @@ def _power_increment(k, log_r):
 
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(24)
+_TINY = float(np.finfo(float).tiny)
 
 
 def _log_gamma_mass(s, a, b):
@@ -677,10 +678,10 @@ def _log_gamma_mass(s, a, b):
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.asarray(special.gammaln(s) + np.log(np.maximum(diff, 0.0)))
     # underflowed differences, and the NaN that scipy gives at s <= 0
-    ends = np.array(~(diff >= np.finfo(float).tiny))
+    ends = np.array(~(diff >= _TINY))
     if ends.any():
         se, ae, be = s[ends], a[ends], b[ends]
-        ends[ends] = np.where(se > 0, (diff[ends] < np.finfo(float).tiny) & (se < INF)
+        ends[ends] = np.where(se > 0, (diff[ends] < _TINY) & (se < INF)
                               & (ae < be) & ((ae > se) | (be < se)),
                               (se <= 0) & (ae > 0) & (be >= ae))
     if ends.any():
@@ -724,76 +725,116 @@ def _cell_integrals(a, b, rate, integrand):
     h = (b - a)[k] / n[k]
     mid = a[k] + (np.arange(k.size) - np.repeat(np.cumsum(n) - n, n) + 0.5) * h
     x = mid[:, None] + (0.5 * h)[:, None] * _GAUSS_NODES
-    parts = (integrand(x, k[:, None]) @ _GAUSS_WEIGHTS) * (0.5 * h)
+    parts = (integrand(x, k[:, None]) * _GAUSS_WEIGHTS).sum(axis=1) * (0.5 * h)
     return np.bincount(k, weights=parts, minlength=a.size)
 
 
-def _tail_zero_integral(fn, t0, weight_exp):
-    """Integral of F(t) t**w over (0, t0), t0 = fn.t[0], from the zero tail."""
-    d = fn.zero_desc
-    if d.kind == ZERO_ON_INTERVAL or fn.value_at_zero == INF:
-        return 0.0 if d.kind == ZERO_ON_INTERVAL else INF
-    v0 = fn(t0)
-    if v0 == 0.0:
-        return 0.0
-    if np.isinf(v0):
-        return INF
-    if d.kind == LIMIT_CONST:
-        c = d.limit
-        e = weight_exp + 1.0
-        if e <= 0 and c > 0:
-            return INF
-        base = c * t0 ** e / e if e > 0 else 0.0
-        return float(base)
+def _integral_off_grid(fn, x, weight_exp, zero_side):
+    """The integral of F(t) t**w over (0, x) for each x at or below the
+    first node (zero_side), or over (x, inf) for each x at or above the
+    last node; +inf where it diverges.
+
+    Off the grid F is va (t / a)**p l**alpha with l = 1 + sigma log(t / a)
+    (:meth:`MonotoneFn.power_log_form`).  With e = p + w + 1 and
+    z = |e| l / |sigma|, the integral is va a**(w + 1) (x / a)**e g / |e|,
+    g = (|sigma| / |e|)**alpha e**z Gamma(alpha + 1, z) (DLMF 8.2), which
+    is 1 without a log factor; at e = 0 it is va a**(w + 1) l**(alpha + 1)
+    / (|sigma| (-alpha - 1)).  It is taken from the anchor a, not through
+    a subnormal F(x); below the anchor without a log factor it is
+    F(x) x**(w + 1) / e with the table's F(x), where that is normal.  An
+    exp-reciprocal head is (F(x) / gamma) e**u Gamma(-(w + 1) / gamma, u)
+    at u = x**-gamma."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    w = weight_exp
+    d = fn.zero_desc if zero_side else fn.inf_desc
+    out = np.zeros_like(x)
+    if zero_side:
+        if d.kind == ZERO_ON_INTERVAL:
+            return out
+        if fn.value_at_zero == INF or np.isinf(fn.v[0]):
+            return out + INF
+        if fn.v[0] == 0.0:
+            return out
+    elif np.isinf(fn.v[-1]) or d.kind in (INFINITE_BEYOND, EXPONENTIAL):
+        return out + INF
     if d.kind == EXP_RECIPROCAL:
-        # F(t) = v0 exp(u0 - t**-g), u0 = t0**-g: u = t**-g makes the integral
-        # (v0 / g) e**u0 Gamma(s, u0), s = -(w + 1) / g
-        s = -(weight_exp + 1.0) / d.gamma
+        fx = fn(x)
+        live = fx > 0.0
         with np.errstate(over="ignore"):
-            u0 = t0 ** -d.gamma
-        if u0 == INF:
-            return 0.0
-        log_head = (_log_mass_from_end(s, u0, INF, scaled=True)[0] if u0 > s
-                    else float(_log_gamma_mass(s, u0, INF)) + u0)
-        return float(v0 / d.gamma * np.exp(log_head))
-    # effective local power p (+ slowly varying log factor handled numerically)
-    if d.kind == POWER_LOG:
-        p, alpha = d.p, d.alpha
-    else:
-        p, alpha = fn._edge_slope_zero(), 0.0
-    e = p + weight_exp + 1.0
-    if e < 0 or (e == 0 and alpha >= -1.0):
-        return INF
-    if alpha == 0.0:
-        if e == 0:
-            return INF
-        return float(v0 * t0 ** (weight_exp + 1.0) / e)
-    # log-corrected tail: integrate numerically on an extension grid, which
-    # stops above the subnormals (their powers overflow)
-    ext = geometric_grid(max(t0 * 1e-45, min(1e-300, 0.5 * t0)), t0, per_decade=16)
-    vals = fn(ext)
-    total = float(np.sum(_power_segment_integral(vals[:-1], vals[1:],
-                                                 ext[:-1], ext[1:], weight_exp)))
-    # below the grid's first node x0 the pure power's remainder; at e = 0
-    # F(t) t**w is c l**alpha / t, with l log(1 / t) over log(1 / anchor) or
-    # 1 + log(anchor / t), whose integral in log t gives l(x0) / (-alpha - 1)
-    x0, anchor = ext[0], fn._anchor_zero()[0]
-    rest = 1.0 / e if e > 0 else (math.log(1.0 / x0) if anchor < 1.0
-                                  else 1.0 + math.log(anchor / x0)) / (-alpha - 1.0)
-    total += float(vals[0] * x0 ** (weight_exp + 1.0) * rest)
-    return total
+            u = x[live] ** -d.gamma
+        out[live] = fx[live] / d.gamma * np.exp(_log_scaled_upper_gamma(-(w + 1.0) / d.gamma, u))
+        return out
+    form = fn.power_log_form(zero_side)
+    if form is None:
+        return out
+    p, alpha, anchor, slope, va = form
+    e = p + (w + 1.0)  # one rounding, at the scale of e near the critical p
+    if not ((e > 0.0 if zero_side else e < 0.0) or (e == 0.0 and alpha < -1.0)):
+        return out + INF
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        q, log_g = x / anchor, 0.0
+        half, div = (1.0, abs(slope) * (-alpha - 1.0)) if e == 0.0 else (
+            q ** (0.5 * p) * q ** (0.5 * (w + 1.0)), abs(e))
+        if alpha != 0.0:
+            # l as _tail_zero and _tail_inf take it: a ratio of logs where
+            # slope is 1 / log a, which would amplify the rounding of x / a
+            l = 1.0 + slope * _log_quotient(x, anchor) if abs(slope) == 1.0 else slope * np.log(x)
+            if e == 0.0:
+                # F(t) t**w is va a**(w + 1) l**alpha / t: l**alpha in log t
+                log_g = (alpha + 1.0) * np.log(l)
+            else:
+                k = abs(slope) / abs(e)
+                log_g = alpha * math.log(k) + _log_scaled_upper_gamma(alpha + 1.0, l / k)
+        # va a**(w + 1) (x / a)**e g / div with (x / a)**e as two halves of
+        # at most 1, which underflow only with the product, each taken as
+        # (x / a)**(p / 2) (x / a)**((w + 1) / 2) so that the rounding of e
+        # (times log(x / a)) stays out; e**(its log) where a term is not a
+        # normal float
+        scale = va * np.float64(anchor) ** (w + 1.0)
+        out = scale * half * half * np.exp(log_g) / div
+        far = ~(_normal(q) & _normal(half) & _normal(scale))
+        if far.any():
+            rest = e * _log_quotient(x, anchor) + log_g
+            out[far] = np.exp(math.log(va) + (w + 1.0) * math.log(anchor) - math.log(div)
+                              + rest[far])
+        if alpha == 0.0 and zero_side and (x < anchor).any():
+            # below the anchor, F(x) x**(w + 1) / e with the table's F(x),
+            # where its terms are normal
+            i = np.flatnonzero(x < anchor)
+            fx = np.full(i.size, va) if d.kind == LIMIT_CONST else fn(x[i])
+            xw = x[i] ** (w + 1.0)
+            near = _normal(fx / va) & _normal(xw)
+            out[i[near]] = fx[near] * xw[near] / e
+    return out
 
 
-def cumulative_integral(fn, weight_exp=0.0, grid=None):
-    """I(t) = integral of F(tau) tau**weight_exp over (0, t], as a MonotoneFn.
+def _normal(x):
+    return (x >= _TINY) & (x < INF)
+
+
+def _log_scaled_upper_gamma(s, z):
+    """log(e**z Gamma(s, z)) for each z > 0: from the lower end where the
+    integrand falls from it (z > s), in numpy alone, and through
+    :func:`_log_gamma_mass` elsewhere."""
+    out = np.empty_like(z)
+    fall = z > s
+    if fall.any():
+        out[fall] = _log_mass_from_end(s, z[fall], INF, scaled=True)
+    if not fall.all():
+        out[~fall] = _log_gamma_mass(s, z[~fall], INF) + z[~fall]
+    return out
+
+
+def cumulative_integral(fn, weight_exp=0.0):
+    """I(t) = integral of F(tau) tau**weight_exp over (0, t], as a MonotoneFn
+    on F's grid.
 
     Exact on power segments; the part below the grid comes from the zero
     descriptor.  If the integrand is non-integrable at zero, every value is
     +inf and the caller should treat the construction as divergent.
     """
-    t = fn.t if grid is None else np.asarray(grid, dtype=float)
-    vals = fn(t) if grid is not None else fn.v
-    head = _tail_zero_integral(fn, t[0], weight_exp)
+    t, vals = fn.t, fn.v
+    head = _integral_off_grid(fn, t[:1], weight_exp, True)[0]
     seg = _power_segment_integral(vals[:-1], vals[1:], t[:-1], t[1:], weight_exp)
     acc = np.empty_like(t)
     acc[0] = head
@@ -836,15 +877,3 @@ def _integral_inf_desc(d, w):
     if d.kind == LIMIT_CONST:
         return power_log_desc(w + 1.0, 0.0) if w + 1.0 > 0 else NUMERIC_DESC
     return NUMERIC_DESC
-
-
-def integral_on_interval(fn, lo, hi, weight_exp=0.0):
-    """Exact integral of F(t) t**weight_exp over [lo, hi] within (0, inf)."""
-    if hi <= lo:
-        return 0.0
-    t = fn.t
-    cut = t[(t > lo) & (t < hi)]
-    pts = np.concatenate(([lo], cut, [hi]))
-    vals = fn(pts)
-    return float(np.sum(_power_segment_integral(vals[:-1], vals[1:],
-                                                pts[:-1], pts[1:], weight_exp)))

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .monotone import (INF, POWER_LOG, _cell_integrals, _log_gamma_mass,
+from .monotone import (INF, _cell_integrals, _integral_off_grid, _log_gamma_mass,
                        _power_segment_integral, geometric_grid)
 from .young import QuasiConvexFn
 
@@ -298,8 +298,9 @@ def _tail_modular(A: QuasiConvexFn, tail: PowerTail, scales):
     # change of variables u = scale * coef * s**-expo:
     #   integral = (scale*coef)**(1/expo) / expo * int_u0^inf A(u) u**(-1/expo - 1) du
     # over the segment from u0 to the first node above it, the table's
-    # segments from there on and an extension beyond the table; only the
-    # first depends on the scale
+    # segments from there on, and the closed form of the table's power-log
+    # extrapolation beyond its last node (beyond u0 where u0 lies past the
+    # table); only the first segment and the closed form depend on the scale
     w_exp = -1.0 / tail.expo - 1.0
     t, v = A.base.t, A.base.v
     c = scales * tail.coef
@@ -310,8 +311,9 @@ def _tail_modular(A: QuasiConvexFn, tail: PowerTail, scales):
     kin = k[inside]
     first = np.zeros_like(u0)
     first[inside] = _power_segment_integral(vu[inside], v[kin], u0[inside], t[kin], w_exp)
+    beyond = _integral_off_grid(A.base, np.where(inside, t[-1], u0), w_exp, False)
     inf_from = np.logical_or.accumulate(np.isinf(v)[::-1])[::-1]
-    live = ~np.isinf(vu)
+    live = ~np.isinf(vu) & np.isfinite(beyond)
     live[inside] &= ~inf_from[kin]
     # a scale's total is the pairwise sum of its own segment and the table's
     # segments from node k on; buf holds those one place to the right, so
@@ -320,22 +322,15 @@ def _tail_modular(A: QuasiConvexFn, tail: PowerTail, scales):
     lowest = kin.min(initial=t.size - 1)
     buf = np.concatenate(([0.0], _power_segment_integral(
         v[lowest:-1], v[lowest + 1:], t[lowest:-1], t[lowest + 1:], w_exp)))
-    beyond = {}
-    out = np.full_like(u0, INF)
+    out, beyond = np.full_like(u0, INF), beyond.tolist()
     for i in np.flatnonzero(live).tolist():
+        total = 0.0
         if inside[i]:
             j = k[i] - lowest
             keep, buf[j] = buf[j], first[i]
-            total, hi = float(np.add.reduce(buf[j:])), t[-1]
+            total = float(np.add.reduce(buf[j:]))
             buf[j] = keep
-        else:
-            total, hi = 0.0, u0[i]
-        if hi not in beyond:
-            beyond[hi] = _beyond_table(A, hi, w_exp)
-        if beyond[hi] is None:
-            continue
-        total += beyond[hi][0]
-        total += beyond[hi][1]
+        total += beyond[i]
         try:
             factor = float(c[i]) ** (1.0 / tail.expo) / tail.expo
         except OverflowError:  # the modular leaves the float range: +inf
@@ -345,29 +340,10 @@ def _tail_modular(A: QuasiConvexFn, tail: PowerTail, scales):
             # at a small scale the first segment overflows and the factor
             # underflows; u = u0 * y folds the factor into the segment, as
             # factor * u0**(w_exp + 1) = width / expo
-            rest = float(np.add.reduce(buf[j + 1:])) + beyond[hi][0] + beyond[hi][1]
+            rest = float(np.add.reduce(buf[j + 1:])) + beyond[i]
             out[i] = (tail.width / tail.expo) * float(_power_segment_integral(
                 vu[i], v[k[i]], 1.0, t[k[i]] / u0[i], w_exp)) + factor * rest
     return out
-
-
-def _beyond_table(A: QuasiConvexFn, hi, w_exp):
-    """The integral of A(u) u**w_exp over u > hi as the pair (geometric
-    segments up to hi * 1e30, closed-form residue beyond them), or None
-    where it diverges."""
-    # beyond the table: values grow at least linearly, weight decays as
-    # u**(-1/expo - 1); the residue converges iff growth power < 1/expo
-    ext = geometric_grid(hi, hi * 1e30, 8)
-    ve = A.base(ext)
-    if np.isinf(ve).any():
-        return None
-    seg = _power_segment_integral(ve[:-1], ve[1:], ext[:-1], ext[1:], w_exp)
-    base = A.base
-    p_eff = base.inf_desc.p if base.inf_desc.kind == POWER_LOG else base._edge_slope_inf()
-    if p_eff + w_exp + 1.0 >= 0:
-        return None
-    return (float(np.sum(seg)),
-            float(ve[-1] * ext[-1] ** (w_exp + 1.0) / -(p_eff + w_exp + 1.0)))
 
 
 def modular(f: SampledFn, A: QuasiConvexFn, scale=1.0):
@@ -587,7 +563,7 @@ def marcinkiewicz_norm(f: SampledFn, A: QuasiConvexFn):
         for side, form in zip((b <= phi.t[0], a >= phi.t[-1]), forms):
             if form is None or form[1] == 0.0:
                 continue
-            p, alpha, anchor, slope = form
+            p, alpha, anchor, slope, _ = form
             # (log h)' in log t is p + alpha slope / l + (log avg)'
             l_star = np.where(side & pure, -alpha * slope / (p + q), np.nan)
             cands.append(np.where(l_star > 0, anchor * np.exp((l_star - 1.0) / slope), np.nan))

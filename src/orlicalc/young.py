@@ -34,9 +34,8 @@ from .monotone import (
     ZERO_ON_INTERVAL,
     AsymptoticDescriptor,
     MonotoneFn,
-    _log_mass_from_end,
+    _integral_off_grid,
     _power_segment_integral,
-    _tail_zero_integral,
     cumulative_integral,
     default_grid,
     exp_reciprocal_desc,
@@ -132,13 +131,12 @@ class YoungFn(QuasiConvexFn):
         """A(x) as the integral of the derivative over (0, x].
 
         Array in, array of the same shape out; a scalar gives a ``float``.
-        The rows of an array of two or more dimensions (along its last axis)
-        are each bit for bit what a call on that row alone gives.  A
-        divergent or overflowing tail gives ``+inf``, never an exception.
+        Each point's value depends on that point alone, so any batch or
+        row of points gives bit for bit what calls on single points give.
+        A divergent or overflowing tail gives ``+inf``, never an exception.
         """
         arr = np.asarray(x, dtype=float)
-        row = np.arange(arr.size) // max(arr.shape[-1], 1) if arr.ndim > 1 else None
-        out = _exact_value(self, arr.ravel(), row).reshape(arr.shape)
+        out = _exact_value(self, arr.ravel()).reshape(arr.shape)
         return float(out) if arr.ndim == 0 else out
 
     def integral_inverse(self, s):
@@ -317,7 +315,8 @@ def young_from_values(t, v, zero_desc=NUMERIC_DESC, inf_desc=NUMERIC_DESC,
         d0 = zero_on_interval_desc(t[0])
     d1 = _derivative_desc(samples.inf_desc, samples._edge_slope_inf(),
                           (EXPONENTIAL, INFINITE_BEYOND))
-    head = _head_integral(d0, t[0])
+    head = float(_integral_off_grid(MonotoneFn(t[:1], [1.0], d0, validate=False),
+                                    t[:1], 0.0, True)[0])
     if v[0] > 0.0 and not 0.0 < head < INF:
         raise ValueError(f"the zero descriptor's head cannot integrate to the "
                          f"first sample at t={t[0]:.6g}")
@@ -358,12 +357,6 @@ def young_from_values(t, v, zero_desc=NUMERIC_DESC, inf_desc=NUMERIC_DESC,
     return YoungFn(base, deriv, recipe=recipe)
 
 
-def _head_integral(d, t0):
-    """The integral over (0, t0) of a derivative with zero descriptor d and
-    the value 1 at t0; it scales with that value."""
-    return _tail_zero_integral(MonotoneFn([t0], [1.0], d, validate=False), t0, 0.0)
-
-
 def _derivative_desc(d, edge_slope, keep):
     """The derivative's descriptor at one end of a Young function whose
     descriptor there is d: a kind in ``keep`` carries over, a power drops
@@ -393,9 +386,10 @@ class IntegralDiverges(ValueError):
 # -- exact evaluation through the derivative ---------------------------------
 #
 # Each branch below works on a whole array of query points: the segment of
-# the derivative table that holds each point, the closed-form primitive of a
-# power head or tail off the table, and an extension grid with fixed nodes
-# for heads and tails without a closed form.
+# the derivative table that holds each point, and off the table the closed
+# form of monotone._integral_off_grid below the grid and of a power tail
+# above it.  Only a tail with no closed form (exponential, or a log factor)
+# is integrated on an extension grid, whose nodes sit at fixed places.
 
 
 def _pure_power_exponent(d, edge_slope):
@@ -410,79 +404,22 @@ def _pure_power_exponent(d, edge_slope):
     return None
 
 
-def _integral_from(a, lo, x, anchor, row=None):
+def _integral_from(a, lo, x):
     """Integral of the derivative over [lo, x] for each x >= lo, exact per
-    segment of the grid anchor * 10**(k/16), k integer, cut to [lo, max(x)].
+    segment of the grid lo * 10**(k/16), k = 0, 1, ..., cut at max(x).
 
-    The nodes sit at fixed places, so a point's value does not depend on
-    the other points of the batch (beyond the rounding of a running sum).
-    With ``row``, one index per point, ``lo`` holds one start per row: the
-    rows share the nodes and keep running sums of their own, so each row's
-    values are those of a call with that row's points alone.
+    The nodes sit at fixed places and the sums run from lo upward, so a
+    point's value does not depend on the other points of the batch.
     """
-    lo = np.atleast_1d(lo)
-    row = np.zeros(x.shape, dtype=np.intp) if row is None else row
-    hi, log_anchor = float(x.max()), math.log10(anchor)
-    k = np.arange(math.floor(16.0 * (math.log10(lo.min()) - log_anchor)),
-                  math.ceil(16.0 * (math.log10(hi) - log_anchor)) + 1)
+    hi = float(x.max())
+    k = np.arange(math.ceil(16.0 * (math.log10(hi) - math.log10(lo))) + 1)
     with np.errstate(over="ignore"):
-        nodes = np.minimum(anchor * 10.0 ** (k / 16.0), hi)
+        nodes = np.minimum(lo * 10.0 ** (k / 16.0), hi)
     vals = a(nodes)
-    # a row runs from its start to the first node above it, then from node
-    # to node: column c of its sums ends at node c
-    first = np.searchsorted(nodes, lo, side="right")
-    cols = np.arange(nodes.size)
-    segs = np.where(cols > first[:, None], np.concatenate(
-        ([0.0], _power_segment_integral(vals[:-1], vals[1:], nodes[:-1], nodes[1:]))), 0.0)
-    v_lo = a(lo)
-    r = np.flatnonzero(first < nodes.size)
-    segs[r, first[r]] = _power_segment_integral(v_lo[r], vals[first[r]], lo[r], nodes[first[r]])
-    cum = np.cumsum(segs, axis=1)
+    cum = np.concatenate(([0.0], np.cumsum(_power_segment_integral(
+        vals[:-1], vals[1:], nodes[:-1], nodes[1:]))))
     j = np.searchsorted(nodes, x, side="right") - 1
-    past = j >= first[row]
-    return (np.where(past, cum[row, j], 0.0)
-            + _power_segment_integral(np.where(past, vals[j], v_lo[row]), a(x),
-                                      np.where(past, nodes[j], lo[row]), x))
-
-
-def _integral_below_grid(a, x, row=None):
-    """Integral of the derivative over (0, x] for 0 < x below its grid; with
-    ``row``, each row as if alone (see :func:`_integral_from`)."""
-    d = a.zero_desc
-    out = np.zeros_like(x)
-    if d.kind == ZERO_ON_INTERVAL:
-        return out
-    ax = a(x)
-    out[np.isinf(ax)] = INF
-    live = (ax > 0.0) & np.isfinite(ax)
-    if not live.any():
-        return out
-    x, ax = x[live], ax[live]
-    if d.kind == LIMIT_CONST:
-        out[live] = d.limit * x
-        return out
-    if d.kind == EXP_RECIPROCAL:
-        # a(t) = a(x) exp(u - t**-gamma), u = x**-gamma: as in
-        # cumulative_integral's head, (a(x) / gamma) e**u Gamma(-1 / gamma, u)
-        out[live] = ax / d.gamma * np.exp(_log_mass_from_end(
-            -1.0 / d.gamma, x ** -d.gamma, INF, scaled=True))
-        return out
-    p = d.p if d.kind == POWER_LOG else a._edge_slope_zero()
-    if d.kind == POWER_LOG and d.alpha != 0.0:
-        # the log factor has no closed-form primitive: integrate from 45
-        # decades below the smallest point of the row and close with the
-        # pure-power remainder there
-        row = np.unique(np.zeros(x.size, dtype=np.intp) if row is None else row[live],
-                        return_inverse=True)[1]
-        least = np.full(row.max() + 1, INF)
-        np.minimum.at(least, row, x)
-        lo = np.maximum(least * 1e-45, 1e-300)
-        r = np.minimum(x, lo[row])
-        out[live] = (_integral_from(a, lo, np.maximum(x, lo[row]), a.t[0], row)
-                     + a(r) * r / max(p + 1.0, 1e-9))
-        return out
-    out[live] = ax * x / (p + 1.0)
-    return out
+    return cum[j] + _power_segment_integral(vals[j], a(x), nodes[j], x)
 
 
 def _integral_above_grid(A, x):
@@ -495,16 +432,15 @@ def _integral_above_grid(A, x):
     p = _pure_power_exponent(a.inf_desc, a._edge_slope_inf)
     aN, tN = float(a.v[-1]), float(a.t[-1])
     if p is None:
-        return total + _integral_from(a, tN, x, tN)
+        return total + _integral_from(a, tN, x)
     if p == 0.0 and a.inf_desc.kind == LIMIT_CONST:
         aN = a.inf_desc.limit
     with np.errstate(over="ignore"):
         return total + aN * tN * ((x / tN) ** (p + 1.0) - 1.0) / (p + 1.0)
 
 
-def _exact_value(A, x, row=None):
-    """Array kernel of :meth:`YoungFn.__call__`; ``row`` gives each point's
-    row."""
+def _exact_value(A, x):
+    """Array kernel of :meth:`YoungFn.__call__`."""
     a, base = A.derivative, A.base
     t = a.t
     out = np.full_like(x, np.nan)
@@ -512,14 +448,15 @@ def _exact_value(A, x, row=None):
     out[x == INF] = base.value_at_inf
     head = (x > 0.0) & (x < t[0])
     if head.any():
-        out[head] = _integral_below_grid(a, x[head], None if row is None else row[head])
+        out[head] = _integral_off_grid(a, x[head], 0.0, True)
     tail = (x > t[-1]) & (x < INF)
     if tail.any():
         out[tail] = _integral_above_grid(A, x[tail])
     grid = (x >= t[0]) & (x <= t[-1])
     if grid.any():
         xg = x[grid]
-        i = np.clip(np.searchsorted(t, xg, side="right") - 1, 0, max(t.size - 2, 0))
+        # a node, the last one included, gets its table value
+        i = np.searchsorted(t, xg, side="right") - 1
         out[grid] = base.v[i] + _power_segment_integral(a.v[i], a(xg), t[i], xg)
     return out
 

@@ -7,8 +7,8 @@ import numpy as np
 from scipy import special
 
 from orlicalc.monotone import (
-    INF, MonotoneFn, NUMERIC_DESC, _log_mass_from_end, _power_segment_integral,
-    geometric_grid)
+    INF, MonotoneFn, NUMERIC_DESC, _integral_off_grid, _log_mass_from_end,
+    _power_segment_integral, geometric_grid)
 from orlicalc.operators import _BLOCK, _exp_weight_cutoffs, _exp_weight_tail
 from orlicalc.diagonality import build_gw, integrate_outer_reciprocal
 from orlicalc.rearrangement import lambda_norm, maximal, modular, rearrange
@@ -253,7 +253,8 @@ def sequential_least_admissible_scale(ok, start, rel_tol):
 
 
 def scalar_tail_modular(A, tail, scale):
-    """Integral of A(scale * tail profile) over (0, width) at one scale."""
+    """Integral of A(scale * tail profile) over (0, width) at one scale: the
+    table's segments from u0 on, then the closed form beyond them."""
     c = scale * tail.coef
     u0 = c * tail.width ** (-tail.expo)
     w_exp = -1.0 / tail.expo - 1.0
@@ -265,17 +266,10 @@ def scalar_tail_modular(A, tail, scale):
         return INF
     seg = _power_segment_integral(vals[:-1], vals[1:], pts[:-1], pts[1:], w_exp)
     total = float(np.sum(seg))
-    hi = pts[-1]
-    ext = geometric_grid(hi, hi * 1e30, 8)
-    ve = A.base(ext)
-    if np.isinf(ve).any():
+    beyond = _integral_off_grid(base, pts[-1:], w_exp, False)[0]
+    if np.isinf(beyond):
         return INF
-    seg2 = _power_segment_integral(ve[:-1], ve[1:], ext[:-1], ext[1:], w_exp)
-    total += float(np.sum(seg2))
-    p_eff = base.inf_desc.p if base.inf_desc.kind == "power-log" else base._edge_slope_inf()
-    if p_eff + w_exp + 1.0 >= 0:
-        return INF
-    total += float(ve[-1] * ext[-1] ** (w_exp + 1.0) / -(p_eff + w_exp + 1.0))
+    total += beyond
     return (c ** (1.0 / tail.expo) / tail.expo) * total
 
 

@@ -1,6 +1,7 @@
 """Layout rules for the package source, checked with the standard ``ast``
 module: imports sit at module level, scipy is named only inside the
-incomplete-gamma kernel, which loads ``scipy.special`` on its first call,
+incomplete-gamma kernel, which loads ``scipy.special`` on its first call
+(a power-log Young function below its grid makes none),
 growth classes are never read from a generator's ``recipe``, step functions
 are read through their ``values`` and ``widths`` arrays, never their
 ``pieces`` list, and every top-level function and class is used somewhere
@@ -107,6 +108,18 @@ def test_cli_import_loads_no_scipy_until_a_query_needs_it():
     loaded, report = out.stdout.splitlines()
     assert loaded == "[]"
     assert json.loads(report)["outcome"]["result"] == "optimal"
+
+
+def test_log_factor_head_loads_no_scipy():
+    # a log factor's head is e**z Gamma(alpha + 1, z) with z = 2 l log(1e8)
+    # > alpha + 1, which numpy alone integrates from its lower end: building
+    # the function takes the head at its first node, and A(1e-12) below it
+    code = ("import sys; from orlicalc.young import power_log_young; "
+            "A = power_log_young(2, 1, 1); assert 0.0 < A(1e-12) < A(1e-8); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def _recipe_reads(tree):

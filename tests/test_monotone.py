@@ -1,18 +1,23 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from orlicalc.monotone import (
     INF,
+    NUMERIC_DESC,
     MonotoneFn,
+    _integral_off_grid,
     _invert_desc_inf,
     _power_segment_integral,
     _invert_desc_zero,
     cumulative_integral,
     default_grid,
+    exp_reciprocal_desc,
+    exponential_desc,
     infinite_beyond_desc,
-    integral_on_interval,
     limit_const_desc,
     power_log_desc,
     zero_on_interval_desc,
@@ -400,12 +405,6 @@ class TestIntegration:
         x = np.geomspace(1e-6, 1e6, 80)
         np.testing.assert_allclose(integ(x), x ** p, rtol=1e-11)
 
-    def test_weighted_interval_integral(self):
-        fn = power_table(2.0)
-        # integral of t^2 * t^-3 = log(hi/lo)
-        got = integral_on_interval(fn, 0.5, 8.0, weight_exp=-3.0)
-        assert got == pytest.approx(math.log(16.0), rel=1e-10)
-
     def test_divergent_head_is_inf(self):
         fn = power_table(1.0)
         integ = cumulative_integral(fn, weight_exp=-2.0)
@@ -428,3 +427,128 @@ class TestIntegration:
         # both primitives overflow here; their difference was inf - inf = nan
         got = _power_segment_integral([0.0], [1.0], [1e-200], [2e-200], -4.33)
         assert got.tolist() == [INF]
+
+
+ZERO_KINDS = ("power-log", "log-critical", "numeric-only", "limit-const",
+              "exp-reciprocal", "zero-on-interval", "zero-first-node")
+INF_KINDS = ("power-log", "log-critical", "numeric-only", "limit-const",
+             "infinite-beyond", "exponential", "inf-block", "zero-last-node")
+
+
+@st.composite
+def off_grid_ends(draw):
+    """(kind, zero_side, w, anchor, va, p, alpha, gamma, x) for the integral
+    off a two-node table: anchors from 1e-8 to 1e8, on both sides of 1
+    (exp-reciprocal ones no lower than 100**(-1 / gamma)),
+    p and alpha in [-3, 3] (alpha < -1 at e = p + w + 1 = 0, the
+    log-critical kind), and x up to 300 decades off the grid, short of
+    where F(x), the integral or x leaves the normal range."""
+    zero = draw(st.booleans())
+    kind = draw(st.sampled_from(ZERO_KINDS if zero else INF_KINDS))
+    w = draw(st.sampled_from([0.0, -2.0, -1.5, 0.5]))
+    a, va = 10.0 ** draw(st.floats(-8.0, 8.0)), 10.0 ** draw(st.floats(-20.0, 20.0))
+    p, alpha, gamma = draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)), 0.0
+    if kind == "log-critical":
+        p, alpha = -(w + 1.0), draw(st.floats(-3.0, -1.01))
+    elif kind == "numeric-only":
+        p, alpha = draw(st.floats(0.05, 3.0)), 0.0
+    elif kind == "limit-const":
+        p, alpha = 0.0, 0.0
+    frac = draw(st.floats(0.0, 1.0))
+    if kind == "exp-reciprocal":
+        # F(x) = va exp(a**-gamma - x**-gamma), with a**-gamma at most 100,
+        # as the table's own F(x) rounds at that scale, and x**-gamma up to
+        # 600 over it
+        gamma = draw(st.floats(0.2, 3.0))
+        a = max(a, 100.0 ** (-1.0 / gamma))
+        lowest = (a ** -gamma + 600.0) ** (-1.0 / gamma)
+        return kind, zero, w, a, va, p, alpha, gamma, min(a, a * (lowest / a) ** frac)
+    side, la, lv = (-1.0 if zero else 1.0), math.log10(a), math.log10(va)
+    bounds = [300.0, 300.0 - side * la]
+    for slope, level in ((p * side, lv), ((p + w + 1.0) * side, lv + (w + 1.0) * la)):
+        if slope != 0.0:
+            bounds.append((290.0 - math.copysign(level, slope)) / abs(slope))
+    return kind, zero, w, a, va, p, alpha, gamma, a * 10.0 ** (side * frac * max(0.0, min(bounds)))
+
+
+def off_grid_table(kind, zero, a, va, p, alpha, gamma):
+    """The two-node table whose extrapolation at one end is the drawn form."""
+    t = np.array([a, 10.0 * a] if zero else [0.1 * a, a])
+    v = np.array([va, va * 10.0 ** p] if zero else [va * 10.0 ** -p, va])
+    desc = {"numeric-only": NUMERIC_DESC, "limit-const": limit_const_desc(va),
+            "exp-reciprocal": exp_reciprocal_desc(gamma),
+            "zero-on-interval": zero_on_interval_desc(0.5 * a),
+            "infinite-beyond": infinite_beyond_desc(2.0 * a),
+            "exponential": exponential_desc(1.0)}.get(kind, power_log_desc(p, alpha))
+    if kind == "zero-first-node":
+        v[0] = 0.0
+    elif kind == "zero-last-node":
+        v[:] = 0.0
+    elif kind == "inf-block":
+        v[1] = INF
+    elif kind == "limit-const":
+        v[:] = va
+    return MonotoneFn(t, v, desc, desc, validate=False)
+
+
+def exact_off_grid(kind, zero, a, va, p, alpha, gamma, w, x):
+    """F(x) and the integral of F(t) t**w over (0, x) (zero) or (x, inf)
+    at 40 digits, for F = va exp(a**-gamma - t**-gamma) or
+    va (t / a)**p l**alpha, l = log t / log a or 1 -+ log(t / a)."""
+    with mp.workdps(40):
+        a, va, x = mp.mpf(a), mp.mpf(va), mp.mpf(x)
+        if kind == "exp-reciprocal":
+            u = x ** -gamma
+            F = va * mp.exp(a ** -gamma - u)
+            return F, F / gamma * mp.exp(u) * mp.gammainc(-(w + 1) / gamma, u)
+        if (a < 1) if zero else (a > 1):
+            sigma = 1 / mp.log(a)
+        else:
+            sigma = mp.mpf(-1 if zero else 1)
+        l, k, e = 1 + sigma * mp.log(x / a), abs(sigma), mp.mpf(p) + w + 1
+        F = va * (x / a) ** p * l ** alpha
+        if e == 0:
+            return F, va * a ** (w + 1) * l ** (alpha + 1) / (k * (-alpha - 1))
+        return F, (va * a ** (w + 1) / k * mp.exp(abs(e) / k) * (k / abs(e)) ** (alpha + 1)
+                   * mp.gammainc(alpha + 1, abs(e) * l / k))
+
+
+class TestIntegralOffGrid:
+    """The integral of a table's extrapolation over (0, x) below its grid or
+    (x, inf) above it, against 40-digit mpmath."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(off_grid_ends())
+    @example(("log-critical", True, -2.0, 1e-8, 1.0, 1.0, -2.5, 0.0, 1e-200))
+    @example(("log-critical", False, -1.5, 1e8, 1.0, 0.5, -1.5, 0.0, 1e250))
+    @example(("power-log", True, 0.0, 1e-8, 1.0, 1.0, 1.0, 0.0, 1e-150))
+    @example(("power-log", False, -1.0 / 0.39 - 1.0, 1e8, 1e20, 2.5, 1.0, 0.0, 1e8))
+    @example(("power-log", True, 0.0, 3.0, 1e10, 2.5, 3.0, 0.0, 2.0))
+    @example(("power-log", True, 0.5, 1835.68, 1.2e19, 2.56, 0.0, 0.0, 1.42e-120))
+    def test_matches_mpmath(self, case):
+        kind, zero, w, a, va, p, alpha, gamma, x = case
+        fn = off_grid_table(kind, zero, a, va, p, alpha, gamma)
+        got = float(_integral_off_grid(fn, np.array([x]), w, zero)[0])
+        if kind in ("zero-on-interval", "zero-first-node", "zero-last-node"):
+            assert got == 0.0
+            return
+        if kind in ("infinite-beyond", "exponential", "inf-block"):
+            assert got == INF
+            return
+        if kind == "numeric-only":
+            p = fn._edge_slope_zero() if zero else fn._edge_slope_inf()
+        e = p + (w + 1.0)
+        if kind != "exp-reciprocal" and not ((e > 0.0 if zero else e < 0.0)
+                                             or (e == 0.0 and alpha < -1.0)):
+            assert got == INF
+            return
+        F, want = exact_off_grid(kind, zero, a, va, p, alpha, gamma, w, x)
+        assume(2.3e-308 < F < 1.7e308 and 1e-300 < want < 1e300)
+        # where the kernel reads F(x) from the table (no log factor on the
+        # zero side, and exp-reciprocal), it carries the table's rounding of
+        # F(x) too: va exp(p log(x / a)) is good to about |p log(x / a)| ulp
+        inherited = 0.0
+        if kind == "exp-reciprocal" or (zero and alpha == 0.0):
+            inherited = float(abs(mp.mpf(float(fn(x))) - F) / F)
+        assert abs(got - want) <= (1e-13 + inherited) * want, (got, float(want))
+

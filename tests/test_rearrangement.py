@@ -477,6 +477,43 @@ class TestBatchedLuxemburg:
             assert luxemburg_norm(g.scale(10.0 ** e), A) == pytest.approx(
                 luxemburg_norm(g, A) * 10.0 ** e, rel=1e-9)
 
+    def test_near_critical_tail_norm(self):
+        # the tail profile 2 s**-0.39 against A ~ t**2.5 log t: beyond the
+        # table A(u) u**(-1 / 0.39 - 1) decays like u**-1.064 log u; the
+        # part past 1e30 times the last node, 3% of the integral beyond the
+        # table, was taken without its log factor, which left that integral
+        # 5.5e-3 low and the norm at 25.0714.  The reference modular
+        # integrates the value table's log-log segments and the closed form
+        # beyond them at 40 digits, and brackets 1 at the norm
+        A = power_log_young(2.5, alpha_zero=0.0, alpha_inf=1.0)
+        tail = PowerTail(2.0, 0.39, 0.01)
+        f = SampledFn([[1.0, 0.4]], tail=tail)
+        lam = luxemburg_norm(f, A)
+        t, v = A.base.t, A.base.v
+        w = -1.0 / tail.expo - 1.0
+
+        def reference_modular(scale):
+            with mp.workdps(40):
+                c = mp.mpf(scale) * tail.coef
+                u0 = c * mp.mpf(tail.width) ** -tail.expo
+                k = int(np.searchsorted(t, float(u0), side="right"))
+                total = mp.mpf(0)
+                for i in range(k - 1, t.size - 1):
+                    a, b = mp.mpf(t[i]), mp.mpf(t[i + 1])
+                    s = mp.log(mp.mpf(v[i + 1]) / v[i]) / mp.log(b / a)
+                    lo = max(a, u0)
+                    total += v[i] * a ** -s * (b ** (s + w + 1) - lo ** (s + w + 1)) / (s + w + 1)
+                # beyond the last node tN: vN (u / tN)**2.5 (log u / log tN)
+                tn, vn = mp.mpf(t[-1]), mp.mpf(v[-1])
+                kk, e = 1 / mp.log(tn), -(2.5 + w + 1)
+                total += vn * tn ** (w + 1) / kk * mp.exp(e / kk) * (kk / e) ** 2 \
+                    * mp.gammainc(2, e / kk)
+                return 0.4 * A(float(scale)) + float(c ** (1 / mp.mpf(tail.expo)) / tail.expo * total)
+
+        assert lam == pytest.approx(25.1067, rel=1e-5)
+        assert reference_modular(1.0 / (lam * (1 + 1e-8))) <= 1.0 <= \
+            reference_modular(1.0 / (lam * (1 - 1e-8)))
+
     def test_zero_function_at_many_scales(self):
         got = modular(SampledFn([(0.0, 1.0)]), power_young(2.0), np.array([0.5, 2.0]))
         assert got.tolist() == [0.0, 0.0]

@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -95,7 +96,7 @@ def reference_value(A, x):
             return float(base.v[-1]) + aN * tN * ((x / tN) ** (p + 1.0) - 1.0) / (p + 1.0)
         except OverflowError:
             return math.inf
-    i = min(int(np.searchsorted(t, x, side="right")) - 1, max(t.size - 2, 0))
+    i = int(np.searchsorted(t, x, side="right")) - 1
     if x == t[i]:
         return float(base.v[i])
     return float(base.v[i]) + float(_power_segment_integral(a.v[i], a(x), t[i], x))
@@ -268,8 +269,9 @@ class TestIntegralKernel:
 
     @pytest.mark.parametrize("alpha", [-1.0, 0.5])
     def test_rows_equal_calls_of_their_own(self, alpha):
-        # below its grid a log factor is integrated from 45 decades under
-        # the smallest point of the call; a 2-d array keeps that per row
+        # below its grid a log factor is integrated in closed form, each
+        # point from the first node alone, so a row of a 2-d array gives
+        # what a call with that row alone gives
         A = power_log_young(2.0, alpha_zero=alpha, alpha_inf=0.0)
         rng = np.random.default_rng(11)
         x = 10.0 ** rng.uniform(-300.0, 2.0, (24, 9))
@@ -280,6 +282,36 @@ class TestIntegralKernel:
         for row, want in zip(x, got):
             assert np.array_equal(A(row), want)
         assert np.array_equal(A(x[:, None, :]), got[:, None, :])
+
+    @pytest.mark.parametrize("build", [
+        lambda: power_young(2.0),
+        lambda: power_log_young(2.0, alpha_zero=1.0, alpha_inf=1.0),
+        lambda: exp_young(1.0),
+        lambda: young_from_values(np.geomspace(0.1, 10.0, 9), np.geomspace(0.1, 10.0, 9) ** 3),
+        lambda: conjugate(power_log_young(2.0, alpha_zero=1.0, alpha_inf=1.0)),
+        lambda: linfty_young(2.0),
+    ], ids=["power", "power-log", "exp", "sampled table", "conjugate", "linfty"])
+    def test_nodes_give_the_value_table(self, build):
+        # the last node too: it took the previous node's value plus a
+        # segment, and A(1e8) of t**2 was 1.0000000000000002e16
+        A = build()
+        assert np.array_equal(A(A.derivative.t), A.base.v)
+
+    @pytest.mark.parametrize("alpha_zero", [1.0, -1.0, 0.5])
+    def test_log_factor_head_at_the_first_node(self, alpha_zero):
+        # below t0 the derivative is v0 (t / t0)**(p - 1) l**a0 with
+        # l = log t / log t0; its integral over (0, t0), the first value of
+        # the table, is v0 t0 e**z z**-a0 Gamma(a0 + 1, z) / p at
+        # z = p / k, k = -1 / log t0 (an extension grid left it 2.4e-6 to
+        # 4.8e-6 off for these three)
+        p = 2.0
+        A = power_log_young(p, alpha_zero=alpha_zero, alpha_inf=1.0)
+        t0, v0 = mp.mpf(A.derivative.t[0]), mp.mpf(A.derivative.v[0])
+        with mp.workdps(40):
+            k = -1 / mp.log(t0)  # l = log t / log t0 = 1 + log(t / t0) / log t0
+            want = v0 * t0 / k * mp.exp(p / k) * (k / p) ** (alpha_zero + 1) \
+                * mp.gammainc(alpha_zero + 1, p / k)
+        assert A.base.v[0] == pytest.approx(float(want), rel=1e-13, abs=0)
 
     def test_log_factor_start_above_its_first_node(self):
         # with its grid from 1e-5, the start 1e-300 lies an ulp below the
