@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .monotone import (INF, _cell_integrals, _integral_off_grid, _log_gamma_mass,
+from .monotone import (INF, _TINY, _cell_integrals, _integral_off_grid, _log_gamma_mass,
                        _power_segment_integral, geometric_grid)
 from .young import QuasiConvexFn
 
@@ -336,14 +336,36 @@ def _tail_modular(A: QuasiConvexFn, tail: PowerTail, scales):
         except OverflowError:  # the modular leaves the float range: +inf
             continue
         out[i] = factor * total
-        if inside[i] and not math.isfinite(out[i]):
-            # at a small scale the first segment overflows and the factor
-            # underflows; u = u0 * y folds the factor into the segment, as
-            # factor * u0**(w_exp + 1) = width / expo
-            rest = float(np.add.reduce(buf[j + 1:])) + beyond[i]
-            out[i] = (tail.width / tail.expo) * float(_power_segment_integral(
-                vu[i], v[k[i]], 1.0, t[k[i]] / u0[i], w_exp)) + factor * rest
+        if inside[i] and not (factor >= _TINY and math.isfinite(out[i])):
+            # at a small scale the segments overflow and the factor
+            # underflows (or is subnormal); u = u0 * y folds the factor in,
+            # as factor * u0**(w_exp + 1) = width / expo
+            out[i] = (tail.width / tail.expo) * _tail_integral_over_u0(
+                A.base, u0[i], vu[i], k[i], beyond[i], w_exp)
     return out
+
+
+def _tail_integral_over_u0(base, u0, vu, k, beyond, w):
+    """The integral of F(u0 y) y**w over y > 1, for u0 below node k of F:
+    the chord from (u0, vu) to node k, the table's segments from there on
+    and ``beyond``, the integral of F(u) u**w past the last node, each over
+    y = u / u0, where y**(w + 1) <= 1 cannot overflow."""
+    t, v = base.t[k:], base.v[k:]
+    y = t / u0
+    if vu >= _TINY or v[0] == 0.0:
+        first = float(_power_segment_integral(vu, v[0], 1.0, y[0], w))
+    else:
+        # a subnormal or underflowed vu: vu (y0**e - 1) / e anchored at the
+        # node, v0 y0**(w + 1) = vu y0**e, with the chord's slope in logs
+        with np.errstate(divide="ignore"):
+            e = (math.log(v[0]) - float(np.log(vu))) / math.log(y[0]) + (w + 1.0)
+        first = (v[0] * y[0] ** (w + 1.0) - vu) / e
+    total = float(np.add.reduce(np.concatenate((
+        [first], _power_segment_integral(v[:-1], v[1:], y[:-1], y[1:], w)))))
+    if beyond > 0.0:
+        with np.errstate(over="ignore"):
+            total += float(np.exp(math.log(beyond) - (w + 1.0) * math.log(u0)))
+    return total
 
 
 def modular(f: SampledFn, A: QuasiConvexFn, scale=1.0):
@@ -468,16 +490,85 @@ _TAIL_POINTS = 16
 
 
 def luxemburg_norm(f: SampledFn, A: QuasiConvexFn, rel_tol=1e-10):
-    """inf{lam > 0 : modular(f / lam) <= 1}."""
+    """inf{lam > 0 : modular(f / lam) <= 1}, as the admissible end of the
+    log-scale bisection of :func:`least_admissible_scale` from
+    max(sup |f|, 1) down to relative width ``rel_tol``.
+
+    A root phase first finds, from the modular's values, scales lo < hi on
+    either side of the root whose modulars miss 1 by a margin
+    (:func:`_certified_bracket`).  The bisection is then replayed with a
+    predicate that answers below lo and above hi without the modular, which
+    does not rise with lam, and calls it for the scales in between.  It
+    sees the same answers at the same scales as a search that calls the
+    modular for every scale, so it returns the same float."""
     if f.is_zero:
         return 0.0
     start = max(f.sup_value(), 1.0)
     if math.isinf(start):
         start = 1.0
+    lo, hi = _certified_bracket(f, A, start)
+
+    def ok(lams):
+        good = lams >= hi
+        unsure = ~good & (lams > lo)
+        if unsure.any():
+            good[unsure] = modular(f, A, scale=1.0 / lams[unsure]) <= 1.0
+        return good
+
     cost = f.values.size + (_TAIL_POINTS if f.tail is not None else 0)
     depth = max([1] + [d for d in range(2, 7) if (2 ** d - 1) * cost <= _BATCH_POINTS])
-    return least_admissible_scale(lambda lam: modular(f, A, scale=1.0 / lam) <= 1.0,
-                                  start, rel_tol, depth)
+    return least_admissible_scale(ok, start, rel_tol, depth)
+
+
+# the margin by which a certified modular misses 1, against a rounding of
+# about 1e-14 relative, and the calls the root phase may make
+_ETA = 1e-12
+_ROOT_CALLS = 10
+_LOG_RANGE = math.log(1e300)
+
+
+def _certified_bracket(f, A, start):
+    """Scales lo < hi with modular(f / lo) > 1 + eta and modular(f / hi) <
+    1 - eta, eta = 1e-12; lo is 0 and hi is +inf where none was found.
+
+    The first call of the modular takes start and 2 start.  Each later one
+    takes lam* e**-d and lam* e**d, where log lam* is the root of the secant
+    of log M against log lam through the two newest points with a finite
+    positive M (exact for a pure power), or the middle of the log bracket
+    (lo, hi) where the secant leaves it.  d = max(2 eta / s, min(err / 4,
+    4 err**2)), s the secant's slope and err how far lam* moved: the
+    modular's margin at least, and about the secant's next error.  It stops
+    when hi / lo <= 1 + 16 eta / s, after 10 calls, or where no secant falls
+    into an open bracket.  NaN values are not used."""
+    lo, hi = 0.0, INF
+    points = []
+    lams = [start, 2.0 * start]
+    x_old = math.log(lams[-1])
+    for _ in range(_ROOT_CALLS):
+        for lam, m in zip(lams, modular(f, A, scale=1.0 / np.array(lams)).tolist()):
+            if m > 1.0 + _ETA:
+                lo = max(lo, lam)
+            elif m < 1.0 - _ETA:
+                hi = min(hi, lam)
+            if 0.0 < m < INF:
+                points.append((math.log(lam), math.log(m)))
+        if len(points) < 2 or points[-1][0] == points[-2][0]:
+            break
+        (x1, y1), (x2, y2) = points[-2:]
+        s = (y1 - y2) / (x2 - x1)
+        if not s > 0.0 or hi <= lo * (1.0 + 16.0 * _ETA / s):
+            break
+        x = x2 + y2 / s
+        x_lo = math.log(lo) if lo > 0.0 else -_LOG_RANGE
+        x_hi = math.log(hi) if hi < INF else _LOG_RANGE
+        if not x_lo < x < x_hi:
+            if lo == 0.0 or hi == INF:
+                break
+            x = 0.5 * (x_lo + x_hi)
+        err, x_old = abs(x - x_old), x
+        d = max(2.0 * _ETA / s, min(err / 4.0, 4.0 * err * err))
+        lams = np.exp(np.clip([x - d, x + d], -_LOG_RANGE, _LOG_RANGE)).tolist()
+    return lo, hi
 
 
 def lambda_norm(f: SampledFn, A: QuasiConvexFn):

@@ -254,7 +254,10 @@ def sequential_least_admissible_scale(ok, start, rel_tol):
 
 def scalar_tail_modular(A, tail, scale):
     """Integral of A(scale * tail profile) over (0, width) at one scale: the
-    table's segments from u0 on, then the closed form beyond them."""
+    table's segments from u0 on, then the closed form beyond them, times
+    (scale * coef)**(1 / expo) / expo.  Where that factor is not a normal
+    float or the product is not finite, the same integral over y = u / u0
+    times width / expo."""
     c = scale * tail.coef
     u0 = c * tail.width ** (-tail.expo)
     w_exp = -1.0 / tail.expo - 1.0
@@ -270,7 +273,29 @@ def scalar_tail_modular(A, tail, scale):
     if np.isinf(beyond):
         return INF
     total += beyond
-    return (c ** (1.0 / tail.expo) / tail.expo) * total
+    try:
+        factor = c ** (1.0 / tail.expo) / tail.expo
+    except OverflowError:
+        return INF
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = factor * total
+    if t.size and not (factor >= np.finfo(float).tiny and math.isfinite(out)):
+        y = pts / u0
+        vu, v0 = vals[0], vals[1]
+        if vu >= np.finfo(float).tiny or v0 == 0.0:
+            first = float(_power_segment_integral(vu, v0, 1.0, y[1], w_exp))
+        else:
+            # the chord from a subnormal vu, anchored at the node
+            with np.errstate(divide="ignore"):
+                slope = (math.log(v0) - float(np.log(vu))) / math.log(y[1])
+            first = (v0 * y[1] ** (w_exp + 1.0) - vu) / (slope + (w_exp + 1.0))
+        seg = _power_segment_integral(vals[1:-1], vals[2:], y[1:-1], y[2:], w_exp)
+        out = float(np.sum(np.concatenate(([first], seg))))
+        if beyond > 0.0:
+            with np.errstate(over="ignore"):
+                out += float(np.exp(math.log(beyond) - (w_exp + 1.0) * math.log(u0)))
+        out *= tail.width / tail.expo
+    return out
 
 
 def scalar_modular(f, A, scale=1.0):

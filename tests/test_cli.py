@@ -60,6 +60,17 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out)["outcome"]["value"] == pytest.approx(12 ** 0.5)
 
+    def test_orlicz_norm_of_a_tail_far_below_the_table(self):
+        # the tail's u0 lies four decades below the generator's first node;
+        # the norm was "inf".  The value is 40-digit mpmath
+        code, out = run(["--json", "norm", "--space",
+                         '{"family":"orlicz","params":{"young":{"class":"power-log","p":1.3}}}',
+                         "--fn", '{"pieces":[[1e-12,0.001]],"tail":{"coef":9.120108393559097e-13,'
+                         '"expo":0.02,"width":0.01}}'])
+        assert code == 0
+        assert json.loads(out)["outcome"]["value"] == pytest.approx(3.172409414193040e-14,
+                                                                    rel=1e-9)
+
     def test_marcinkiewicz_norm_of_a_steep_tail_is_inf(self):
         code, out = run(["--json", "norm", "--space",
                          '{"family":"marcinkiewicz","params":{"generator":{"class":"power-log","p":2}}}',

@@ -220,6 +220,19 @@ def test_batched_luxemburg_is_the_sequential_search(case, tol, depth):
                                   start, tol, depth) == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(luxemburg_cases())
+def test_modular_does_not_rise_with_the_norm_scale(case):
+    # the Luxemburg search answers for the scales outside a certified
+    # bracket without the modular, on the strength of this monotonicity
+    f, A = case
+    with np.errstate(over="ignore"):  # a sum past the float range is +inf
+        m = modular(f, A, 1.0 / np.geomspace(1e-300, 1e300, 241))
+    assert not np.isnan(m).any()
+    m = m[m >= np.finfo(float).tiny]
+    assert np.all(m[1:] <= m[:-1] * (1.0 + 1e-13))
+
+
 LOG_GENERATORS = {
     "power-log 2, 0.5, -0.5": power_log_young(2.0, alpha_zero=0.5, alpha_inf=-0.5),
     "power-log 1.5, -1, 1.5": power_log_young(1.5, alpha_zero=-1.0, alpha_inf=1.5),

@@ -453,6 +453,48 @@ class TestBatchedLuxemburg:
                 for tol in (1e-6, 1e-13):
                     assert luxemburg_norm(f, A, tol) == sequential_luxemburg_norm(f, A, tol)
 
+    def test_modular_calls_of_a_norm(self, monkeypatch):
+        # the root phase finds the root from the modular's values, which a
+        # pure power's secant hits at once, and the replayed bisection
+        # answers outside its certified bracket without the modular
+        calls = []
+        real = rearrangement.modular
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rearrangement, "modular", counted)
+        rng = np.random.default_rng(99)
+        cases = [(power_young(p), 4, p) for p in (1.3, 2.0, 2.9)] + [(exp_young(1.0), 10, None)]
+        for A, budget, p in cases:
+            for n in (1, 4, 12, 160):
+                vals = rng.uniform(0.01, 10.0, n)
+                pieces = list(zip(vals, 10.0 ** rng.uniform(-2.0, 1.0, n)))
+                tails = [None]
+                if p is not None:
+                    expo, width = rng.uniform(0.2, 0.8 / p), 10.0 ** rng.uniform(-3.0, -1.0)
+                    tails.append(PowerTail(vals.max() * width ** expo * 1.5, expo, width))
+                for tail in tails:
+                    f = SampledFn(pieces, tail=tail)
+                    calls.clear()
+                    lam = luxemburg_norm(f, A)
+                    assert 0.0 < lam < INF
+                    assert len(calls) <= budget
+
+    def test_luxemburg_without_a_certified_bracket(self):
+        # the modular of linfty is 0 or +inf, so no secant forms; the coarse
+        # table's modular is no pure power.  Both must replay to the float
+        # of the search that calls the modular for every scale
+        t = np.array([1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0])
+        coarse = young_from_derivative(MonotoneFn(t, np.array([0.1, 0.2, 1.0, 1.5, 4.0, 5.0, 9.0])))
+        cases = [(linfty_young(1.0), SampledFn([(3.0, 0.5), (1.0, 2.0)])),
+                 (linfty_young(1.0), SampledFn([(0.25, 1.0)])),
+                 (coarse, characteristic(0.5))]
+        for A, f in cases:
+            for tol in (1e-6, 1e-10, 1e-13):
+                assert luxemburg_norm(f, A, tol) == sequential_luxemburg_norm(f, A, tol)
+
     def test_far_speculative_scales_of_a_thin_tail(self):
         # halving from 1 evaluates scales up to 2**63 at once, where
         # (scale * coef)**(1 / expo) leaves the float range
@@ -476,6 +518,21 @@ class TestBatchedLuxemburg:
         for e in (100.0, 200.0):
             assert luxemburg_norm(g.scale(10.0 ** e), A) == pytest.approx(
                 luxemburg_norm(g, A) * 10.0 ** e, rel=1e-9)
+
+    def test_tail_far_below_the_first_node(self):
+        # u0 = 1e-12 sits four decades below the first node, 1e-8, and the
+        # tail's weight is u**-51: the segments overflow while the factor
+        # (scale * coef)**50 underflows, which gave NaN at scale 1 and an
+        # infinite norm.  The values are 40-digit mpmath sums of the step and
+        # the closed-form tail integral of t**1.3
+        A = power_young(1.3)
+        f = SampledFn([(1e-12, 0.001)], tail=PowerTail(9.120108393559097e-13, 0.02, 0.01))
+        assert modular(f, A, 1.0) == pytest.approx(2.8301274845365603e-18, rel=1e-13)
+        assert luxemburg_norm(f, A) == pytest.approx(3.172409414193040e-14, rel=1e-9)
+        assert luxemburg_norm(f, A) == sequential_luxemburg_norm(f, A)
+        # a subnormal A(u0), 1 + 1 / 0.35 times scale**1.3 in all
+        g = SampledFn([(1.0, 1.0)], tail=PowerTail(1.0, 0.5, 1.0))
+        assert modular(g, A, 1.0 / 1.58e245) == pytest.approx(6.72994493966462e-319, rel=1e-4)
 
     def test_near_critical_tail_norm(self):
         # the tail profile 2 s**-0.39 against A ~ t**2.5 log t: beyond the
