@@ -497,10 +497,10 @@ def luxemburg_norm(f: SampledFn, A: QuasiConvexFn, rel_tol=1e-10):
     A root phase first finds, from the modular's values, scales lo < hi on
     either side of the root whose modulars miss 1 by a margin
     (:func:`_certified_bracket`).  The bisection is then replayed with a
-    predicate that answers below lo and above hi without the modular, which
-    does not rise with lam, and calls it for the scales in between.  It
-    sees the same answers at the same scales as a search that calls the
-    modular for every scale, so it returns the same float."""
+    predicate that answers at scales up to lo and from hi on without the
+    modular, which does not rise with lam, and calls it for the scales in
+    between.  It sees the same answers at the same scales as a search that
+    calls the modular for every scale, so it returns the same float."""
     if f.is_zero:
         return 0.0
     start = max(f.sup_value(), 1.0)

@@ -482,10 +482,11 @@ class TestBatchedLuxemburg:
                     assert 0.0 < lam < INF
                     assert len(calls) <= budget
 
-    def test_luxemburg_without_a_certified_bracket(self):
-        # the modular of linfty is 0 or +inf, so no secant forms; the coarse
-        # table's modular is no pure power.  Both must replay to the float
-        # of the search that calls the modular for every scale
+    def test_luxemburg_where_no_secant_or_no_pure_power(self):
+        # the modular of linfty is 0 or +inf, so no secant forms and only
+        # the first two scales are certified; the coarse table's modular is
+        # piecewise, no pure power.  Both must replay to the float of the
+        # search that calls the modular for every scale
         t = np.array([1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0])
         coarse = young_from_derivative(MonotoneFn(t, np.array([0.1, 0.2, 1.0, 1.5, 4.0, 5.0, 9.0])))
         cases = [(linfty_young(1.0), SampledFn([(3.0, 0.5), (1.0, 2.0)])),
