@@ -2,13 +2,14 @@
 and emit human-readable or JSON reports with witnesses and rule tags.
 
 Exit codes: 0 for decided outcomes, 2 for undecided ones, 1 for input
-errors.  All numerics are deterministic, so identical invocations produce
-byte-identical JSON.
+errors, usage errors included.  All numerics are deterministic, so
+identical invocations produce byte-identical JSON.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import shlex
@@ -294,8 +295,16 @@ def _cmd_lift(args):
 # -- parser -------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise :class:`InputError`, so
+    that they end like every other input error and leave a batch running."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="orlicalc",
         description="norm evaluation and optimal-space decisions for "
                     "Orlicz-type function spaces")
@@ -381,28 +390,23 @@ def build_parser():
     return p
 
 
-def _run_one(parser, argv, stream):
-    args = parser.parse_args(argv)
+def _run_one(parser, argv, stream, where=""):
+    """Run one query; ``where`` prefixes its error line (a batch line's
+    number)."""
+    try:
+        args = parser.parse_args(argv)
+    except InputError as exc:
+        print(f"error: {where}{exc}", file=stream)
+        return 1
     if args.batch:
-        worst = 0
-        with open(args.batch) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                code = _run_one(parser, shlex.split(line), stream)
-                worst = max(worst, code)
-        return worst
+        return _run_batch(parser, args.batch, stream)
     if not getattr(args, "handler", None):
         parser.print_usage(stream)
         return 1
     try:
         report = args.handler(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=stream)
-        return 1
     except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=stream)
+        print(f"error: {where}{exc}", file=stream)
         return 1
     if args.json:
         print(json.dumps(report.to_json(), sort_keys=True, default=str),
@@ -412,9 +416,41 @@ def _run_one(parser, argv, stream):
     return report.exit_code
 
 
+def _run_batch(parser, path, stream):
+    """One query per line of the file at ``path``; a bad line reports its
+    number and the batch goes on.  The exit code is the worst line's."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=stream)
+        return 1
+    worst = 0
+    for number, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        where = f"line {number}: "
+        try:
+            argv = shlex.split(line)
+        except ValueError as exc:
+            print(f"error: {where}{exc}", file=stream)
+            worst = max(worst, 1)
+            continue
+        worst = max(worst, _run_one(parser, argv, stream, where))
+    return worst
+
+
+@functools.cache
+def shared_parser():
+    """The one parser of this process, built on first use: every call of
+    :func:`main` and every line of a batch parse with it."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    return _run_one(parser, argv if argv is not None else sys.argv[1:], sys.stdout)
+    return _run_one(shared_parser(), argv if argv is not None else sys.argv[1:],
+                    sys.stdout)
 
 
 if __name__ == "__main__":

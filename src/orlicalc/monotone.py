@@ -729,10 +729,12 @@ def _cell_integrals(a, b, rate, integrand):
     return np.bincount(k, weights=parts, minlength=a.size)
 
 
-def _integral_off_grid(fn, x, weight_exp, zero_side):
+def _integral_off_grid(fn, x, weight_exp, zero_side, per_x=False):
     """The integral of F(t) t**w over (0, x) for each x at or below the
     first node (zero_side), or over (x, inf) for each x at or above the
-    last node; +inf where it diverges.
+    last node; +inf where it diverges.  With ``per_x`` it is divided by
+    x**(w + 1), that is, the integral of F(x y) y**w over y in (0, 1) or
+    (1, inf), which stays in the float range where the integral leaves it.
 
     Off the grid F is va (t / a)**p l**alpha with l = 1 + sigma log(t / a)
     (:meth:`MonotoneFn.power_log_form`).  With e = p + w + 1 and
@@ -763,18 +765,19 @@ def _integral_off_grid(fn, x, weight_exp, zero_side):
         with np.errstate(over="ignore"):
             u = x[live] ** -d.gamma
         out[live] = fx[live] / d.gamma * np.exp(_log_scaled_upper_gamma(-(w + 1.0) / d.gamma, u))
-        return out
+        return out / x ** (w + 1.0) if per_x else out
     form = fn.power_log_form(zero_side)
     if form is None:
         return out
     p, alpha, anchor, slope, va = form
     e = p + (w + 1.0)  # one rounding, at the scale of e near the critical p
+    w1 = 0.0 if per_x else w + 1.0  # the power of x (and a) left in the result
     if not ((e > 0.0 if zero_side else e < 0.0) or (e == 0.0 and alpha < -1.0)):
         return out + INF
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         q, log_g = x / anchor, 0.0
-        half, div = (1.0, abs(slope) * (-alpha - 1.0)) if e == 0.0 else (
-            q ** (0.5 * p) * q ** (0.5 * (w + 1.0)), abs(e))
+        div = abs(e) if e != 0.0 else abs(slope) * (-alpha - 1.0)
+        half = 1.0 if e == 0.0 and not per_x else q ** (0.5 * p) * q ** (0.5 * w1)
         if alpha != 0.0:
             # l as _tail_zero and _tail_inf take it: a ratio of logs where
             # slope is 1 / log a, which would amplify the rounding of x / a
@@ -785,24 +788,24 @@ def _integral_off_grid(fn, x, weight_exp, zero_side):
             else:
                 k = abs(slope) / abs(e)
                 log_g = alpha * math.log(k) + _log_scaled_upper_gamma(alpha + 1.0, l / k)
-        # va a**(w + 1) (x / a)**e g / div with (x / a)**e as two halves of
-        # at most 1, which underflow only with the product, each taken as
-        # (x / a)**(p / 2) (x / a)**((w + 1) / 2) so that the rounding of e
-        # (times log(x / a)) stays out; e**(its log) where a term is not a
-        # normal float
-        scale = va * np.float64(anchor) ** (w + 1.0)
+        # va a**w1 (x / a)**(p + w1) g / div with (x / a)**(p + w1) as two
+        # halves of at most 1, which underflow only with the product, each
+        # taken as (x / a)**(p / 2) (x / a)**(w1 / 2) so that the rounding
+        # of e (times log(x / a)) stays out; e**(its log) where a term is
+        # not a normal float
+        scale = va * np.float64(anchor) ** w1
         out = scale * half * half * np.exp(log_g) / div
         far = ~(_normal(q) & _normal(half) & _normal(scale))
         if far.any():
-            rest = e * _log_quotient(x, anchor) + log_g
-            out[far] = np.exp(math.log(va) + (w + 1.0) * math.log(anchor) - math.log(div)
+            rest = (p + w1) * _log_quotient(x, anchor) + log_g
+            out[far] = np.exp(math.log(va) + w1 * math.log(anchor) - math.log(div)
                               + rest[far])
         if alpha == 0.0 and zero_side and (x < anchor).any():
             # below the anchor, F(x) x**(w + 1) / e with the table's F(x),
             # where its terms are normal
             i = np.flatnonzero(x < anchor)
             fx = np.full(i.size, va) if d.kind == LIMIT_CONST else fn(x[i])
-            xw = x[i] ** (w + 1.0)
+            xw = x[i] ** w1
             near = _normal(fx / va) & _normal(xw)
             out[i[near]] = fx[near] * xw[near] / e
     return out

@@ -333,23 +333,35 @@ def _tail_modular(A: QuasiConvexFn, tail: PowerTail, scales):
         total += beyond[i]
         try:
             factor = float(c[i]) ** (1.0 / tail.expo) / tail.expo
-        except OverflowError:  # the modular leaves the float range: +inf
+        except OverflowError:
+            # at a large scale the factor overflows where the modular need
+            # not; fold it in as below, the part past the table over y too
+            end = max(float(u0[i]), t[-1])
+            rest = float(_integral_off_grid(A.base, [end], w_exp, False, per_x=True)[0]
+                         * np.float64(end / u0[i]) ** (w_exp + 1.0))
+            if inside[i]:
+                rest = _tail_integral_over_u0(A.base, u0[i], vu[i], k[i], rest, w_exp)
+            out[i] = (tail.width / tail.expo) * rest
             continue
         out[i] = factor * total
         if inside[i] and not (factor >= _TINY and math.isfinite(out[i])):
             # at a small scale the segments overflow and the factor
             # underflows (or is subnormal); u = u0 * y folds the factor in,
             # as factor * u0**(w_exp + 1) = width / expo
+            rest = 0.0
+            if beyond[i] > 0.0:
+                with np.errstate(over="ignore"):
+                    rest = float(np.exp(math.log(beyond[i]) - (w_exp + 1.0) * math.log(u0[i])))
             out[i] = (tail.width / tail.expo) * _tail_integral_over_u0(
-                A.base, u0[i], vu[i], k[i], beyond[i], w_exp)
+                A.base, u0[i], vu[i], k[i], rest, w_exp)
     return out
 
 
-def _tail_integral_over_u0(base, u0, vu, k, beyond, w):
+def _tail_integral_over_u0(base, u0, vu, k, rest, w):
     """The integral of F(u0 y) y**w over y > 1, for u0 below node k of F:
-    the chord from (u0, vu) to node k, the table's segments from there on
-    and ``beyond``, the integral of F(u) u**w past the last node, each over
-    y = u / u0, where y**(w + 1) <= 1 cannot overflow."""
+    the chord from (u0, vu) to node k and the table's segments from there
+    on, each over y = u / u0, where y**(w + 1) <= 1 cannot overflow, plus
+    ``rest``, the part past the last node, already over y."""
     t, v = base.t[k:], base.v[k:]
     y = t / u0
     if vu >= _TINY or v[0] == 0.0:
@@ -360,12 +372,8 @@ def _tail_integral_over_u0(base, u0, vu, k, beyond, w):
         with np.errstate(divide="ignore"):
             e = (math.log(v[0]) - float(np.log(vu))) / math.log(y[0]) + (w + 1.0)
         first = (v[0] * y[0] ** (w + 1.0) - vu) / e
-    total = float(np.add.reduce(np.concatenate((
-        [first], _power_segment_integral(v[:-1], v[1:], y[:-1], y[1:], w)))))
-    if beyond > 0.0:
-        with np.errstate(over="ignore"):
-            total += float(np.exp(math.log(beyond) - (w + 1.0) * math.log(u0)))
-    return total
+    return float(np.add.reduce(np.concatenate((
+        [first], _power_segment_integral(v[:-1], v[1:], y[:-1], y[1:], w))))) + rest
 
 
 def modular(f: SampledFn, A: QuasiConvexFn, scale=1.0):

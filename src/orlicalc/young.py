@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -927,8 +928,11 @@ def _table_to_json(fn, prefix):
     """The sample table of ``fn`` plus its descriptors and boundary values,
     as the keys ``<prefix>grid``, ``<prefix>zero_desc``, ``<prefix>inf_desc``,
     ``<prefix>value_at_zero`` and ``<prefix>value_at_inf``."""
+    grid = np.column_stack((fn.t, fn.v)).tolist()
+    for i in np.flatnonzero(np.isinf(fn.v)).tolist():
+        grid[i][1] = "inf"
     return {
-        prefix + "grid": [[float(t), _num_to_json(v)] for t, v in zip(fn.t, fn.v)],
+        prefix + "grid": grid,
         prefix + "zero_desc": _desc_to_json(fn.zero_desc),
         prefix + "inf_desc": _desc_to_json(fn.inf_desc),
         prefix + "value_at_zero": _num_to_json(fn.value_at_zero),
@@ -940,11 +944,21 @@ def _table_from_json(obj, prefix=""):
     """Inverse of :func:`_table_to_json`; absent descriptors are numeric-only
     and absent boundary values take the table's defaults."""
     grid = obj[prefix + "grid"]
-    if not isinstance(grid, list) or not all(isinstance(row, list) and len(row) == 2
-                                             for row in grid):
+    if not (isinstance(grid, list) and all(map(isinstance, grid, repeat(list)))
+            and set(map(len, grid)) <= {2}):
         raise ValueError(f"{prefix}grid must be a list of [t, value] pairs")
-    t = np.array([row[0] for row in grid], dtype=float)
-    v = np.array([_num_from_json(row[1]) for row in grid])
+    ts, vs = zip(*grid) if grid else ((), ())
+    t = np.array(ts, dtype=float)
+    try:
+        # numpy takes float() of each entry, which reads "inf" too
+        v = np.array(vs, dtype=float)
+        exact = v.ndim == 1 and not np.isnan(v).any()
+    except (TypeError, ValueError, OverflowError):
+        exact = False
+    if not exact:
+        # where float() raises, numpy gives NaN (null) or another error
+        # (lists): convert entry by entry for float()'s own outcome
+        v = np.array([_num_from_json(x) for x in vs])
     descs = [_desc_from_json(obj[prefix + key]) if prefix + key in obj else NUMERIC_DESC
              for key in ("zero_desc", "inf_desc")]
     ends = [_num_from_json(obj[prefix + key]) if prefix + key in obj else None

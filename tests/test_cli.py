@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import time
@@ -9,10 +10,17 @@ from orlicalc.young import young_from_json
 
 
 def run(argv):
-    parser = build_parser()
+    """One query through ``main``, with the parser it keeps for the process."""
     stream = io.StringIO()
-    code = _run_one(parser, argv, stream)
+    with contextlib.redirect_stdout(stream):
+        code = main(argv)
     return code, stream.getvalue()
+
+
+DIAG_SPACE = '{"family":"lebesgue","params":{"p":2}}'
+DIAG = f"--json diag --space '{DIAG_SPACE}'"
+UNDECIDED_DIAG = ("--json diag --space "
+                  "'{\"family\":\"lambda\",\"params\":{\"generator\":{\"class\":\"power-log\",\"p\":1}}}'")
 
 
 class TestSubcommands:
@@ -301,6 +309,49 @@ class TestErrorsAndModes:
         code, out = run(["--batch", str(batch)])
         assert code == 0
         assert out.count("\n") == 2
+
+    def test_missing_batch_file_is_exit_1(self, tmp_path):
+        path = tmp_path / "missing.txt"
+        code, out = run(["--batch", str(path)])
+        assert code == 1
+        assert out.startswith("error: ") and f"'{path}'" in out and out.count("\n") == 1
+
+    def test_batch_line_with_an_unbalanced_quote_is_exit_1_and_the_batch_goes_on(
+            self, tmp_path):
+        batch = tmp_path / "queries.txt"
+        batch.write_text(f"{DIAG}\nconj --young '{{\"class\"\n{DIAG}\n")
+        code, out = run(["--batch", str(batch)])
+        assert code == 1
+        first, error, last = out.splitlines()
+        assert error == "error: line 2: No closing quotation"
+        assert json.loads(first) == json.loads(last)
+
+    def test_usage_error_is_exit_1_and_the_batch_goes_on(self, tmp_path):
+        code, out = run(["conj", "--young", '{"class":"power-log","p":2}', "--frobnicate"])
+        assert (code, out) == (1, "error: orlicalc: unrecognized arguments: --frobnicate\n")
+        # the batch's code is its worst line's: an undecided query gives 2
+        batch = tmp_path / "queries.txt"
+        batch.write_text(f"conj --frobnicate\n\n{DIAG}\nbogus\n{UNDECIDED_DIAG}\n")
+        code, out = run(["--batch", str(batch)])
+        assert code == 2
+        lines = out.splitlines()
+        assert lines[0] == "error: line 1: orlicalc conj: the following arguments are " \
+                           "required: --young"
+        assert json.loads(lines[1])["outcome"]["status"] == "uniformly-sub-diagonal"
+        assert lines[2].startswith("error: line 4: orlicalc: argument cmd: invalid choice: "
+                                   "'bogus'")
+        assert json.loads(lines[3])["outcome"]["status"] == "unknown"
+        assert len(lines) == 4
+        # the shared parser comes through: it answers as a fresh one does
+        argv, fresh = ["--json", "diag", "--space", DIAG_SPACE], io.StringIO()
+        assert _run_one(build_parser(), argv, fresh) == 0
+        assert run(argv) == (0, fresh.getvalue())
+
+    def test_help_is_exit_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: orlicalc")
 
     def test_main_entry(self, capsys):
         code = main(["--json", "fundamental", "--space",

@@ -6,6 +6,7 @@ Regenerate the recorded outputs after an intended change with
 entry that changed.
 """
 
+import contextlib
 import io
 import json
 import pathlib
@@ -14,7 +15,7 @@ import sys
 
 import pytest
 
-from orlicalc.cli import _run_one, build_parser
+from orlicalc.cli import main
 
 HERE = pathlib.Path(__file__).parent / "golden"
 QUERIES = HERE / "queries.txt"
@@ -27,8 +28,11 @@ def read_queries():
 
 
 def run_query(query):
+    """One query through ``main``, as an in-process caller runs it: with
+    the parser that ``main`` keeps for the whole process."""
     stream = io.StringIO()
-    code = _run_one(build_parser(), ["--json"] + shlex.split(query), stream)
+    with contextlib.redirect_stdout(stream):
+        code = main(["--json"] + shlex.split(query))
     return {"query": query, "exit": code, "stdout": stream.getvalue()}
 
 
@@ -43,6 +47,21 @@ def test_corpus_matches_queries():
 @pytest.mark.parametrize("entry", read_expected(), ids=lambda e: e["query"][:60])
 def test_query_output_is_unchanged(entry):
     assert run_query(entry["query"]) == entry
+
+
+def test_corpus_twice_in_one_process(tmp_path):
+    # the shared parser answers the whole corpus, then a usage error and a
+    # batch line that does not split, then the corpus backwards, and every
+    # report is the recorded one
+    expected = read_expected()
+    assert [run_query(e["query"]) for e in expected] == expected
+    batch = tmp_path / "queries.txt"
+    batch.write_text("conj --young '{\"class\"\n")
+    assert run_query("conj --frobnicate")["exit"] == 1
+    assert run_query(f"--batch {batch}") == {
+        "query": f"--batch {batch}", "exit": 1,
+        "stdout": "error: line 1: No closing quotation\n"}
+    assert [run_query(e["query"]) for e in reversed(expected)] == expected[::-1]
 
 
 if __name__ == "__main__":

@@ -503,7 +503,11 @@ class TestBatchedLuxemburg:
         for expo in (0.1, 0.05, 0.03):
             f = SampledFn([], tail=PowerTail(0.01, expo, 0.01))
             assert luxemburg_norm(f, A) == sequential_luxemburg_norm(f, A)
-        assert modular(SampledFn([], tail=PowerTail(0.01, 0.03, 0.01)), A, 2.0 ** 63) == INF
+        # there the modular itself, c**2 w**(1 - 2 e) / (1 - 2 e) with
+        # c = scale * coef, is still a float (it read +inf)
+        c = 2.0 ** 63 * 0.01
+        assert modular(SampledFn([], tail=PowerTail(0.01, 0.03, 0.01)), A, 2.0 ** 63) == \
+            pytest.approx(c ** 2 * 0.01 ** 0.94 / 0.94, rel=1e-12)
 
     def test_tail_at_small_scales(self):
         # at these scales the first tail segment overflows while
@@ -519,6 +523,21 @@ class TestBatchedLuxemburg:
         for e in (100.0, 200.0):
             assert luxemburg_norm(g.scale(10.0 ** e), A) == pytest.approx(
                 luxemburg_norm(g, A) * 10.0 ** e, rel=1e-9)
+
+    def test_tail_at_large_scales(self):
+        # (scale * coef)**(1 / expo) overflows from about 1.4e6 on, where
+        # the modular c**1.3 w**(1 - 1.3 e) / (1 - 1.3 e) is still a float
+        # (it read +inf); at 1e9, u0 lies past the generator's last node
+        A = power_young(1.3)
+        f = SampledFn([], tail=PowerTail(1.0, 0.02, 0.01))
+        for s in (1e6, 1e7, 1e9):
+            exact = s ** 1.3 * 0.01 ** (1.0 - 1.3 * 0.02) / (1.0 - 1.3 * 0.02)
+            assert modular(f, A, s) == pytest.approx(exact, rel=1e-12)
+        scales = np.array([1e6, 1e7, 1e9, 1e30])
+        for A in self.generators():
+            got = modular(f, A, scales)
+            assert np.array_equal(got, [scalar_modular(f, A, s) for s in scales.tolist()])
+            assert (got > 0.0).all()
 
     def test_tail_far_below_the_first_node(self):
         # u0 = 1e-12 sits four decades below the first node, 1e-8, and the
