@@ -732,9 +732,9 @@ def _cell_integrals(a, b, rate, integrand):
 def _integral_off_grid(fn, x, weight_exp, zero_side, per_x=False):
     """The integral of F(t) t**w over (0, x) for each x at or below the
     first node (zero_side), or over (x, inf) for each x at or above the
-    last node; +inf where it diverges.  With ``per_x`` it is divided by
-    x**(w + 1), that is, the integral of F(x y) y**w over y in (0, 1) or
-    (1, inf), which stays in the float range where the integral leaves it.
+    last node; +inf where it diverges.  With ``per_x`` (above the grid
+    only) it is divided by x**(w + 1), that is, the integral of F(x y) y**w
+    over y > 1, which stays in the float range where the integral leaves it.
 
     Off the grid F is va (t / a)**p l**alpha with l = 1 + sigma log(t / a)
     (:meth:`MonotoneFn.power_log_form`).  With e = p + w + 1 and
@@ -746,6 +746,8 @@ def _integral_off_grid(fn, x, weight_exp, zero_side, per_x=False):
     F(x) x**(w + 1) / e with the table's F(x), where that is normal.  An
     exp-reciprocal head is (F(x) / gamma) e**u Gamma(-(w + 1) / gamma, u)
     at u = x**-gamma."""
+    if per_x and zero_side:
+        raise ValueError("per_x is taken above the grid only")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     w = weight_exp
     d = fn.zero_desc if zero_side else fn.inf_desc
@@ -765,7 +767,7 @@ def _integral_off_grid(fn, x, weight_exp, zero_side, per_x=False):
         with np.errstate(over="ignore"):
             u = x[live] ** -d.gamma
         out[live] = fx[live] / d.gamma * np.exp(_log_scaled_upper_gamma(-(w + 1.0) / d.gamma, u))
-        return out / x ** (w + 1.0) if per_x else out
+        return out
     form = fn.power_log_form(zero_side)
     if form is None:
         return out
@@ -789,10 +791,10 @@ def _integral_off_grid(fn, x, weight_exp, zero_side, per_x=False):
                 k = abs(slope) / abs(e)
                 log_g = alpha * math.log(k) + _log_scaled_upper_gamma(alpha + 1.0, l / k)
         # va a**w1 (x / a)**(p + w1) g / div with (x / a)**(p + w1) as two
-        # halves of at most 1, which underflow only with the product, each
-        # taken as (x / a)**(p / 2) (x / a)**(w1 / 2) so that the rounding
-        # of e (times log(x / a)) stays out; e**(its log) where a term is
-        # not a normal float
+        # halves (without per_x of at most 1, which underflow only with the
+        # product), each taken as (x / a)**(p / 2) (x / a)**(w1 / 2) so that
+        # the rounding of e (times log(x / a)) stays out; e**(its log) where
+        # a term is not a normal float
         scale = va * np.float64(anchor) ** w1
         out = scale * half * half * np.exp(log_g) / div
         far = ~(_normal(q) & _normal(half) & _normal(scale))
@@ -805,7 +807,7 @@ def _integral_off_grid(fn, x, weight_exp, zero_side, per_x=False):
             # where its terms are normal
             i = np.flatnonzero(x < anchor)
             fx = np.full(i.size, va) if d.kind == LIMIT_CONST else fn(x[i])
-            xw = x[i] ** w1
+            xw = x[i] ** (w + 1.0)
             near = _normal(fx / va) & _normal(xw)
             out[i[near]] = fx[near] * xw[near] / e
     return out

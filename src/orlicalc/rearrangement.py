@@ -333,27 +333,24 @@ def _tail_modular(A: QuasiConvexFn, tail: PowerTail, scales):
         total += beyond[i]
         try:
             factor = float(c[i]) ** (1.0 / tail.expo) / tail.expo
-        except OverflowError:
-            # at a large scale the factor overflows where the modular need
-            # not; fold it in as below, the part past the table over y too
+        except OverflowError:  # a large scale, where the modular need not overflow
+            factor = INF
+        out[i] = factor * total
+        if factor == INF or (inside[i] and not (factor >= _TINY and math.isfinite(out[i]))):
+            # the factor overflows, or at a small scale the segments overflow
+            # and the factor underflows (or is subnormal); u = u0 * y folds
+            # it in, as factor * u0**(w_exp + 1) = width / expo, with the
+            # part past the table over y from the closed form where u0 is
+            # large, else from beyond in logs
             end = max(float(u0[i]), t[-1])
-            rest = float(_integral_off_grid(A.base, [end], w_exp, False, per_x=True)[0]
-                         * np.float64(end / u0[i]) ** (w_exp + 1.0))
+            with np.errstate(over="ignore"):
+                rest = (float(_integral_off_grid(A.base, [end], w_exp, False, per_x=True)[0]
+                              * np.float64(end / u0[i]) ** (w_exp + 1.0)) if factor == INF
+                        else float(np.exp(math.log(beyond[i]) - (w_exp + 1.0) * math.log(u0[i])))
+                        if beyond[i] > 0.0 else 0.0)
             if inside[i]:
                 rest = _tail_integral_over_u0(A.base, u0[i], vu[i], k[i], rest, w_exp)
             out[i] = (tail.width / tail.expo) * rest
-            continue
-        out[i] = factor * total
-        if inside[i] and not (factor >= _TINY and math.isfinite(out[i])):
-            # at a small scale the segments overflow and the factor
-            # underflows (or is subnormal); u = u0 * y folds the factor in,
-            # as factor * u0**(w_exp + 1) = width / expo
-            rest = 0.0
-            if beyond[i] > 0.0:
-                with np.errstate(over="ignore"):
-                    rest = float(np.exp(math.log(beyond[i]) - (w_exp + 1.0) * math.log(u0[i])))
-            out[i] = (tail.width / tail.expo) * _tail_integral_over_u0(
-                A.base, u0[i], vu[i], k[i], rest, w_exp)
     return out
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -944,21 +943,11 @@ def _table_from_json(obj, prefix=""):
     """Inverse of :func:`_table_to_json`; absent descriptors are numeric-only
     and absent boundary values take the table's defaults."""
     grid = obj[prefix + "grid"]
-    if not (isinstance(grid, list) and all(map(isinstance, grid, repeat(list)))
-            and set(map(len, grid)) <= {2}):
+    if not isinstance(grid, list) or not all(isinstance(row, list) and len(row) == 2
+                                             for row in grid):
         raise ValueError(f"{prefix}grid must be a list of [t, value] pairs")
-    ts, vs = zip(*grid) if grid else ((), ())
-    t = np.array(ts, dtype=float)
-    try:
-        # numpy takes float() of each entry, which reads "inf" too
-        v = np.array(vs, dtype=float)
-        exact = v.ndim == 1 and not np.isnan(v).any()
-    except (TypeError, ValueError, OverflowError):
-        exact = False
-    if not exact:
-        # where float() raises, numpy gives NaN (null) or another error
-        # (lists): convert entry by entry for float()'s own outcome
-        v = np.array([_num_from_json(x) for x in vs])
+    t = np.array([row[0] for row in grid], dtype=float)
+    v = np.array([_num_from_json(row[1]) for row in grid])
     descs = [_desc_from_json(obj[prefix + key]) if prefix + key in obj else NUMERIC_DESC
              for key in ("zero_desc", "inf_desc")]
     ends = [_num_from_json(obj[prefix + key]) if prefix + key in obj else None

@@ -12,7 +12,7 @@ from orlicalc.monotone import (
 from orlicalc.operators import _BLOCK, _exp_weight_cutoffs, _exp_weight_tail
 from orlicalc.diagonality import build_gw, integrate_outer_reciprocal
 from orlicalc.rearrangement import lambda_norm, maximal, modular, rearrange
-from orlicalc.young import _desc_from_json, _desc_to_json, _num_from_json, _num_to_json
+from orlicalc.young import _desc_to_json, _num_to_json
 
 
 def scan_right_inverse(fn, s, taus):
@@ -112,7 +112,7 @@ def _reference_interp(fn, x):
     return out
 
 
-# -- the per-row table wire format that the array passes replaced -------------
+# -- the per-row table writer that the array pass replaced ---------------------
 
 
 def reference_table_to_json(fn, prefix):
@@ -124,22 +124,6 @@ def reference_table_to_json(fn, prefix):
         prefix + "value_at_zero": _num_to_json(fn.value_at_zero),
         prefix + "value_at_inf": _num_to_json(fn.value_at_inf),
     }
-
-
-def reference_table_from_json(obj, prefix=""):
-    """young._table_from_json with a per-row shape check and per-row
-    conversions."""
-    grid = obj[prefix + "grid"]
-    if not isinstance(grid, list) or not all(isinstance(row, list) and len(row) == 2
-                                             for row in grid):
-        raise ValueError(f"{prefix}grid must be a list of [t, value] pairs")
-    t = np.array([row[0] for row in grid], dtype=float)
-    v = np.array([_num_from_json(row[1]) for row in grid])
-    descs = [_desc_from_json(obj[prefix + key]) if prefix + key in obj else NUMERIC_DESC
-             for key in ("zero_desc", "inf_desc")]
-    ends = [_num_from_json(obj[prefix + key]) if prefix + key in obj else None
-            for key in ("value_at_zero", "value_at_inf")]
-    return MonotoneFn(t, v, *descs, value_at_zero=ends[0], value_at_inf=ends[1])
 
 
 # -- the exponential-weight transform before its head and ramp trims ----------
@@ -311,28 +295,25 @@ def scalar_tail_modular(A, tail, scale):
         factor = INF
     with np.errstate(invalid="ignore", over="ignore"):
         out = factor * total
-    rest = 0.0
-    if np.isinf(factor):
-        rest = float(_integral_off_grid(base, pts[-1:], w_exp, False, per_x=True)[0]
-                     * np.float64(pts[-1] / u0) ** (w_exp + 1.0))
-        if not t.size:
-            return (tail.width / tail.expo) * rest
-    elif beyond > 0.0:
+    if factor == INF or (t.size and not (factor >= np.finfo(float).tiny and math.isfinite(out))):
         with np.errstate(over="ignore"):
-            rest = float(np.exp(math.log(beyond) - (w_exp + 1.0) * math.log(u0)))
-    if t.size and not (np.finfo(float).tiny <= factor < INF and math.isfinite(out)):
-        y = pts / u0
-        vu, v0 = vals[0], vals[1]
-        if vu >= np.finfo(float).tiny or v0 == 0.0:
-            first = float(_power_segment_integral(vu, v0, 1.0, y[1], w_exp))
-        else:
-            # the chord from a subnormal vu, anchored at the node
-            with np.errstate(divide="ignore"):
-                slope = (math.log(v0) - float(np.log(vu))) / math.log(y[1])
-            first = (v0 * y[1] ** (w_exp + 1.0) - vu) / (slope + (w_exp + 1.0))
-        seg = _power_segment_integral(vals[1:-1], vals[2:], y[1:-1], y[2:], w_exp)
-        out = float(np.sum(np.concatenate(([first], seg)))) + rest
-        out *= tail.width / tail.expo
+            rest = (float(_integral_off_grid(base, pts[-1:], w_exp, False, per_x=True)[0]
+                          * np.float64(pts[-1] / u0) ** (w_exp + 1.0)) if factor == INF
+                    else float(np.exp(math.log(beyond) - (w_exp + 1.0) * math.log(u0)))
+                    if beyond > 0.0 else 0.0)
+        if t.size:
+            y = pts / u0
+            vu, v0 = vals[0], vals[1]
+            if vu >= np.finfo(float).tiny or v0 == 0.0:
+                first = float(_power_segment_integral(vu, v0, 1.0, y[1], w_exp))
+            else:
+                # the chord from a subnormal vu, anchored at the node
+                with np.errstate(divide="ignore"):
+                    slope = (math.log(v0) - float(np.log(vu))) / math.log(y[1])
+                first = (v0 * y[1] ** (w_exp + 1.0) - vu) / (slope + (w_exp + 1.0))
+            seg = _power_segment_integral(vals[1:-1], vals[2:], y[1:-1], y[2:], w_exp)
+            rest = float(np.sum(np.concatenate(([first], seg)))) + rest
+        out = (tail.width / tail.expo) * rest
     return out
 
 

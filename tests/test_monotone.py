@@ -551,6 +551,10 @@ class TestIntegralOffGrid:
         if kind == "exp-reciprocal" or (zero and alpha == 0.0):
             inherited = float(abs(mp.mpf(float(fn(x))) - F) / F)
         assert abs(got - want) <= (1e-13 + inherited) * want, (got, float(want))
+        if zero:
+            with pytest.raises(ValueError):
+                _integral_off_grid(fn, np.array([x]), w, zero, per_x=True)
+            return
         # per_x: the same integral over y = t / x, in range where it is
         with mp.workdps(40):
             want = want / mp.mpf(x) ** (w + 1.0)

@@ -539,6 +539,27 @@ class TestBatchedLuxemburg:
             assert np.array_equal(got, [scalar_modular(f, A, s) for s in scales.tolist()])
             assert (got > 0.0).all()
 
+    def test_tail_at_large_scales_against_a_quadrature(self):
+        # where the factor overflows, width / expo times an mpmath quad of
+        # A.base(u0 y) y**w over y > 1, split at the table's nodes: u0 inside
+        # the table (1e7) and past it (1e9), for power-log generators and a
+        # numeric-only table with the same tail
+        tail = PowerTail(1.0, 0.02, 0.01)
+        f, w = SampledFn([], tail=tail), -1.0 / tail.expo - 1.0
+        t = np.geomspace(1e-4, 1e8, 257)
+        for A in (power_log_young(1.3, 0.0, 0.5),
+                  power_log_young(2.0, alpha_zero=0.7, alpha_inf=-0.5),
+                  young_from_derivative(MonotoneFn(t, t ** 1.3))):
+            for s in (1e7, 1e9):
+                u0 = s * tail.coef * tail.width ** -tail.expo
+                ys = [1.0] + (A.base.t[A.base.t > u0] / u0).tolist() + [mp.inf]
+                with mp.workdps(25):
+                    want = mp.quad(lambda y: float(A.base(float(u0 * y))) * y ** w, ys)
+                assert modular(f, A, s) == pytest.approx(
+                    float(want) * tail.width / tail.expo, rel=1e-12)
+        # exp(1) grows faster than any power of y: the integral diverges
+        assert (modular(f, exp_young(1.0), np.array([1e7, 1e9])) == INF).all()
+
     def test_tail_far_below_the_first_node(self):
         # u0 = 1e-12 sits four decades below the first node, 1e-8, and the
         # tail's weight is u**-51: the segments overflow while the factor
