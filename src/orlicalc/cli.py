@@ -418,14 +418,15 @@ def _run_one(parser, argv, stream, where=""):
 
 def _run_batch(parser, path, stream):
     """One query per line of the file at ``path``; a bad line reports its
-    number and the batch goes on.  The exit code is the worst line's."""
+    number and the batch goes on.  The exit code is 1 where any line had an
+    input error, else the largest of the lines' codes."""
     try:
         with open(path) as fh:
             lines = fh.readlines()
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=stream)
         return 1
-    worst = 0
+    codes = {0}
     for number, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -435,10 +436,10 @@ def _run_batch(parser, path, stream):
             argv = shlex.split(line)
         except ValueError as exc:
             print(f"error: {where}{exc}", file=stream)
-            worst = max(worst, 1)
+            codes.add(1)
             continue
-        worst = max(worst, _run_one(parser, argv, stream, where))
-    return worst
+        codes.add(_run_one(parser, argv, stream, where))
+    return 1 if 1 in codes else max(codes)
 
 
 @functools.cache

@@ -592,5 +592,4 @@ def lifted_norm(F: YoungFn, X: SpaceDescriptor, f: SampledFn,
         image = F(f.values / lam)
         return space_norm(X, SampledFn(np.column_stack((image, f.widths)), f.length)) <= 1.0
 
-    return least_admissible_scale(lambda lams: [ok(lam) for lam in lams],
-                                  max(f.sup_value(), 1.0), rel_tol)
+    return least_admissible_scale(ok, max(f.sup_value(), 1.0), rel_tol)

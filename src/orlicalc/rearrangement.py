@@ -400,10 +400,9 @@ def modular(f: SampledFn, A: QuasiConvexFn, scale=1.0):
 _EPS = float(np.finfo(float).eps)
 
 
-def least_admissible_scale(ok, start, rel_tol, depth=1):
-    """The least lam > 0 with ok(lam), for a predicate that is false below
-    its answer and true above it; ``ok`` maps a 1-d array of scales to
-    booleans.
+def least_admissible_scale(ok, start, rel_tol):
+    """The least lam > 0 with ok(lam), for a predicate of one scale that is
+    false below its answer and true above it.
 
     Halves or doubles from ``start`` to a bracket, then bisects the log
     scale down to relative width ``rel_tol`` and returns the admissible
@@ -411,87 +410,39 @@ def least_admissible_scale(ok, start, rel_tol, depth=1):
     predicate that fails everywhere costs tens of calls, not a thousand.
     Gives 0 when ok holds down to 1e-300 and +inf when it fails up to 1e300.
     A tolerance below the float spacing 2**-52 raises ``ValueError``.
-
-    After the call at ``start``, each call of ``ok`` takes up to
-    ``2**depth - 1`` scales: the next halvings or doublings, or the
-    midpoints of the bisection tree below the bracket, ``depth`` levels
-    deep.  The search then follows the answers at the scales that
-    one-at-a-time bisection visits, so the result is the same float for
-    every depth, and depth 1 makes the same calls, one scale each.
     """
     if not rel_tol >= _EPS:
         raise ValueError(f"relative tolerance {rel_tol!r} is below the float "
                          f"spacing {_EPS!r}: the bisection would not end")
-    width = 2 ** depth - 1
-
-    def first(points, want):
-        """Index of the first point where ok gives ``want``, or None."""
-        if not points:
-            return None
-        hit = np.flatnonzero(np.asarray(ok(np.array(points)), dtype=bool) == want)
-        return int(hit[0]) if hit.size else None
-
     b = start
-    if first([b], True) is not None:
-        a = b
-        while True:
-            halves = []
-            while len(halves) < width:
-                a /= 2.0
-                if a < 1e-300:
-                    break
-                halves.append(a)
-            i = first(halves, False)
-            if i is not None:
-                a = halves[i]
-                break
-            if len(halves) < width:
-                return 0.0
+    if ok(b):
+        a = b / 2.0
+        while a >= 1e-300 and ok(a):
+            a /= 2.0
+        if a < 1e-300:
+            return 0.0
         b = 2.0 * a
     else:
         step = 2.0
         while True:
-            steps = []
-            while len(steps) < width and b < 1e300:
-                a = b
-                if b > start * 2.0 ** 64:
-                    step *= step
-                b = min(b * step, 1e300)
-                steps.append((a, b))
-            i = first([hi for _, hi in steps], True)
-            if i is not None:
-                a, b = steps[i]
-                break
-            if len(steps) < width:
+            if b >= 1e300:
                 return INF
+            a = b
+            if b > start * 2.0 ** 64:
+                step *= step
+            b = min(b * step, 1e300)
+            if ok(b):
+                break
     # invariant: ok(b), not ok(a)
     while b / a > 1.0 + rel_tol:
-        # the midpoints of the bisection tree below (a, b), as deep as the
-        # tolerance needs and at most depth levels, in heap order: node j
-        # has the children 2j + 1 (ok at its midpoint) and 2j + 2
-        levels = math.ceil(math.log2((math.log(b) - math.log(a)) / math.log1p(rel_tol)))
-        cells, mids = [(a, b)], []
-        while len(mids) < 2 ** min(max(levels, 1), depth) - 1:
-            lo, hi = cells[len(mids)]
-            mid = math.sqrt(lo * hi)
-            if not lo < mid < hi:  # lo * hi left the float range
-                mid = math.sqrt(lo) * math.sqrt(hi)
-            mids.append(mid)
-            cells += [(lo, mid), (mid, hi)]
-        good = np.asarray(ok(np.array(mids)), dtype=bool)
-        j = 0
-        while j < len(mids) and b / a > 1.0 + rel_tol:
-            if good[j]:
-                b, j = mids[j], 2 * j + 1
-            else:
-                a, j = mids[j], 2 * j + 2
+        mid = math.sqrt(a * b)
+        if not a < mid < b:  # a * b left the float range
+            mid = math.sqrt(a) * math.sqrt(b)
+        if ok(mid):
+            b = mid
+        else:
+            a = mid
     return b
-
-
-# points per call of the batched bisection, and the cost of a tail piece in
-# points: past about 2048 the larger arrays cost more than the saved calls
-_BATCH_POINTS = 2048
-_TAIL_POINTS = 16
 
 
 def luxemburg_norm(f: SampledFn, A: QuasiConvexFn, rel_tol=1e-10):
@@ -501,28 +452,20 @@ def luxemburg_norm(f: SampledFn, A: QuasiConvexFn, rel_tol=1e-10):
 
     A root phase first finds, from the modular's values, scales lo < hi on
     either side of the root whose modulars miss 1 by a margin
-    (:func:`_certified_bracket`).  The bisection is then replayed with a
-    predicate that answers at scales up to lo and from hi on without the
-    modular, which does not rise with lam, and calls it for the scales in
-    between.  It sees the same answers at the same scales as a search that
-    calls the modular for every scale, so it returns the same float."""
+    (:func:`_certified_bracket`).  The bisection answers at scales up to lo
+    and from hi on without the modular, which does not rise with lam, and
+    calls it for the scales in between.  It sees the same answers at the
+    same scales as a search that calls the modular for every scale, so it
+    returns the same float."""
     if f.is_zero:
         return 0.0
     start = max(f.sup_value(), 1.0)
     if math.isinf(start):
         start = 1.0
     lo, hi = _certified_bracket(f, A, start)
-
-    def ok(lams):
-        good = lams >= hi
-        unsure = ~good & (lams > lo)
-        if unsure.any():
-            good[unsure] = modular(f, A, scale=1.0 / lams[unsure]) <= 1.0
-        return good
-
-    cost = f.values.size + (_TAIL_POINTS if f.tail is not None else 0)
-    depth = max([1] + [d for d in range(2, 7) if (2 ** d - 1) * cost <= _BATCH_POINTS])
-    return least_admissible_scale(ok, start, rel_tol, depth)
+    return least_admissible_scale(
+        lambda lam: lam >= hi or (lam > lo and modular(f, A, 1.0 / lam) <= 1.0),
+        start, rel_tol)
 
 
 # the margin by which a certified modular misses 1, against a rounding of
@@ -530,25 +473,33 @@ def luxemburg_norm(f: SampledFn, A: QuasiConvexFn, rel_tol=1e-10):
 _ETA = 1e-12
 _ROOT_CALLS = 10
 _LOG_RANGE = math.log(1e300)
+_JUMP = 2.0 ** -50  # 4 float spacings, past the rounding of the jump scales
 
 
 def _certified_bracket(f, A, start):
     """Scales lo < hi with modular(f / lo) > 1 + eta and modular(f / hi) <
     1 - eta, eta = 1e-12; lo is 0 and hi is +inf where none was found.
 
-    The first call of the modular takes start and 2 start.  Each later one
-    takes lam* e**-d and lam* e**d, where log lam* is the root of the secant
-    of log M against log lam through the two newest points with a finite
-    positive M (exact for a pure power), or the middle of the log bracket
-    (lo, hi) where the secant leaves it.  d = max(2 eta / s, min(err / 4,
-    4 err**2)), s the secant's slope and err how far lam* moved: the
-    modular's margin at least, and about the secant's next error.  It stops
-    when hi / lo <= 1 + 16 eta / s, after 10 calls, or where no secant falls
-    into an open bracket.  NaN values are not used."""
+    The first call of the modular takes start and 2 start, and J (1 -+
+    2**-50) where A is +inf past t_inf and J = sup |f| / t_inf is a
+    positive finite float: the modular is +inf at every scale below J, with
+    no rounding to allow for, so that call certifies a root at the jump.
+    Each later call takes lam* e**-d and lam* e**d, where log lam* is the
+    root of the secant of log M against log lam through the two newest
+    points with a finite positive M (exact for a pure power), or the middle
+    of the log bracket (lo, hi) where the secant leaves it.  d = max(2 eta
+    / s, min(err / 4, 4 err**2)), s the secant's slope and err how far lam*
+    moved: the modular's margin at least, and about the secant's next
+    error.  It stops when hi / lo <= 1 + 16 eta / s, after 10 calls, or
+    where no secant falls into an open bracket.  NaN values are not used."""
     lo, hi = 0.0, INF
     points = []
     lams = [start, 2.0 * start]
     x_old = math.log(lams[-1])
+    t_inf = A.t_inf
+    jump = f.sup_value() / t_inf if t_inf > 0.0 else INF
+    if 0.0 < jump < INF:
+        lams = [jump * (1.0 - _JUMP), jump * (1.0 + _JUMP)] + lams
     for _ in range(_ROOT_CALLS):
         for lam, m in zip(lams, modular(f, A, scale=1.0 / np.array(lams)).tolist()):
             if m > 1.0 + _ETA:

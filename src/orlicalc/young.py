@@ -927,11 +927,11 @@ def _table_to_json(fn, prefix):
     """The sample table of ``fn`` plus its descriptors and boundary values,
     as the keys ``<prefix>grid``, ``<prefix>zero_desc``, ``<prefix>inf_desc``,
     ``<prefix>value_at_zero`` and ``<prefix>value_at_inf``."""
-    grid = np.column_stack((fn.t, fn.v)).tolist()
+    v = fn.v.tolist()
     for i in np.flatnonzero(np.isinf(fn.v)).tolist():
-        grid[i][1] = "inf"
+        v[i] = "inf"
     return {
-        prefix + "grid": grid,
+        prefix + "grid": list(zip(fn.t.tolist(), v)),
         prefix + "zero_desc": _desc_to_json(fn.zero_desc),
         prefix + "inf_desc": _desc_to_json(fn.inf_desc),
         prefix + "value_at_zero": _num_to_json(fn.value_at_zero),
@@ -943,8 +943,8 @@ def _table_from_json(obj, prefix=""):
     """Inverse of :func:`_table_to_json`; absent descriptors are numeric-only
     and absent boundary values take the table's defaults."""
     grid = obj[prefix + "grid"]
-    if not isinstance(grid, list) or not all(isinstance(row, list) and len(row) == 2
-                                             for row in grid):
+    if not isinstance(grid, list) or not all(
+            isinstance(row, (list, tuple)) and len(row) == 2 for row in grid):
         raise ValueError(f"{prefix}grid must be a list of [t, value] pairs")
     t = np.array([row[0] for row in grid], dtype=float)
     v = np.array([_num_from_json(row[1]) for row in grid])
@@ -978,7 +978,8 @@ def young_to_json(A: QuasiConvexFn) -> dict:
     a set of convex samples (:func:`young_from_values`).  All of these
     except ``grid`` are optional on input: an absent descriptor is
     ``numeric-only`` and an absent boundary value takes the table's
-    default.
+    default.  In the returned dict the grid rows are tuples, which the
+    garbage collector stops tracking, unlike lists.
     """
     recipe = getattr(A, "recipe", None) or {"class": "table"}
     cls = recipe.get("class")

@@ -329,11 +329,14 @@ class TestErrorsAndModes:
     def test_usage_error_is_exit_1_and_the_batch_goes_on(self, tmp_path):
         code, out = run(["conj", "--young", '{"class":"power-log","p":2}', "--frobnicate"])
         assert (code, out) == (1, "error: orlicalc: unrecognized arguments: --frobnicate\n")
-        # the batch's code is its worst line's: an undecided query gives 2
+        # an input error on any line makes the batch's code 1, above the 2
+        # of an undecided line; without one the largest code is the batch's
         batch = tmp_path / "queries.txt"
+        batch.write_text(f"{DIAG}\n{UNDECIDED_DIAG}\n")
+        assert run(["--batch", str(batch)])[0] == 2
         batch.write_text(f"conj --frobnicate\n\n{DIAG}\nbogus\n{UNDECIDED_DIAG}\n")
         code, out = run(["--batch", str(batch)])
-        assert code == 2
+        assert code == 1
         lines = out.splitlines()
         assert lines[0] == "error: line 1: orlicalc conj: the following arguments are " \
                            "required: --young"

@@ -1,5 +1,6 @@
 import bisect
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -25,6 +26,7 @@ from orlicalc.rearrangement import (
 )
 from orlicalc.monotone import MonotoneFn, _power_segment_integral, geometric_grid
 from orlicalc import rearrangement
+from orlicalc.diagonality import construct_witness_young
 from orlicalc.rearrangement import _rising_end as rising_end
 from orlicalc.young import (
     QuasiConvexFn,
@@ -348,8 +350,8 @@ class TestScaleSearch:
         calls = []
 
         def never(lam):
-            calls.extend(lam)
-            return np.zeros(len(lam), dtype=bool)
+            calls.append(lam)
+            return False
 
         assert least_admissible_scale(never, 1.0, 1e-10) == INF
         # plain doubling up to start * 2**64, then a squared step per call
@@ -359,7 +361,7 @@ class TestScaleSearch:
             got = least_admissible_scale(lambda lam: lam >= answer, start, 1e-10)
             assert answer <= got <= answer * (1 + 1e-10)
 
-    def test_every_depth_gives_the_sequential_answer(self):
+    def test_gives_the_sequential_answer(self):
         cases = [(lambda lam, answer=answer: lam >= answer, answer, start)
                  for answer in (1e-250, 3.7e-5, 0.25, 1.0, 42.0, 9e7, 1e25, 1e200)
                  for start in (1e-150, 1.0, 1e3)]
@@ -368,8 +370,7 @@ class TestScaleSearch:
             for tol in (1e-6, 1e-10, 1e-13):
                 want = sequential_least_admissible_scale(pred, start, tol)
                 assert answer <= want <= answer * (1 + tol)
-                for depth in range(1, 7):
-                    assert least_admissible_scale(pred, start, tol, depth) == want
+                assert least_admissible_scale(pred, start, tol) == want
 
     def test_tolerance_below_float_spacing_is_rejected(self):
         # below 2**-52 two adjacent floats can differ by more than the
@@ -379,37 +380,21 @@ class TestScaleSearch:
                 least_admissible_scale(lambda lam: lam >= 42.0, 1.0, tol)
         assert least_admissible_scale(lambda lam: lam >= 42.0, 1.0, 2.0 ** -52) == 42.0
 
-    def test_depth_one_asks_what_the_sequential_search_asks(self):
+    def test_asks_what_the_sequential_search_asks(self):
         for answer, start in ((3.7e-5, 1.0), (42.0, 1.0), (1e200, 1.0), (0.0, 1.0)):
-            seq, batched = [], []
+            seq, asked = [], []
 
             def ok_seq(lam):
                 seq.append(lam)
                 return lam > answer
 
-            def ok_batched(lams):
-                assert len(lams) == 1
-                batched.extend(lams)
-                return lams > answer
+            def ok(lam):
+                asked.append(lam)
+                return lam > answer
 
             sequential_least_admissible_scale(ok_seq, start, 1e-10)
-            least_admissible_scale(ok_batched, start, 1e-10)
-            assert batched == seq
-
-    def test_deeper_batches_make_fewer_calls(self):
-        # from 1 to the answer 42: the call at 1, six doublings to 64, then
-        # 33 bisections to relative width 1e-10; depth d asks 2**d - 1
-        # doublings or d levels of bisection per call
-        for depth in range(1, 7):
-            sizes = []
-
-            def ok(lams):
-                sizes.append(len(lams))
-                return lams >= 42.0
-
-            least_admissible_scale(ok, 1.0, 1e-10, depth)
-            assert max(sizes) <= 2 ** depth - 1
-            assert len(sizes) == 1 + math.ceil(6 / (2 ** depth - 1)) + math.ceil(33 / depth)
+            least_admissible_scale(ok, start, 1e-10)
+            assert asked == seq
 
 
 class TestBatchedLuxemburg:
@@ -481,6 +466,30 @@ class TestBatchedLuxemburg:
                     lam = luxemburg_norm(f, A)
                     assert 0.0 < lam < INF
                     assert len(calls) <= budget
+        # generators that jump to +inf, where these norms sit: the first
+        # call takes the scales on either side of the jump and certifies both
+        endpoints = [power_young(1.5), power_log_young(2.0, alpha_zero=-1.0, alpha_inf=1.0),
+                     exp_young(1.0)]
+        for n in (1, 4, 12, 160):
+            f = SampledFn(list(zip(rng.uniform(0.01, 10.0, n), 10.0 ** rng.uniform(-2.0, 1.0, n))))
+            for A in [linfty_young(1.0)] + [construct_witness_young(f, E) for E in endpoints]:
+                calls.clear()
+                lam = luxemburg_norm(f, A)
+                assert 0.0 < lam < INF
+                assert len(calls) == 1
+
+    def test_jump_scales_need_a_positive_finite_jump(self):
+        # a tail makes sup |f| infinite, and a table with no finite value
+        # has t_inf = 0: no jump scale is taken, and nothing warns
+        tail = PowerTail(3.0, 0.2, 0.1)
+        no_finite = QuasiConvexFn(MonotoneFn(np.array([1.0, 2.0]), np.array([INF, INF])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f in (SampledFn([(1.0, 0.5)], tail=tail), SampledFn([], tail=tail)):
+                assert luxemburg_norm(f, linfty_young(1.0)) == INF
+            f = SampledFn([(1.0, 0.5)])
+            assert no_finite.t_inf == 0.0
+            assert luxemburg_norm(f, no_finite) == sequential_luxemburg_norm(f, no_finite)
 
     def test_luxemburg_where_no_secant_or_no_pure_power(self):
         # the modular of linfty is 0 or +inf, so no secant forms and only
