@@ -440,8 +440,8 @@ class TestBatchedLuxemburg:
 
     def test_modular_calls_of_a_norm(self, monkeypatch):
         # the root phase finds the root from the modular's values, which a
-        # pure power's secant hits at once, and the replayed bisection
-        # answers outside its certified bracket without the modular
+        # pure power's secant hits at once, and the bisection answers
+        # outside its certified bracket without the modular
         calls = []
         real = rearrangement.modular
 
@@ -493,8 +493,8 @@ class TestBatchedLuxemburg:
 
     def test_luxemburg_where_no_secant_or_no_pure_power(self):
         # the modular of linfty is 0 or +inf, so no secant forms and only
-        # the first two scales are certified; the coarse table's modular is
-        # piecewise, no pure power.  Both must replay to the float of the
+        # the first call's scales are certified; the coarse table's modular
+        # is piecewise, no pure power.  Both must give the float of the
         # search that calls the modular for every scale
         t = np.array([1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0])
         coarse = young_from_derivative(MonotoneFn(t, np.array([0.1, 0.2, 1.0, 1.5, 4.0, 5.0, 9.0])))
