@@ -4,11 +4,12 @@ per-family (uniform) sub-diagonality rules, plus the norm-lifting map.
 
 The quantitative certificates reduce to integrals of outer(c / table(t)),
 which are computed exactly per power chunk by splitting at preimages of the
-outer function's grid.  All segments of the table are integrated in one
-array pass: the chunk nodes of every segment sit in one flat array, so an
-integral costs a fixed number of evaluations of the two tables whatever the
-size of their grids.  The convex companion of an endpoint generator is
-built once and kept on the generator object.
+outer function's grid.  One call integrates many rows (a scale and an
+interval each) in one array pass: the chunk nodes of every segment of every
+row sit in one flat array, so a call costs a fixed number of evaluations of
+the two tables whatever the size of their grids and the number of rows.
+The convex companion of an endpoint generator is built once and kept on the
+generator object.
 """
 
 from __future__ import annotations
@@ -164,62 +165,120 @@ def _verify_gw(data, tol=1e-6):
 # -- exact composition integrals ----------------------------------------------
 
 
-def integrate_outer_reciprocal(outer: MonotoneFn, table: MonotoneFn, c: float,
-                               lo: float = 0.0, hi: float = INF) -> float:
-    """integral over (lo, hi) of outer(c / table(t)) dt, exact per power chunk.
+def integrate_outer_reciprocal(outer: MonotoneFn, table: MonotoneFn, c,
+                               lo=0.0, hi=INF):
+    """integral over (lo, hi) of outer(c / table(t)) dt, exact per power
+    chunk, for each row (c, lo, hi) of the broadcast arguments.
 
     The inner map is non-increasing on each power segment of the table, so
     splitting at preimages of the outer grid makes every chunk a single
     power of t.  Segments where the table vanishes on positive measure are
     charged outer's value at infinity (conservatively infinite if that is
-    infinite).  All segments are integrated in one array pass.
+    infinite).
+
+    The rows are answered in order up to the first that diverges.  Each
+    row's residuals beyond the table's grid (40 decades below its first
+    node and above its last) come first, so the rows from the first
+    divergent residual on cost no segment work.  The rows before it are
+    integrated in one array pass: their edges sit in one flat array with a
+    row index, so the table, the outer function and the chunking are each
+    called once for all of them.  A row's value is its segments summed left
+    to right, then its residual toward 0, then its residual toward infinity.
+
+    Scalar arguments give a float.  Otherwise the result holds the rows up
+    to the first that diverges, which reads +inf and ends it.
     """
+    shape = np.broadcast(c, lo, hi).shape
+    zero = np.zeros(shape or 1)
+    c, lo, hi = c + zero, lo + zero, hi + zero
     t0, t1 = table.t[0], table.t[-1]
-    lo_eff = max(lo, t0 * 1e-40)
-    hi_eff = min(hi, t1 * 1e40)
-    if hi_eff <= lo_eff:
-        return 0.0
-    parts = [np.asarray([lo_eff, hi_eff])]
-    if lo_eff < t0 < hi_eff:
-        parts.append(geometric_grid(lo_eff, t0, 8))
-    inner_pts = table.t[(table.t > lo_eff) & (table.t < hi_eff)]
-    parts.append(inner_pts)
-    if lo_eff < t1 < hi_eff:
-        parts.append(geometric_grid(t1, hi_eff, 8))
-    edges = np.unique(np.concatenate(parts))
+    lo_eff = np.maximum(lo, t0 * 1e-40)
+    hi_eff = np.minimum(hi, t1 * 1e40)
+    live = hi_eff > lo_eff
+    res_lo, res_hi = _end_residuals(outer, table, c, lo, hi, lo_eff, hi_eff, live)
+    ends_diverge = np.isinf(res_lo) | np.isinf(res_hi)
+    n = int(np.argmax(ends_diverge)) if ends_diverge.any() else c.size
+    rows = np.flatnonzero(live[:n])
+    total = np.zeros(n)
+    if rows.size:
+        total = _segment_sums(outer, table, c, lo_eff, hi_eff, rows, n)
+    total = total + res_lo[:n] + res_hi[:n]
+    if n < c.size:
+        total = np.append(total, INF)
+    diverged = np.flatnonzero(np.isinf(total))
+    if diverged.size:
+        total = total[:diverged[0] + 1]
+    return total if shape else float(total[0])
+
+
+def _row_edges(owner, pts):
+    """The points sorted by row and, within a row, ascending, with repeats
+    dropped (np.unique per row)."""
+    order = np.lexsort((pts, owner))
+    owner, pts = owner[order], pts[order]
+    keep = np.ones(pts.size, dtype=bool)
+    keep[1:] = (pts[1:] != pts[:-1]) | (owner[1:] != owner[:-1])
+    return owner[keep], pts[keep]
+
+
+def _segment_sums(outer, table, c, lo_eff, hi_eff, rows, n):
+    """The segment integrals of the given rows summed per row, left to
+    right (rows among the first n; the others read 0)."""
+    t0, t1 = table.t[0], table.t[-1]
+    lo_r, hi_r = lo_eff[rows], hi_eff[rows]
+    # the table's nodes inside each row: table.t[first:first + count]
+    first = np.searchsorted(table.t, lo_r, side="right")
+    count = np.maximum(np.searchsorted(table.t, hi_r, side="left") - first, 0)
+    inner = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count, count)
+    # geometric extension grids where a row reaches past the table's ends
+    head = rows[(lo_r < t0) & (t0 < hi_r)]
+    tail = rows[(lo_r < t1) & (t1 < hi_r)]
+    grids = [geometric_grid(lo_eff[i], t0, 8) for i in head] + \
+        [geometric_grid(t1, hi_eff[i], 8) for i in tail]
+    owner, edges = _row_edges(
+        np.concatenate((rows, rows, np.repeat(rows, count),
+                        np.repeat(np.append(head, tail), [g.size for g in grids]))),
+        np.concatenate([lo_r, hi_r, table.t[inner]] + grids))
     tv = table(edges)
     # refine segments that cross a vanishing or an infinite table value
-    trans = ((tv[:-1] == 0.0) & (tv[1:] > 0.0)) | \
-            (np.isfinite(tv[:-1]) & (tv[:-1] > 0) & np.isinf(tv[1:]))
+    same = owner[1:] == owner[:-1]
+    trans = same & (((tv[:-1] == 0.0) & (tv[1:] > 0.0)) |
+                    (np.isfinite(tv[:-1]) & (tv[:-1] > 0) & np.isinf(tv[1:])))
     if trans.any():
         k = np.flatnonzero(trans)
         extra = np.geomspace(edges[k] * (1 + 1e-12), edges[k + 1], 33)
-        edges = np.unique(np.concatenate((edges, extra.ravel())))
+        owner, edges = _row_edges(
+            np.concatenate((owner, np.broadcast_to(owner[k], extra.shape).ravel())),
+            np.concatenate((edges, extra.ravel())))
         tv = table(edges)
+        same = owner[1:] == owner[:-1]
+    # each pair of consecutive edges of one row is a segment; a pair across
+    # two rows counts 0
     ta, tb = edges[:-1], edges[1:]
     va, vb = tv[:-1], tv[1:]
-    with np.errstate(divide="ignore", over="ignore"):
-        u_a, u_b = c / va, c / vb  # inner values at the edges (u_a >= u_b)
-    # Where the table is 0 at both ends or at the left end (a leading sliver
-    # of a ramp), or so small that c / va overflows (u_a = inf: conservative),
-    # +inf at the left end (u_a = 0), +inf at the right end (the inner
-    # argument falls from u_a to zero: bounded by its left edge) or where
-    # u_a == u_b, the integrand is charged outer(u_a) over the whole segment.
-    pieces = outer(u_a) * (tb - ta)
-    chunked = np.isfinite(u_a) & np.isfinite(vb) & (u_a != u_b)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cs = c[owner[:-1]]
+        u_a, u_b = cs / va, cs / vb  # inner values at the edges (u_a >= u_b)
+        # Where the table is 0 at both ends or at the left end (a leading
+        # sliver of a ramp), or so small that c / va overflows (u_a = inf:
+        # conservative), +inf at the left end (u_a = 0), +inf at the right
+        # end (the inner argument falls from u_a to zero: bounded by its left
+        # edge) or where u_a == u_b, the integrand is charged outer(u_a) over
+        # the whole segment.
+        pieces = np.where(same, outer(u_a) * (tb - ta), 0.0)
+    chunked = same & np.isfinite(u_a) & np.isfinite(vb) & (u_a != u_b)
     pieces[chunked] = _outer_chunks(outer, ta[chunked], tb[chunked], va[chunked],
                                     vb[chunked], u_a[chunked], u_b[chunked])
-    if np.isinf(pieces).any():
-        return INF
-    total = float(np.cumsum(pieces)[-1])  # left to right, segment by segment
-    res = _outer_residual_zero(outer, table, c, lo, lo_eff)
-    if math.isinf(res):
-        return INF
-    total += res
-    res = _outer_residual_inf(outer, table, c, hi_eff, hi)
-    if math.isinf(res):
-        return INF
-    return total + res
+    # each row's pieces left to right down one column of a zero-padded
+    # table, summed by a running sum down the columns; the 0 of a pair
+    # across rows lands past its row's last piece, and trailing zeros add
+    # nothing
+    pos = np.arange(edges.size) - np.searchsorted(owner, owner)
+    padded = np.zeros((pos.max() + 1, n))
+    padded[pos[:-1], owner[:-1]] = pieces
+    sums = np.cumsum(padded, axis=0)[-1]
+    sums[owner[:-1][np.isinf(pieces)]] = INF
+    return sums
 
 
 def _outer_chunks(outer, ta, tb, va, vb, u_a, u_b):
@@ -252,49 +311,58 @@ def _outer_chunks(outer, ta, tb, va, vb, u_a, u_b):
     return np.add.reduceat(seg_int, first - np.arange(ta.size))
 
 
-def _integrand_at(outer, table, c, t):
-    v = float(table(t))
-    if v == 0.0:
-        return float(outer.value_at_inf)
-    if np.isinf(v):
-        return float(outer(0.0))
-    return float(outer(c / v))
+def _end_residuals(outer, table, c, lo, hi, lo_eff, hi_eff, live):
+    """Each row's residuals past its segments: over (lo, lo_eff) toward 0
+    and over (hi_eff, hi) toward infinity.  The integrand is evaluated at
+    each end and at half of it for all rows at once (a vanishing table
+    gives outer's value at infinity, an infinite one outer(0)); its local
+    power is then classified and integrated per row."""
+    res_lo, res_hi = np.zeros(c.size), np.zeros(c.size)
+    below = np.flatnonzero(live & (lo < lo_eff) & (lo_eff > 0.0))
+    above = np.flatnonzero(live & (hi > hi_eff))
+    ends = np.concatenate((lo_eff[below], hi_eff[above]))
+    if not ends.size:
+        return res_lo, res_hi
+    cs = np.concatenate((c[below], c[above]))
+    with np.errstate(divide="ignore", over="ignore"):
+        vals = outer(np.tile(cs, 2) / table(np.concatenate((ends / 2.0, ends)))).tolist()
+    half, at = vals[:ends.size], vals[ends.size:]
+    for k, i in enumerate(below):
+        res_lo[i] = _residual_zero(half[k], at[k], lo_eff[i])
+    for k, i in enumerate(above, below.size):
+        res_hi[i] = _residual_inf(half[k], at[k], hi_eff[i], hi[i])
+    return res_lo, res_hi
 
 
-def _outer_residual_zero(outer, table, c, lo, lo_eff):
-    """Residual of the composed integrand over (lo, lo_eff): classify the
-    local power and integrate it; near-harmonic classes count as divergent."""
-    if lo >= lo_eff or lo_eff <= 0:
-        return 0.0
-    o1 = _integrand_at(outer, table, c, lo_eff / 2.0)
-    o2 = _integrand_at(outer, table, c, lo_eff)
+def _residual_zero(o1, o2, end):
+    """integral over (0, end) of an integrand worth o1 at end / 2 and o2 at
+    end, as the power of t through both; near-harmonic classes count as
+    divergent."""
     if math.isinf(o1) or math.isinf(o2):
         return INF
     if o1 == 0.0:
         return 0.0
     if o2 == 0.0 or o1 <= o2:
-        return o2 * lo_eff  # bounded toward zero
+        return o2 * end  # bounded toward zero
     e = math.log(o2 / o1) / math.log(2.0)  # integrand ~ t**e toward zero
     if e <= -1.0 + 1e-9:
         return INF
-    return o2 * lo_eff / (e + 1.0)
+    return o2 * end / (e + 1.0)
 
 
-def _outer_residual_inf(outer, table, c, hi_eff, hi):
-    if hi <= hi_eff:
-        return 0.0
-    o1 = _integrand_at(outer, table, c, hi_eff / 2.0)
-    o2 = _integrand_at(outer, table, c, hi_eff)
+def _residual_inf(o1, o2, end, hi):
+    """integral over (end, hi) of an integrand worth o1 at end / 2 and o2 at
+    end, as the power of t through both."""
     if math.isinf(o2):
         return INF
     if o2 == 0.0:
         return 0.0
     if o1 <= o2 or o1 == 0.0:
-        return INF if math.isinf(hi) else o2 * (hi - hi_eff)
+        return INF if math.isinf(hi) else o2 * (hi - end)
     e = math.log(o2 / o1) / math.log(2.0)
     if e >= -1.0 - 1e-9:
-        return INF if math.isinf(hi) else o2 * (hi - hi_eff)
-    return o2 * hi_eff / (-e - 1.0)
+        return INF if math.isinf(hi) else o2 * (hi - end)
+    return o2 * end / (-e - 1.0)
 
 
 # -- certificates -------------------------------------------------------------
@@ -329,21 +397,19 @@ def ol_inequality_gap(A: YoungFn, G: YoungFn, v: SampledFn, f: SampledFn,
     on = w_cut != 0.0
     terms = G_inv(d(0.5 * (a[on] + b[on]))) * w_cut[on] * (b[on] - a[on])
     lhs = float(np.cumsum(terms)[-1]) if terms.size else 0.0
-    # right side: exact composed integral per weight step plus the modular
-    rhs = 0.0
-    for wv, seg_lo, seg_hi in zip(weights, breaks[:-1], breaks[1:]):
-        if wv == 0.0:
-            continue
-        piece = integrate_outer_reciprocal(g_inv, A.derivative, wv / lam,
-                                           seg_lo, seg_hi)
-        if math.isinf(piece):
-            return lhs, INF
-        rhs += piece * wv
+    # right side: the exact composed integral of every nonzero weight step,
+    # one row each, plus the modular, added step by step from 0
+    step = weights != 0.0
+    wv = weights[step]
+    pieces = integrate_outer_reciprocal(g_inv, A.derivative, wv / lam,
+                                        breaks[:-1][step], breaks[1:][step])
+    if np.isinf(pieces).any():
+        return lhs, INF
     mod = modular(f, A)
     if math.isinf(mod):
         return lhs, INF
-    rhs += lam * mod
-    return lhs, rhs
+    rhs = np.cumsum(np.concatenate(([0.0], pieces * wv, [lam * mod])))[-1]
+    return lhs, float(rhs)
 
 
 def classical_lorentz_Nlambda(A: YoungFn, w: SampledFn, q: float,
@@ -473,20 +539,19 @@ def ac_embedding_check(A: YoungFn, E: QuasiConvexFn) -> Verdict:
     data = build_gw(E)
     # inner(s) = lam * s * E(1/s) = lam / g(s); integrate near zero
     cap = min(1.0, float(data.g.t[-1]))
-    results = []
-    for k in range(-10, 11, 5):
-        lam = 2.0 ** k
-        val = integrate_outer_reciprocal(a_inv, data.g, lam, 0.0, cap)
-        results.append(val)
-        if math.isinf(val):
-            return fails(witness=lam, reason="integral diverges at this scale")
+    lams = np.ldexp(1.0, np.arange(-10, 11, 5))
+    results = integrate_outer_reciprocal(a_inv, data.g, lams, 0.0, cap)
+    if np.isinf(results[-1]):
+        # the rows end at the first divergent scale, in ascending order
+        return fails(witness=float(lams[results.size - 1]),
+                     reason="integral diverges at this scale")
     # symbolic confirmation that the class is scale-free
     dz = data.g.zero_desc
     da = a_inv.inf_desc
     scale_free = dz.kind in (POWER_LOG, ZERO_ON_INTERVAL) and \
         da.kind in (POWER_LOG, INFINITE_BEYOND, LIMIT_CONST)
     if scale_free:
-        return holds(max(results), reason="integrable at zero for every scale")
+        return holds(max(results.tolist()), reason="integrable at zero for every scale")
     return undecided("finite at sampled scales; class not symbolically scale-free")
 
 

@@ -217,9 +217,8 @@ class MonotoneFn:
     def t_inf(self):
         """inf of the interval where the function is +inf."""
         if np.isinf(self.v[-1]):
-            if self._i_last_fin >= 0:
-                return float(self.t[self._i_last_fin])
-            return 0.0
+            # a table with no finite value is +inf from its first node on
+            return float(self.t[max(self._i_last_fin, 0)])
         if self.inf_desc.kind == INFINITE_BEYOND:
             return float(self.inf_desc.threshold)
         return INF

@@ -10,7 +10,7 @@ from orlicalc.monotone import (
     INF, MonotoneFn, NUMERIC_DESC, _integral_off_grid, _log_mass_from_end,
     _power_segment_integral, geometric_grid)
 from orlicalc.operators import _BLOCK, _exp_weight_cutoffs, _exp_weight_tail
-from orlicalc.diagonality import build_gw, integrate_outer_reciprocal
+from orlicalc.diagonality import _outer_chunks, build_gw
 from orlicalc.rearrangement import lambda_norm, maximal, modular, rearrange
 from orlicalc.young import _desc_to_json, _num_to_json
 
@@ -587,6 +587,105 @@ def loop_classical_lorentz_fundamental(w, q):
     return np.asarray(breaks[1:]), np.asarray(vals[1:]) ** (1.0 / q)
 
 
+def reference_outer_reciprocal(outer, table, c, lo=0.0, hi=INF):
+    """integrate_outer_reciprocal as it was for one interval per call, a
+    float: one array pass over the table's segments, then the residuals
+    toward 0 and toward infinity."""
+    t0, t1 = table.t[0], table.t[-1]
+    lo_eff = max(lo, t0 * 1e-40)
+    hi_eff = min(hi, t1 * 1e40)
+    if hi_eff <= lo_eff:
+        return 0.0
+    parts = [np.asarray([lo_eff, hi_eff])]
+    if lo_eff < t0 < hi_eff:
+        parts.append(geometric_grid(lo_eff, t0, 8))
+    inner_pts = table.t[(table.t > lo_eff) & (table.t < hi_eff)]
+    parts.append(inner_pts)
+    if lo_eff < t1 < hi_eff:
+        parts.append(geometric_grid(t1, hi_eff, 8))
+    edges = np.unique(np.concatenate(parts))
+    tv = table(edges)
+    # refine segments that cross a vanishing or an infinite table value
+    trans = ((tv[:-1] == 0.0) & (tv[1:] > 0.0)) | \
+            (np.isfinite(tv[:-1]) & (tv[:-1] > 0) & np.isinf(tv[1:]))
+    if trans.any():
+        k = np.flatnonzero(trans)
+        extra = np.geomspace(edges[k] * (1 + 1e-12), edges[k + 1], 33)
+        edges = np.unique(np.concatenate((edges, extra.ravel())))
+        tv = table(edges)
+    ta, tb = edges[:-1], edges[1:]
+    va, vb = tv[:-1], tv[1:]
+    with np.errstate(divide="ignore", over="ignore"):
+        u_a, u_b = c / va, c / vb  # inner values at the edges (u_a >= u_b)
+    # Where the table is 0 at both ends or at the left end (a leading sliver
+    # of a ramp), or so small that c / va overflows (u_a = inf: conservative),
+    # +inf at the left end (u_a = 0), +inf at the right end (the inner
+    # argument falls from u_a to zero: bounded by its left edge) or where
+    # u_a == u_b, the integrand is charged outer(u_a) over the whole segment.
+    pieces = outer(u_a) * (tb - ta)
+    chunked = np.isfinite(u_a) & np.isfinite(vb) & (u_a != u_b)
+    pieces[chunked] = _outer_chunks(outer, ta[chunked], tb[chunked], va[chunked],
+                                    vb[chunked], u_a[chunked], u_b[chunked])
+    if np.isinf(pieces).any():
+        return INF
+    total = float(np.cumsum(pieces)[-1])  # left to right, segment by segment
+    res = reference_residual_zero(outer, table, c, lo, lo_eff)
+    if math.isinf(res):
+        return INF
+    total += res
+    res = reference_residual_inf(outer, table, c, hi_eff, hi)
+    if math.isinf(res):
+        return INF
+    return total + res
+
+
+def _integrand_at(outer, table, c, t):
+    v = float(table(t))
+    if v == 0.0:
+        return float(outer.value_at_inf)
+    if np.isinf(v):
+        return float(outer(0.0))
+    return float(outer(c / v))
+
+
+def reference_residual_zero(outer, table, c, lo, lo_eff):
+    """reference_outer_reciprocal's residual of the composed integrand over
+    (lo, lo_eff): classify the local power and integrate it; near-harmonic
+    classes count as divergent."""
+    if lo >= lo_eff or lo_eff <= 0:
+        return 0.0
+    o1 = _integrand_at(outer, table, c, lo_eff / 2.0)
+    o2 = _integrand_at(outer, table, c, lo_eff)
+    if math.isinf(o1) or math.isinf(o2):
+        return INF
+    if o1 == 0.0:
+        return 0.0
+    if o2 == 0.0 or o1 <= o2:
+        return o2 * lo_eff  # bounded toward zero
+    e = math.log(o2 / o1) / math.log(2.0)  # integrand ~ t**e toward zero
+    if e <= -1.0 + 1e-9:
+        return INF
+    return o2 * lo_eff / (e + 1.0)
+
+
+def reference_residual_inf(outer, table, c, hi_eff, hi):
+    """reference_outer_reciprocal's residual toward infinity."""
+    if hi <= hi_eff:
+        return 0.0
+    o1 = _integrand_at(outer, table, c, hi_eff / 2.0)
+    o2 = _integrand_at(outer, table, c, hi_eff)
+    if math.isinf(o2):
+        return INF
+    if o2 == 0.0:
+        return 0.0
+    if o1 <= o2 or o1 == 0.0:
+        return INF if math.isinf(hi) else o2 * (hi - hi_eff)
+    e = math.log(o2 / o1) / math.log(2.0)
+    if e >= -1.0 - 1e-9:
+        return INF if math.isinf(hi) else o2 * (hi - hi_eff)
+    return o2 * hi_eff / (-e - 1.0)
+
+
 def loop_ol_inequality_gap(A, G, v, f, lam):
     """ol_inequality_gap reading the weight through per-piece lists."""
     G_inv = G.base.left_inverse()
@@ -605,7 +704,7 @@ def loop_ol_inequality_gap(A, G, v, f, lam):
     for wv, seg_lo, seg_hi in zip(weights, breaks[:-1], breaks[1:]):
         if wv == 0.0:
             continue
-        piece = integrate_outer_reciprocal(g_inv, A.derivative, wv / lam, seg_lo, seg_hi)
+        piece = reference_outer_reciprocal(g_inv, A.derivative, wv / lam, seg_lo, seg_hi)
         if math.isinf(piece):
             return lhs, INF
         rhs += piece * wv

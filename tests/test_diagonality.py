@@ -56,11 +56,14 @@ from orlicalc.young import (
     QuasiConvexFn,
     exp_young,
     linfty_young,
+    power_log_young,
     power_young,
     young_from_derivative,
 )
 
-from helpers import sequential_least_admissible_scale
+from helpers import (
+    reference_outer_reciprocal, reference_residual_inf, reference_residual_zero,
+    sequential_least_admissible_scale)
 from test_rearrangement import random_sampled
 
 
@@ -205,11 +208,11 @@ def loop_outer_reciprocal(outer, table, c, lo=0.0, hi=INF):
         if math.isinf(piece):
             return INF
         total += piece
-    res = diagonality._outer_residual_zero(outer, table, c, lo, lo_eff)
+    res = reference_residual_zero(outer, table, c, lo, lo_eff)
     if math.isinf(res):
         return INF
     total += res
-    res = diagonality._outer_residual_inf(outer, table, c, hi_eff, hi)
+    res = reference_residual_inf(outer, table, c, hi_eff, hi)
     if math.isinf(res):
         return INF
     return total + res
@@ -257,10 +260,18 @@ class TestOuterReciprocal:
     ])
     def test_matches_segment_loop(self, table, outer):
         table, outer = table(), outer()
-        for c, lo, hi in [(1.0, 0.0, INF), (0.07, 0.3, 2.5), (30.0, 1.5, 6.0)]:
+        rows = [(1.0, 0.0, INF), (0.07, 0.3, 2.5), (30.0, 1.5, 6.0)]
+        for c, lo, hi in rows:
             expect = loop_outer_reciprocal(outer, table, c, lo, hi)
             got = integrate_outer_reciprocal(outer, table, c, lo, hi)
             assert_same_integral(got, expect)
+        # one call over the rows, in both orders, gives each row's float of
+        # the one-row reference up to and including the first +inf
+        for order in (rows, rows[::-1]):
+            want = [reference_outer_reciprocal(outer, table, *row) for row in order]
+            stop = next((i + 1 for i, w in enumerate(want) if math.isinf(w)), len(want))
+            got = integrate_outer_reciprocal(outer, table, *np.array(order).T)
+            assert got.tolist() == want[:stop]
 
     def test_edge_segments_charge_the_outer_value(self):
         # every segment of the edge-case table that the refinement does not
@@ -427,6 +438,53 @@ class TestOLInequality:
                 assert lhs <= rhs * (1 + 1e-9) + 1e-12, f"case {k}"
 
 
+    def test_sides_are_python_floats(self):
+        # the modular is a numpy float; the right side is still a float
+        A, G = power_young(2.0), power_young(3.0)
+        lhs, rhs = ol_inequality_gap(A, G, SampledFn([(1.0, 2.0)]),
+                                     SampledFn([(1.0, 0.5)]), 1.0)
+        assert type(lhs) is float and type(rhs) is float and math.isfinite(rhs)
+
+    def test_first_step_divergent_at_zero_does_no_segment_work(self, monkeypatch):
+        # under A = G = t^1.3 the integrand of the first weight step is not
+        # integrable at 0: its residual there decides the right side before
+        # any segment of any step is integrated
+        A = G = power_young(1.3)
+        calls = []
+        chunks = diagonality._outer_chunks
+        monkeypatch.setattr(diagonality, "_outer_chunks",
+                            lambda *args: calls.append(1) or chunks(*args))
+        v = SampledFn([(2.0, 0.5), (1.0, 0.5), (0.5, 2.0)])
+        assert ol_inequality_gap(A, G, v, characteristic(1.0), 1.0)[1] == INF
+        assert not calls
+        # with the weight moved off the origin, the segments are integrated
+        v = SampledFn([(0.0, 0.5), (1.0, 0.5), (0.5, 2.0)])
+        assert math.isfinite(ol_inequality_gap(A, G, v, characteristic(1.0), 1.0)[1])
+        assert calls
+
+    def test_table_evaluations_do_not_grow_with_the_weight_steps(self, monkeypatch):
+        # 1, 30 and 300 weight steps: the derivative of A is evaluated on
+        # array arguments equally often, since one pass takes every step
+        A, G = power_young(1.5), power_young(3.0)
+        rng = np.random.default_rng(5)
+        f = SampledFn(list(zip(rng.uniform(0.1, 5.0, 5), rng.uniform(0.1, 1.0, 5))))
+        table = A.derivative
+        evaluate = MonotoneFn.__call__
+        counts = []
+
+        def counted(fn, x):
+            if fn is table and np.ndim(x):
+                counts[-1] += 1
+            return evaluate(fn, x)
+
+        monkeypatch.setattr(MonotoneFn, "__call__", counted)
+        for n in (1, 30, 300):
+            v = SampledFn(list(zip(rng.uniform(0.1, 3.0, n), np.full(n, 0.05))))
+            counts.append(0)
+            assert math.isfinite(ol_inequality_gap(A, G, v, f, 1.0)[1])
+        assert counts[0] > 0 and counts == counts[:1] * 3
+
+
 class TestClassicalLorentzCertificate:
     def test_finite_certificate_and_inequality(self):
         t = np.concatenate((default_grid(-8, 0), default_grid(0, 8)[1:]))
@@ -563,6 +621,37 @@ class TestAlmostCompact:
                 assert ac.status == HOLDS and math.isfinite(n1)
             else:
                 assert ac.status == FAILS and math.isinf(n1)
+
+
+    def test_verdict_and_witness_are_the_scale_loop(self):
+        # each scale integrated on its own, ascending, stopping at the
+        # first that diverges, as the check did one call per scale: the
+        # generators fail at the first, a later (2^-5, 2^0) or no scale
+        gens = {"t^1.3": power_young(1.3), "t^3": power_young(3.0),
+                "exp": exp_young(1.0), "linfty": linfty_young(),
+                "pl 2,-1,1": power_log_young(2.0, alpha_zero=-1.0, alpha_inf=1.0),
+                "pl 1.5,0,0.5": power_log_young(1.5, alpha_zero=0.0, alpha_inf=0.5)}
+        witnesses = set()
+        for A in gens.values():
+            for E_name in ("t^1.3", "t^3", "exp", "pl 2,-1,1", "pl 1.5,0,0.5"):
+                E = QuasiConvexFn(gens[E_name].base)
+                data = build_gw(E)
+                a_inv = A.derivative.right_inverse()
+                cap = min(1.0, float(data.g.t[-1]))
+                vals = []
+                for k in range(-10, 11, 5):
+                    vals.append(reference_outer_reciprocal(a_inv, data.g, 2.0 ** k, 0.0, cap))
+                    if math.isinf(vals[-1]):
+                        break
+                ac = ac_embedding_check(A, E)
+                if math.isinf(vals[-1]):
+                    assert ac.status == FAILS and ac.witness == 2.0 ** k
+                    witnesses.add(k)
+                else:
+                    assert ac.status != FAILS
+                    if ac.status == HOLDS:
+                        assert type(ac.witness) is float and ac.witness == max(vals)
+        assert witnesses == {-10, -5, 0}
 
 
 class TestDiagonalityTable:

@@ -4,8 +4,9 @@ incomplete-gamma kernel, which loads ``scipy.special`` on its first call
 (a power-log Young function below its grid makes none),
 growth classes are never read from a generator's ``recipe``, step functions
 are read through their ``values`` and ``widths`` arrays, never their
-``pieces`` list, and every top-level function and class is used somewhere
-in the source or the tests."""
+``pieces`` list, no loop calls the certificate kernel
+``integrate_outer_reciprocal``, and every top-level function and class is
+used somewhere in the source or the tests."""
 
 import ast
 import json
@@ -153,3 +154,17 @@ def test_step_functions_are_read_through_their_arrays():
     found = [f"{path.name}:{node.lineno}" for path in SOURCES for node in ast.walk(parse(path))
              if isinstance(node, ast.Attribute) and node.attr == "pieces"]
     assert not found, "reads of .pieces: " + ", ".join(found)
+
+
+def test_no_loop_calls_the_outer_reciprocal_kernel():
+    # integrate_outer_reciprocal takes many rows (c, lo, hi) in one call;
+    # a loop of one-row calls pays the kernel's fixed cost once per row
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
+             ast.DictComp, ast.GeneratorExp)
+    found = [f"{path.name}:{node.lineno}" for path in SOURCES
+             for loop in ast.walk(parse(path)) if isinstance(loop, loops)
+             for node in ast.walk(loop)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None))
+             == "integrate_outer_reciprocal"]
+    assert not found, "integrate_outer_reciprocal called in a loop: " + ", ".join(found)

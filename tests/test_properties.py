@@ -513,14 +513,27 @@ def test_array_classical_lorentz_Nlambda_is_the_segment_walk(w, name, q, lam):
     assert _same(got, want, 1e-14)
 
 
-@settings(max_examples=30, deadline=None)
-@given(step_functions(), step_functions(max_pieces=6, tails=False),
-       st.sampled_from(["power 1.3", "power 3", "exp 1"]), st.sampled_from([0.5, 2.0]))
-def test_array_gap_and_witness_are_the_loops(f, v, name, lam):
-    A, G = GENERATORS[name], GENERATORS["power 3"]
-    assert ol_inequality_gap(A, G, v, f, lam) == loop_ol_inequality_gap(A, G, v, f, lam)
-    if f.tail or f.is_zero or not math.isfinite(lambda_norm(f, A)):
-        return  # the witness takes nonzero step functions of the space
+GAP_GENERATORS = ["power 1.3", "power 3", "exp 1", "linfty", "table", "witness"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(step_functions(), step_functions(max_pieces=40, tails=False),
+       st.sampled_from(GAP_GENERATORS), st.sampled_from(GAP_GENERATORS),
+       st.floats(-3.0, 3.0))
+# a zero weight step between two others, and a first step that diverges at 0
+@example(SampledFn([(1.0, 0.5)]), SampledFn([(2.0, 0.5), (0.0, 1.0), (1.0, 0.5)]),
+         "power 3", "power 3", 0.0)
+@example(SampledFn([(1.0, 0.5)]), SampledFn([(2.0, 0.5), (1.0, 0.5)]),
+         "power 1.3", "power 1.3", -1.0)
+def test_array_gap_and_witness_are_the_loops(f, v, a_name, g_name, log_lam):
+    # the right side's rows against one reference call per weight step
+    A, G, lam = GENERATORS[a_name], GENERATORS[g_name], 10.0 ** log_lam
+    got = ol_inequality_gap(A, G, v, f, lam)
+    assert got == loop_ol_inequality_gap(A, G, v, f, lam)
+    assert all(type(side) is float for side in got)
+    if a_name not in ("power 1.3", "power 3", "exp 1") or f.tail or f.is_zero \
+            or not math.isfinite(lambda_norm(f, A)):
+        return  # the witness takes nonzero step functions of the space of a finite E
     deriv = construct_witness_young(f, A).derivative
     t, vals = loop_witness_derivative(f, A)
     assert np.array_equal(deriv.t, t) and np.array_equal(deriv.v, vals)

@@ -479,8 +479,10 @@ class TestBatchedLuxemburg:
                 assert len(calls) == 1
 
     def test_jump_scales_need_a_positive_finite_jump(self):
-        # a tail makes sup |f| infinite, and a table with no finite value
-        # has t_inf = 0: no jump scale is taken, and nothing warns
+        # a tail makes sup |f| infinite: no jump scale is taken; a table with
+        # no finite value is 0 below its first node and +inf from it on, so
+        # its t_inf is that node and its jump scales are sup |f| / t_inf;
+        # nothing warns
         tail = PowerTail(3.0, 0.2, 0.1)
         no_finite = QuasiConvexFn(MonotoneFn(np.array([1.0, 2.0]), np.array([INF, INF])))
         with warnings.catch_warnings():
@@ -488,7 +490,7 @@ class TestBatchedLuxemburg:
             for f in (SampledFn([(1.0, 0.5)], tail=tail), SampledFn([], tail=tail)):
                 assert luxemburg_norm(f, linfty_young(1.0)) == INF
             f = SampledFn([(1.0, 0.5)])
-            assert no_finite.t_inf == 0.0
+            assert no_finite.t_inf == 1.0
             assert luxemburg_norm(f, no_finite) == sequential_luxemburg_norm(f, no_finite)
 
     def test_luxemburg_where_no_secant_or_no_pure_power(self):
