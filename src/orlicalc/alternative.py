@@ -34,6 +34,7 @@ from .spaces import (
 from .young import (
     FAILS,
     HOLDS,
+    UNDECIDED,
     Verdict,
     YoungFn,
     dominates,
@@ -46,6 +47,7 @@ from .young import (
 OPTIMAL = "optimal"
 NO_OPTIMAL = "no-optimal"
 UNDECIDED_OUTCOME = "undecided"
+_RESULTS = {HOLDS: OPTIMAL, FAILS: NO_OPTIMAL, UNDECIDED: UNDECIDED_OUTCOME}
 
 TARGET = "target"
 DOMAIN = "domain"
@@ -53,14 +55,18 @@ DOMAIN = "domain"
 
 @dataclass(frozen=True)
 class AlternativeOutcome:
-    """Result of the optimal-Orlicz decision for one side of an embedding."""
+    """Result of the optimal-Orlicz decision for one side of an embedding:
+    the optimal space exists exactly when its evidence holds."""
 
     side: str
-    result: str
     space: Optional[SpaceDescriptor]
     evidence: Verdict
     rule: str
     extra: Optional[dict] = None
+
+    @property
+    def result(self):
+        return _RESULTS[self.evidence.status]
 
 
 # -- level classification ---------------------------------------------------
@@ -262,21 +268,11 @@ def principal_alternative_target(Y: SpaceDescriptor) -> AlternativeOutcome:
     """Smallest Orlicz space containing Y: exists iff Y embeds into the
     Orlicz space on its own fundamental level, and then equals it."""
     L = companions(Y)[1]
-    ev = embeds(Y, L)
-    if ev.status == HOLDS:
-        return AlternativeOutcome(TARGET, OPTIMAL, L, ev, rule="level-inclusion")
-    if ev.status == FAILS:
-        return AlternativeOutcome(TARGET, NO_OPTIMAL, L, ev, rule="level-inclusion")
-    return AlternativeOutcome(TARGET, UNDECIDED_OUTCOME, L, ev, rule="level-inclusion")
+    return AlternativeOutcome(TARGET, L, embeds(Y, L), rule="level-inclusion")
 
 
 def principal_alternative_domain(X: SpaceDescriptor) -> AlternativeOutcome:
     """Largest Orlicz space inside X: exists iff the Orlicz space on X's
     fundamental level embeds into X, and then equals it."""
     L = companions(X)[1]
-    ev = embeds(L, X)
-    if ev.status == HOLDS:
-        return AlternativeOutcome(DOMAIN, OPTIMAL, L, ev, rule="level-inclusion")
-    if ev.status == FAILS:
-        return AlternativeOutcome(DOMAIN, NO_OPTIMAL, L, ev, rule="level-inclusion")
-    return AlternativeOutcome(DOMAIN, UNDECIDED_OUTCOME, L, ev, rule="level-inclusion")
+    return AlternativeOutcome(DOMAIN, L, embeds(L, X), rule="level-inclusion")

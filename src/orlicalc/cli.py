@@ -18,12 +18,12 @@ import sys
 import numpy as np
 
 from .alternative import (
-    UNDECIDED_OUTCOME,
     AlternativeOutcome,
     principal_alternative_domain,
     principal_alternative_target,
 )
 from .diagonality import (
+    UNKNOWN,
     construct_witness_young,
     lifted_norm,
     orlicz_lambda_Nlambda,
@@ -118,21 +118,6 @@ def _verdict_json(v):
     return {"status": v.status, "witness": _num(v.witness), "reason": v.reason}
 
 
-def _outcome_json(out: AlternativeOutcome):
-    d = {
-        "side": out.side,
-        "result": out.result,
-        "space": out.space.to_json() if out.space is not None else None,
-        "label": out.space.label() if out.space is not None else None,
-        "evidence": _verdict_json(out.evidence),
-        "rule": out.rule,
-    }
-    if out.extra:
-        d["witness_data"] = {k: _num(v) if isinstance(v, float) else v
-                             for k, v in out.extra.items()}
-    return d
-
-
 class Report:
     """One query's echo, outcome, witnesses and the rule applied."""
 
@@ -157,7 +142,23 @@ class Report:
 
 
 def _exit_for_result(result):
-    return 2 if result in (UNDECIDED_OUTCOME, UNDECIDED, "unknown") else 0
+    return 2 if result in (UNDECIDED, UNKNOWN) else 0
+
+
+def _outcome_report(query, out: AlternativeOutcome):
+    """The report of an optimal-Orlicz outcome, its exit code read off its result."""
+    d = {
+        "side": out.side,
+        "result": out.result,
+        "space": out.space.to_json() if out.space is not None else None,
+        "label": out.space.label() if out.space is not None else None,
+        "evidence": _verdict_json(out.evidence),
+        "rule": out.rule,
+    }
+    if out.extra:
+        d["witness_data"] = {k: _num(v) if isinstance(v, float) else v
+                             for k, v in out.extra.items()}
+    return Report(query, d, exit_code=_exit_for_result(out.result), rule=out.rule)
 
 
 # -- handlers -----------------------------------------------------------------
@@ -209,9 +210,7 @@ def _cmd_alternative(args):
     X = _space_arg(args.space)
     out = principal_alternative_target(X) if args.side == "target" \
         else principal_alternative_domain(X)
-    return Report({"op": "alternative", "side": args.side, "space": X.label()},
-                  _outcome_json(out), exit_code=_exit_for_result(out.result),
-                  rule=out.rule)
+    return _outcome_report({"op": "alternative", "side": args.side, "space": X.label()}, out)
 
 
 def _cmd_sobolev(args):
@@ -225,9 +224,8 @@ def _cmd_sobolev(args):
             out = sobolev_orlicz_domain(_young_arg(text), ctx)
         else:
             out = sobolev_no_largest_on_level(_space_arg(text), ctx)
-        return Report({"op": "sobolev", "side": "domain", "m": args.m, "n": args.n},
-                      _outcome_json(out), exit_code=_exit_for_result(out.result),
-                      rule=out.rule)
+        return _outcome_report({"op": "sobolev", "side": "domain", "m": args.m, "n": args.n},
+                               out)
     # target side: profile transform under the contraction condition
     X = _space_arg(args.space)
     phi = fundamental_function(X)
@@ -246,8 +244,7 @@ def _cmd_maximal(args):
     A = _young_arg(args.young)
     out = maximal_optimal_target(A) if args.side == "target" \
         else maximal_optimal_domain(A)
-    return Report({"op": "maximal", "side": args.side}, _outcome_json(out),
-                  exit_code=_exit_for_result(out.result), rule=out.rule)
+    return _outcome_report({"op": "maximal", "side": args.side}, out)
 
 
 def _cmd_laplace(args):
@@ -260,9 +257,7 @@ def _cmd_laplace(args):
         return Report({"op": "laplace", "side": "sufficient"}, payload,
                       exit_code=_exit_for_result(v.status),
                       rule="interpolation-sufficient")
-    out = laplace_optimal_target(A)
-    return Report({"op": "laplace", "side": "target"}, _outcome_json(out),
-                  exit_code=_exit_for_result(out.result), rule=out.rule)
+    return _outcome_report({"op": "laplace", "side": "target"}, laplace_optimal_target(A))
 
 
 def _cmd_diag(args):
@@ -310,7 +305,9 @@ def build_parser():
                     "Orlicz-type function spaces")
     p.add_argument("--json", action="store_true", help="emit JSON reports")
     p.add_argument("--tol", type=float, default=1e-10,
-                   help="relative tolerance for bisection-based norms")
+                   help="relative width at which the bisections of norm (Orlicz "
+                        "spaces) and lift stop; the bracket that the root phase "
+                        "of the Orlicz norm certifies does not depend on it")
     p.add_argument("--batch", metavar="FILE",
                    help="run one query per line of FILE (shell-style words)")
     sub = p.add_subparsers(dest="cmd")

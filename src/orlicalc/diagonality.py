@@ -51,6 +51,7 @@ from .spaces import (
 from .young import (
     FAILS,
     HOLDS,
+    UNDECIDED,
     QuasiConvexFn,
     Verdict,
     YoungFn,
@@ -566,14 +567,20 @@ UNKNOWN = "unknown"
 
 @dataclass(frozen=True)
 class DiagonalityStatus:
-    status: str
+    """The two verdicts of a diagonality rule; the status is read off them."""
+
     sub: Verdict
     uniform: Verdict
     rule: str
 
-    def __post_init__(self):
-        if self.status == UNIFORMLY_SUB_DIAGONAL and self.sub.status != HOLDS:
-            raise ValueError("uniform sub-diagonality implies sub-diagonality")
+    @property
+    def status(self):
+        sub, uniform = self.sub.status, self.uniform.status
+        if sub == FAILS:
+            return NOT_SUB_DIAGONAL
+        if sub == HOLDS and uniform != UNDECIDED:
+            return UNIFORMLY_SUB_DIAGONAL if uniform == HOLDS else SUB_DIAGONAL
+        return UNKNOWN
 
 
 def subdiagonality_status(X: SpaceDescriptor) -> DiagonalityStatus:
@@ -582,51 +589,32 @@ def subdiagonality_status(X: SpaceDescriptor) -> DiagonalityStatus:
     fam = X.family
     if fam == LEBESGUE:
         sub = holds(reason="every integrability class is a union of smaller ones")
-        if math.isinf(X.p):
-            return DiagonalityStatus(SUB_DIAGONAL, sub,
-                                     fails(reason="the sup-norm class is not"),
-                                     rule="integrability-scale")
-        return DiagonalityStatus(UNIFORMLY_SUB_DIAGONAL, sub,
-                                 holds(reason="finite exponent doubles"),
-                                 rule="integrability-scale")
-    if fam == ORLICZ:
+        uniform = (fails(reason="the sup-norm class is not") if math.isinf(X.p)
+                   else holds(reason="finite exponent doubles"))
+        rule = "integrability-scale"
+    elif fam == ORLICZ:
         sub = holds(reason="Orlicz spaces are unions of smaller Orlicz spaces")
-        d2 = delta2(X.generator, NEAR_INFINITY)
-        if d2.status == HOLDS:
-            return DiagonalityStatus(UNIFORMLY_SUB_DIAGONAL, sub, d2,
-                                     rule="doubling-near-infinity")
-        if d2.status == FAILS:
-            return DiagonalityStatus(SUB_DIAGONAL, sub, d2,
-                                     rule="doubling-near-infinity")
-        return DiagonalityStatus(UNKNOWN, sub, d2, rule="doubling-near-infinity")
-    if fam == LORENTZ:
-        if X.q <= X.p:
-            v = holds(reason="second index at most the first")
-            return DiagonalityStatus(UNIFORMLY_SUB_DIAGONAL, v, v,
-                                     rule="second-index-rule")
-        v = fails(reason="second index exceeds the first")
-        return DiagonalityStatus(NOT_SUB_DIAGONAL, v, v, rule="second-index-rule")
-    if fam == LAMBDA:
+        uniform = delta2(X.generator, NEAR_INFINITY)
+        rule = "doubling-near-infinity"
+    elif fam == LORENTZ:
+        sub = uniform = (holds(reason="second index at most the first") if X.q <= X.p
+                         else fails(reason="second index exceeds the first"))
+        rule = "second-index-rule"
+    elif fam == LAMBDA:
         sub = holds(reason="strong endpoint spaces are unions of Orlicz spaces")
-        n2 = nabla2(X.generator, NEAR_INFINITY)
-        if n2.status == HOLDS:
-            return DiagonalityStatus(UNIFORMLY_SUB_DIAGONAL, sub, n2,
-                                     rule="reverse-doubling-sufficient")
-        return DiagonalityStatus(UNKNOWN, sub,
-                                 undecided("the sufficient condition fails; "
-                                           "uniformity is open"),
-                                 rule="reverse-doubling-sufficient")
-    if fam == CLASSICAL_LORENTZ:
+        uniform = nabla2(X.generator, NEAR_INFINITY)
+        if uniform.status != HOLDS:
+            uniform = undecided("the sufficient condition fails; uniformity is open")
+        rule = "reverse-doubling-sufficient"
+    elif fam == CLASSICAL_LORENTZ:
         sub = holds(reason="union structure lifts through the power map")
         c = _weight_halving_constant(X.weight)
-        if c is not None:
-            return DiagonalityStatus(UNIFORMLY_SUB_DIAGONAL, sub,
-                                     holds(c, reason="weight halves under scaling"),
-                                     rule="weight-halving-sufficient")
-        return DiagonalityStatus(UNKNOWN, sub,
-                                 undecided("no halving constant found"),
-                                 rule="weight-halving-sufficient")
-    raise UnsupportedFamily(fam)
+        uniform = (holds(c, reason="weight halves under scaling") if c is not None
+                   else undecided("no halving constant found"))
+        rule = "weight-halving-sufficient"
+    else:
+        raise UnsupportedFamily(fam)
+    return DiagonalityStatus(sub, uniform, rule)
 
 
 def _weight_halving_constant(w: SampledFn):

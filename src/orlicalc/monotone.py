@@ -341,7 +341,7 @@ class MonotoneFn:
         else:  # numeric-only (exponential is invalid near zero)
             p, alpha = self._edge_slope_zero(), 0.0
         with np.errstate(over="ignore", under="ignore", divide="ignore"):
-            out = va * np.exp(p * _log_quotient(x, ta))
+            out = _power_from(va, p * _log_quotient(x, ta))
             if alpha != 0.0:
                 # log(1/x) / log(1/ta) is non-positive at x <= 1 when
                 # ta >= 1; the form anchored at ta stays positive there
@@ -372,7 +372,7 @@ class MonotoneFn:
         if vb == 0.0:
             return np.zeros_like(x)
         with np.errstate(over="ignore", divide="ignore"):
-            out = vb * np.exp(p * _log_quotient(x, tb))
+            out = _power_from(vb, p * _log_quotient(x, tb))
             if alpha != 0.0:
                 # log(x) / log(tb) is non-positive at x >= 1 when tb <= 1;
                 # the form anchored at tb stays positive there
@@ -439,6 +439,17 @@ class MonotoneFn:
         return MonotoneFn(self.t, self.v * c, self.zero_desc, self.inf_desc,
                           value_at_zero=self.value_at_zero * c,
                           value_at_inf=self.value_at_inf * c, validate=False)
+
+
+def _power_from(va, y):
+    """va e**y for the array y, with log va in the exponent where e**y is
+    not a normal float: a subnormal (or +inf) e**y would lose va's digits."""
+    e = np.exp(y)
+    out = va * e
+    far = ~_normal(e)
+    if far.any():
+        out[far] = np.exp(math.log(va) + y[far])
+    return out
 
 
 def _mirror_desc(d):

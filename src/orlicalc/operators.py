@@ -18,10 +18,7 @@ import numpy as np
 
 from .alternative import (
     DOMAIN,
-    NO_OPTIMAL,
-    OPTIMAL,
     TARGET,
-    UNDECIDED_OUTCOME,
     AlternativeOutcome,
     embeds,
     principal_alternative_domain,
@@ -224,27 +221,19 @@ def sobolev_orlicz_domain(target, ctx: SobolevContext) -> AlternativeOutcome:
     space = SpaceDescriptor(ORLICZ, UNIT, generator=Bn)
     extra = {"index": est.upper_index, "window": est.window,
              "threshold": thr, "exact": est.exact}
-    if est.exact:
-        if est.upper_index < thr:
-            ev = holds(est.upper_index, reason="growth index below threshold")
-            return AlternativeOutcome(DOMAIN, OPTIMAL, space, ev,
-                                      rule="growth-index-threshold", extra=extra)
-        ev = fails(est.upper_index, reason="growth index at or above threshold")
-        return AlternativeOutcome(DOMAIN, NO_OPTIMAL, space, ev,
-                                  rule="growth-index-threshold", extra=extra)
     lo, hi = est.window
     band = 0.05
-    if hi < thr - band:
+    if est.exact:
+        ev = (holds(est.upper_index, reason="growth index below threshold")
+              if est.upper_index < thr else
+              fails(est.upper_index, reason="growth index at or above threshold"))
+    elif hi < thr - band:
         ev = holds(est.upper_index, reason="estimated index below threshold")
-        return AlternativeOutcome(DOMAIN, OPTIMAL, space, ev,
-                                  rule="growth-index-threshold", extra=extra)
-    if lo > thr + band:
+    elif lo > thr + band:
         ev = fails(est.upper_index, reason="estimated index above threshold")
-        return AlternativeOutcome(DOMAIN, NO_OPTIMAL, space, ev,
-                                  rule="growth-index-threshold", extra=extra)
-    ev = undecided("estimated index inside the undecided band")
-    return AlternativeOutcome(DOMAIN, UNDECIDED_OUTCOME, space, ev,
-                              rule="growth-index-threshold", extra=extra)
+    else:
+        ev = undecided("estimated index inside the undecided band")
+    return AlternativeOutcome(DOMAIN, space, ev, rule="growth-index-threshold", extra=extra)
 
 
 def sobolev_no_largest_on_level(Y: SpaceDescriptor,
@@ -256,13 +245,12 @@ def sobolev_no_largest_on_level(Y: SpaceDescriptor,
         return sobolev_orlicz_domain(Y, ctx)
     L = companions(Y)[1]
     probe = sobolev_orlicz_domain(L, ctx)
-    if probe.result == NO_OPTIMAL and weak_strong_collapse(L.generator):
+    if probe.evidence.status == FAILS and weak_strong_collapse(L.generator):
         extra = dict(probe.extra or {})
         extra["route"] = "weak-companion"
         extra["weak_companion"] = L.label()
-        return AlternativeOutcome(DOMAIN, NO_OPTIMAL, probe.space,
-                                  probe.evidence, rule="weak-companion-route",
-                                  extra=extra)
+        return AlternativeOutcome(DOMAIN, probe.space, probe.evidence,
+                                  rule="weak-companion-route", extra=extra)
     if Y.family == LORENTZ and Y.p < INF:
         inv_p = 1.0 / Y.p + ctx.alpha
         if inv_p < 1.0:
@@ -270,12 +258,12 @@ def sobolev_no_largest_on_level(Y: SpaceDescriptor,
             out = principal_alternative_domain(rep)
             extra = {"route": "catalog-domain-representative",
                      "representative": rep.label()}
-            return AlternativeOutcome(DOMAIN, out.result, out.space,
-                                      out.evidence, rule=out.rule, extra=extra)
+            return AlternativeOutcome(DOMAIN, out.space, out.evidence, rule=out.rule,
+                                      extra=extra)
     if Y.family == LEBESGUE and 1.0 < Y.p < INF:
         rep = SpaceDescriptor(LORENTZ, Y.interval, p=Y.p, q=Y.p)
         return sobolev_no_largest_on_level(rep, ctx)
-    return AlternativeOutcome(DOMAIN, UNDECIDED_OUTCOME, probe.space,
+    return AlternativeOutcome(DOMAIN, probe.space,
                               undecided("no rule beyond the companion route"),
                               rule="weak-companion-route", extra=probe.extra)
 
@@ -567,32 +555,32 @@ def _exp_weight_tail(d, v_end, cut, cutoff):
         return v_end * cutoff ** (-p) * weight
 
 
+def _no_optimal(side, rule, reason):
+    """The outcome of a gate that rules out every Orlicz space on ``side``."""
+    return AlternativeOutcome(side, None, fails(reason=reason), rule=rule, extra={
+        "reason": "no Orlicz target exists" if side == TARGET else "no Orlicz domain space"})
+
+
 def maximal_optimal_target(A: YoungFn) -> AlternativeOutcome:
     """Smallest Orlicz target for the averaging maximal operator with Orlicz
     domain A: transform the conjugate through the exponential weight, undo
     the conjugation, and gate on the averaged-domination inequality."""
     At = conjugate(A)
     if At.t_inf < INF:
-        ev = fails(reason="conjugate jumps to infinity; the exponential-weight "
-                          "moment diverges for every scale")
-        return AlternativeOutcome(TARGET, NO_OPTIMAL, None, ev,
-                                  rule="weighted-moment-gate",
-                                  extra={"reason": "no Orlicz target exists"})
+        return _no_optimal(TARGET, "weighted-moment-gate",
+                           "conjugate jumps to infinity; the exponential-weight "
+                           "moment diverges for every scale")
     d = At.base.inf_desc
     if d.kind == EXPONENTIAL and d.gamma > 1.0:
-        ev = fails(reason="conjugate grows super-exponentially")
-        return AlternativeOutcome(TARGET, NO_OPTIMAL, None, ev,
-                                  rule="weighted-moment-gate",
-                                  extra={"reason": "no Orlicz target exists"})
+        return _no_optimal(TARGET, "weighted-moment-gate",
+                           "conjugate grows super-exponentially")
     t_grid, vals = exp_weight_transform(At.base)
     # keep the representable window: below ~1e-280 the transform of a
     # double-exponentially vanishing conjugate is numerical dust
     fin = np.isfinite(vals) & (vals < 1e290) & (vals > 1e-280)
     if not fin.any() or not (vals[fin] > 0).any():
-        ev = fails(reason="weighted moments diverge at every sampled scale")
-        return AlternativeOutcome(TARGET, NO_OPTIMAL, None, ev,
-                                  rule="weighted-moment-gate",
-                                  extra={"reason": "no Orlicz target exists"})
+        return _no_optimal(TARGET, "weighted-moment-gate",
+                           "weighted moments diverge at every sampled scale")
     t_fin = t_grid[fin]
     v_fin = vals[fin]
     smallest_t0 = float(t_fin[0])
@@ -609,16 +597,7 @@ def maximal_optimal_target(A: YoungFn) -> AlternativeOutcome:
     verdict = dominates(A, QuasiConvexFn(G, validate=False), GLOBAL)
     space = SpaceDescriptor(ORLICZ, HALFLINE, generator=B_A)
     extra = {"smallest_scale": smallest_t0, "constant": verdict.witness}
-    if verdict.status == HOLDS:
-        return AlternativeOutcome(TARGET, OPTIMAL, space,
-                                  holds(verdict.witness, reason=verdict.reason),
-                                  rule="averaged-domination", extra=extra)
-    if verdict.status == FAILS:
-        return AlternativeOutcome(TARGET, NO_OPTIMAL, space,
-                                  fails(reason=verdict.reason),
-                                  rule="averaged-domination", extra=extra)
-    return AlternativeOutcome(TARGET, UNDECIDED_OUTCOME, space, verdict,
-                              rule="averaged-domination", extra=extra)
+    return AlternativeOutcome(TARGET, space, verdict, rule="averaged-domination", extra=extra)
 
 
 def _averaged_domination_profile(integ: MonotoneFn) -> MonotoneFn:
@@ -639,16 +618,14 @@ def maximal_optimal_domain(B: YoungFn) -> AlternativeOutcome:
     target B: t times the averaged tail of B, when that average converges."""
     integ = cumulative_integral(B.base, weight_exp=-2.0)
     if not np.isfinite(integ.v).any() or np.isinf(integ.v[0]):
-        ev = fails(reason="the averaged tail of the target diverges at zero")
-        return AlternativeOutcome(DOMAIN, NO_OPTIMAL, None, ev,
-                                  rule="averaged-tail-gate",
-                                  extra={"reason": "no Orlicz domain space"})
+        return _no_optimal(DOMAIN, "averaged-tail-gate",
+                           "the averaged tail of the target diverges at zero")
     prof = _averaged_domination_profile(integ)
     qc = QuasiConvexFn(prof, validate=False)
     space = SpaceDescriptor(ORLICZ, HALFLINE, generator=qc)
     ev = holds(1.0, reason="averaged tail converges; the averaged profile is "
                            "the largest admissible generator")
-    return AlternativeOutcome(DOMAIN, OPTIMAL, space, ev, rule="averaged-tail")
+    return AlternativeOutcome(DOMAIN, space, ev, rule="averaged-tail")
 
 
 # -- the exponential-kernel transform -----------------------------------------
@@ -661,10 +638,8 @@ def laplace_optimal_target(A: YoungFn) -> AlternativeOutcome:
     At = conjugate(A)
     integ = cumulative_integral(At.base, weight_exp=-2.0)
     if not np.isfinite(integ.v).any() or np.isinf(integ.v[0]):
-        ev = fails(reason="the averaged tail of the conjugate diverges at zero")
-        return AlternativeOutcome(TARGET, NO_OPTIMAL, None, ev,
-                                  rule="log-moment-gate",
-                                  extra={"reason": "no Orlicz target exists"})
+        return _no_optimal(TARGET, "log-moment-gate",
+                           "the averaged tail of the conjugate diverges at zero")
     G = _averaged_domination_profile(integ)
     B_table = G.correlative()
     B_A = youngify(QuasiConvexFn(B_table, validate=False))
@@ -677,14 +652,10 @@ def laplace_optimal_target(A: YoungFn) -> AlternativeOutcome:
         if p == 1.0:
             ev = holds(1.0, reason="bounded-target route: the transform maps "
                                    "the integrable class into the sup class")
-            return AlternativeOutcome(TARGET, OPTIMAL, space, ev,
-                                      rule="power-family", extra={"p": p})
+            return AlternativeOutcome(TARGET, space, ev, rule="power-family", extra={"p": p})
         pd = p / (p - 1.0)
         rep = SpaceDescriptor(LORENTZ, HALFLINE, p=pd, q=p)
-        ev = embeds(rep, space)
-        result = OPTIMAL if ev.status == HOLDS else (
-            NO_OPTIMAL if ev.status == FAILS else UNDECIDED_OUTCOME)
-        return AlternativeOutcome(TARGET, result, space, ev, rule="power-family",
+        return AlternativeOutcome(TARGET, space, embeds(rep, space), rule="power-family",
                                   extra={"p": p, "dual": pd,
                                          "representative": rep.label()})
     if _is_quadratic_log(A):
@@ -693,11 +664,9 @@ def laplace_optimal_target(A: YoungFn) -> AlternativeOutcome:
         if np.isfinite(ratio).all() and ratio.max() <= 16.0 and ratio.min() >= 1.0 / 16.0:
             ev = holds(float(ratio.max()),
                        reason="self-mapped quadratic-log level")
-            return AlternativeOutcome(TARGET, OPTIMAL, space, ev,
-                                      rule="quadratic-log-family")
+            return AlternativeOutcome(TARGET, space, ev, rule="quadratic-log-family")
     ev = undecided("no symbolic optimality criterion for this family")
-    return AlternativeOutcome(TARGET, UNDECIDED_OUTCOME, space, ev,
-                              rule="level-representative")
+    return AlternativeOutcome(TARGET, space, ev, rule="level-representative")
 
 
 def _is_quadratic_log(A: YoungFn):

@@ -542,27 +542,22 @@ def lambda_norm(f: SampledFn, A: QuasiConvexFn):
     prev_value = levels[-1]
     if star.tail is not None:
         t = star.tail
-        v_cut = t.value_at(t.width)
         # thresholds between the top step value and the tail edge see the
         # whole tail width and nothing else
-        total += (v_cut - prev_value) * phi(t.width)
-        # above v_cut the measure above the threshold is (coef/lambda)**(1/expo);
-        # the integrand phi(m(lambda)) is a decreasing power-log profile
-        lam_grid = geometric_grid(v_cut, v_cut * 1e40, 32)
-        mvals = (t.coef / lam_grid) ** (1.0 / t.expo)
-        # the grid ends where the measures leave the normal float range
-        normal = mvals >= np.finfo(float).tiny
-        lam_grid, pv = lam_grid[normal], phi(mvals[normal])
-        pos = pv > 0
-        seg = _power_segment_integral(
-            np.maximum(pv[:-1], 1e-300), np.maximum(pv[1:], 1e-300),
-            lam_grid[:-1], lam_grid[1:])
-        total += float(np.sum(seg[pos[:-1] & pos[1:]]))
-        if pv[-1] > 0 and pv.size > 1 and pv[-2] > 0:
-            p_eff = math.log(pv[-1] / pv[-2]) / math.log(lam_grid[-1] / lam_grid[-2])
-            if p_eff + 1.0 >= 0:
-                return INF
-            total += float(pv[-1] * lam_grid[-1] / -(p_eff + 1.0))
+        total += (t.value_at(t.width) - prev_value) * phi(t.width)
+        # above it the measure above lambda is m = (coef / lambda)**(1 / expo),
+        # which gives expo coef times the integral of phi(m) m**w over (0,
+        # width), w = -expo - 1: the closed form below phi's first node (+inf
+        # where it diverges), then phi's segments up to the width, summed left
+        # to right; past the last node, geometric segments of the
+        # extrapolation, which are exact without a log factor
+        w, k = -t.expo - 1.0, np.searchsorted(phi.t, t.width)
+        edges = np.append(phi.t[:k], geometric_grid(phi.t[-1], t.width)[1:]
+                          if k == phi.t.size else t.width)
+        vals = np.append(phi.v[:k], phi(edges[k:]))
+        seg = _power_segment_integral(vals[:-1], vals[1:], edges[:-1], edges[1:], w)
+        head = _integral_off_grid(phi, [min(t.width, phi.t[0])], w, True)
+        total += t.expo * t.coef * np.cumsum(np.append(head, seg))[-1]
     return total
 
 

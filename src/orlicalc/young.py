@@ -795,7 +795,8 @@ def _symbolic_dominates_inf(db, da):
             return holds(1.0, reason="exponential rate order")
         return fails(reason="exponential rate order")
     if kb == ka == INFINITE_BEYOND:
-        return holds(max(1.0, db.threshold / da.threshold) * 1.0000001,
+        # B is +inf past t_B, so A(K t) must be +inf there: K t_B >= t_A
+        return holds(max(1.0, da.threshold / db.threshold) * 1.0000001,
                      reason="jump thresholds rescale")
     ob, oa = _CLASS_ORDER_INF[kb], _CLASS_ORDER_INF[ka]
     if ob < oa:
@@ -861,10 +862,11 @@ def dominates(A: QuasiConvexFn, B: QuasiConvexFn, regime=GLOBAL) -> Verdict:
         sym = _symbolic_dominates_zero(b.zero_desc, a.zero_desc)
     if sym is not None:
         if sym.status == HOLDS:
-            # refine the witness constant on the regime window
+            # refine the witness constant on the regime window, which holds
+            # only finite values: a threshold's constant bounds it from below
             num = _dilation_search(a, b, _regime_slice(b, regime))
             if num.status == HOLDS:
-                return holds(num.witness, reason=sym.reason)
+                return holds(max(sym.witness, num.witness), reason=sym.reason)
         return sym
     return _dilation_search(a, b, _regime_slice(b, regime))
 

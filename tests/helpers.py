@@ -495,24 +495,26 @@ def loop_lambda_norm(f, A):
         total += (v - prev_value) * phi_m
         prev_value = v
     if star.tail is not None:
-        t = star.tail
-        v_cut = t.value_at(t.width)
-        total += (v_cut - prev_value) * phi(t.width)
-        lam_grid = geometric_grid(v_cut, v_cut * 1e40, 32)
-        mvals = (t.coef / lam_grid) ** (1.0 / t.expo)
-        normal = mvals >= np.finfo(float).tiny
-        lam_grid, pv = lam_grid[normal], phi(mvals[normal])
-        pos = pv > 0
-        seg = _power_segment_integral(
-            np.maximum(pv[:-1], 1e-300), np.maximum(pv[1:], 1e-300),
-            lam_grid[:-1], lam_grid[1:])
-        total += float(np.sum(seg[pos[:-1] & pos[1:]]))
-        if pv[-1] > 0 and pv.size > 1 and pv[-2] > 0:
-            p_eff = math.log(pv[-1] / pv[-2]) / math.log(lam_grid[-1] / lam_grid[-2])
-            if p_eff + 1.0 >= 0:
-                return INF
-            total += float(pv[-1] * lam_grid[-1] / -(p_eff + 1.0))
+        total = loop_lambda_tail(phi, star.tail, total, prev_value)
     return total
+
+
+def loop_lambda_tail(phi, t, total, prev_value):
+    """``total`` plus the tail's part of lambda_norm, one segment of phi at a
+    time: the thresholds up to the tail's top see its whole width, and above
+    it the measure m = (coef / lambda)**(1 / expo) turns them into expo coef
+    times the integral of phi(m) m**(-expo - 1) over (0, width): phi's head
+    below its first node, then each segment up to width, then geometric
+    segments past its last node."""
+    total += (t.value_at(t.width) - prev_value) * phi(t.width)
+    w = -t.expo - 1.0
+    integral = float(_integral_off_grid(phi, [min(t.width, phi.t[0])], w, True)[0])
+    ends = [x for x in phi.t.tolist() if x < t.width]
+    ends += (geometric_grid(phi.t[-1], t.width)[1:].tolist() if t.width > phi.t[-1]
+             else [t.width])
+    for tl, tr in zip(ends, ends[1:]):
+        integral += float(_power_segment_integral(phi(tl), phi(tr), tl, tr, w))
+    return total + t.expo * t.coef * integral
 
 
 def loop_classical_lorentz_norm(f, w, q):

@@ -5,8 +5,9 @@ incomplete-gamma kernel, which loads ``scipy.special`` on its first call
 growth classes are never read from a generator's ``recipe``, step functions
 are read through their ``values`` and ``widths`` arrays, never their
 ``pieces`` list, no loop calls the certificate kernel
-``integrate_outer_reciprocal``, and every top-level function and class is
-used somewhere in the source or the tests."""
+``integrate_outer_reciprocal``, optimality outcomes are read off their
+verdicts, and every top-level function and class is used somewhere in the
+source or the tests."""
 
 import ast
 import json
@@ -168,3 +169,23 @@ def test_no_loop_calls_the_outer_reciprocal_kernel():
              and getattr(node.func, "id", getattr(node.func, "attr", None))
              == "integrate_outer_reciprocal"]
     assert not found, "integrate_outer_reciprocal called in a loop: " + ", ".join(found)
+
+
+def test_outcomes_are_read_off_their_verdicts():
+    # an outcome's result and a diagonality status are properties of their
+    # verdicts: no record stores them, and no module outside alternative.py
+    # maps a verdict to a result by name
+    names = {"OPTIMAL", "NO_OPTIMAL", "UNDECIDED_OUTCOME"}
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(parse(path)):
+            if path.name != "alternative.py":
+                named = ({a.name for a in node.names} if isinstance(node, ast.ImportFrom)
+                         else {node.id} if isinstance(node, ast.Name) else set())
+                found += [f"{path.name}:{node.lineno} {n}" for n in sorted(named & names)]
+            if isinstance(node, ast.ClassDef) and node.name in ("AlternativeOutcome",
+                                                                "DiagonalityStatus"):
+                found += [f"{path.name}:{field.lineno} {node.name}.{field.target.id}"
+                          for field in node.body if isinstance(field, ast.AnnAssign)
+                          and field.target.id in ("result", "status")]
+    assert not found, "stored or hand-mapped outcomes: " + ", ".join(found)

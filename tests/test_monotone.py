@@ -119,6 +119,20 @@ class TestLogTails:
         np.testing.assert_allclose(fn(x), expect, rtol=1e-14)
 
 
+def test_power_tails_keep_their_digits_past_the_float_range():
+    # va (x / ta)**p with (x / ta)**p subnormal below the grid (2.9e-9 off
+    # when va multiplied it), or overflowing above it under a small va
+    p, ta, va = 2.561424241758843, 1835.6832409454846, 1.2059752343155526e19
+    fn = MonotoneFn([ta, 2.0 * ta], [va, va * 2.0 ** p], power_log_desc(p), power_log_desc(p))
+    x = 1.4223366056567873e-120
+    small = MonotoneFn([1.0, 2.0], [1e-300, 4e-300], power_log_desc(2.0), power_log_desc(2.0))
+    with mp.workdps(40):
+        want = mp.mpf(va) * (mp.mpf(x) / mp.mpf(ta)) ** mp.mpf(p)
+        assert abs(fn(x) / want - 1) <= 1e-13
+        want = mp.mpf(1e-300) * mp.mpf(1e160) ** 2
+        assert abs(small(1e160) / want - 1) <= 1e-13
+
+
 class TestRightInverse:
     def test_square(self):
         fn = power_table(2.0)

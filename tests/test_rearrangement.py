@@ -24,7 +24,7 @@ from orlicalc.rearrangement import (
     pairing,
     rearrange,
 )
-from orlicalc.monotone import MonotoneFn, _power_segment_integral, geometric_grid
+from orlicalc.monotone import MonotoneFn, geometric_grid
 from orlicalc import rearrangement
 from orlicalc.diagonality import construct_witness_young
 from orlicalc.rearrangement import _rising_end as rising_end
@@ -40,6 +40,7 @@ from orlicalc.young import (
 
 from helpers import (
     averaged_pieces,
+    loop_lambda_tail,
     loop_marcinkiewicz,
     pointwise_average,
     scalar_modular,
@@ -642,23 +643,7 @@ def reference_lambda_norm(f, A):
         total += (v - prev_value) * phi(m)
         prev_value = v
     if star.tail is not None:
-        t = star.tail
-        v_cut = t.value_at(t.width)
-        total += (v_cut - prev_value) * phi(t.width)
-        lam_grid = geometric_grid(v_cut, v_cut * 1e40, 32)
-        mvals = (t.coef / lam_grid) ** (1.0 / t.expo)
-        normal = mvals >= np.finfo(float).tiny
-        lam_grid, pv = lam_grid[normal], phi(mvals[normal])
-        pos = pv > 0
-        seg = _power_segment_integral(
-            np.maximum(pv[:-1], 1e-300), np.maximum(pv[1:], 1e-300),
-            lam_grid[:-1], lam_grid[1:])
-        total += float(np.sum(seg[pos[:-1] & pos[1:]]))
-        if pv[-1] > 0 and pv.size > 1 and pv[-2] > 0:
-            p_eff = math.log(pv[-1] / pv[-2]) / math.log(lam_grid[-1] / lam_grid[-2])
-            if p_eff + 1.0 >= 0:
-                return INF
-            total += float(pv[-1] * lam_grid[-1] / -(p_eff + 1.0))
+        total = loop_lambda_tail(phi, star.tail, total, prev_value)
     return total
 
 
@@ -732,6 +717,64 @@ def test_lambda_norm_of_a_tail_with_subnormal_level_measures():
     g = phi(np.exp(y)) * tail.coef * tail.expo * np.exp(-tail.expo * y)
     want = tail.value_at(tail.width) * phi(tail.width) + np.trapezoid(g, y)
     assert got == pytest.approx(want, rel=1e-4)
+
+
+def mp_phi_power_integral(phi, width, w):
+    """The integral of phi(m) m**w over (0, width) at 50 digits: below the
+    first node the closed form of phi's zero descriptor, va (m / a)**p
+    l**alpha with l = log m / log a (a < 1) or 1 + log(a / m), as an upper
+    incomplete gamma; each segment vl (m / tl)**s of the table in closed
+    form; past the last node the extrapolation va (m / a)**p, a power.
+    +inf where the head diverges, at p + w + 1 <= 0."""
+    p, alpha, a, _, va = phi.power_log_form(True)
+    p, alpha, a, va, w = (mp.mpf(x) for x in (p, alpha, a, va, w))
+    e = p + w + 1
+    if e <= 0:
+        return mp.inf
+    # y = log(a / m) from log(a / min(width, a)); l = (c + y) / c
+    c = -mp.log(a) if a < 1 else mp.mpf(1)
+    y0 = mp.log(a / mp.mpf(min(width, phi.t[0])))
+    total = va * a ** (w + 1) * c ** -alpha * mp.exp(e * c) \
+        * e ** (-alpha - 1) * mp.gammainc(alpha + 1, e * (c + y0))
+    nodes = [mp.mpf(x) for x in phi.t]
+    vals = [mp.mpf(x) for x in phi.v]
+    if width > phi.t[-1]:
+        pb, alpha_b, ab, _, vb = phi.power_log_form(False)
+        assert alpha_b == 0.0
+        nodes.append(mp.mpf(width))
+        vals.append(mp.mpf(vb) * (nodes[-1] / mp.mpf(ab)) ** mp.mpf(pb))
+    for tl, tr, vl, vr in zip(nodes, nodes[1:], vals, vals[1:]):
+        if tl >= width:
+            break
+        s = mp.log(vr / vl) / mp.log(tr / tl)
+        b, es = min(tr, mp.mpf(width)), s + w + 1
+        total += vl * tl ** -s * (b ** es - tl ** es) / es
+    return total
+
+
+@pytest.mark.parametrize("name, A", [
+    ("power", power_young(2.0)),
+    ("power-log", power_log_young(2.0, alpha_zero=-1.0, alpha_inf=1.0)),
+    ("power-log 0.5 at infinity", power_log_young(2.0, alpha_zero=0.0, alpha_inf=0.5)),
+    ("table", young_from_derivative(MonotoneFn(
+        geometric_grid(1e-4, 1e4, 32),
+        0.7 * geometric_grid(1e-4, 1e4, 32) ** 0.4 + 2.0 * geometric_grid(1e-4, 1e4, 32) ** 1.8))),
+])
+def test_lambda_norm_of_a_tail_against_mpmath(name, A):
+    # the thresholds above the tail's top integrate phi's own table: with
+    # m = (coef / lambda)**(1 / expo) the norm is v_cut phi(width) + expo
+    # coef times the integral of phi(m) m**(-expo - 1) over (0, width)
+    phi = A.char_profile
+    widths = [0.0025, 0.3, 40.0, 1e-20] + ([2e6] if phi.t[-1] < 2e6 else [])
+    for width in widths:
+        for expo in (0.13, 0.4):
+            tail = PowerTail(1.5 * width ** expo, expo, width)
+            got = lambda_norm(SampledFn([], tail=tail), A)
+            with mp.workdps(50):
+                want = mp.mpf(tail.value_at(width)) * mp.mpf(float(phi(width))) + mp.mpf(expo) \
+                    * mp.mpf(tail.coef) * mp_phi_power_integral(phi, width, -expo - 1.0)
+                assert got == want if want == mp.inf else abs(got / want - 1) <= 1e-12, \
+                    (name, width, expo, got, float(want))
 
 
 class TestMarcinkiewiczSearch:

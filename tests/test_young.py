@@ -434,6 +434,18 @@ class TestDominates:
         g2 = dominates(conjugate(B), conjugate(A), GLOBAL)
         assert g1.status == FAILS and g2.status == FAILS
 
+    @pytest.mark.parametrize("ta, tb", [(2.0, 1.0), (1.0, 2.0), (3.0, 3.0)])
+    def test_witness_dilates_past_jumps_to_infinity(self, ta, tb):
+        # B is +inf past t_B, where A(K t) must be +inf too: K >= t_A / t_B
+        A, B = linfty_young(ta), linfty_young(tb)
+        t = np.concatenate((np.geomspace(1e-3, 1e3, 20001),
+                            np.nextafter([ta, tb], [0.0, 0.0]), [ta, tb],
+                            np.nextafter([ta, tb], [INF, INF])))
+        for regime in (NEAR_ZERO, NEAR_INFINITY, GLOBAL):
+            v = dominates(A, B, regime)
+            assert v.status == HOLDS
+            assert np.all(B(t) <= A(v.witness * t)), (regime, v.witness)
+
     def test_exponents_an_ulp_apart_are_one_class(self):
         # a conjugate, its transform and an averaged profile bring 4 back
         # as 4.000000000000001 and 3 as 3.0000000000000004
