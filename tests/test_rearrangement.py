@@ -704,9 +704,8 @@ class TestLambdaAndMarcinkiewicz:
 
 
 def test_lambda_norm_of_a_tail_with_subnormal_level_measures():
-    # on the 40-decade threshold grid the tail's level measures
-    # (coef / lambda)**(1 / expo) become subnormal, where phi gave inf and the
-    # norm nan; the grid now ends in the normal range
+    # the tail's level measures (coef / lambda)**(1 / expo) reach subnormal
+    # values, where phi once gave inf and the norm nan
     A = power_log_young(2.0, alpha_zero=0.0, alpha_inf=0.5)
     tail = PowerTail(1.0, 0.13, 0.0025)
     got = lambda_norm(SampledFn([], tail=tail), A)
@@ -752,13 +751,15 @@ def mp_phi_power_integral(phi, width, w):
     return total
 
 
+_TABLE_T = geometric_grid(1e-4, 1e4, 32)
+
+
 @pytest.mark.parametrize("name, A", [
     ("power", power_young(2.0)),
     ("power-log", power_log_young(2.0, alpha_zero=-1.0, alpha_inf=1.0)),
     ("power-log 0.5 at infinity", power_log_young(2.0, alpha_zero=0.0, alpha_inf=0.5)),
     ("table", young_from_derivative(MonotoneFn(
-        geometric_grid(1e-4, 1e4, 32),
-        0.7 * geometric_grid(1e-4, 1e4, 32) ** 0.4 + 2.0 * geometric_grid(1e-4, 1e4, 32) ** 1.8))),
+        _TABLE_T, 0.7 * _TABLE_T ** 0.4 + 2.0 * _TABLE_T ** 1.8))),
 ])
 def test_lambda_norm_of_a_tail_against_mpmath(name, A):
     # the thresholds above the tail's top integrate phi's own table: with
