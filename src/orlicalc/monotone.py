@@ -64,7 +64,10 @@ class AsymptoticDescriptor:
     zero-on-interval   F == 0 on [0, threshold]
     infinite-beyond    F == +inf beyond threshold
     limit-const F(t) -> limit at the relevant end
-    numeric-only       no symbolic information; extrapolate from the grid
+    numeric-only       no symbolic information: accepted on input, where a
+                       table resolves it to the power-log of its edge
+                       segment (p the segment's log-log slope, alpha 0), as
+                       it does a kind given at the end where it has no rule
     """
 
     kind: str
@@ -100,6 +103,12 @@ def limit_const_desc(limit):
 
 
 NUMERIC_DESC = AsymptoticDescriptor(NUMERIC_ONLY)
+
+# The kinds with a rule at each end.  Any other kind there (numeric-only, or
+# one that belongs to the other end) extrapolates the grid's edge segment,
+# and a table says so: it holds the power-log of that segment's slope.
+_ZERO_KINDS = (POWER_LOG, EXP_RECIPROCAL, ZERO_ON_INTERVAL, LIMIT_CONST)
+_INF_KINDS = (POWER_LOG, EXPONENTIAL, INFINITE_BEYOND, LIMIT_CONST)
 
 
 def default_grid(lo_exp=GRID_LO_EXP, hi_exp=GRID_HI_EXP):
@@ -151,12 +160,16 @@ class MonotoneFn:
         self.t = t
         self.v = v
         self._seg = None
-        self.zero_desc = zero_desc
-        self.inf_desc = inf_desc
         pos = np.flatnonzero(np.isfinite(v) & (v > 0))
         self._i_first_pos = int(pos[0]) if pos.size else -1
         fin = np.flatnonzero(np.isfinite(v))
         self._i_last_fin = int(fin[-1]) if fin.size else -1
+        if zero_desc.kind not in _ZERO_KINDS:
+            zero_desc = power_log_desc(self._edge_slope_zero())
+        if inf_desc.kind not in _INF_KINDS:
+            inf_desc = power_log_desc(self._edge_slope_inf())
+        self.zero_desc = zero_desc
+        self.inf_desc = inf_desc
         if value_at_zero is None:
             value_at_zero = self._default_value_at_zero()
         if value_at_inf is None:
@@ -168,24 +181,12 @@ class MonotoneFn:
 
     def _default_value_at_zero(self):
         d = self.zero_desc
-        if d.kind == ZERO_ON_INTERVAL:
-            return 0.0
         if d.kind == LIMIT_CONST:
             return d.limit
-        if d.kind == POWER_LOG:
-            if d.p > 0 or (d.p == 0 and d.alpha < 0):
-                return 0.0
-            if d.p == 0 and d.alpha == 0:
-                return self.v[0] if self._i_first_pos == 0 else 0.0
-            return 0.0
-        if d.kind == EXP_RECIPROCAL:
-            return 0.0
-        # numeric-only: zero start stays zero, flat start keeps its value
-        if self.v[0] == 0.0 or not np.isfinite(self.v[0]):
-            return 0.0
-        if self.t.size > 1 and np.isfinite(self.v[1]) and self.v[1] > self.v[0] * (1 + 1e-12):
-            return 0.0
-        return float(self.v[0])
+        # a flat power keeps its first value; every other end vanishes at 0
+        if d.kind == POWER_LOG and d.p == 0 and d.alpha == 0 and self._i_first_pos == 0:
+            return float(self.v[0])
+        return 0.0
 
     def _default_value_at_inf(self):
         d = self.inf_desc
@@ -193,14 +194,9 @@ class MonotoneFn:
             return INF
         if d.kind == LIMIT_CONST:
             return d.limit
-        if d.kind == POWER_LOG:
-            if d.p > 0 or (d.p == 0 and d.alpha > 0):
-                return INF
-            return float(self.v[self._i_last_fin]) if self._i_last_fin >= 0 else INF
-        # numeric-only: growing table extends to inf, flat one to its cap
-        if self.t.size > 1 and self.v[-1] > self.v[-2] * (1 + 1e-12):
+        if d.p > 0 or (d.p == 0 and d.alpha > 0):  # power-log
             return INF
-        return float(self.v[-1])
+        return float(self.v[self._i_last_fin]) if self._i_last_fin >= 0 else INF
 
     @property
     def t_zero(self):
@@ -252,17 +248,21 @@ class MonotoneFn:
         slope of every power segment with a flat one appended for the last
         node (0 on the other segments), a per-node ramp flag (None without
         ramps), the node beyond which the table is +inf, and whether some
-        slope or abscissa ratio is not finite."""
+        ratio of values or abscissae overflows (``careful``), in which case
+        every slope is taken from the logs of the terms of its ratios."""
         if self._seg is None:
             t, v = self.t, self.v
             vl, vr = v[:-1], v[1:]
+            power = (vl > 0.0) & np.isfinite(vr) & (vr != vl)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 ratio = t[1:] / t[:-1]
-                s = np.where(vr == vl, 0.0, np.log(vr / vl) / np.log(ratio))
-            slope = np.append(np.where((vl > 0.0) & np.isfinite(vr), s, 0.0), 0.0)
+                s = np.log(vr / vl) / np.log(ratio)
+                careful = not (np.isfinite(s[power]).all() and np.isfinite(ratio).all())
+                if careful:
+                    s = _log_quotient(vr, vl) / _log_quotient(t[1:], t[:-1])
+            slope = np.append(np.where(power, s, 0.0), 0.0)
             ramp = np.append((vl == 0.0) & np.isfinite(vr) & (vr > 0.0), False)
             t_jump = t[max(self._i_last_fin, 0)] if np.isinf(v[-1]) else INF
-            careful = not (np.isfinite(slope).all() and np.isfinite(ratio).all())
             self._seg = slope, ramp if ramp.any() else None, t_jump, careful
         return self._seg
 
@@ -274,15 +274,16 @@ class MonotoneFn:
         slope, ramp, t_jump, careful = self._segments()
         tl, vl = self.t[idx], self.v[idx]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = vl * np.exp(slope[idx] * np.log(x / tl))
-        if careful:
-            # node hits must be bitwise exact, since steep inverse tails
-            # amplify a one-ulp residue into visible error: a finite slope
-            # gives vl there by itself, but one that overflows, or an
-            # abscissa ratio that does, gives NaN there and on flat zeros
-            hit = x == tl
-            out[hit] = vl[hit]
-            out[(vl == 0.0) & (x <= self.t[-1])] = 0.0
+            if not careful:
+                out = vl * np.exp(slope[idx] * np.log(x / tl))
+            else:
+                # x / tl and e**y may leave the float range: log(x / tl) from
+                # logs, and vl e**y from log vl where e**y overflows; the
+                # slopes are finite, so a node still gets its value exactly
+                y = slope[idx] * _log_quotient(x, tl)
+                out = vl * np.exp(y)
+                far = np.isinf(out)
+                out[far] = np.exp(np.log(vl[far]) + y[far])
         if ramp is not None:
             r = ramp[idx]
             if r.any():
@@ -290,8 +291,9 @@ class MonotoneFn:
                 vr, dx, width = self.v[i], x[r] - tl[r], self.t[i] - tl[r]
                 with np.errstate(over="ignore"):
                     rise = vr * dx
-                # the value is at most vr: divide first where the product overflows
-                out[r] = np.where(np.isinf(rise), vr * (dx / width), rise / width)
+                # the value is at most vr: divide first where the product
+                # overflows, or underflows and would lose digits
+                out[r] = np.where(_normal(rise) | (dx == 0.0), rise / width, vr * (dx / width))
         if t_jump < INF:
             out[x > t_jump] = INF
         return out
@@ -313,16 +315,14 @@ class MonotoneFn:
         d = self.zero_desc if zero_side else self.inf_desc
         anchor, va = self._anchor_zero() if zero_side else self._anchor_inf()
         va = d.limit if d.kind == LIMIT_CONST else va
-        ok = d.kind in (POWER_LOG, NUMERIC_ONLY, LIMIT_CONST) and 0.0 < va < INF
+        ok = d.kind in (POWER_LOG, LIMIT_CONST) and 0.0 < va < INF
         if not ok or (not zero_side and np.isinf(self.v[-1])):
             return None
-        p, alpha = (d.p, d.alpha) if d.kind != NUMERIC_ONLY else (
-            self._edge_slope_zero() if zero_side else self._edge_slope_inf(), 0.0)
         # l is log t / log anchor, or 1 + |log(t / anchor)| where that ratio
         # would turn negative, as in _tail_zero and _tail_inf
         log_form = anchor < 1.0 if zero_side else anchor > 1.0
-        return p, alpha, float(anchor), (1.0 / math.log(anchor) if log_form
-                                         else -1.0 if zero_side else 1.0), float(va)
+        return d.p, d.alpha, float(anchor), (1.0 / math.log(anchor) if log_form
+                                             else -1.0 if zero_side else 1.0), float(va)
 
     def _tail_zero(self, x):
         d = self.zero_desc
@@ -330,24 +330,21 @@ class MonotoneFn:
             return np.zeros_like(x)
         if d.kind == LIMIT_CONST:
             return np.full_like(x, d.limit)
-        ta, va = self._anchor_zero()
+        # F at and below a zero first node is 0, as it is below an infinite one
+        ta, va = self.t[0], self.v[0]
         if va == 0.0 or not np.isfinite(va):
             return np.zeros_like(x)
         if d.kind == EXP_RECIPROCAL:
             with np.errstate(over="ignore", under="ignore"):
                 return va * np.exp(ta ** (-d.gamma) - x ** (-d.gamma))
-        if d.kind == POWER_LOG:
-            p, alpha = d.p, d.alpha
-        else:  # numeric-only (exponential is invalid near zero)
-            p, alpha = self._edge_slope_zero(), 0.0
-        with np.errstate(over="ignore", under="ignore", divide="ignore"):
-            out = _power_from(va, p * _log_quotient(x, ta))
-            if alpha != 0.0:
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):  # power-log
+            out = _power_from(va, d.p * _log_quotient(x, ta))
+            if d.alpha != 0.0:
                 # log(1/x) / log(1/ta) is non-positive at x <= 1 when
                 # ta >= 1; the form anchored at ta stays positive there
                 log_ratio = (_log_quotient(1.0, x) / np.log(1.0 / ta) if ta < 1.0
                              else 1.0 + _log_quotient(ta, x))
-                out = out * log_ratio ** alpha
+                out = out * log_ratio ** d.alpha
         return out
 
     def _tail_inf(self, x):
@@ -365,20 +362,16 @@ class MonotoneFn:
         if d.kind == EXPONENTIAL:
             with np.errstate(over="ignore"):
                 return vb * np.exp(x ** d.gamma - tb ** d.gamma)
-        if d.kind == POWER_LOG:
-            p, alpha = d.p, d.alpha
-        else:
-            p, alpha = self._edge_slope_inf(), 0.0
         if vb == 0.0:
             return np.zeros_like(x)
-        with np.errstate(over="ignore", divide="ignore"):
-            out = _power_from(vb, p * _log_quotient(x, tb))
-            if alpha != 0.0:
+        with np.errstate(over="ignore", divide="ignore"):  # power-log
+            out = _power_from(vb, d.p * _log_quotient(x, tb))
+            if d.alpha != 0.0:
                 # log(x) / log(tb) is non-positive at x >= 1 when tb <= 1;
                 # the form anchored at tb stays positive there
                 log_ratio = (np.log(x) / np.log(tb) if tb > 1.0
                              else 1.0 + _log_quotient(x, tb))
-                out = out * log_ratio ** alpha
+                out = out * log_ratio ** d.alpha
         return out
 
     def _edge_slope_zero(self):
@@ -386,21 +379,21 @@ class MonotoneFn:
         segment one ulp wide, the node pair of a step, is passed over."""
         t, v = self.t, self.v
         i = self._i_first_pos
-        j = i + 2 if i + 2 < t.size and t[i + 1] == np.nextafter(t[i], INF) else i + 1
-        if i < 0 or j >= t.size or not np.isfinite(v[j]) or v[j] <= v[i]:
+        j = i + 2 if i + 2 < t.size and t[i + 1] == math.nextafter(t[i], INF) else i + 1
+        if i < 0 or j >= t.size or not math.isfinite(v[j]) or v[j] <= v[i]:
             return 0.0
-        return math.log(v[j] / v[i]) / math.log(t[j] / t[i])
+        return _log_ratio(v[j], v[i]) / _log_ratio(t[j], t[i])
 
     def _edge_slope_inf(self):
         """Log-log slope of the last finite grid segment (0 for a flat end);
         a segment one ulp wide, the node pair of a step, is passed over."""
         t, v = self.t, self.v
         k = self._i_last_fin
-        if k >= 2 and t[k] == np.nextafter(t[k - 1], INF):
+        if k >= 2 and t[k] == math.nextafter(t[k - 1], INF):
             k -= 1
         if k <= 0 or v[k - 1] <= 0 or v[k - 1] >= v[k]:
             return 0.0
-        return math.log(v[k] / v[k - 1]) / math.log(t[k] / t[k - 1])
+        return _log_ratio(v[k], v[k - 1]) / _log_ratio(t[k], t[k - 1])
 
     # -- transforms -----------------------------------------------------
 
@@ -441,6 +434,13 @@ class MonotoneFn:
                           value_at_inf=self.value_at_inf * c, validate=False)
 
 
+def _log_ratio(a, b):
+    """log(a / b) for floats a > b > 0, also where a / b overflows: the
+    scalar :func:`_log_quotient`, without numpy's overflow warning."""
+    q = float(a) / float(b)
+    return math.log(q) if q < INF else math.log(a) - math.log(b)
+
+
 def _power_from(va, y):
     """va e**y for the array y, with log va in the exponent where e**y is
     not a normal float: a subnormal (or +inf) e**y would lose va's digits."""
@@ -479,10 +479,6 @@ def _invert_desc_zero(fn):
     if d.kind == EXP_RECIPROCAL:
         # F ~ exp(-t**-g)  =>  inverse(s) ~ log(1/s)**(-1/g)
         return power_log_desc(0.0, -1.0 / d.gamma)
-    if d.kind == NUMERIC_ONLY:
-        s = fn._edge_slope_zero()
-        if s > 0:
-            return power_log_desc(1.0 / s)
     return NUMERIC_DESC
 
 
@@ -493,10 +489,6 @@ def _invert_desc_inf(fn):
         return power_log_desc(1.0 / d.p, -d.alpha / d.p)
     if d.kind == EXPONENTIAL:
         return power_log_desc(0.0, 1.0 / d.gamma)
-    if d.kind == NUMERIC_ONLY:
-        s = fn._edge_slope_inf()
-        if s > 0:
-            return power_log_desc(1.0 / s)
     return NUMERIC_DESC
 
 

@@ -3,9 +3,9 @@ the gradient-embedding (Sobolev) setting, the averaging maximal operator,
 and the exponential-kernel integral transform.
 
 All constructions reduce to exact piecewise-power integrals of the stored
-tables plus symbolic descriptor arithmetic; growth indices fall back to a
-log-log slope estimate with a declared undecided band when no symbolic
-class is available.
+tables plus symbolic descriptor arithmetic; the upper growth index is read
+off the descriptor at infinity, and is the undecided band [1, inf] for a
+bounded end, which no valid generator has.
 """
 
 from __future__ import annotations
@@ -113,40 +113,14 @@ class BoydEstimate:
 
 
 def boyd_upper_index(B: QuasiConvexFn) -> BoydEstimate:
-    """Upper dilation-growth index of the generator; exact for symbolic
-    classes, otherwise a log-log slope fit over dyadic dilations."""
+    """Upper dilation-growth index of the generator, exact from its class at
+    infinity; undecided on [1, inf] for a bounded end."""
     d = B.base.inf_desc
     if d.kind == POWER_LOG and B.t_inf == INF:
         return BoydEstimate(float(d.p), (float(d.p), float(d.p)), exact=True)
     if d.kind == EXPONENTIAL or B.t_inf < INF:
         return BoydEstimate(INF, (INF, INF), exact=True)
-    inv = B.base.right_inverse()
-    tf = B.base.t[np.isfinite(B.base.v)]
-    window = tf[tf >= tf[-1] / 1000.0]
-    vals = B.base(window)
-    log_s, log_r, implied = [], [], []
-    inv_t = inv(vals)
-    for k in range(1, 21):
-        s = 2.0 ** k
-        inv_st = inv(s * vals)
-        pos = (inv_t > 0) & np.isfinite(inv_st) & (inv_st > 0)
-        if not pos.any():
-            continue
-        ratio = np.max(inv_t[pos] / inv_st[pos])
-        if ratio <= 0 or ratio >= 1.0:
-            continue
-        log_s.append(math.log(s))
-        log_r.append(math.log(ratio))
-        implied.append(-math.log(s) / math.log(ratio))
-    if len(log_s) < 2:
-        return BoydEstimate(INF, (1.0, INF))
-    slope = float(np.polyfit(log_s, log_r, 1)[0])
-    if slope >= 0:
-        return BoydEstimate(INF, (min(implied), INF))
-    est = -1.0 / slope
-    lo = min(min(implied), est)
-    hi = max(max(implied), est)
-    return BoydEstimate(est, (lo, hi))
+    return BoydEstimate(INF, (1.0, INF))
 
 
 # -- gradient-embedding constructions ----------------------------------------
@@ -172,8 +146,8 @@ def _domain_profile_desc(d, alpha, beta):
         if e < 0 or (e == 0 and d.alpha < 0):
             return power_log_desc(beta * d.p + alpha, d.alpha)
         return power_log_desc(1.0, 0.0)
-    if d.kind == LIMIT_CONST or d.kind == NUMERIC_ONLY:
-        return power_log_desc(alpha, 0.0) if d.kind == LIMIT_CONST else NUMERIC_DESC
+    if d.kind == LIMIT_CONST:
+        return power_log_desc(alpha, 0.0)
     return NUMERIC_DESC
 
 
@@ -379,9 +353,9 @@ def _merge_collinear(F):
     reproduces to _COLLINEAR_RTOL, each chord within one _RUN_SPAN cell of
     abscissa; F itself where no node drops.  Zero and infinite values, the
     first node of each cell, node pairs one ulp apart and the first and
-    last three positive finite nodes are kept: the edge slopes that
-    extrapolate a numeric-only descriptor read the first and last segments
-    (past a one-ulp pair), so the merged table equals F beyond its grid."""
+    last three positive finite nodes are kept.  The merged table carries
+    F's descriptors, which extrapolate from the first and last of those
+    nodes, so it equals F beyond its grid."""
     t, v = F.t, F.v
 
     def misses(k, lo, hi):

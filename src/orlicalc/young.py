@@ -4,9 +4,11 @@ A Young function is defined by its non-decreasing derivative table: A(x)
 is the derivative's integral, exact per segment, and the value table is a
 cache of it on the same nodes.  Convex conjugation is computed through the
 inverse of the derivative (exact on power segments) rather than through a
-raw sup-scan.  Growth-condition and domination verdicts are decided
-symbolically from the asymptotic descriptors whenever possible, with an
-honest three-state fallback for numeric-only tables.
+raw sup-scan.  Growth-condition and domination verdicts are decided from
+the asymptotic descriptors at each end, which every table carries (a
+numeric-only input end holds the power of its edge segment), and from a
+scan of the grid between them; a scan that finds no constant is
+``undecided``, never ``holds``.
 """
 
 from __future__ import annotations
@@ -56,8 +58,8 @@ class Verdict:
     """Outcome of an up-to-constant decision, with an optional witness.
 
     ``witness`` carries the certifying constant for a positive verdict or
-    the offending point for a negative one; ``undecided`` is reserved for
-    numeric-only inputs where the grid search is inconclusive.
+    the offending point for a negative one; ``undecided`` is the answer
+    where the scan of a grid finds no constant.
     """
 
     status: str
@@ -294,10 +296,10 @@ def young_from_values(t, v, zero_desc=NUMERIC_DESC, inf_desc=NUMERIC_DESC,
     is the chord's rise.  Below the samples it takes the form of the zero
     descriptor, scaled so that its integral is the first sample; above
     them, the power of the inf descriptor, from no lower than the last
-    chord slope (a numeric-only end takes the samples' edge slope).  The
-    value table is the derivative's integral on its nodes, with the
-    samples' descriptors and end values, and gives each sample back to a
-    few ulp.  A slope that falls, the head's and the tail's included,
+    chord slope (a numeric-only end is the power of the samples' edge
+    segment).  The value table is the derivative's integral on its nodes,
+    with the samples' descriptors and end values, and gives each sample
+    back to a few ulp.  A slope that falls, the head's and the tail's included,
     raises ValueError naming the node, unless the fall is within 1e-9 or
     the chords' rounding: the later slopes are then raised to it.
     """
@@ -309,12 +311,10 @@ def young_from_values(t, v, zero_desc=NUMERIC_DESC, inf_desc=NUMERIC_DESC,
     k = samples._i_last_fin
     if k < 0 or (v[:k + 1] == 0).all() and samples.t_inf == INF:
         raise ValueError("a Young function may not vanish identically")
-    d0 = _derivative_desc(samples.zero_desc, samples._edge_slope_zero(),
-                          (ZERO_ON_INTERVAL, EXP_RECIPROCAL))
+    d0 = _derivative_desc(samples.zero_desc, (ZERO_ON_INTERVAL, EXP_RECIPROCAL))
     if v[0] == 0.0 and d0.kind != ZERO_ON_INTERVAL:
         d0 = zero_on_interval_desc(t[0])
-    d1 = _derivative_desc(samples.inf_desc, samples._edge_slope_inf(),
-                          (EXPONENTIAL, INFINITE_BEYOND))
+    d1 = _derivative_desc(samples.inf_desc, (EXPONENTIAL, INFINITE_BEYOND))
     head = float(_integral_off_grid(MonotoneFn(t[:1], [1.0], d0, validate=False),
                                     t[:1], 0.0, True)[0])
     if v[0] > 0.0 and not 0.0 < head < INF:
@@ -357,15 +357,13 @@ def young_from_values(t, v, zero_desc=NUMERIC_DESC, inf_desc=NUMERIC_DESC,
     return YoungFn(base, deriv, recipe=recipe)
 
 
-def _derivative_desc(d, edge_slope, keep):
+def _derivative_desc(d, keep):
     """The derivative's descriptor at one end of a Young function whose
-    descriptor there is d: a kind in ``keep`` carries over, a power drops
-    by one (to no less than 0), and any other end takes the power of the
-    edge slope."""
+    descriptor there is d: a kind in ``keep`` carries over, and a power
+    (a limit-const end is the power 0) drops by one, to no less than 0."""
     if d.kind in keep:
         return d
-    p, alpha = (d.p, d.alpha) if d.kind == POWER_LOG else (edge_slope, 0.0)
-    return power_log_desc(max(p - 1.0, 0.0), alpha)
+    return power_log_desc(max(d.p - 1.0, 0.0), d.alpha)
 
 
 def young_from_callable(f, zero_desc=NUMERIC_DESC, inf_desc=NUMERIC_DESC,
@@ -392,13 +390,11 @@ class IntegralDiverges(ValueError):
 # is integrated on an extension grid, whose nodes sit at fixed places.
 
 
-def _pure_power_exponent(d, edge_slope):
+def _pure_power_exponent(d):
     """Exponent of the pure power a table follows off its grid at the end
-    with descriptor d (edge_slope gives the numeric-only one), or None."""
+    with descriptor d, or None."""
     if d.kind == POWER_LOG and d.alpha == 0.0:
         return d.p
-    if d.kind == NUMERIC_ONLY:
-        return edge_slope()
     if d.kind == LIMIT_CONST:
         return 0.0
     return None
@@ -429,7 +425,7 @@ def _integral_above_grid(A, x):
     if math.isinf(total) or a._i_last_fin < a.t.size - 1:
         # infinite already, or the derivative jumps to infinity inside the grid
         return np.full_like(x, INF)
-    p = _pure_power_exponent(a.inf_desc, a._edge_slope_inf)
+    p = _pure_power_exponent(a.inf_desc)
     aN, tN = float(a.v[-1]), float(a.t[-1])
     if p is None:
         return total + _integral_from(a, tN, x)
@@ -474,8 +470,7 @@ def _bisect_log(A, s, lo, hi, steps=80):
 
 def _inverse_below_table(A, s):
     a, base = A.derivative, A.base
-    p = _pure_power_exponent(a.zero_desc, a._edge_slope_zero) \
-        if a._i_first_pos == 0 else None
+    p = _pure_power_exponent(a.zero_desc) if a._i_first_pos == 0 else None
     if p is not None and a.v[0] > 0:
         ta = float(a.t[0])
         va = a.zero_desc.limit if a.zero_desc.kind == LIMIT_CONST else float(a.v[0])
@@ -488,7 +483,7 @@ def _inverse_above_table(A, s):
     a, base = A.derivative, A.base
     if base.t_inf < INF or np.isinf(base.v[-1]):
         return np.full_like(s, base.t[base._i_last_fin])
-    p = _pure_power_exponent(a.inf_desc, a._edge_slope_inf)
+    p = _pure_power_exponent(a.inf_desc)
     aN, tN, A_N = float(a.v[a._i_last_fin]), float(base.t[-1]), float(base.v[-1])
     if p is not None and aN > 0:
         if p == 0.0 and a.inf_desc.kind == LIMIT_CONST:
@@ -574,15 +569,15 @@ def _conjugate_desc_inf(d):
 
 
 def _conjugate_desc_zero(d):
-    """Descriptor of the conjugate near zero from A's near zero."""
+    """Descriptor of the conjugate near zero from A's near zero, or
+    NUMERIC_DESC where the conjugate keeps its table's own: for a linear A
+    that is the interval [0, A'(0+)) on which the conjugate vanishes."""
     if d.kind == POWER_LOG:
         if d.p > 1:
             q = d.p / (d.p - 1.0)
             return power_log_desc(q, -d.alpha / (d.p - 1.0))
         if d.p == 1 and d.alpha < 0:
             return exp_reciprocal_desc(-1.0 / d.alpha)
-        if d.p == 1 and d.alpha == 0:
-            return zero_on_interval_desc(0.0)
     if d.kind == ZERO_ON_INTERVAL:
         return power_log_desc(1.0, 0.0)
     return NUMERIC_DESC
@@ -638,17 +633,13 @@ def _ratio_inf_desc(d):
 
 
 def _regime_slice(fn, regime):
-    """Grid window used for numeric near-zero / near-infinity scans: the outer
-    two decades of the table."""
+    """The outer two decades of the table's finite values at one end, on
+    which a symbolic ``holds`` of :func:`dominates` refines its witness."""
     t = fn.t
     if regime == NEAR_ZERO:
         return t[t <= t[0] * 100.0]
-    if regime == NEAR_INFINITY:
-        tf = t[np.isfinite(fn.v)]
-        if tf.size == 0:
-            return t[:1]
-        return tf[tf >= tf[-1] / 100.0]
-    return t
+    tf = t[np.isfinite(fn.v)]
+    return tf[tf >= tf[-1] / 100.0] if tf.size else t[:1]
 
 
 def _desc_for_regime(fn, regime):
@@ -669,23 +660,19 @@ def delta2(A: QuasiConvexFn, regime=GLOBAL) -> Verdict:
         if near0.status == HOLDS and nearI.status == HOLDS and mid.status == HOLDS:
             c = max(near0.witness, nearI.witness, mid.witness)
             return holds(c, reason="doubling ratio bounded on all regimes")
-        return undecided("numeric-only table; doubling scan inconclusive")
+        return undecided("doubling scan of the grid inconclusive")
     d = _desc_for_regime(base, regime)
     if d.kind == POWER_LOG:
         return holds(2.0 ** d.p * 1.5, reason="power-log class doubles")
     if d.kind == LIMIT_CONST:
         return holds(2.0, reason="bounded class doubles")
     if d.kind == ZERO_ON_INTERVAL:
-        if regime == NEAR_ZERO:
-            return holds(1.0, reason="vanishes near zero")
-        return fails(reason="jump above the vanishing interval")
+        return holds(1.0, reason="vanishes near zero")
     if d.kind == EXPONENTIAL:
         return fails(reason="exponential growth is not doubling")
     if d.kind == EXP_RECIPROCAL:
         return fails(reason="vanishes double-exponentially fast at zero")
-    if d.kind == INFINITE_BEYOND:
-        return fails(witness=d.threshold, reason="finite jump threshold")
-    return _doubling_scan(base, _regime_slice(base, regime))
+    return fails(witness=d.threshold, reason="finite jump threshold")  # infinite-beyond
 
 
 def _doubling_scan(base, window, cap=1e6):
@@ -703,7 +690,7 @@ def _doubling_scan(base, window, cap=1e6):
     ratio = np.max(v2[pos] / v1[pos])
     if ratio < cap:
         return holds(float(ratio), reason="doubling ratio bounded on window")
-    return undecided("large doubling ratio on a numeric-only table")
+    return undecided("large doubling ratio on the grid scan")
 
 
 def nabla2(A: QuasiConvexFn, regime=GLOBAL) -> Verdict:
@@ -714,15 +701,13 @@ def nabla2(A: QuasiConvexFn, regime=GLOBAL) -> Verdict:
     if regime == GLOBAL:
         near0 = nabla2(A, NEAR_ZERO)
         nearI = nabla2(A, NEAR_INFINITY)
-        if near0.status == HOLDS and nearI.status == HOLDS:
-            mid = _reverse_scan(base, base.t)
-            if mid.status == HOLDS:
-                return holds(max(near0.witness, nearI.witness, mid.witness),
-                             reason="reverse doubling on all regimes")
-            return mid
         if near0.status == FAILS or nearI.status == FAILS:
             return fails(reason="reverse doubling fails in a tail regime")
-        return undecided("tail regimes inconclusive")
+        mid = _reverse_scan(base, base.t)
+        if mid.status != HOLDS:
+            return mid
+        return holds(max(near0.witness, nearI.witness, mid.witness),
+                     reason="reverse doubling on all regimes")
     d = _desc_for_regime(base, regime)
     if d.kind == POWER_LOG:
         if d.p > 1:
@@ -739,11 +724,9 @@ def nabla2(A: QuasiConvexFn, regime=GLOBAL) -> Verdict:
         return holds(2.0, reason="exponential-scale growth")
     if d.kind == INFINITE_BEYOND:
         return holds(2.0, reason="jump to infinity dominates any multiple")
-    if d.kind == ZERO_ON_INTERVAL and regime == NEAR_ZERO:
+    if d.kind == ZERO_ON_INTERVAL:
         return holds(2.0, reason="vanishes near zero")
-    if d.kind == LIMIT_CONST:
-        return fails(reason="bounded class cannot reverse-double")
-    return _reverse_scan(base, _regime_slice(base, regime))
+    return fails(reason="bounded class cannot reverse-double")  # limit-const
 
 
 def _reverse_scan(base, window):
@@ -765,8 +748,7 @@ def _reverse_scan(base, window):
 # -- domination ------------------------------------------------------------
 
 
-_CLASS_ORDER_INF = {ZERO_ON_INTERVAL: 0, LIMIT_CONST: 1, POWER_LOG: 2,
-                    EXPONENTIAL: 3, INFINITE_BEYOND: 4}
+_CLASS_ORDER_INF = {LIMIT_CONST: 1, POWER_LOG: 2, EXPONENTIAL: 3, INFINITE_BEYOND: 4}
 
 # Exponents that a chain of transforms carries through float arithmetic
 # (a conjugate, its transform and an averaged profile) come back an ulp or
@@ -781,8 +763,6 @@ def _same_exponent(x, y):
 def _symbolic_dominates_inf(db, da):
     """Decide 'B eventually below a dilation of A' from near-infinity classes."""
     kb, ka = db.kind, da.kind
-    if kb not in _CLASS_ORDER_INF or ka not in _CLASS_ORDER_INF:
-        return None
     if kb == ka == POWER_LOG:
         same_p = _same_exponent(db.p, da.p)
         if same_p and _same_exponent(db.alpha, da.alpha):
@@ -806,15 +786,12 @@ def _symbolic_dominates_inf(db, da):
     return holds(1.0, reason="matching degenerate classes")
 
 
-_CLASS_ORDER_ZERO = {INFINITE_BEYOND: -1, LIMIT_CONST: 0, POWER_LOG: 1,
-                     EXP_RECIPROCAL: 2, ZERO_ON_INTERVAL: 3}
+_CLASS_ORDER_ZERO = {LIMIT_CONST: 0, POWER_LOG: 1, EXP_RECIPROCAL: 2, ZERO_ON_INTERVAL: 3}
 
 
 def _symbolic_dominates_zero(db, da):
     """Decide 'B below a dilation of A near zero' (larger class = smaller values)."""
     kb, ka = db.kind, da.kind
-    if kb not in _CLASS_ORDER_ZERO or ka not in _CLASS_ORDER_ZERO:
-        return None
     if kb == ka == POWER_LOG:
         same_p = _same_exponent(db.p, da.p)
         if same_p and _same_exponent(db.alpha, da.alpha):
@@ -840,8 +817,10 @@ def _symbolic_dominates_zero(db, da):
 def dominates(A: QuasiConvexFn, B: QuasiConvexFn, regime=GLOBAL) -> Verdict:
     """Decide whether B sits below a dilation of A: B(t) <= A(K t) on the regime.
 
-    Symbolic descriptor comparison first; otherwise a search over dyadic
-    dilation constants with an honest undecided fallback.
+    Each tail regime compares the descriptors, and a ``holds`` there takes
+    the larger of its constant and the one a search over dyadic dilations
+    finds on the outer two decades of B's grid; the global regime also
+    searches the whole grid, and is ``undecided`` where that finds none.
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
@@ -852,23 +831,20 @@ def dominates(A: QuasiConvexFn, B: QuasiConvexFn, regime=GLOBAL) -> Verdict:
         if low.status == FAILS or high.status == FAILS:
             return fails(reason="tail regime fails")
         mid = _dilation_search(a, b, b.t)
-        if low.status == HOLDS and high.status == HOLDS and mid.status == HOLDS:
-            return holds(max(low.witness or 1.0, high.witness or 1.0,
-                             mid.witness or 1.0), reason="all regimes")
-        return mid if mid.status != HOLDS else undecided("tail regimes inconclusive")
+        if mid.status != HOLDS:
+            return mid
+        return holds(max(low.witness, high.witness, mid.witness), reason="all regimes")
     if regime == NEAR_INFINITY:
         sym = _symbolic_dominates_inf(b.inf_desc, a.inf_desc)
     else:
         sym = _symbolic_dominates_zero(b.zero_desc, a.zero_desc)
-    if sym is not None:
-        if sym.status == HOLDS:
-            # refine the witness constant on the regime window, which holds
-            # only finite values: a threshold's constant bounds it from below
-            num = _dilation_search(a, b, _regime_slice(b, regime))
-            if num.status == HOLDS:
-                return holds(max(sym.witness, num.witness), reason=sym.reason)
-        return sym
-    return _dilation_search(a, b, _regime_slice(b, regime))
+    if sym.status == HOLDS:
+        # refine the witness constant on the regime window, which holds
+        # only finite values: a threshold's constant bounds it from below
+        num = _dilation_search(a, b, _regime_slice(b, regime))
+        if num.status == HOLDS:
+            return holds(max(sym.witness, num.witness), reason=sym.reason)
+    return sym
 
 
 def _dilation_search(a, b, window, max_pow=40):
@@ -970,7 +946,8 @@ def young_to_json(A: QuasiConvexFn) -> dict:
       for ``power-log``; ``gamma`` for ``exponential`` and
       ``exp-reciprocal``; ``threshold`` for ``zero-on-interval`` and
       ``infinite-beyond``; ``limit`` for ``limit-const``; none for
-      ``numeric-only``);
+      ``numeric-only``, which a table holds, and so writes, as the
+      ``power-log`` of its edge segment);
     - ``value_at_zero`` / ``value_at_inf``: the values at 0 and at +inf.
 
     A Young function adds its derivative table under the same names with a

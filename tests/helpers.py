@@ -7,7 +7,7 @@ import numpy as np
 from scipy import special
 
 from orlicalc.monotone import (
-    INF, MonotoneFn, NUMERIC_DESC, _integral_off_grid, _log_mass_from_end,
+    INF, MonotoneFn, NUMERIC_DESC, _integral_off_grid, _log_mass_from_end, _log_quotient,
     _power_segment_integral, geometric_grid)
 from orlicalc.operators import _BLOCK, _exp_weight_cutoffs, _exp_weight_tail
 from orlicalc.diagonality import _outer_chunks, build_gw
@@ -101,10 +101,16 @@ def _reference_interp(fn, x):
     out[flat0] = 0.0
     pw = (vl > 0.0) & np.isfinite(vr)
     if pw.any():
+        # each log of a ratio from the logs of its terms where the ratio
+        # overflows, and vl e**y from log vl where e**y does
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             s = np.where(vr[pw] == vl[pw], 0.0,
-                         np.log(vr[pw] / vl[pw]) / np.log(tr[pw] / tl[pw]))
-            out[pw] = vl[pw] * np.exp(s * np.log(x[pw] / tl[pw]))
+                         _log_quotient(vr[pw], vl[pw]) / _log_quotient(tr[pw], tl[pw]))
+            y = s * _log_quotient(x[pw], tl[pw])
+            val = vl[pw] * np.exp(y)
+            far = np.isinf(val)
+            val[far] = np.exp(np.log(vl[pw][far]) + y[far])
+            out[pw] = val
     exact_l = x == tl
     out[exact_l] = vl[exact_l]
     exact_r = x == tr

@@ -61,6 +61,14 @@ class TestSubcommands:
                        "--regime", "near-infinity"])
         assert code == 0
 
+    def test_dominates_reads_the_power_a_table_extrapolates_with(self):
+        # the samples of t^2 extrapolate as t^2 past their grid, which no
+        # dilation of t^1.2 bounds: B(1e4) = 1e8 against A(4e4) = 3.3e5
+        code, out = run(["--json", "dominates", "--young", '{"class":"power-log","p":1.2}',
+                         "--below", '{"class":"table","grid":[[1,1],[2,4],[4,16],[8,64]]}'])
+        assert code == 0
+        assert json.loads(out)["outcome"]["status"] == "fails"
+
     def test_norm_from_inline_fn(self):
         code, out = run(["--json", "norm",
                          "--space", '{"family":"lebesgue","params":{"p":2}}',

@@ -6,8 +6,9 @@ growth classes are never read from a generator's ``recipe``, step functions
 are read through their ``values`` and ``widths`` arrays, never their
 ``pieces`` list, no loop calls the certificate kernel
 ``integrate_outer_reciprocal``, optimality outcomes are read off their
-verdicts, and every top-level function and class is used somewhere in the
-source or the tests."""
+verdicts, the edge slopes of a table are read only when it is built, and
+every top-level function and class is used somewhere in the source or the
+tests."""
 
 import ast
 import json
@@ -189,3 +190,20 @@ def test_outcomes_are_read_off_their_verdicts():
                           for field in node.body if isinstance(field, ast.AnnAssign)
                           and field.target.id in ("result", "status")]
     assert not found, "stored or hand-mapped outcomes: " + ", ".join(found)
+
+
+def test_edge_slopes_are_read_only_when_a_table_is_built():
+    # MonotoneFn.__init__ turns a numeric-only end into the power of its
+    # edge segment; every other reader takes that power off the descriptor
+    found = []
+    for path in SOURCES:
+        tree = parse(path)
+        init = next((fn for cls in tree.body if isinstance(cls, ast.ClassDef)
+                     and cls.name == "MonotoneFn" for fn in cls.body
+                     if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"), None)
+        allowed = set(range(init.lineno, init.end_lineno + 1)) if init else set()
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in ("_edge_slope_zero", "_edge_slope_inf")
+                  and node.lineno not in allowed]
+    assert not found, "edge slopes read outside MonotoneFn.__init__: " + ", ".join(found)

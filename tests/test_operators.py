@@ -186,16 +186,18 @@ class TestBoydIndex:
         assert est.exact and math.isinf(est.upper_index)
 
     def test_power_log_slope_fit(self):
-        # numeric-only wide table of t^p log t; the analytic dilation limit
-        # is p and the slope fit must land within the declared band
+        # a numeric-only wide table of t^p (1 + log t) extrapolates as the
+        # power of its last segment, whose slope is about p + 1 / (1 + log
+        # 1e40): that power is the exact index of the table
         p = 2.0
         t = np.geomspace(1.0, 1e40, 2400)
         v = t ** p * (1.0 + np.log(t))
         from orlicalc.young import QuasiConvexFn
         stripped = MonotoneFn(t, v)
         est = boyd_upper_index(QuasiConvexFn(stripped, validate=False))
-        assert not est.exact
-        assert est.upper_index == pytest.approx(p, abs=0.05)
+        assert est.exact
+        assert est.upper_index == stripped.inf_desc.p
+        assert est.upper_index == pytest.approx(p + 1.0 / (1.0 + math.log(1e40)), rel=1e-5)
 
 
 class TestSobolevOrliczDomain:
@@ -582,8 +584,9 @@ class TestMergeCollinear:
     @settings(max_examples=40, deadline=None)
     @given(kinked_power_tables())
     def test_equals_the_table_beyond_its_grid(self, case):
-        # numeric-only descriptors extrapolate with the slopes of the first
-        # and last grid segments, which the merge keeps
+        # the descriptors, numeric-only ones resolved to the power of the
+        # edge segments, extrapolate from the first and last nodes, which
+        # the merge keeps
         F, _ = case
         M = _merge_collinear(F)
         x = np.concatenate((F.t[0] * np.geomspace(1e-12, 0.9, 8),

@@ -293,10 +293,11 @@ def _descriptor(draw, t, zero_side):
 
 
 @st.composite
-def evaluation_tables(draw):
+def evaluation_tables(draw, numeric_ends=False):
     """Tables of 1 to 12 nodes, some ulp-paired: zero heads (ramps), flat
     zero runs, plateaus, a terminal +inf block, values over up to 600
-    decades (slopes that overflow), and any descriptor at either end."""
+    decades (slopes that overflow), and any descriptor at either end
+    (numeric-only at both with ``numeric_ends``)."""
     n = draw(st.integers(min_value=1, max_value=12))
     exps = draw(st.lists(st.floats(-300.0, 300.0) if draw(st.booleans())
                          else st.floats(-6.0, 6.0), min_size=n, max_size=n, unique=True))
@@ -315,6 +316,8 @@ def evaluation_tables(draw):
     infs = draw(st.integers(0, n - zeros))
     v[:zeros] = 0.0
     v[n - infs:] = INF
+    if numeric_ends:
+        return MonotoneFn(t, v, NUMERIC_DESC, NUMERIC_DESC)
     return MonotoneFn(t, v, _descriptor(draw, t, True), _descriptor(draw, t, False))
 
 
@@ -329,45 +332,72 @@ def _evaluation_points(fn):
     return pts[np.isfinite(pts) | (pts == INF)]
 
 
-def _overflowing_ramp_points(fn, x):
+def _unscaled_ramp_points(fn, x):
     """The points of x inside a ramp segment (0 at its left node, finite and
-    positive at its right) where the product vr (x - tl) overflows, and the
-    divided form vr ((x - tl) / (tr - tl)) at every point."""
+    positive at its right) off that node where the product vr (x - tl) is
+    not a normal float: it overflows, or underflows and loses digits; and
+    the divided form vr ((x - tl) / (tr - tl)) at every point."""
     t, v = fn.t, fn.v
     if t.size < 2:
         return np.zeros(x.shape, dtype=bool), x
     idx = np.clip(np.searchsorted(t, x, side="right") - 1, 0, t.size - 2)
     tl, tr, vl, vr = t[idx], t[idx + 1], v[idx], v[idx + 1]
-    ramp = (x >= t[0]) & (x < tr) & (vl == 0.0) & np.isfinite(vr) & (vr > 0.0)
-    return ramp & np.isinf(vr * (x - tl)), vr * ((x - tl) / (tr - tl))
+    ramp = (x > tl) & (x < tr) & (vl == 0.0) & np.isfinite(vr) & (vr > 0.0)
+    rise = vr * (x - tl)
+    normal = (rise >= np.finfo(float).tiny) & (rise < INF)
+    return ramp & ~normal, vr * ((x - tl) / (tr - tl))
 
 
 @settings(max_examples=300, deadline=None)
 @given(evaluation_tables())
 @example(MonotoneFn([1.0, 1e10], [0.0, 1e300]))
+@example(MonotoneFn([1e-60, 1e-50, 1.0], [0.0, 1e-263, 1e-263]))
 def test_segment_table_evaluation_is_the_mask_per_case_evaluation(fn):
     # values spanning 600 decades overflow in the tails, in both evaluations
-    # alike; on a ramp the reference overflows where vr (x - tl) does, and
-    # the evaluation divides first there, so its value is at most vr
+    # alike; on a ramp the reference rounds vr (x - tl) past the normal
+    # floats where that product overflows or underflows, and the evaluation
+    # divides first there, so its value is at most vr and keeps its digits
     with np.errstate(all="ignore"):
         x = _evaluation_points(fn)
         want = reference_eval(fn, x)
-        over, divided = _overflowing_ramp_points(fn, x)
-        assert np.isinf(want[over]).all()
-        want[over] = divided[over]
+        off, divided = _unscaled_ramp_points(fn, x)
+        want[off] = divided[off]
         got = fn(x)
         m = x.size // 2
         grid = fn(x[:2 * m].reshape(2, m))
         ones = [[fn(arg) for arg in (xi, np.float64(xi), np.asarray(xi))]
                 for xi in x.tolist()]
     assert got.shape == x.shape
-    assert np.isfinite(got[over]).all()
+    assert np.isfinite(got[off]).all()
     assert np.array_equal(got, want, equal_nan=True)
     assert grid.shape == (2, m)
     assert np.array_equal(grid.ravel(), want[:2 * m], equal_nan=True)
     for one, wi in zip(ones, want.tolist()):
         assert all(type(o) is float for o in one)
         assert np.array_equal(one, [wi] * 3, equal_nan=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(evaluation_tables(numeric_ends=True))
+@example(MonotoneFn([1.0, 2.0], [0.0, 1.0]))
+@example(MonotoneFn([1.0, np.nextafter(1.0, 2.0), 2.0], [1.0, 1.0, 4.0]))
+def test_numeric_only_ends_are_the_powers_of_the_edge_segments(fn):
+    # a numeric-only end extrapolates the power of its edge segment, so the
+    # end values are that tail's limits (0 and +inf for a rising power, the
+    # tail's constant for a flat one), F stays between them (up to the
+    # rounding of a segment over a few hundred decades), and the table
+    # holds the power as its descriptor
+    s0, s1 = fn._edge_slope_zero(), fn._edge_slope_inf()
+    with np.errstate(all="ignore"):
+        x = _evaluation_points(fn)
+        fx = fn(x)
+        low = fn(0.5 * fn.t[0])
+        high = fn(2.0 * fn.t[-1])
+    assert np.all(fn.value_at_zero * (1.0 - 1e-12) <= fx)
+    assert np.all(fx <= fn.value_at_inf * (1.0 + 1e-12))
+    assert fn.value_at_zero == (0.0 if s0 > 0 else low)
+    assert fn.value_at_inf == (INF if s1 > 0 else high)
+    assert (fn.zero_desc, fn.inf_desc) == (power_log_desc(s0), power_log_desc(s1))
 
 
 @settings(max_examples=300, deadline=None)

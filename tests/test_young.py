@@ -160,6 +160,18 @@ class TestConjugate:
         assert At(0.999) == pytest.approx(0.0, abs=1e-12)
         assert At(2.0) > 1e6   # jump region just above the threshold
 
+    def test_linear_conjugate_keeps_its_vanishing_interval(self):
+        # the conjugate of t vanishes up to 1, and its zero descriptor says
+        # so: the jump generator that vanishes up to 3 dominates it near
+        # zero with the constant it gives linfty(1), the same function
+        At = conjugate(power_young(1.0))
+        d = At.base.zero_desc
+        assert d.kind == ZERO_ON_INTERVAL and d.threshold == np.nextafter(1.0, 0.0)
+        assert At(d.threshold) == 0.0
+        want = dominates(linfty_young(3.0), linfty_young(1.0), NEAR_ZERO).witness
+        got = dominates(linfty_young(3.0), At, NEAR_ZERO).witness
+        assert want == 3.0 and got == pytest.approx(want, rel=1e-15)
+
     def test_young_inequality_on_random_functions(self):
         rng = np.random.default_rng(101)
         pts = np.geomspace(1e-3, 1e3, 50)
@@ -351,7 +363,7 @@ class TestYoungify:
         rng = np.random.default_rng(404)
         for _ in range(10):
             g = random_step_monotone(rng)
-            ratio = MonotoneFn(g.t, g.v * g.t, g.zero_desc, g.inf_desc)  # A/t = g
+            ratio = MonotoneFn(g.t, g.v * g.t)  # A/t = g, with ends of its own
             B = QuasiConvexFn(ratio)
             A = youngify(B)
             t = B.base.t
@@ -445,6 +457,34 @@ class TestDominates:
             v = dominates(A, B, regime)
             assert v.status == HOLDS
             assert np.all(B(t) <= A(v.witness * t)), (regime, v.witness)
+
+    def test_global_witnesses_hold_beyond_both_grids(self):
+        # every global holds between two of these generators is checked with
+        # the exact A on 200 points a side over the 12 decades past both
+        # tables; the samples of t^2 extrapolate as t^2, which a window of
+        # their grid does not show
+        gens = [power_young(1.2), power_young(2.0), power_young(3.5),
+                power_log_young(2.0, 0.0, 1.0), power_log_young(2.0, -1.0, 0.5),
+                exp_young(1.0), linfty_young(2.0),
+                young_from_json({"class": "table", "grid": [[1, 1], [2, 4], [4, 16], [8, 64]]}),
+                conjugate(power_young(1.5))]
+        held, false = 0, []
+        for i, A in enumerate(gens):
+            for j, B in enumerate(gens):
+                v = dominates(A, B, GLOBAL)
+                if i == j or v.status != HOLDS:
+                    continue
+                held += 1
+                lo = min(A.base.t[0], B.base.t[0])
+                hi = max(A.base.t[-1], B.base.t[-1])
+                x = np.concatenate((np.geomspace(lo * 1e-12, lo, 200),
+                                    np.geomspace(hi, hi * 1e12, 200)))
+                with np.errstate(over="ignore"):
+                    ok = B(x) <= A(v.witness * x) * (1 + 1e-9)
+                if not ok.all():
+                    false.append((i, j, float(x[~ok][0])))
+        assert held == 11
+        assert not false
 
     def test_exponents_an_ulp_apart_are_one_class(self):
         # a conjugate, its transform and an averaged profile bring 4 back
@@ -540,10 +580,12 @@ class TestWireFormat:
         assert B(0.9) == 0.0 and math.isinf(B(2.0))
 
     def test_legacy_tables_load_numeric_only(self):
-        # objects without descriptor or boundary fields keep their old meaning
+        # objects without descriptor or boundary fields keep their old
+        # meaning: each end is numeric-only, which a table holds as the
+        # power of its edge segment
         t = np.array([1.0, 2.0, 4.0])
         A = young_from_json({"class": "table", "grid": [[1.0, 2.0], [2.0, 4.0], [4.0, 8.0]]})
-        assert A.base.zero_desc.kind == A.base.inf_desc.kind == NUMERIC_ONLY
+        assert A.base.zero_desc == A.base.inf_desc == power_log_desc(1.0)
         np.testing.assert_allclose(A([0.5, 3.0, 8.0]), [1.0, 6.0, 16.0], rtol=1e-12)
         x = np.geomspace(1e-3, 1e3, 25)
         assert np.array_equal(A(x), young_from_values(t, 2.0 * t)(x))
@@ -551,7 +593,7 @@ class TestWireFormat:
         grid = [[1.0, 1.0], [2.0, 4.0], [4.0, 16.0]]
         dgrid = [[1.0, 2.0], [2.0, 4.0], [4.0, 8.0]]
         B = young_from_json({"class": "table", "grid": grid, "derivative_grid": dgrid})
-        assert B.derivative.zero_desc.kind == B.derivative.inf_desc.kind == NUMERIC_ONLY
+        assert B.derivative.zero_desc == B.derivative.inf_desc == power_log_desc(1.0)
         old = YoungFn(MonotoneFn(t, t ** 2), MonotoneFn(t, 2.0 * t))
         assert np.array_equal(B.base(x), old.base(x))
         assert np.array_equal(B(x), old(x))
