@@ -298,11 +298,6 @@ class MonotoneFn:
             out[x > t_jump] = INF
         return out
 
-    def _anchor_zero(self):
-        i = self._i_first_pos
-        i = 0 if i < 0 else i
-        return self.t[i], self.v[i]
-
     def _anchor_inf(self):
         i = self._i_last_fin
         i = self.t.size - 1 if i < 0 else i
@@ -313,7 +308,7 @@ class MonotoneFn:
         (p, alpha, anchor, slope, va): va (t / anchor)**p l**alpha with
         l = 1 + slope log(t / anchor); None where F is 0 or inf there."""
         d = self.zero_desc if zero_side else self.inf_desc
-        anchor, va = self._anchor_zero() if zero_side else self._anchor_inf()
+        anchor, va = (self.t[0], self.v[0]) if zero_side else self._anchor_inf()
         va = d.limit if d.kind == LIMIT_CONST else va
         ok = d.kind in (POWER_LOG, LIMIT_CONST) and 0.0 < va < INF
         if not ok or (not zero_side and np.isinf(self.v[-1])):

@@ -888,7 +888,8 @@ class TestMarcinkiewiczSearch:
 def mp_phi(phi, t):
     """phi(t) in mpmath from phi's table and descriptors: log-log between
     the nodes, and beyond them the descriptor's power-log form anchored at
-    the extreme positive node, the form MonotoneFn extrapolates with."""
+    the first node (0 below a zero one) and at the last finite node, the
+    form MonotoneFn extrapolates with."""
     T, V = phi.t, phi.v
     if T[0] <= t <= T[-1]:
         if T.size == 1:
@@ -908,7 +909,7 @@ def mp_phi(phi, t):
         return mp.mpf(d.limit)
     if d.kind == "zero-on-interval" or (not zero and np.isinf(V[-1])):
         return mp.mpf(0) if zero else mp.inf
-    ta, va = (mp.mpf(x) for x in (phi._anchor_zero() if zero else phi._anchor_inf()))
+    ta, va = (mp.mpf(x) for x in ((T[0], V[0]) if zero else phi._anchor_inf()))
     if d.kind == "infinite-beyond":
         return va if t <= d.threshold else mp.inf
     if va == 0:
