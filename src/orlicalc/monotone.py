@@ -278,12 +278,9 @@ class MonotoneFn:
                 out = vl * np.exp(slope[idx] * np.log(x / tl))
             else:
                 # x / tl and e**y may leave the float range: log(x / tl) from
-                # logs, and vl e**y from log vl where e**y overflows; the
-                # slopes are finite, so a node still gets its value exactly
-                y = slope[idx] * _log_quotient(x, tl)
-                out = vl * np.exp(y)
-                far = np.isinf(out)
-                out[far] = np.exp(np.log(vl[far]) + y[far])
+                # logs, and vl e**y from log vl where e**y does; the slopes
+                # are finite, so a node still gets its value exactly
+                out = _power_from(vl, slope[idx] * _log_quotient(x, tl))
         if ramp is not None:
             r = ramp[idx]
             if r.any():
@@ -377,7 +374,7 @@ class MonotoneFn:
         j = i + 2 if i + 2 < t.size and t[i + 1] == math.nextafter(t[i], INF) else i + 1
         if i < 0 or j >= t.size or not math.isfinite(v[j]) or v[j] <= v[i]:
             return 0.0
-        return _log_ratio(v[j], v[i]) / _log_ratio(t[j], t[i])
+        return _log_quotient(v[j], v[i]) / _log_quotient(t[j], t[i])
 
     def _edge_slope_inf(self):
         """Log-log slope of the last finite grid segment (0 for a flat end);
@@ -388,7 +385,7 @@ class MonotoneFn:
             k -= 1
         if k <= 0 or v[k - 1] <= 0 or v[k - 1] >= v[k]:
             return 0.0
-        return _log_ratio(v[k], v[k - 1]) / _log_ratio(t[k], t[k - 1])
+        return _log_quotient(v[k], v[k - 1]) / _log_quotient(t[k], t[k - 1])
 
     # -- transforms -----------------------------------------------------
 
@@ -429,21 +426,15 @@ class MonotoneFn:
                           value_at_inf=self.value_at_inf * c, validate=False)
 
 
-def _log_ratio(a, b):
-    """log(a / b) for floats a > b > 0, also where a / b overflows: the
-    scalar :func:`_log_quotient`, without numpy's overflow warning."""
-    q = float(a) / float(b)
-    return math.log(q) if q < INF else math.log(a) - math.log(b)
-
-
 def _power_from(va, y):
-    """va e**y for the array y, with log va in the exponent where e**y is
-    not a normal float: a subnormal (or +inf) e**y would lose va's digits."""
+    """va e**y for the array y (va a float or an array like y), with log va
+    in the exponent where e**y is not a normal float: a subnormal (or +inf)
+    e**y would lose va's digits."""
     e = np.exp(y)
     out = va * e
     far = ~_normal(e)
     if far.any():
-        out[far] = np.exp(math.log(va) + y[far])
+        out[far] = np.exp(np.log(va[far] if np.ndim(va) else va) + y[far])
     return out
 
 
@@ -591,7 +582,10 @@ def _inverse(fn, side):
 
 def _log_quotient(num, x):
     """log(num / x), also where num / x overflows or underflows (a
-    subnormal x or num)."""
+    subnormal x or num); a float for two positive scalars."""
+    if np.ndim(num) == np.ndim(x) == 0:
+        q = float(num) / float(x)
+        return math.log(q) if 0.0 < q < INF else math.log(num) - math.log(x)
     q = num / x
     return np.where(np.isinf(q) | (q == 0.0), np.log(num) - np.log(x), np.log(q))
 
@@ -842,12 +836,13 @@ def cumulative_integral(fn, weight_exp=0.0):
     acc[0] = head
     acc[1:] = head + np.cumsum(seg)
     zero_desc = _integral_zero_desc(fn.zero_desc, weight_exp)
-    inf_desc = _integral_inf_desc(fn.inf_desc, weight_exp)
     # a terminal +inf block in fn makes the integral jump after the junction
     if np.isinf(vals).any():
         fin = np.flatnonzero(np.isfinite(vals))
         junction = t[int(fin[-1])] if fin.size else t[0]
         inf_desc = infinite_beyond_desc(float(junction))
+    else:
+        inf_desc = _integral_inf_desc(fn, weight_exp, acc[-1])
     return MonotoneFn(t, acc, zero_desc=zero_desc, inf_desc=inf_desc,
                       value_at_zero=0.0, validate=False)
 
@@ -864,18 +859,19 @@ def _integral_zero_desc(d, w):
     return NUMERIC_DESC
 
 
-def _integral_inf_desc(d, w):
+def _integral_inf_desc(fn, w, total):
+    """Descriptor above the grid of the integral of F(t) t**w, whose value
+    at the last node is total: a convergent integral tends to total plus
+    its part beyond the grid."""
+    d = fn.inf_desc
     if d.kind == INFINITE_BEYOND:
         return d
-    if d.kind == POWER_LOG:
-        p = d.p + w + 1.0
-        if p > 0:
-            return power_log_desc(p, d.alpha)
-        if p == 0:
-            return power_log_desc(0.0, d.alpha + 1.0)
-        return NUMERIC_DESC  # convergent integral: tends to a constant
     if d.kind == EXPONENTIAL:
         return exponential_desc(d.gamma)
-    if d.kind == LIMIT_CONST:
-        return power_log_desc(w + 1.0, 0.0) if w + 1.0 > 0 else NUMERIC_DESC
-    return NUMERIC_DESC
+    p, alpha = (d.p, d.alpha) if d.kind == POWER_LOG else (0.0, 0.0)  # limit-const
+    e = p + w + 1.0
+    if e > 0:
+        return power_log_desc(e, alpha)
+    if e == 0 and alpha >= -1.0:
+        return power_log_desc(0.0, alpha + 1.0)
+    return limit_const_desc(total + _integral_off_grid(fn, fn.t[-1:], w, False)[0])

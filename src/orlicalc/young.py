@@ -298,10 +298,12 @@ def young_from_values(t, v, zero_desc=NUMERIC_DESC, inf_desc=NUMERIC_DESC,
     them, the power of the inf descriptor, from no lower than the last
     chord slope (a numeric-only end is the power of the samples' edge
     segment).  The value table is the derivative's integral on its nodes,
-    with the samples' descriptors and end values, and gives each sample
-    back to a few ulp.  A slope that falls, the head's and the tail's included,
-    raises ValueError naming the node, unless the fall is within 1e-9 or
-    the chords' rounding: the later slopes are then raised to it.
+    with that integral's descriptors, which name the class A follows off
+    the grid, and with the end values given (its descriptors' where none
+    are); it gives each sample back to a few ulp.  A slope that falls, the
+    head's and the tail's included, raises ValueError naming the node,
+    unless the fall is within 1e-9 or the chords' rounding: the later
+    slopes are then raised to it.
     """
     if convexify:
         v = convex_minorant(t, v)
@@ -351,9 +353,9 @@ def young_from_values(t, v, zero_desc=NUMERIC_DESC, inf_desc=NUMERIC_DESC,
     deriv = MonotoneFn(np.append(grid[keep], t[k + 1:]),
                        np.append(vals[keep], v[k + 1:]), d0, d1, validate=False)
     table = cumulative_integral(deriv)
-    base = MonotoneFn(table.t, table.v, samples.zero_desc, samples.inf_desc,
-                      value_at_zero=samples.value_at_zero,
-                      value_at_inf=samples.value_at_inf, validate=False)
+    base = MonotoneFn(table.t, table.v, table.zero_desc, table.inf_desc,
+                      value_at_zero=value_at_zero, value_at_inf=value_at_inf,
+                      validate=False)
     return YoungFn(base, deriv, recipe=recipe)
 
 

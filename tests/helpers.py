@@ -7,7 +7,7 @@ import numpy as np
 from scipy import special
 
 from orlicalc.monotone import (
-    INF, MonotoneFn, NUMERIC_DESC, _integral_off_grid, _log_mass_from_end, _log_quotient,
+    INF, MonotoneFn, NUMERIC_DESC, _integral_off_grid, _log_mass_from_end,
     _power_segment_integral, geometric_grid)
 from orlicalc.operators import _BLOCK, _exp_weight_cutoffs, _exp_weight_tail
 from orlicalc.diagonality import _outer_chunks, build_gw
@@ -101,12 +101,17 @@ def _reference_interp(fn, x):
     out[flat0] = 0.0
     pw = (vl > 0.0) & np.isfinite(vr)
     if pw.any():
-        # each log of a ratio from the logs of its terms where the ratio
-        # overflows, and vl e**y from log vl where e**y does
+        # where a ratio overflows (or underflows), its log is the difference
+        # of the logs of its terms, and where vl e**y overflows it is
+        # e**(log vl + y)
+        def log_of_ratio(a, b):
+            q = a / b
+            return np.where(np.isfinite(q) & (q > 0.0), np.log(q), np.log(a) - np.log(b))
+
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             s = np.where(vr[pw] == vl[pw], 0.0,
-                         _log_quotient(vr[pw], vl[pw]) / _log_quotient(tr[pw], tl[pw]))
-            y = s * _log_quotient(x[pw], tl[pw])
+                         log_of_ratio(vr[pw], vl[pw]) / log_of_ratio(tr[pw], tl[pw]))
+            y = s * log_of_ratio(x[pw], tl[pw])
             val = vl[pw] * np.exp(y)
             far = np.isinf(val)
             val[far] = np.exp(np.log(vl[pw][far]) + y[far])

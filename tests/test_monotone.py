@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from orlicalc.monotone import (
     INF,
+    LIMIT_CONST,
     NUMERIC_DESC,
     MonotoneFn,
     _integral_off_grid,
@@ -73,6 +74,27 @@ class TestEvaluation:
         assert math.isnan(out[0, 0]) and math.isnan(fn(np.nan))
         assert np.all(out.ravel()[1:] == fn.value_at_zero)
         assert fn(-1.0) == fn(-INF) == fn.value_at_zero
+
+    @pytest.mark.parametrize("t, v", [
+        ([1.0, 1e10], [1e-200, 1e200]),          # the value ratio overflows
+        ([1e-200, 1e200], [1.0, 4.0]),           # the abscissa ratio overflows
+        ([1e-300, 1e300], [2.0, 2.0]),           # flat over 600 decades
+        ([1.0, 1e10, 1e20], [1e-300, 1e-10, 1e300]),
+    ])
+    def test_overflowing_segments_against_mpmath(self, t, v):
+        # inside a segment F is vl (x / tl)**s with s the log-log slope; the
+        # table takes it from logs where a ratio or vl e**y leaves the floats
+        fn = MonotoneFn(t, v)
+        x = np.geomspace(t[0], t[-1], 97)
+        with mp.workdps(40):
+            want = []
+            for xi in x.tolist():
+                i = min(int(np.searchsorted(t, xi, side="right")) - 1, len(t) - 2)
+                tl, tr, vl, vr = (mp.mpf(t[i]), mp.mpf(t[i + 1]),
+                                  mp.mpf(v[i]), mp.mpf(v[i + 1]))
+                s = mp.log(vr / vl) / mp.log(tr / tl)
+                want.append(float(vl * (mp.mpf(xi) / tl) ** s))
+        np.testing.assert_allclose(fn(x), want, rtol=1e-12)
 
     def test_tail_below_a_subnormal_quotient(self):
         # x / t[0] underflows to 0: the power comes from log x - log t[0]
@@ -423,6 +445,20 @@ class TestIntegration:
         fn = power_table(1.0)
         integ = cumulative_integral(fn, weight_exp=-2.0)
         assert np.isinf(integ(1.0))
+
+    def test_convergent_integral_tends_to_its_total(self):
+        # the integral of t**p t**-2 past the grid converges for p < 1 and
+        # for a constant; its table is bounded, by the integral over (0, inf)
+        for inf_desc, p in [(power_log_desc(0.5), 0.5), (limit_const_desc(1.0), 0.0),
+                            (NUMERIC_DESC, 0.5)]:
+            t = np.array([1.0, 2.0, 4.0])
+            fn = MonotoneFn(t, t ** p, zero_on_interval_desc(1.0), inf_desc)
+            integ = cumulative_integral(fn, weight_exp=-2.0)
+            total = 1.0 / (1.0 - p)
+            assert integ.inf_desc.kind == LIMIT_CONST
+            assert integ.inf_desc.limit == pytest.approx(total, rel=1e-12)
+            assert integ(INF) == integ.value_at_inf == integ.inf_desc.limit
+            assert integ(1e10) <= integ.value_at_inf
 
     def test_ramp_segment_against_closed_form(self):
         # a zero-left segment integrates its linear ramp c (t - a) against t**w:

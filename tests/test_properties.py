@@ -335,17 +335,18 @@ def _evaluation_points(fn):
 def _unscaled_ramp_points(fn, x):
     """The points of x inside a ramp segment (0 at its left node, finite and
     positive at its right) off that node where the product vr (x - tl) is
-    not a normal float: it overflows, or underflows and loses digits; and
-    the divided form vr ((x - tl) / (tr - tl)) at every point."""
+    not a normal float: it overflows, or underflows and loses digits; those
+    where it overflows; and the divided form vr ((x - tl) / (tr - tl)) at
+    every point."""
     t, v = fn.t, fn.v
     if t.size < 2:
-        return np.zeros(x.shape, dtype=bool), x
+        return np.zeros(x.shape, dtype=bool), np.zeros(x.shape, dtype=bool), x
     idx = np.clip(np.searchsorted(t, x, side="right") - 1, 0, t.size - 2)
     tl, tr, vl, vr = t[idx], t[idx + 1], v[idx], v[idx + 1]
     ramp = (x > tl) & (x < tr) & (vl == 0.0) & np.isfinite(vr) & (vr > 0.0)
     rise = vr * (x - tl)
     normal = (rise >= np.finfo(float).tiny) & (rise < INF)
-    return ramp & ~normal, vr * ((x - tl) / (tr - tl))
+    return ramp & ~normal, ramp & np.isinf(rise), vr * ((x - tl) / (tr - tl))
 
 
 @settings(max_examples=300, deadline=None)
@@ -360,7 +361,8 @@ def test_segment_table_evaluation_is_the_mask_per_case_evaluation(fn):
     with np.errstate(all="ignore"):
         x = _evaluation_points(fn)
         want = reference_eval(fn, x)
-        off, divided = _unscaled_ramp_points(fn, x)
+        off, over, divided = _unscaled_ramp_points(fn, x)
+        assert np.isinf(want[over]).all()
         want[off] = divided[off]
         got = fn(x)
         m = x.size // 2

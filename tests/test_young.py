@@ -21,6 +21,7 @@ from orlicalc.monotone import (
     default_grid,
     exp_reciprocal_desc,
     exponential_desc,
+    limit_const_desc,
     power_log_desc,
 )
 from orlicalc.rearrangement import SampledFn
@@ -485,6 +486,25 @@ class TestDominates:
                     false.append((i, j, float(x[~ok][0])))
         assert held == 11
         assert not false
+
+    def test_samples_value_table_names_the_class_of_the_integral(self):
+        # the samples' edge power at infinity is 0, as their last positive
+        # value follows a zero, but A integrates a derivative that is 1 past
+        # the grid, so A is t - 1 there and unbounded
+        A = young_from_values([1.0, 2.0], [0.0, 1.0])
+        assert A.base.inf_desc == power_log_desc(1.0)
+        assert A(INF) == A.base.value_at_inf == INF
+        assert A(1e6) == pytest.approx(1e6 - 1.0, rel=1e-12)
+        v = dominates(A, power_young(1.0), NEAR_INFINITY)
+        assert v.status == HOLDS
+        x = np.geomspace(2.0, 1e12, 200)
+        assert np.all(x <= A(v.witness * x))
+        # a limit-const zero end has a constant derivative below the grid,
+        # so A and its value table are linear there
+        B = young_from_values([1.0, 2.0, 4.0], [1.0, 3.0, 7.0], limit_const_desc(0.0))
+        assert B.base.zero_desc == power_log_desc(1.0)
+        assert B.base(0.5) == pytest.approx(B(0.5), rel=1e-12)
+        assert B(0.5) == pytest.approx(0.5, rel=1e-12)
 
     def test_exponents_an_ulp_apart_are_one_class(self):
         # a conjugate, its transform and an averaged profile bring 4 back
