@@ -37,6 +37,7 @@ from .young import (
     UNDECIDED,
     Verdict,
     YoungFn,
+    _same_exponent,
     dominates,
     fails,
     holds,
@@ -127,7 +128,11 @@ def _strength(X: SpaceDescriptor, collapse: bool):
     if X.family == LAMBDA:
         return 0
     if X.family == LORENTZ_ZYGMUND:
-        return 1
+        # on a power level q against p, as for Lorentz spaces: q = 1 is the
+        # strong endpoint, q = p the Orlicz space, q = inf the weak one
+        if math.isinf(X.p) or X.q == X.p:
+            return 1
+        return (X.q - 1.0) / (X.p - 1.0) if X.q < X.p else 3.0 - 2.0 * X.p / X.q
     if X.family == ORLICZ:
         return 3 if collapse else 1
     if X.family == MARCINKIEWICZ:
@@ -196,7 +201,8 @@ def embeds(X: SpaceDescriptor, Y: SpaceDescriptor) -> Verdict:
         return Verdict(v.status, v.witness, "generator domination: " + v.reason)
 
     # mixed families on one fundamental level: endpoint ordering
-    if _family_comparable(X) and _family_comparable(Y) and same_level(X, Y):
+    if (_family_comparable(X) and _family_comparable(Y) and same_level(X, Y)
+            and _same_profile_class(X, Y)):
         o = _middle_orlicz_generator(X, Y)
         collapse = weak_strong_collapse(o) if o is not None else False
         sx, sy = _strength(X, collapse), _strength(Y, collapse)
@@ -224,6 +230,17 @@ def _same_descriptor(X, Y):
 
 def _family_comparable(X):
     return X.family in (ORLICZ, LAMBDA, MARCINKIEWICZ, LORENTZ_ZYGMUND)
+
+
+def _same_profile_class(X, Y):
+    """Whether the fundamental profiles of X and Y carry one descriptor at
+    0, and at +inf on the half-line: a bounded ratio on a window of the
+    grid does not tell t**(1/2) log(1/t)**(1/2) from t**(1/4)."""
+    fx, fy = fundamental_function(X).phi, fundamental_function(Y).phi
+    ends = [(fx.zero_desc, fy.zero_desc), (fx.inf_desc, fy.inf_desc)]
+    ends = ends[:2 if X.interval == HALFLINE else 1]
+    return all(a.kind == b.kind and all(_same_exponent(getattr(a, key), getattr(b, key))
+                                        for key in ("p", "alpha", "gamma")) for a, b in ends)
 
 
 def _middle_orlicz_generator(X, Y):

@@ -594,7 +594,9 @@ def _power_segment_integral(vl, vr, tl, tr, weight_exp=0.0):
     """Exact integral of the log-log interpolant times t**weight_exp over [tl, tr].
 
     Zero-left segments integrate their linear ramp; segments touching +inf
-    integrate to +inf.
+    integrate to +inf.  Where vr / vl or tr / tl leaves the float range, or
+    vl is subnormal, the slope comes from the logs of the terms, and a
+    rising integrand is integrated from its right end, which carries it.
     """
     vl = np.asarray(vl, dtype=float)
     vr = np.asarray(vr, dtype=float)
@@ -625,14 +627,24 @@ def _power_segment_integral(vl, vr, tl, tr, weight_exp=0.0):
     if pw.any():
         a, b = tl[pw], tr[pw]
         va, vb = vl[pw], vr[pw]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            s = np.where(vb == va, 0.0, np.log(vb / va) / np.log(b / a))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+            log_r = np.log(b / a)
+            s = np.where(vb == va, 0.0, np.log(vb / va) / log_r)
+            far = ~np.isfinite(s * log_r) | (va < _TINY)
+            if far.any():
+                log_r[far] = _log_quotient(b[far], a[far])
+                s[far] = np.where(vb[far] == va[far], 0.0,
+                                  _log_quotient(vb[far], va[far]) / log_r[far])
             e = s + weight_exp + 1.0
-            ratio = b / a
             coef = va * a ** (weight_exp + 1.0)
             res = np.where(np.abs(e) < 1e-12,
-                           coef * np.log(ratio),
-                           coef * (np.exp(e * np.log(ratio)) - 1.0) / np.where(e == 0.0, 1.0, e))
+                           coef * log_r,
+                           coef * (np.exp(e * log_r) - 1.0) / np.where(e == 0.0, 1.0, e))
+            right = far & (e >= 1e-12)
+            if right.any():
+                er = e[right]
+                res[right] = (vb[right] * b[right] ** (weight_exp + 1.0)
+                              * -np.expm1(-er * log_r[right]) / er)
         out[pw] = res
     out[zz] = 0.0
     out[degenerate] = 0.0

@@ -17,9 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .monotone import (INF, _TINY, _cell_integrals, _integral_off_grid, _log_gamma_mass,
+from .monotone import (INF, _cell_integrals, _integral_off_grid, _log_gamma_mass,
                        _power_segment_integral, geometric_grid)
-from .young import QuasiConvexFn
+from .young import QuasiConvexFn, YoungFn
 
 
 @dataclass(frozen=True)
@@ -292,85 +292,58 @@ def maximal(f: SampledFn) -> AveragedDecreasing:
 # -- modulars and norms ------------------------------------------------------
 
 
-def _tail_modular(A: QuasiConvexFn, tail: PowerTail, scales):
-    """Exact integral of A(scale * tail profile) over (0, width), for each
-    of a 1-d array of scales."""
-    # change of variables u = scale * coef * s**-expo:
-    #   integral = (scale*coef)**(1/expo) / expo * int_u0^inf A(u) u**(-1/expo - 1) du
-    # over the segment from u0 to the first node above it, the table's
-    # segments from there on, and the closed form of the table's power-log
-    # extrapolation beyond its last node (beyond u0 where u0 lies past the
-    # table); only the first segment and the closed form depend on the scale
-    w_exp = -1.0 / tail.expo - 1.0
-    t, v = A.base.t, A.base.v
-    c = scales * tail.coef
-    u0 = c * tail.width ** (-tail.expo)
-    vu = A.base(u0)
+def _tail_modular(A: QuasiConvexFn, tail: PowerTail, u0, au0):
+    """The integral of A(scale * tail profile) over (0, width) for each
+    scale of a 1-d array, from the profile's value at the width,
+    u0 = scale * coef * width**-expo, and au0 = A(u0).  Over y = u / u0 it
+    is (width / expo) * integral of A(u0 y) y**(-1/expo - 1) over y > 1,
+    which a quasi-convex table takes as it stands.  A Young function takes
+    it by parts against its derivative a, and so reads the A of the pieces:
+    width * (A(u0) + u0 * integral of a(u0 y) y**(-1/expo) over y > 1).
+    Neither form overflows unless the modular does."""
+    w = -1.0 / tail.expo
+    if isinstance(A, YoungFn):
+        rest = _integral_over_y(A.derivative, u0, w, A.derivative(u0))
+        with np.errstate(over="ignore"):
+            return tail.width * (au0 + u0 * rest)
+    return (tail.width / tail.expo) * _integral_over_y(A.base, u0, w - 1.0, au0)
+
+
+def _integral_over_y(F, u0, w, fu0):
+    """The integral of F(u0 y) y**w over y > 1 for each u0 > 0 of a 1-d
+    array, fu0 = F(u0), where it converges (w < -1), over y, where
+    y**(w + 1) <= 1: from F(u0) to the first node above u0 (the chord, or
+    Gauss-Legendre over log y below a table whose form there has a log
+    factor), F's segments from that node on, each over y from its left
+    node times (node / u0)**(w + 1), and the closed form past the last
+    node.  A row is summed left to right and is 0 between its first part
+    and its first segment, so the batch does not change it."""
+    t, v = F.t, F.v
     k = np.searchsorted(t, u0, side="right")
-    inside = k < t.size
-    kin = k[inside]
-    first = np.zeros_like(u0)
-    first[inside] = _power_segment_integral(vu[inside], v[kin], u0[inside], t[kin], w_exp)
-    beyond = _integral_off_grid(A.base, np.where(inside, t[-1], u0), w_exp, False)
-    inf_from = np.logical_or.accumulate(np.isinf(v)[::-1])[::-1]
-    live = ~np.isinf(vu) & np.isfinite(beyond)
-    live[inside] &= ~inf_from[kin]
-    # a scale's total is the pairwise sum of its own segment and the table's
-    # segments from node k on; buf holds those one place to the right, so
-    # with its entry k - lowest set to the scale's segment, buf[k - lowest:]
-    # is that list
-    lowest = kin.min(initial=t.size - 1)
-    buf = np.concatenate(([0.0], _power_segment_integral(
-        v[lowest:-1], v[lowest + 1:], t[lowest:-1], t[lowest + 1:], w_exp)))
-    out, beyond = np.full_like(u0, INF), beyond.tolist()
-    for i in np.flatnonzero(live).tolist():
-        total = 0.0
-        if inside[i]:
-            j = k[i] - lowest
-            keep, buf[j] = buf[j], first[i]
-            total = float(np.add.reduce(buf[j:]))
-            buf[j] = keep
-        total += beyond[i]
-        try:
-            factor = float(c[i]) ** (1.0 / tail.expo) / tail.expo
-        except OverflowError:  # a large scale, where the modular need not overflow
-            factor = INF
-        out[i] = factor * total
-        if factor == INF or (inside[i] and not (factor >= _TINY and math.isfinite(out[i]))):
-            # the factor overflows, or at a small scale the segments overflow
-            # and the factor underflows (or is subnormal); u = u0 * y folds
-            # it in, as factor * u0**(w_exp + 1) = width / expo, with the
-            # part past the table over y from the closed form where u0 is
-            # large, else from beyond in logs
-            end = max(float(u0[i]), t[-1])
-            with np.errstate(over="ignore"):
-                rest = (float(_integral_off_grid(A.base, [end], w_exp, False, per_x=True)[0]
-                              * np.float64(end / u0[i]) ** (w_exp + 1.0)) if factor == INF
-                        else float(np.exp(math.log(beyond[i]) - (w_exp + 1.0) * math.log(u0[i])))
-                        if beyond[i] > 0.0 else 0.0)
-            if inside[i]:
-                rest = _tail_integral_over_u0(A.base, u0[i], vu[i], k[i], rest, w_exp)
-            out[i] = (tail.width / tail.expo) * rest
-    return out
-
-
-def _tail_integral_over_u0(base, u0, vu, k, rest, w):
-    """The integral of F(u0 y) y**w over y > 1, for u0 below node k of F:
-    the chord from (u0, vu) to node k and the table's segments from there
-    on, each over y = u / u0, where y**(w + 1) <= 1 cannot overflow, plus
-    ``rest``, the part past the last node, already over y."""
-    t, v = base.t[k:], base.v[k:]
-    y = t / u0
-    if vu >= _TINY or v[0] == 0.0:
-        first = float(_power_segment_integral(vu, v[0], 1.0, y[0], w))
-    else:
-        # a subnormal or underflowed vu: vu (y0**e - 1) / e anchored at the
-        # node, v0 y0**(w + 1) = vu y0**e, with the chord's slope in logs
-        with np.errstate(divide="ignore"):
-            e = (math.log(v[0]) - float(np.log(vu))) / math.log(y[0]) + (w + 1.0)
-        first = (v[0] * y[0] ** (w + 1.0) - vu) / e
-    return float(np.add.reduce(np.concatenate((
-        [first], _power_segment_integral(v[:-1], v[1:], y[:-1], y[1:], w))))) + rest
+    lo, inside = min(int(k.min()), t.size - 1), k < t.size
+    ki, first, end = k[inside], np.zeros_like(u0), np.maximum(u0, t[-1])
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        seg = _power_segment_integral(  # the first parts and the segments
+            np.append(fu0[inside], v[lo:-1]), np.append(v[ki], v[lo + 1:]),
+            np.ones(ki.size + t.size - 1 - lo),
+            np.append(t[ki] / u0[inside], t[lo + 1:] / t[lo:-1]), w)
+        first[inside] = seg[:ki.size]
+        cols = np.where(np.arange(lo, t.size - 1) >= k[:, None],
+                        seg[ki.size:] * (t[lo:-1] / u0[:, None]) ** (w + 1.0), 0.0)
+        head, form = np.flatnonzero(k == 0), F.power_log_form(True)
+        if head.size and form is not None and form[1] != 0.0:
+            p, alpha, _, slope, _ = form
+            e, top = p + w + 1.0, np.log(t[0] / u0[head])
+            reach = 50.0 / abs(e) if e else INF  # e**(e x) within e**-50 of its peak
+            first[head] = _cell_integrals(
+                np.maximum(top - reach, 0.0) if e > 0 else 0.0 * top,
+                top if e > 0 else np.minimum(top, reach), abs(e) + abs(alpha * slope),
+                lambda x, i: F(u0[head][i] * np.exp(x)) * np.exp((w + 1.0) * x))
+        past = _integral_off_grid(F, end, w, False, per_x=True) * (end / u0) ** (w + 1.0)
+        total = np.cumsum(np.column_stack((first, cols, past)), axis=1)[:, -1]
+    # NaN comes only from an infinite segment times an underflowed y**(w + 1)
+    total[np.isnan(total)] = INF
+    return total
 
 
 def modular(f: SampledFn, A: QuasiConvexFn, scale=1.0):
@@ -384,16 +357,22 @@ def modular(f: SampledFn, A: QuasiConvexFn, scale=1.0):
     scales = np.atleast_1d(arr)
     total = np.zeros(scales.shape)
     if not f.is_zero:
-        live = np.ones(scales.shape, dtype=bool)
-        if f.values.size:
-            x = np.multiply.outer(scales, f.values)
-            av = A(x)
-            live = ~np.isinf(av).any(axis=1)
-            total[~live] = INF
+        n, tail = f.values.size, f.tail
+        x = np.multiply.outer(scales, f.values)
+        if tail is not None:
+            # the tail's profile at its width, whose A comes from the same call
+            u0 = scales * tail.coef * tail.width ** (-tail.expo)
+            x = np.column_stack((x, u0))
+        av = A(x)
+        live = ~np.isinf(av).any(axis=1)
+        total[~live] = INF
+        if n:
             # a running sum keeps the left-to-right order of the pieces
-            total[live] = np.cumsum(av[live] * f.widths, axis=1)[:, -1]
-        if f.tail is not None and live.any():
-            total[live] += _tail_modular(A, f.tail, scales[live])
+            total[live] = np.cumsum(av[live, :n] * f.widths, axis=1)[:, -1]
+        if tail is not None:
+            on = live & (u0 > 0.0)  # a profile that underflows to 0 adds 0
+            if on.any():
+                total[on] += _tail_modular(A, tail, u0[on], av[on, n])
     return float(total[0]) if arr.ndim == 0 else total
 
 

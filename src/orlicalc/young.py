@@ -117,8 +117,8 @@ class YoungFn(QuasiConvexFn):
     """A convex Young function, defined by its non-decreasing derivative:
     A(x) is the integral of ``derivative`` over (0, x], exact per segment.
     ``base``, the value table, caches that integral on the derivative's
-    nodes; its log-log interpolant ``A.base(x)`` is what the growth scans,
-    the inverse tables and the tail modular read."""
+    nodes; its log-log interpolant ``A.base(x)`` is what the growth scans
+    and the inverse tables read."""
 
     def __init__(self, base: MonotoneFn, derivative: MonotoneFn, recipe=None):
         super().__init__(base, validate=False)
@@ -821,15 +821,18 @@ def dominates(A: QuasiConvexFn, B: QuasiConvexFn, regime=GLOBAL) -> Verdict:
 
     Each tail regime compares the descriptors, and a ``holds`` there takes
     the larger of its constant and the one a search over dyadic dilations
-    finds on the outer two decades of B's grid; the global regime also
-    searches the whole grid, and is ``undecided`` where that finds none.
+    finds on the outer two decades of B's grid.  The global regime takes
+    the descriptors' verdicts and one search of the whole grid, and is
+    ``undecided`` where that finds no constant.
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
     a, b = A.base, B.base
     if regime == GLOBAL:
-        low = dominates(A, B, NEAR_ZERO)
-        high = dominates(A, B, NEAR_INFINITY)
+        # the search over B's whole grid finds a constant no smaller than
+        # the ones the tail regimes' windows, parts of that grid, refine to
+        low = _symbolic_dominates_zero(b.zero_desc, a.zero_desc)
+        high = _symbolic_dominates_inf(b.inf_desc, a.inf_desc)
         if low.status == FAILS or high.status == FAILS:
             return fails(reason="tail regime fails")
         mid = _dilation_search(a, b, b.t)
@@ -959,8 +962,9 @@ def young_to_json(A: QuasiConvexFn) -> dict:
     a set of convex samples (:func:`young_from_values`).  All of these
     except ``grid`` are optional on input: an absent descriptor is
     ``numeric-only`` and an absent boundary value takes the table's
-    default.  In the returned dict the grid rows are tuples, which the
-    garbage collector stops tracking, unlike lists.
+    default, except that a value table with a derivative table takes the
+    derivative integral's.  In the returned dict the grid rows are tuples,
+    which the garbage collector stops tracking, unlike lists.
     """
     recipe = getattr(A, "recipe", None) or {"class": "table"}
     cls = recipe.get("class")
@@ -1016,9 +1020,10 @@ def young_from_json(obj: dict) -> YoungFn:
         if i < max(table.t.size, t.size):
             raise ValueError(f"grid is not the integral of derivative_grid on its "
                              f"nodes at t={np.append(table.t, t[n:])[i]:.6g}")
-        base = MonotoneFn(t, v, table.zero_desc, table.inf_desc,
-                          value_at_zero=table.value_at_zero,
-                          value_at_inf=table.value_at_inf, validate=False)
+        # an absent descriptor or end value is the derivative integral's
+        ends = {key: getattr(table if key in obj else A.base, key)
+                for key in ("zero_desc", "inf_desc", "value_at_zero", "value_at_inf")}
+        base = MonotoneFn(t, v, validate=False, **ends)
         return YoungFn(base, A.derivative)
     raise ValueError(f"unknown function class {cls!r}")
 

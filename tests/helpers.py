@@ -6,12 +6,14 @@ import numpy as np
 
 from scipy import special
 
+import mpmath as mp
+
 from orlicalc.monotone import (
-    INF, MonotoneFn, NUMERIC_DESC, _integral_off_grid, _log_mass_from_end,
-    _power_segment_integral, geometric_grid)
+    EXPONENTIAL, INF, INFINITE_BEYOND, ZERO_ON_INTERVAL, MonotoneFn, NUMERIC_DESC,
+    _integral_off_grid, _log_mass_from_end, _power_segment_integral, geometric_grid)
 from orlicalc.operators import _BLOCK, _exp_weight_cutoffs, _exp_weight_tail
 from orlicalc.diagonality import _outer_chunks, build_gw
-from orlicalc.rearrangement import lambda_norm, maximal, modular, rearrange
+from orlicalc.rearrangement import SampledFn, lambda_norm, maximal, modular, rearrange
 from orlicalc.young import _desc_to_json, _num_to_json
 
 
@@ -278,59 +280,94 @@ def sequential_least_admissible_scale(ok, start, rel_tol):
     return b
 
 
-def scalar_tail_modular(A, tail, scale):
-    """Integral of A(scale * tail profile) over (0, width) at one scale: the
-    table's segments from u0 on, then the closed form beyond them, times
-    (scale * coef)**(1 / expo) / expo.  Where that factor is not a normal
-    float or the product is not finite, the same integral over y = u / u0
-    times width / expo; where the factor overflows, the closed form beyond
-    the table over y too."""
-    c = scale * tail.coef
-    u0 = c * tail.width ** (-tail.expo)
-    w_exp = -1.0 / tail.expo - 1.0
-    base = A.base
-    t = base.t[base.t > u0]
-    pts = np.concatenate(([u0], t))
-    vals = A.base(pts)
-    if np.isinf(vals).any():
-        return INF
-    seg = _power_segment_integral(vals[:-1], vals[1:], pts[:-1], pts[1:], w_exp)
-    total = float(np.sum(seg))
-    beyond = _integral_off_grid(base, pts[-1:], w_exp, False)[0]
-    if np.isinf(beyond):
-        return INF
-    total += beyond
-    try:
-        factor = c ** (1.0 / tail.expo) / tail.expo
-    except OverflowError:
-        factor = INF
-    with np.errstate(invalid="ignore", over="ignore"):
-        out = factor * total
-    if factor == INF or (t.size and not (factor >= np.finfo(float).tiny and math.isfinite(out))):
-        with np.errstate(over="ignore"):
-            rest = (float(_integral_off_grid(base, pts[-1:], w_exp, False, per_x=True)[0]
-                          * np.float64(pts[-1] / u0) ** (w_exp + 1.0)) if factor == INF
-                    else float(np.exp(math.log(beyond) - (w_exp + 1.0) * math.log(u0)))
-                    if beyond > 0.0 else 0.0)
-        if t.size:
-            y = pts / u0
-            vu, v0 = vals[0], vals[1]
-            if vu >= np.finfo(float).tiny or v0 == 0.0:
-                first = float(_power_segment_integral(vu, v0, 1.0, y[1], w_exp))
-            else:
-                # the chord from a subnormal vu, anchored at the node
-                with np.errstate(divide="ignore"):
-                    slope = (math.log(v0) - float(np.log(vu))) / math.log(y[1])
-                first = (v0 * y[1] ** (w_exp + 1.0) - vu) / (slope + (w_exp + 1.0))
-            seg = _power_segment_integral(vals[1:-1], vals[2:], y[1:-1], y[2:], w_exp)
-            rest = float(np.sum(np.concatenate(([first], seg)))) + rest
-        out = (tail.width / tail.expo) * rest
-    return out
+def reference_tail_modular(A, tail, scale, dps=40, a_u0=None):
+    """The modular of the tail alone at one scale, at ``dps`` digits, by
+    parts on the exact A.  With u0 = scale * coef * width**-expo it is
+    width * (A(u0) + u0**(1/expo) * integral of a(u) u**(-1/expo) over
+    u > u0) for a Young function with derivative a, A(u0) being the
+    integral of a over (0, u0), or ``a_u0`` where that is given;
+    (width / expo) * u0**(1/expo) times the integral of F(u)
+    u**(-1/expo - 1) over u > u0 for a quasi-convex table F.  See
+    :func:`mp_table_integral` for how each integral is taken."""
+    with mp.workdps(dps):
+        e = mp.mpf(tail.expo)
+        u0 = mp.mpf(scale) * tail.coef * mp.mpf(tail.width) ** -e
+        if hasattr(A, "derivative"):
+            a = A.derivative
+            head = mp_table_integral(a, 0, u0, 0) if a_u0 is None else mp.mpf(a_u0)
+            return tail.width * (head + u0 ** (1 / e) * mp_table_integral(a, u0, mp.inf, -1 / e))
+        return tail.width / e * u0 ** (1 / e) * mp_table_integral(
+            A.base, u0, mp.inf, -1 / e - 1)
+
+
+def mp_table_integral(fn, lo, hi, w):
+    """The integral of F(u) u**w over (lo, hi) at the working precision, for
+    a MonotoneFn F: each log-log segment of the table in closed form (a
+    zero-left ramp by quadrature), and off the table the descriptor's
+    power-log form (:meth:`MonotoneFn.power_log_form`) by quadrature in
+    log u; +inf where an infinite value or an exponential end is reached."""
+    t = [mp.mpf(x) for x in fn.t.tolist()]
+    v = fn.v.tolist()
+    lo, hi, w = mp.mpf(lo), mp.mpf(hi), mp.mpf(w)
+    total = mp.mpf(0)
+    if lo < t[0] and fn.zero_desc.kind != ZERO_ON_INTERVAL:
+        total += _mp_off_grid(fn, True, lo, min(hi, t[0]), w)
+    for i in range(len(t) - 1):
+        a, b = max(lo, t[i]), min(hi, t[i + 1])
+        if a >= b or v[i + 1] == 0.0:
+            continue
+        if math.isinf(v[i + 1]):
+            return mp.inf
+        vl, vr = mp.mpf(v[i]), mp.mpf(v[i + 1])
+        if vl == 0:
+            total += mp.quad(lambda u: vr * (u - t[i]) / (t[i + 1] - t[i]) * u ** w, [a, b])
+            continue
+        s = mp.log(vr / vl) / mp.log(t[i + 1] / t[i])
+        k = s + w + 1
+        total += vl * t[i] ** -s * (mp.log(b / a) if k == 0 else (b ** k - a ** k) / k)
+    if hi > t[-1]:
+        d = fn.inf_desc
+        if math.isinf(v[-1]) or d.kind in (EXPONENTIAL, INFINITE_BEYOND):
+            return mp.inf
+        total += _mp_off_grid(fn, False, max(lo, t[-1]), hi, w)
+    return total
+
+
+def _mp_off_grid(fn, zero_side, lo, hi, w):
+    """The integral of F(u) u**w over (lo, hi) off the table, where F is
+    va (u / anchor)**p m**alpha, m = 1 + slope x, x = log(u / anchor): the
+    integral of e**(k x) m**alpha over x, k = p + w + 1.  Without a log
+    factor that is (e**(k x1) - e**(k x0)) / k; with one and c = -k / slope
+    > 0 it is e**c c**(-alpha - 1) / |slope| times the incomplete gamma of
+    alpha + 1 between c m at the two ends.  A finite range where c < 0 is
+    integrated by quadrature split at 1, 2, 4, ... units of 1 / |k| from
+    the end where e**(k x) peaks."""
+    form = fn.power_log_form(zero_side)
+    if form is None:
+        return mp.mpf(0)
+    p, alpha, anchor, slope, va = (mp.mpf(x) for x in form)
+    k = p + w + 1
+    x0 = mp.log(lo / anchor) if lo > 0 else -mp.inf
+    x1 = mp.log(hi / anchor) if hi < mp.inf else mp.inf
+    c = -k / slope
+    if alpha == 0:
+        part = x1 - x0 if k == 0 else (mp.exp(k * x1) - mp.exp(k * x0)) / k
+    elif c > 0:
+        m = sorted(c * (1 + slope * x) for x in (x0, x1))
+        part = mp.exp(c) * c ** (-alpha - 1) * mp.gammainc(alpha + 1, *m) / abs(slope)
+    elif mp.isfinite(x0) and mp.isfinite(x1):
+        peak, step = (x1, -1) if k > 0 else (x0, 1)
+        pts = [peak + step * 2 ** j / max(abs(k), 1) for j in range(16)]
+        part = mp.quad(lambda x: mp.exp(k * x) * (1 + slope * x) ** alpha,
+                       sorted([x0, x1] + [x for x in pts if x0 < x < x1]))
+    else:
+        return mp.inf
+    return va * anchor ** (w + 1) * part
 
 
 def scalar_modular(f, A, scale=1.0):
     """The modular at one scale: a running sum over the pieces in order,
-    plus the tail."""
+    plus the tail, as the tail alone gives it at that scale."""
     if f.is_zero:
         return 0.0
     total = 0.0
@@ -341,7 +378,7 @@ def scalar_modular(f, A, scale=1.0):
             return INF
         total = float(np.cumsum(av * widths)[-1])
     if f.tail is not None:
-        total += scalar_tail_modular(A, f.tail, scale)
+        total += modular(SampledFn([], tail=f.tail), A, scale)
     return total
 
 

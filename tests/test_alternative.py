@@ -30,6 +30,7 @@ from orlicalc.young import (
     _table_to_json,
     exp_young,
     linfty_young,
+    power_log_young,
     power_young,
     young_from_json,
 )
@@ -87,6 +88,51 @@ class TestEmbeds:
         mid = SpaceDescriptor(ORLICZ, UNIT, generator=A)
         assert embeds(mid, weak).status == HOLDS
         assert embeds(weak, mid).status == FAILS
+
+
+class TestSharedLevels:
+    """Mixed families on one fundamental level, and the rules that reach no
+    level at all."""
+
+    def lz(self, p, q, alpha):
+        return SpaceDescriptor(LORENTZ_ZYGMUND, UNIT, p=p, q=q, alpha=alpha)
+
+    def test_a_bounded_ratio_on_a_window_is_not_a_shared_level(self):
+        # t**(1/2) (1 - log t)**(1/2) against t**(1/4) and t**(1/3) stays
+        # within a factor 16 on (1e-6, 1), but the profiles' classes at 0
+        # differ: f = t**-0.4 lies in L^{2,2;1/2} and not in L^{4,2} or L^3
+        X = self.lz(2.0, 2.0, 0.5)
+        for Y in (self.lz(4.0, 2.0, 0.0),
+                  SpaceDescriptor(ORLICZ, UNIT, generator=power_young(3.0))):
+            assert same_level(X, Y)
+            assert embeds(X, Y).status != HOLDS
+
+    def test_lorentz_zygmund_spaces_sit_by_their_second_index(self):
+        # L^{2,2;1/2} is L^2 (log L)^1, the Orlicz space of its level; a
+        # second index below 2 gives a smaller space, one above a larger one
+        for q, domain, target in ((1.0, NO_OPTIMAL, OPTIMAL), (2.0, OPTIMAL, OPTIMAL),
+                                  (4.0, OPTIMAL, NO_OPTIMAL)):
+            X = self.lz(2.0, q, 0.5)
+            assert principal_alternative_domain(X).result == domain, q
+            assert principal_alternative_target(X).result == target, q
+
+    def test_same_family_generators(self):
+        # t**2 log t dominates t**2 near infinity: on the unit interval the
+        # Orlicz space of the first embeds into that of the second
+        X, Y = (SpaceDescriptor(ORLICZ, UNIT, generator=g)
+                for g in (power_log_young(2.0, 0.0, 1.0), power_young(2.0)))
+        v = embeds(X, Y)
+        assert v.status == HOLDS and v.reason.startswith("generator domination")
+        assert embeds(Y, X).status == FAILS
+
+    def test_fundamental_refuter(self):
+        # no level is shared and no family rule applies: L^1's profile t
+        # falls below any multiple of t**(1/8) near 0, so L^1 is not in
+        # L^{8,2}
+        X = SpaceDescriptor(LAMBDA, UNIT, generator=power_young(1.0))
+        v = embeds(X, self.lz(8.0, 2.0, 0.0))
+        assert (v.status, v.witness) == (FAILS, 1e-7)
+        assert v.reason == "target profile exceeds any multiple of the domain profile"
 
 
 class TestPrincipalAlternative:

@@ -150,6 +150,29 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out)["outcome"]["result"] == "no-optimal"
 
+    def test_sobolev_target_without_a_power_descriptor(self):
+        # L^inf's profile is flat, a limit-const end: the contraction is
+        # searched over sigma = 2**-k, and no constant below 1 exists
+        code, out = run(["--json", "sobolev", "target", "--space",
+                         '{"family":"lebesgue","params":{"p":"inf"}}', "--m", "1", "--n", "3"])
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["outcome"]["condition"] == {
+            "reason": "no contraction constant found on the sigma grid",
+            "status": "undecided", "witness": None}
+
+    def test_laplace_sufficient_holds(self):
+        # t**1.5 doubles with a sub-quadratic profile: the condition holds
+        # and the report carries the target's table, which loads back
+        code, out = run(["--json", "laplace", "sufficient", "--young",
+                         '{"class":"power-log","p":1.5}'])
+        assert code == 0
+        payload = json.loads(out)["outcome"]
+        assert payload["verdict"]["status"] == "holds"
+        assert payload["verdict"]["reason"] == "doubling with sub-quadratic profile"
+        assert payload["verdict"]["witness"] == pytest.approx(3.0 * 2.0 ** 0.5, rel=1e-12)
+        assert young_from_json(payload["target"]).recipe == {"class": "table"}
+
     def test_diag(self):
         code, out = run(["--json", "diag", "--space",
                          '{"family":"lorentz","params":{"p":3,"q":2}}'])

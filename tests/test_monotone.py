@@ -478,6 +478,34 @@ class TestIntegration:
         got = _power_segment_integral([0.0], [1.0], [1e-200], [2e-200], -4.33)
         assert got.tolist() == [INF]
 
+    def test_segments_whose_ratios_leave_the_floats(self):
+        # vr / vl = 1e400 gave the slope inf and the integral NaN; the
+        # slope now comes from logs and the rising integrand from its right
+        # end.  The references are 40-digit closed forms
+        fn = MonotoneFn([1.0, 2.0], [1e-200, 1e200], power_log_desc(0.0), power_log_desc(0.0))
+        assert cumulative_integral(fn).v[1] == pytest.approx(1.50401809192068e197, rel=1e-13)
+        with mp.workdps(40):
+            def closed(vl, vr, a, b, w):
+                vl, vr, a, b = (mp.mpf(x) for x in (vl, vr, a, b))
+                s = mp.log(vr / vl) / mp.log(b / a)
+                k = s + w + 1
+                return float(vl * a ** -s * (b ** k - a ** k) / k)
+
+            # tr / tl = 1e400, a subnormal left value, and a falling one
+            for case in [(1.0, 2.0, 1e-200, 1e200, 0.0), (5e-320, 1e-300, 1.0, 1e10, -0.5),
+                         (1e-310, 1.0, 1.0, 4.0, -2.0), (1e300, 1e-10, 1.0, 1e10, -0.5)]:
+                got = _power_segment_integral(*([x] for x in case[:4]), case[4])[0]
+                assert got == pytest.approx(closed(*case), rel=1e-12), case
+        # segments whose ratios are floats keep their floats bit for bit
+        vl, vr = np.array([1.0, 3.0, 0.5]), np.array([2.0, 30.0, 0.5])
+        a, b = np.array([1.0, 2.0, 5.0]), np.array([2.0, 9.0, 6.0])
+        for w in (0.0, -2.5):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                s = np.where(vr == vl, 0.0, np.log(vr / vl) / np.log(b / a))
+            e = s + w + 1.0
+            want = vl * a ** (w + 1.0) * (np.exp(e * np.log(b / a)) - 1.0) / e
+            assert np.array_equal(_power_segment_integral(vl, vr, a, b, w), want)
+
 
 ZERO_KINDS = ("power-log", "log-critical", "numeric-only", "limit-const",
               "exp-reciprocal", "zero-on-interval", "zero-first-node")

@@ -35,6 +35,7 @@ from orlicalc.young import (
     power_log_young,
     power_young,
     young_from_derivative,
+    young_from_values,
     youngify,
 )
 
@@ -43,6 +44,7 @@ from helpers import (
     loop_lambda_tail,
     loop_marcinkiewicz,
     pointwise_average,
+    reference_tail_modular,
     scalar_modular,
     sequential_least_admissible_scale,
     sequential_luxemburg_norm,
@@ -522,10 +524,10 @@ class TestBatchedLuxemburg:
             pytest.approx(c ** 2 * 0.01 ** 0.94 / 0.94, rel=1e-12)
 
     def test_tail_at_small_scales(self):
-        # at these scales the first tail segment overflows while
-        # (scale * coef)**(1 / expo) underflows (inf from 1e-63, nan from
-        # 1e-100 without the folded factor); the doubling search for a norm
-        # near 1e100 overshoots into that range
+        # at these scales the tail's integral over u overflows while
+        # (scale * coef)**(1 / expo) underflows (it read inf from 1e-63, nan
+        # from 1e-100); over y = u / u0 neither does.  The doubling search
+        # for a norm near 1e100 overshoots into that range
         A = power_young(2.0)
         f = SampledFn([(1.0, 0.5)], tail=PowerTail(3.0, 0.2, 0.1))
         m = modular(f, A, 1.0)
@@ -552,23 +554,24 @@ class TestBatchedLuxemburg:
             assert (got > 0.0).all()
 
     def test_tail_at_large_scales_against_a_quadrature(self):
-        # where the factor overflows, width / expo times an mpmath quad of
-        # A.base(u0 y) y**w over y > 1, split at the table's nodes: u0 inside
-        # the table (1e7) and past it (1e9), for power-log generators and a
-        # numeric-only table with the same tail
+        # the tail against the 40-digit modular on the exact A, by parts
+        # over the derivative's segments and its closed form past them:
+        # u0 inside the table (1e7) and past it (1e9), for power-log
+        # generators and a numeric-only table with the same tail.  Past the
+        # derivative's last node, A with a log factor is the integral over a
+        # 16-per-decade extension grid, which the pieces read as well: there
+        # the reference takes that A(u0)
         tail = PowerTail(1.0, 0.02, 0.01)
-        f, w = SampledFn([], tail=tail), -1.0 / tail.expo - 1.0
+        f = SampledFn([], tail=tail)
         t = np.geomspace(1e-4, 1e8, 257)
         for A in (power_log_young(1.3, 0.0, 0.5),
                   power_log_young(2.0, alpha_zero=0.7, alpha_inf=-0.5),
                   young_from_derivative(MonotoneFn(t, t ** 1.3))):
             for s in (1e7, 1e9):
                 u0 = s * tail.coef * tail.width ** -tail.expo
-                ys = [1.0] + (A.base.t[A.base.t > u0] / u0).tolist() + [mp.inf]
-                with mp.workdps(25):
-                    want = mp.quad(lambda y: float(A.base(float(u0 * y))) * y ** w, ys)
-                assert modular(f, A, s) == pytest.approx(
-                    float(want) * tail.width / tail.expo, rel=1e-12)
+                log_factor = A.derivative.inf_desc.alpha != 0.0 and u0 > A.derivative.t[-1]
+                want = reference_tail_modular(A, tail, s, a_u0=A(u0) if log_factor else None)
+                assert modular(f, A, s) == pytest.approx(float(want), rel=1e-12)
         # exp(1) grows faster than any power of y: the integral diverges
         assert (modular(f, exp_young(1.0), np.array([1e7, 1e9])) == INF).all()
 
@@ -589,40 +592,51 @@ class TestBatchedLuxemburg:
 
     def test_near_critical_tail_norm(self):
         # the tail profile 2 s**-0.39 against A ~ t**2.5 log t: beyond the
-        # table A(u) u**(-1 / 0.39 - 1) decays like u**-1.064 log u; the
-        # part past 1e30 times the last node, 3% of the integral beyond the
-        # table, was taken without its log factor, which left that integral
-        # 5.5e-3 low and the norm at 25.0714.  The reference modular
-        # integrates the value table's log-log segments and the closed form
-        # beyond them at 40 digits, and brackets 1 at the norm
+        # table A(u) u**(-1 / 0.39 - 1) decays like u**-1.064 log u, so most
+        # of the tail's modular lies past the last node.  It once read the
+        # value table's extrapolation there, whose log factor is anchored at
+        # the last node and sits up to 2% off the integral of the
+        # derivative, which left the norm at 25.1067.  The reference
+        # modular is the 40-digit one on the exact A, and brackets 1 at the
+        # norm
         A = power_log_young(2.5, alpha_zero=0.0, alpha_inf=1.0)
         tail = PowerTail(2.0, 0.39, 0.01)
         f = SampledFn([[1.0, 0.4]], tail=tail)
         lam = luxemburg_norm(f, A)
-        t, v = A.base.t, A.base.v
-        w = -1.0 / tail.expo - 1.0
 
         def reference_modular(scale):
-            with mp.workdps(40):
-                c = mp.mpf(scale) * tail.coef
-                u0 = c * mp.mpf(tail.width) ** -tail.expo
-                k = int(np.searchsorted(t, float(u0), side="right"))
-                total = mp.mpf(0)
-                for i in range(k - 1, t.size - 1):
-                    a, b = mp.mpf(t[i]), mp.mpf(t[i + 1])
-                    s = mp.log(mp.mpf(v[i + 1]) / v[i]) / mp.log(b / a)
-                    lo = max(a, u0)
-                    total += v[i] * a ** -s * (b ** (s + w + 1) - lo ** (s + w + 1)) / (s + w + 1)
-                # beyond the last node tN: vN (u / tN)**2.5 (log u / log tN)
-                tn, vn = mp.mpf(t[-1]), mp.mpf(v[-1])
-                kk, e = 1 / mp.log(tn), -(2.5 + w + 1)
-                total += vn * tn ** (w + 1) / kk * mp.exp(e / kk) * (kk / e) ** 2 \
-                    * mp.gammainc(2, e / kk)
-                return 0.4 * A(float(scale)) + float(c ** (1 / mp.mpf(tail.expo)) / tail.expo * total)
+            return 0.4 * A(scale) + float(reference_tail_modular(A, tail, scale))
 
-        assert lam == pytest.approx(25.1067, rel=1e-5)
+        assert lam == pytest.approx(25.16488, rel=1e-5)
         assert reference_modular(1.0 / (lam * (1 + 1e-8))) <= 1.0 <= \
             reference_modular(1.0 / (lam * (1 - 1e-8)))
+
+    def test_tail_against_the_exact_a(self):
+        # Young functions by parts on the exact A, a quasi-convex table on
+        # its own log-log segments, against the 40-digit reference: pure
+        # powers, log factors at either end (below the table, where the
+        # chord from F(u0) is not F, and past it), the samples of t**2 and a
+        # coarse derivative table, with u0 from below the first node to past
+        # the last.  Past the derivative's last node a log factor's A is
+        # the extension grid's, which the reference takes (see above)
+        t7 = np.array([1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0])
+        q = np.geomspace(1e-3, 1e3, 61)
+        gens = [power_young(1.3), power_log_young(2.0, 0.0, 1.0),
+                power_log_young(2.0, -1.0, 0.5),
+                young_from_values([1.0, 2.0, 4.0, 8.0], [1.0, 4.0, 16.0, 64.0]),
+                young_from_derivative(MonotoneFn(t7, np.array([0.1, 0.2, 1.0, 1.5, 4.0, 5.0, 9.0]))),
+                QuasiConvexFn(MonotoneFn(q, q ** 1.7))]
+        scales = [1e-100, 1e-30, 1e-5, 0.5, 2.0, 1e3, 1e9]
+        for tail in (PowerTail(1.0, 0.3, 0.5), PowerTail(2.0, 0.02, 0.01)):
+            f = SampledFn([], tail=tail)
+            for A in gens:
+                got = modular(f, A, np.array(scales))
+                for s, m in zip(scales, got.tolist()):
+                    u0 = s * tail.coef * tail.width ** -tail.expo
+                    a = getattr(A, "derivative", None)
+                    past = a is not None and a.inf_desc.alpha != 0.0 and u0 > a.t[-1]
+                    want = reference_tail_modular(A, tail, s, a_u0=A(u0) if past else None)
+                    assert m == pytest.approx(float(want), rel=1e-12), (getattr(A, "recipe", None), tail, s)
 
     def test_zero_function_at_many_scales(self):
         got = modular(SampledFn([(0.0, 1.0)]), power_young(2.0), np.array([0.5, 2.0]))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from orlicalc.diagonality import construct_witness_young
+import orlicalc.young as young_mod
 from orlicalc.monotone import (
     GLOBAL,
     INF,
@@ -29,6 +30,7 @@ from orlicalc.young import (
     FAILS,
     HOLDS,
     IntegralDiverges,
+    UNDECIDED,
     QuasiConvexFn,
     YoungFn,
     _symbolic_dominates_inf,
@@ -405,8 +407,51 @@ class TestGrowthConditions:
         assert delta2(L, NEAR_INFINITY).status == FAILS
         assert nabla2(L, NEAR_INFINITY).status == HOLDS
 
+    def test_nabla2_global_scans_the_grid(self):
+        # the global regime takes both tails' verdicts and the scan of the
+        # whole grid for a dyadic c with A(c t) >= 2 c A(t): c = 4 for t**2
+        # (c = 2 meets it with equality, which rounding may miss)
+        v = nabla2(power_young(2.0))
+        assert (v.status, v.witness) == (HOLDS, 4.0)
+        assert nabla2(power_young(1.0)).status == FAILS
+        # a linear table has no such c on its grid
+        t = np.geomspace(1e-2, 1e2, 9)
+        assert young_mod._reverse_scan(MonotoneFn(t, t), t).status == UNDECIDED
+        assert young_mod._reverse_scan(MonotoneFn(t, np.zeros_like(t)), t).status == HOLDS
+
 
 class TestDominates:
+    def test_global_regime_searches_once(self, monkeypatch):
+        # the tail regimes' windows lie inside B's grid, where the least
+        # dyadic K is no smaller: the global verdict takes the descriptors'
+        # verdicts and one search of the whole grid
+        calls = []
+        real = young_mod._dilation_search
+
+        def counted(a, b, window, *args):
+            calls.append(window.size)
+            return real(a, b, window, *args)
+
+        monkeypatch.setattr(young_mod, "_dilation_search", counted)
+        gens = [power_young(2.0), power_young(3.0), power_log_young(2.0, alpha_inf=1.0),
+                exp_young(1.0), linfty_young(2.0)]
+        for A in gens:
+            for B in gens:
+                calls.clear()
+                v = dominates(A, B)
+                searched = len(calls)
+                low, high = dominates(A, B, NEAR_ZERO), dominates(A, B, NEAR_INFINITY)
+                tail_fails = FAILS in (low.status, high.status)
+                assert searched == (0 if tail_fails else 1)
+                assert (v.status == FAILS) if tail_fails else v.status != FAILS
+                if v.status == HOLDS:
+                    assert v.witness >= max(low.witness, high.witness)
+        calls.clear()
+        B = power_young(2.0, coef=3.0)
+        v = dominates(power_young(2.0), B)
+        assert (v.status, v.witness) == (HOLDS, 2.0)
+        assert calls == [B.base.t.size]
+
     def test_power_order_near_infinity(self):
         A3, A2 = power_young(3.0), power_young(2.0)
         assert dominates(A3, A2, NEAR_INFINITY).status == HOLDS
@@ -619,12 +664,20 @@ class TestWireFormat:
         assert np.array_equal(B(x), old(x))
         assert B(0.5) == pytest.approx(0.25, rel=1e-12)
 
-        # a flat numeric-only table still keeps its value at zero, while
-        # A itself is the integral of the constant derivative
+        # a value table given with its derivative takes the class of the
+        # derivative's integral where it names none: A(x) = 2x, not the
+        # flat power of the one-node value table
         C = young_from_json({"class": "table", "grid": [[1.0, 2.0]],
                              "derivative_grid": [[1.0, 2.0]]})
-        assert C.base(1e-3) == 2.0
+        assert C.base(1e-3) == pytest.approx(2e-3, rel=1e-15)
         assert C(1e-3) == 2e-3
+        assert C.base.zero_desc == C.base.inf_desc == power_log_desc(1.0)
+        assert dominates(power_young(1.0), C, NEAR_ZERO).status == HOLDS
+        # a descriptor that is given is kept
+        D = young_from_json({"class": "table", "grid": [[1.0, 2.0]], "derivative_grid":
+                             [[1.0, 2.0]], "zero_desc": {"kind": "power-log", "p": 3.0}})
+        assert D.base.zero_desc == power_log_desc(3.0)
+        assert D.base.inf_desc == power_log_desc(1.0)
 
     def test_table_fields_name_descriptors_and_boundary_values(self):
         obj = young_to_json(conjugate(linfty_young(2.0)))
