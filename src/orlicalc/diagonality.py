@@ -643,6 +643,8 @@ def lifted_norm(F: YoungFn, X: SpaceDescriptor, f: SampledFn,
         return 0.0
     def ok(lam):
         image = F(f.values / lam)
-        return space_norm(X, SampledFn(np.column_stack((image, f.widths)), f.length)) <= 1.0
+        # a piece of +inf has positive width, so its norm is +inf
+        return not np.isinf(image).any() and space_norm(
+            X, SampledFn(np.column_stack((image, f.widths)), f.length)) <= 1.0
 
     return least_admissible_scale(ok, max(f.sup_value(), 1.0), rel_tol)

@@ -593,17 +593,44 @@ def _log_quotient(num, x):
 def _power_segment_integral(vl, vr, tl, tr, weight_exp=0.0):
     """Exact integral of the log-log interpolant times t**weight_exp over [tl, tr].
 
-    Zero-left segments integrate their linear ramp; segments touching +inf
-    integrate to +inf.  Where vr / vl or tr / tl leaves the float range, or
-    vl is subnormal, the slope comes from the logs of the terms, and a
-    rising integrand is integrated from its right end, which carries it.
+    Arguments broadcast against each other.  A plain segment, vl a normal
+    float, tl < tr, and its slope times log(tr / tl) finite, takes the power
+    formula, which one pass computes over the whole arrays; the other
+    classes are patched in where they occur (:func:`_other_segments`).
     """
-    vl = np.asarray(vl, dtype=float)
-    vr = np.asarray(vr, dtype=float)
-    tl = np.asarray(tl, dtype=float)
-    tr = np.asarray(tr, dtype=float)
-    out = np.zeros(np.broadcast(vl, vr, tl, tr).shape)
-    degenerate = np.broadcast_to(tr <= tl, out.shape)
+    vl, vr, tl, tr = (np.asarray(x, dtype=float) for x in (vl, vr, tl, tr))
+    if not vl.ndim or not vl.shape == vr.shape == tl.shape == tr.shape:
+        shape = np.broadcast(vl, vr, tl, tr).shape
+        flat = (np.ravel(x) for x in np.broadcast_arrays(vl, vr, tl, tr))
+        return _power_segment_integral(*flat, weight_exp).reshape(shape)
+    with np.errstate(all="ignore"):
+        log_r = np.log(tr / tl)
+        s = np.log(vr / vl) / log_r
+        out = _power_terms(vl, tl, s + weight_exp + 1.0, log_r, weight_exp)
+        plain = (vl >= _TINY) & (tr > tl) & np.isfinite(s * log_r)
+    if not plain.all():
+        rest = ~plain
+        out[rest] = _other_segments(vl[rest], vr[rest], tl[rest], tr[rest], weight_exp)
+    return out
+
+
+def _power_terms(va, a, e, log_r, w):
+    """The integral of va (t / a)**s t**w over (a, a e**log_r), e = s + w + 1:
+    va a**(w + 1) (e**(e log_r) - 1) / e, and va a**(w + 1) log_r where
+    |e| < 1e-12."""
+    coef = va * a ** (w + 1.0)
+    return np.where(np.abs(e) < 1e-12, coef * log_r, coef * (np.exp(e * log_r) - 1.0) / e)
+
+
+def _other_segments(vl, vr, tl, tr, weight_exp):
+    """:func:`_power_segment_integral` on 1-d arrays of one shape, segment
+    by segment.  Zero-left segments integrate their linear ramp; segments
+    touching +inf integrate to +inf.  Where vr / vl or tr / tl leaves the
+    float range, or vl is subnormal, the slope comes from the logs of the
+    terms, and a rising integrand is integrated from its right end, which
+    carries it."""
+    out = np.zeros(vl.shape)
+    degenerate = tr <= tl
     inf_seg = (np.isinf(vl) | np.isinf(vr)) & ~degenerate
     out[inf_seg] = INF
     zz = (vl == 0.0) & (vr == 0.0)
@@ -627,7 +654,7 @@ def _power_segment_integral(vl, vr, tl, tr, weight_exp=0.0):
     if pw.any():
         a, b = tl[pw], tr[pw]
         va, vb = vl[pw], vr[pw]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        with np.errstate(all="ignore"):
             log_r = np.log(b / a)
             s = np.where(vb == va, 0.0, np.log(vb / va) / log_r)
             far = ~np.isfinite(s * log_r) | (va < _TINY)
@@ -636,10 +663,7 @@ def _power_segment_integral(vl, vr, tl, tr, weight_exp=0.0):
                 s[far] = np.where(vb[far] == va[far], 0.0,
                                   _log_quotient(vb[far], va[far]) / log_r[far])
             e = s + weight_exp + 1.0
-            coef = va * a ** (weight_exp + 1.0)
-            res = np.where(np.abs(e) < 1e-12,
-                           coef * log_r,
-                           coef * (np.exp(e * log_r) - 1.0) / np.where(e == 0.0, 1.0, e))
+            res = _power_terms(va, a, e, log_r, weight_exp)
             right = far & (e >= 1e-12)
             if right.any():
                 er = e[right]

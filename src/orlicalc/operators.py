@@ -433,9 +433,15 @@ def _exp_weight_block(F, t, cut, head, head_power, cutoff):
     start = seg_bounds[:-1].copy()
     start[ramp_rows] += 1
     # one sum per scale over its own power segments, after its ramp: the
-    # bits of the pairwise summation depend on which values are summed together
-    total = ramp_total + [float(np.add.reduce(pieces[i:j]))
-                          for i, j in zip(start.tolist(), seg_bounds[1:].tolist())]
+    # bits of the pairwise summation depend on which values are summed
+    # together.  A 2-d sum along its contiguous rows adds each row as the
+    # 1-d sum does, so the scales of one row length share one call
+    length = seg_bounds[1:] - start
+    sums = np.zeros(n)
+    for m in np.unique(length[length > 0]).tolist():
+        same = np.flatnonzero(length == m)
+        sums[same] = np.add.reduce(pieces[start[same, None] + np.arange(m)], axis=1)
+    total = ramp_total + sums
     if head_power is not None:
         b, vb = taus[bounds[:-1]], vals[bounds[:-1]]
         # vb multiplies outside exp: its log, far from 0 for a steep power,

@@ -292,46 +292,66 @@ def maximal(f: SampledFn) -> AveragedDecreasing:
 # -- modulars and norms ------------------------------------------------------
 
 
-def _tail_modular(A: QuasiConvexFn, tail: PowerTail, u0, au0):
+def _tail_parts(A: QuasiConvexFn, tail: PowerTail):
+    """The parts of the tail's modular that no scale changes: the table F
+    that :func:`_tail_modular` integrates over y = u / u0 (A's derivative,
+    or a quasi-convex A's table), the power w of y, F's segments over y
+    from each node (the integral of F(t[k] y) y**w over 1 < y < t[k + 1] /
+    t[k]), and the integral of F(t[-1] y) y**w over y > 1, past the last
+    node."""
+    young_fn = isinstance(A, YoungFn)
+    F = A.derivative if young_fn else A.base
+    w = -1.0 / tail.expo - (0.0 if young_fn else 1.0)
+    t, v = F.t, F.v
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        seg = _power_segment_integral(v[:-1], v[1:], np.ones(t.size - 1), t[1:] / t[:-1], w)
+        past = _integral_off_grid(F, t[-1:], w, False, per_x=True)[0]
+    return F, w, seg, past
+
+
+def _tail_modular(A: QuasiConvexFn, tail: PowerTail, u0, au0, parts):
     """The integral of A(scale * tail profile) over (0, width) for each
     scale of a 1-d array, from the profile's value at the width,
-    u0 = scale * coef * width**-expo, and au0 = A(u0).  Over y = u / u0 it
-    is (width / expo) * integral of A(u0 y) y**(-1/expo - 1) over y > 1,
-    which a quasi-convex table takes as it stands.  A Young function takes
-    it by parts against its derivative a, and so reads the A of the pieces:
-    width * (A(u0) + u0 * integral of a(u0 y) y**(-1/expo) over y > 1).
-    Neither form overflows unless the modular does."""
-    w = -1.0 / tail.expo
+    u0 = scale * coef * width**-expo, au0 = A(u0), and the scale-free
+    ``parts`` of :func:`_tail_parts`.  Over y = u / u0 it is (width / expo)
+    * integral of A(u0 y) y**(-1/expo - 1) over y > 1, which a quasi-convex
+    table takes as it stands.  A Young function takes it by parts against
+    its derivative a, and so reads the A of the pieces: width * (A(u0) +
+    u0 * integral of a(u0 y) y**(-1/expo) over y > 1).  Neither form
+    overflows unless the modular does."""
+    F = parts[0]
     if isinstance(A, YoungFn):
-        rest = _integral_over_y(A.derivative, u0, w, A.derivative(u0))
+        rest = _integral_over_y(u0, F(u0), parts)
         with np.errstate(over="ignore"):
             return tail.width * (au0 + u0 * rest)
-    return (tail.width / tail.expo) * _integral_over_y(A.base, u0, w - 1.0, au0)
+    return (tail.width / tail.expo) * _integral_over_y(u0, au0, parts)
 
 
-def _integral_over_y(F, u0, w, fu0):
+def _integral_over_y(u0, fu0, parts):
     """The integral of F(u0 y) y**w over y > 1 for each u0 > 0 of a 1-d
-    array, fu0 = F(u0), where it converges (w < -1), over y, where
-    y**(w + 1) <= 1: from F(u0) to the first node above u0 (the chord, or
-    Gauss-Legendre over log y below a table whose form there has a log
-    factor), F's segments from that node on, each over y from its left
-    node times (node / u0)**(w + 1), and the closed form past the last
-    node.  A row is summed left to right and is 0 between its first part
-    and its first segment, so the batch does not change it."""
+    array, fu0 = F(u0), where it converges (w < -1), with F, w and the
+    scale-free parts of :func:`_tail_parts`, over y, where y**(w + 1) <= 1:
+    from F(u0) to the first node above u0 (the chord, or Gauss-Legendre
+    over log y below a table whose form there has a log factor), F's
+    segments from that node on, each over y from its left node times
+    (node / u0)**(w + 1), and past the last node, the part at t[-1] times
+    (t[-1] / u0)**(w + 1), or the closed form at u0 above it.  A row is
+    summed left to right and is 0 between its first part and its first
+    segment, so the batch does not change it."""
+    F, w, seg, past_end = parts
     t, v = F.t, F.v
     k = np.searchsorted(t, u0, side="right")
     lo, inside = min(int(k.min()), t.size - 1), k < t.size
-    ki, first, end = k[inside], np.zeros_like(u0), np.maximum(u0, t[-1])
+    ki, first, beyond = k[inside], np.zeros_like(u0), u0 > t[-1]
+    per_x = np.full_like(u0, past_end)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        seg = _power_segment_integral(  # the first parts and the segments
-            np.append(fu0[inside], v[lo:-1]), np.append(v[ki], v[lo + 1:]),
-            np.ones(ki.size + t.size - 1 - lo),
-            np.append(t[ki] / u0[inside], t[lo + 1:] / t[lo:-1]), w)
-        first[inside] = seg[:ki.size]
+        first[inside] = _power_segment_integral(fu0[inside], v[ki], np.ones(ki.size),
+                                                t[ki] / u0[inside], w)
         cols = np.where(np.arange(lo, t.size - 1) >= k[:, None],
-                        seg[ki.size:] * (t[lo:-1] / u0[:, None]) ** (w + 1.0), 0.0)
-        head, form = np.flatnonzero(k == 0), F.power_log_form(True)
-        if head.size and form is not None and form[1] != 0.0:
+                        seg[lo:] * (t[lo:-1] / u0[:, None]) ** (w + 1.0), 0.0)
+        head = np.flatnonzero(k == 0)
+        form = F.power_log_form(True) if head.size else None
+        if form is not None and form[1] != 0.0:
             p, alpha, _, slope, _ = form
             e, top = p + w + 1.0, np.log(t[0] / u0[head])
             reach = 50.0 / abs(e) if e else INF  # e**(e x) within e**-50 of its peak
@@ -339,25 +359,27 @@ def _integral_over_y(F, u0, w, fu0):
                 np.maximum(top - reach, 0.0) if e > 0 else 0.0 * top,
                 top if e > 0 else np.minimum(top, reach), abs(e) + abs(alpha * slope),
                 lambda x, i: F(u0[head][i] * np.exp(x)) * np.exp((w + 1.0) * x))
-        past = _integral_off_grid(F, end, w, False, per_x=True) * (end / u0) ** (w + 1.0)
+        if beyond.any():
+            per_x[beyond] = _integral_off_grid(F, u0[beyond], w, False, per_x=True)
+        past = per_x * (np.maximum(u0, t[-1]) / u0) ** (w + 1.0)
         total = np.cumsum(np.column_stack((first, cols, past)), axis=1)[:, -1]
     # NaN comes only from an infinite segment times an underflowed y**(w + 1)
     total[np.isnan(total)] = INF
     return total
 
 
-def modular(f: SampledFn, A: QuasiConvexFn, scale=1.0):
-    """Sum of A(scale * value) * width over the pieces; exact.
+def _modular_of(f: SampledFn, A: QuasiConvexFn):
+    """The modular of f under A as a function of a 1-d array of scales, for
+    the scales of one search: a power tail's scale-free parts
+    (:func:`_tail_parts`) are computed here, once, and each scale gives bit
+    for bit what it gives alone."""
+    n, tail = f.values.size, f.tail
+    parts = _tail_parts(A, tail) if tail is not None else None
 
-    ``scale`` may be a 1-d array of scales: the result is then the array of
-    the modulars, each bit for bit what a call with that scale alone gives.
-    A scalar gives a ``float``.  A modular that diverges is ``+inf``.
-    """
-    arr = np.asarray(scale, dtype=float)
-    scales = np.atleast_1d(arr)
-    total = np.zeros(scales.shape)
-    if not f.is_zero:
-        n, tail = f.values.size, f.tail
+    def at(scales):
+        total = np.zeros(scales.shape)
+        if f.is_zero:
+            return total
         x = np.multiply.outer(scales, f.values)
         if tail is not None:
             # the tail's profile at its width, whose A comes from the same call
@@ -372,7 +394,23 @@ def modular(f: SampledFn, A: QuasiConvexFn, scale=1.0):
         if tail is not None:
             on = live & (u0 > 0.0)  # a profile that underflows to 0 adds 0
             if on.any():
-                total[on] += _tail_modular(A, tail, u0[on], av[on, n])
+                total[on] += _tail_modular(A, tail, u0[on], av[on, n], parts)
+        return total
+
+    return at
+
+
+def modular(f: SampledFn, A: QuasiConvexFn, scale=1.0):
+    """Sum of A(scale * value) * width over the pieces; exact.
+
+    ``scale`` may be a 1-d array of scales: the result is then the array of
+    the modulars, each bit for bit what a call with that scale alone gives.
+    A scalar gives a ``float``.  A modular that diverges is ``+inf``.  A
+    search over many scales calls :func:`_modular_of` once instead, which
+    computes a power tail's scale-free parts once for all its calls.
+    """
+    arr = np.asarray(scale, dtype=float)
+    total = _modular_of(f, A)(np.atleast_1d(arr))
     return float(total[0]) if arr.ndim == 0 else total
 
 
@@ -435,15 +473,18 @@ def luxemburg_norm(f: SampledFn, A: QuasiConvexFn, rel_tol=1e-10):
     and from hi on without the modular, which does not rise with lam, and
     calls it for the scales in between.  It sees the same answers at the
     same scales as a search that calls the modular for every scale, so it
-    returns the same float."""
+    returns the same float.  Both phases call one modular of the search
+    (:func:`_modular_of`), which computes a power tail's scale-free parts
+    once, not once per call."""
     if f.is_zero:
         return 0.0
     start = max(f.sup_value(), 1.0)
     if math.isinf(start):
         start = 1.0
-    lo, hi = _certified_bracket(f, A, start)
+    at = _modular_of(f, A)
+    lo, hi = _certified_bracket(f, A, start, at)
     return least_admissible_scale(
-        lambda lam: lam >= hi or (lam > lo and modular(f, A, 1.0 / lam) <= 1.0),
+        lambda lam: lam >= hi or (lam > lo and at(np.array([1.0 / lam]))[0] <= 1.0),
         start, rel_tol)
 
 
@@ -455,9 +496,11 @@ _LOG_RANGE = math.log(1e300)
 _JUMP = 2.0 ** -50  # 4 float spacings, past the rounding of the jump scales
 
 
-def _certified_bracket(f, A, start):
+def _certified_bracket(f, A, start, at):
     """Scales lo < hi with modular(f / lo) > 1 + eta and modular(f / hi) <
     1 - eta, eta = 1e-12; lo is 0 and hi is +inf where none was found.
+    ``at`` is the modular of f under A on an array of scales
+    (:func:`_modular_of`).
 
     The first call of the modular takes start and 2 start, and J (1 -+
     2**-50) where A is +inf past t_inf and J = sup |f| / t_inf is a
@@ -480,7 +523,7 @@ def _certified_bracket(f, A, start):
     if 0.0 < jump < INF:
         lams = [jump * (1.0 - _JUMP), jump * (1.0 + _JUMP)] + lams
     for _ in range(_ROOT_CALLS):
-        for lam, m in zip(lams, modular(f, A, scale=1.0 / np.array(lams)).tolist()):
+        for lam, m in zip(lams, at(1.0 / np.array(lams)).tolist()):
             if m > 1.0 + _ETA:
                 lo = max(lo, lam)
             elif m < 1.0 - _ETA:

@@ -438,9 +438,14 @@ def _integral_above_grid(A, x):
 
 
 def _exact_value(A, x):
-    """Array kernel of :meth:`YoungFn.__call__`."""
+    """Array kernel of :meth:`YoungFn.__call__`: one pass of
+    :func:`_grid_value` where every point lies on the derivative's grid,
+    and the classes off it patched in only where such a point occurs."""
     a, base = A.derivative, A.base
     t = a.t
+    grid = (x >= t[0]) & (x <= t[-1])
+    if grid.all():
+        return _grid_value(A, x)
     out = np.full_like(x, np.nan)
     out[x <= 0.0] = 0.0
     out[x == INF] = base.value_at_inf
@@ -450,13 +455,18 @@ def _exact_value(A, x):
     tail = (x > t[-1]) & (x < INF)
     if tail.any():
         out[tail] = _integral_above_grid(A, x[tail])
-    grid = (x >= t[0]) & (x <= t[-1])
     if grid.any():
-        xg = x[grid]
-        # a node, the last one included, gets its table value
-        i = np.searchsorted(t, xg, side="right") - 1
-        out[grid] = base.v[i] + _power_segment_integral(a.v[i], a(xg), t[i], xg)
+        out[grid] = _grid_value(A, x[grid])
     return out
+
+
+def _grid_value(A, x):
+    """A(x) for x in [t[0], t[-1]] of the derivative's grid t: the value at
+    the node at or left of x (a node, the last one included, gets its table
+    value) plus the derivative's integral from that node to x."""
+    a = A.derivative
+    i = np.searchsorted(a.t, x, side="right") - 1
+    return A.base.v[i] + _power_segment_integral(a.v[i], a._interp(x, i), a.t[i], x)
 
 
 def _bisect_log(A, s, lo, hi, steps=80):

@@ -9,12 +9,13 @@ from scipy import special
 import mpmath as mp
 
 from orlicalc.monotone import (
-    EXPONENTIAL, INF, INFINITE_BEYOND, ZERO_ON_INTERVAL, MonotoneFn, NUMERIC_DESC,
-    _integral_off_grid, _log_mass_from_end, _power_segment_integral, geometric_grid)
+    EXPONENTIAL, INF, INFINITE_BEYOND, ZERO_ON_INTERVAL, MonotoneFn, NUMERIC_DESC, _TINY,
+    _integral_off_grid, _log_mass_from_end, _log_quotient, _power_increment,
+    _power_segment_integral, geometric_grid)
 from orlicalc.operators import _BLOCK, _exp_weight_cutoffs, _exp_weight_tail
 from orlicalc.diagonality import _outer_chunks, build_gw
 from orlicalc.rearrangement import SampledFn, lambda_norm, maximal, modular, rearrange
-from orlicalc.young import _desc_to_json, _num_to_json
+from orlicalc.young import _desc_to_json, _integral_above_grid, _num_to_json
 
 
 def scan_right_inverse(fn, s, taus):
@@ -122,6 +123,88 @@ def _reference_interp(fn, x):
     out[exact_l] = vl[exact_l]
     exact_r = x == tr
     out[exact_r] = vr[exact_r]
+    return out
+
+
+# -- the segment and A(x) kernels before their one-pass fast paths ------------
+
+
+def reference_power_segment_integral(vl, vr, tl, tr, weight_exp=0.0):
+    """Exact integral of the log-log interpolant times t**weight_exp over
+    [tl, tr], one mask and one gather per class of segment on every call:
+    degenerate, +inf, zero-zero, ramp, and power segments, whose ratios are
+    taken from logs where they leave the float range.  Takes arguments of
+    one shape, or all scalars."""
+    vl = np.asarray(vl, dtype=float)
+    vr = np.asarray(vr, dtype=float)
+    tl = np.asarray(tl, dtype=float)
+    tr = np.asarray(tr, dtype=float)
+    out = np.zeros(np.broadcast(vl, vr, tl, tr).shape)
+    degenerate = np.broadcast_to(tr <= tl, out.shape)
+    inf_seg = (np.isinf(vl) | np.isinf(vr)) & ~degenerate
+    out[inf_seg] = INF
+    zz = (vl == 0.0) & (vr == 0.0)
+    ramp = (vl == 0.0) & (vr > 0.0) & ~inf_seg
+    pw = (vl > 0.0) & ~inf_seg
+    if ramp.any():
+        w = weight_exp
+        a, b = tl[ramp], tr[ramp]
+        c = vr[ramp] / (b - a)
+        if w == 0.0:
+            out[ramp] = 0.5 * c * (b - a) ** 2
+        else:
+            log_r = np.log(b / a)
+            with np.errstate(over="ignore"):
+                scale = vr[ramp] * np.exp((w + 2.0) * np.log(a) - np.log(b - a))
+            out[ramp] = scale * (_power_increment(w + 2.0, log_r) - _power_increment(w + 1.0, log_r))
+    if pw.any():
+        a, b = tl[pw], tr[pw]
+        va, vb = vl[pw], vr[pw]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+            log_r = np.log(b / a)
+            s = np.where(vb == va, 0.0, np.log(vb / va) / log_r)
+            far = ~np.isfinite(s * log_r) | (va < _TINY)
+            if far.any():
+                log_r[far] = _log_quotient(b[far], a[far])
+                s[far] = np.where(vb[far] == va[far], 0.0,
+                                  _log_quotient(vb[far], va[far]) / log_r[far])
+            e = s + weight_exp + 1.0
+            coef = va * a ** (weight_exp + 1.0)
+            res = np.where(np.abs(e) < 1e-12,
+                           coef * log_r,
+                           coef * (np.exp(e * log_r) - 1.0) / np.where(e == 0.0, 1.0, e))
+            right = far & (e >= 1e-12)
+            if right.any():
+                er = e[right]
+                res[right] = (vb[right] * b[right] ** (weight_exp + 1.0)
+                              * -np.expm1(-er * log_r[right]) / er)
+        out[pw] = res
+    out[zz] = 0.0
+    out[degenerate] = 0.0
+    return out
+
+
+def reference_exact_value(A, x):
+    """A(x) for a 1-d array x, one mask per class of point on every call:
+    0 at x <= 0, A's value at +inf, the head and tail off the derivative's
+    grid, and on it the table value at the node to the left plus the
+    segment's integral up to x (:func:`reference_power_segment_integral`)."""
+    a, base = A.derivative, A.base
+    t = a.t
+    out = np.full_like(x, np.nan)
+    out[x <= 0.0] = 0.0
+    out[x == INF] = base.value_at_inf
+    head = (x > 0.0) & (x < t[0])
+    if head.any():
+        out[head] = _integral_off_grid(a, x[head], 0.0, True)
+    tail = (x > t[-1]) & (x < INF)
+    if tail.any():
+        out[tail] = _integral_above_grid(A, x[tail])
+    grid = (x >= t[0]) & (x <= t[-1])
+    if grid.any():
+        xg = x[grid]
+        i = np.searchsorted(t, xg, side="right") - 1
+        out[grid] = base.v[i] + reference_power_segment_integral(a.v[i], a(xg), t[i], xg)
     return out
 
 

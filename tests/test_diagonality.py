@@ -738,6 +738,15 @@ class TestLiftedNorm:
         expect = ((p / q) ** (1.0 / q) * s ** (1.0 / p)) ** (1.0 / r)
         assert got == pytest.approx(expect, rel=1e-9)
 
+    def test_young_function_that_jumps_to_inf(self):
+        # below the scale sup |f| / threshold an image piece is +inf, whose
+        # norm is +inf; at and above it every image piece is 0
+        X = SpaceDescriptor(LORENTZ, UNIT, p=3.0, q=2.0)
+        f = SampledFn([(1.0, 1.0), (3.0, 2.0)])
+        for threshold in (1.0, 2.0):
+            assert lifted_norm(linfty_young(threshold), X, f) == pytest.approx(
+                3.0 / threshold, rel=1e-9)
+
     def test_tail_is_rejected(self):
         f = SampledFn([(1.0, 1.0)], tail=PowerTail(2.0, 0.3, 0.01))
         X = SpaceDescriptor(LEBESGUE, UNIT, p=2.0)

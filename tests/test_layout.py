@@ -6,9 +6,10 @@ growth classes are never read from a generator's ``recipe``, step functions
 are read through their ``values`` and ``widths`` arrays, never their
 ``pieces`` list, no loop calls the certificate kernel
 ``integrate_outer_reciprocal``, optimality outcomes are read off their
-verdicts, the edge slopes of a table are read only when it is built, and
-every top-level function and class is used somewhere in the source or the
-tests."""
+verdicts, the edge slopes of a table are read only when it is built, no
+function keeps state at module level (the CLI's parser is the one memoized
+function), and every top-level function and class is used somewhere in the
+source or the tests."""
 
 import ast
 import json
@@ -207,3 +208,67 @@ def test_edge_slopes_are_read_only_when_a_table_is_built():
                   and node.attr in ("_edge_slope_zero", "_edge_slope_inf")
                   and node.lineno not in allowed]
     assert not found, "edge slopes read outside MonotoneFn.__init__: " + ", ".join(found)
+
+
+# the one function allowed a memo: the CLI's argument parser, built once
+MEMOIZED = ("cli.py", "shared_parser")
+_MUTATORS = {"append", "extend", "insert", "add", "update", "setdefault", "pop",
+             "popitem", "clear", "remove", "discard", "sort", "fill", "put", "resize"}
+
+
+def _base_name(node):
+    """The name at the root of a chain of subscripts and attributes."""
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _module_names(tree):
+    return {t.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            for t in ast.walk(t) if isinstance(t, ast.Name)}
+
+
+def _local_names(fn):
+    args = fn.args
+    params = args.posonlyargs + args.args + args.kwonlyargs + [a for a in (args.vararg,
+                                                                          args.kwarg) if a]
+    return {a.arg for a in params} | {node.id for node in ast.walk(fn)
+                                      if isinstance(node, ast.Name)
+                                      and isinstance(node.ctx, ast.Store)}
+
+
+def _decorator_name(node):
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def test_no_function_keeps_state_at_module_level():
+    # speed comes from work on whole arrays, not from caches that outlive
+    # a call: no function declares ``global`` or writes into a container
+    # bound at module level, and functools' memos sit on the CLI's parser
+    found = []
+    for path in SOURCES:
+        tree = parse(path)
+        module = _module_names(tree)
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if not isinstance(fn, ast.Lambda):
+                found += [f"{path.name}:{d.lineno} {fn.name} memoized"
+                          for d in fn.decorator_list
+                          if _decorator_name(d) in ("cache", "lru_cache")
+                          and (path.name, fn.name) != MEMOIZED]
+            shared = module - _local_names(fn)
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Global):
+                    found.append(f"{path.name}:{node.lineno} global")
+                elif (isinstance(node, (ast.Subscript, ast.Attribute))
+                      and isinstance(node.ctx, (ast.Store, ast.Del))
+                      and _base_name(node) in shared):
+                    found.append(f"{path.name}:{node.lineno} writes {_base_name(node)}")
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr in _MUTATORS and _base_name(node.func) in shared):
+                    found.append(f"{path.name}:{node.lineno} {node.func.attr} on "
+                                 f"{_base_name(node.func)}")
+    assert not found, "module-level state written by functions: " + ", ".join(found)

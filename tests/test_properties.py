@@ -20,6 +20,7 @@ from orlicalc.monotone import (
     POWER_LOG,
     ZERO_ON_INTERVAL,
     MonotoneFn,
+    _power_segment_integral,
     exp_reciprocal_desc,
     exponential_desc,
     geometric_grid,
@@ -85,6 +86,8 @@ from helpers import (
     loop_weight_halving_constant,
     loop_witness_derivative,
     reference_eval,
+    reference_exact_value,
+    reference_power_segment_integral,
     reference_table_to_json,
     sequential_luxemburg_norm,
 )
@@ -400,6 +403,111 @@ def test_numeric_only_ends_are_the_powers_of_the_edge_segments(fn):
     assert fn.value_at_zero == (0.0 if s0 > 0 else low)
     assert fn.value_at_inf == (INF if s1 > 0 else high)
     assert (fn.zero_desc, fn.inf_desc) == (power_log_desc(s0), power_log_desc(s1))
+
+
+# values that put a segment in each class: zero, subnormal, the ends of
+# the float range, +inf, NaN and negative
+_SEGMENT_SPECIALS = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300,
+                     1.0, 1e300, 1.7e308, INF, np.nan, -1.0]
+_WEIGHT_EXPS = [0.0, 1.0, 2.5, -0.5, -1.0, -2.0, -3.5, -4.33]
+
+
+@st.composite
+def segments(draw):
+    """Segments (vl, vr, tl, tr) and a weight exponent: rising power
+    segments over up to 600 decades, some ends replaced by the values of
+    :data:`_SEGMENT_SPECIALS`, some made degenerate (tr <= tl), and some
+    whose e = s + w + 1 is 0 or within 1e-12 of it."""
+    n = draw(st.integers(1, 24))
+    floats = lambda lo, hi: np.asarray(draw(st.lists(st.floats(lo, hi), min_size=n,
+                                                     max_size=n)))
+    w = draw(st.sampled_from(_WEIGHT_EXPS))
+    tl = 10.0 ** floats(-300.0, 300.0)
+    tr = tl * 10.0 ** floats(-1.0, 8.0)
+    vl = 10.0 ** floats(-300.0, 300.0)
+    vr = vl * 10.0 ** floats(-1.0, 8.0)
+    # e = 0 exactly (s = -w - 1 on a flat segment at w = -1), and e within
+    # 1e-12 of 0 (s = 1 at w = -2, up to the rounding of the ratios)
+    flat = np.asarray(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    if w == -1.0:
+        vr[flat] = vl[flat]
+    if w == -2.0:
+        vr[flat] = vl[flat] * (tr[flat] / tl[flat])
+    for arr in (vl, vr, tl, tr):
+        k = draw(st.lists(st.integers(0, n - 1), max_size=n))
+        arr[k] = draw(st.lists(st.sampled_from(_SEGMENT_SPECIALS),
+                               min_size=len(k), max_size=len(k)))
+    return vl, vr, tl, tr, w
+
+
+@settings(max_examples=400, deadline=None)
+@given(segments())
+@example((np.array([0.0, 0.0, 1.0, 2.0, 1.0]), np.array([0.0, 3.0, INF, 2.0, 1e-300]),
+          np.array([1.0, 1.0, 1.0, 2.0, 1e-300]), np.array([2.0, 2.0, 3.0, 2.0, 1e300]),
+          -0.5))
+@example((np.array([1e-310, 1.0, np.nan]), np.array([1.0, 1.0, 2.0]),
+          np.array([1.0, 1.0, 1.0]), np.array([2.0, np.nan, 2.0]), -1.0))
+@example((np.array([0.0, 0.0, -1.0]), np.array([0.0, 5.0, 2.0]),
+          np.array([1.0, 1e-3, 1.0]), np.array([4.0, 2.0, 2.0]), 0.0))
+def test_segment_integral_is_the_per_class_kernel(case):
+    # one pass of the power formula where every segment is plain, the
+    # other classes patched in: the same bits, NaN included, as the kernel
+    # that masks every class on every call, on arrays, on scalars, and
+    # where one argument broadcasts against the others
+    vl, vr, tl, tr, w = case
+    with np.errstate(all="ignore"):
+        want = reference_power_segment_integral(vl, vr, tl, tr, w)
+        got = _power_segment_integral(vl, vr, tl, tr, w)
+        ones = [(_power_segment_integral(*args, w), reference_power_segment_integral(*args, w))
+                for args in zip(vl.tolist(), vr.tolist(), tl.tolist(), tr.tolist())]
+        spread = [_power_segment_integral(*(args[:i] + (args[i][:1],) + args[i + 1:]), w)
+                  for args in [(vl, vr, tl, tr)] for i in range(4)]
+        spread_want = [reference_power_segment_integral(
+            *np.broadcast_arrays(*(args[:i] + (args[i][0],) + args[i + 1:])), w)
+            for args in [(vl, vr, tl, tr)] for i in range(4)]
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    for one, one_want in ones:
+        assert one.shape == one_want.shape == ()
+        assert np.array_equal(one, one_want, equal_nan=True)
+    for g, wnt in zip(spread, spread_want):
+        assert np.array_equal(g, wnt, equal_nan=True)
+
+
+@st.composite
+def young_points(draw):
+    """A generator of every class and points of x on, between and next to
+    the nodes of its derivative's grid; with ``off``, also 0, -1, +inf,
+    NaN, subnormals and points below and above the grid."""
+    A = GENERATORS[draw(st.sampled_from(sorted(GENERATORS)))]
+    t = A.derivative.t
+    k = np.asarray(draw(st.lists(st.integers(0, t.size - 1), min_size=1, max_size=40)))
+    frac = np.asarray(draw(st.lists(st.floats(0.0, 1.0), min_size=k.size,
+                                    max_size=k.size)))
+    right = t[np.minimum(k + 1, t.size - 1)]
+    x = np.concatenate((t[k], np.nextafter(t[k], 0.0), np.nextafter(t[k], INF),
+                        t[k] * (right / t[k]) ** frac))
+    if draw(st.booleans()):
+        x = np.concatenate((x, [0.0, -1.0, INF, np.nan, 5e-324, 1e-310, 1e300,
+                                0.5 * t[0], t[0] * 1e-9, 2.0 * t[-1], t[-1] * 1e9]))
+    else:
+        x = x[(x >= t[0]) & (x <= t[-1])]
+    return A, x[draw(st.permutations(range(x.size)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(young_points())
+def test_young_value_is_the_per_class_kernel(case):
+    # one pass over the grid where every point lies on it, and the points
+    # off it patched in where they occur: the same bits as the kernel that
+    # masks every class of point on every call, in a batch and alone
+    A, x = case
+    with np.errstate(all="ignore"):
+        want = reference_exact_value(A, x)
+        got = A(x)
+        ones = [A(xi) for xi in x.tolist()]
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(ones, want, equal_nan=True)
 
 
 @settings(max_examples=300, deadline=None)

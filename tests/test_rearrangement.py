@@ -444,15 +444,21 @@ class TestBatchedLuxemburg:
     def test_modular_calls_of_a_norm(self, monkeypatch):
         # the root phase finds the root from the modular's values, which a
         # pure power's secant hits at once, and the bisection answers
-        # outside its certified bracket without the modular
+        # outside its certified bracket without the modular; the search
+        # calls the modular it makes once, which is what is counted
         calls = []
-        real = rearrangement.modular
+        real = rearrangement._modular_of
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counted_of(f, A):
+            at = real(f, A)
 
-        monkeypatch.setattr(rearrangement, "modular", counted)
+            def counted(scales):
+                calls.append(1)
+                return at(scales)
+
+            return counted
+
+        monkeypatch.setattr(rearrangement, "_modular_of", counted_of)
         rng = np.random.default_rng(99)
         cases = [(power_young(p), 4, p) for p in (1.3, 2.0, 2.9)] + [(exp_young(1.0), 10, None)]
         for A, budget, p in cases:
@@ -480,6 +486,36 @@ class TestBatchedLuxemburg:
                 lam = luxemburg_norm(f, A)
                 assert 0.0 < lam < INF
                 assert len(calls) == 1
+
+    def test_search_takes_a_tails_scale_free_parts_once(self, monkeypatch):
+        # the integral past the last node at t[-1] and F's segments over y
+        # do not depend on the scale: a search computes them once, and its
+        # modular calls integrate only each scale's first part (one segment
+        # a scale) and the scales above the grid, of which there are none here
+        past, sizes, calls = [], [], []
+        off_grid = rearrangement._integral_off_grid
+        segment = rearrangement._power_segment_integral
+        real = rearrangement._modular_of
+
+        def counted_of(f, A):
+            at = real(f, A)
+            return lambda scales: calls.append(scales.size) or at(scales)
+
+        monkeypatch.setattr(rearrangement, "_integral_off_grid",
+                            lambda *args, **kwargs: past.append(1) or off_grid(*args, **kwargs))
+        monkeypatch.setattr(rearrangement, "_power_segment_integral",
+                            lambda vl, *args: sizes.append(np.size(vl)) or segment(vl, *args))
+        monkeypatch.setattr(rearrangement, "_modular_of", counted_of)
+        f = SampledFn([(2.0, 0.5), (0.7, 1.5)], tail=PowerTail(3.0, 0.3, 0.05))
+        young_fn = power_log_young(2.2, alpha_zero=0.3, alpha_inf=0.7)
+        for A, F in ((young_fn, young_fn.derivative),
+                     (QuasiConvexFn(young_fn.base, validate=False), young_fn.base)):
+            past.clear(), sizes.clear(), calls.clear()
+            assert 0.0 < luxemburg_norm(f, A) < INF
+            assert len(calls) > 1
+            assert past == [1]
+            assert sizes.count(F.t.size - 1) == 1
+            assert max(sizes[1:]) <= max(calls)
 
     def test_jump_scales_need_a_positive_finite_jump(self):
         # a tail makes sup |f| infinite: no jump scale is taken; a table with
