@@ -109,6 +109,16 @@ def power_level(X: SpaceDescriptor):
     return None
 
 
+def _first_index(X: SpaceDescriptor):
+    """The first index p of a Lorentz-Zygmund space or of a power level,
+    else None.  Only the first-index rule of :func:`embeds` reads an LZ
+    space's p: its second index does not order an LZ level once alpha != 0."""
+    if X.family == LORENTZ_ZYGMUND:
+        return X.p
+    level = power_level(X)
+    return None if level is None else level[0]
+
+
 def exp_level(X: SpaceDescriptor):
     """Rate gamma when X sits on the level of exp(t**gamma), else None."""
     if X.family == LORENTZ_ZYGMUND and X.p == INF and X.alpha == -1.0:
@@ -217,6 +227,18 @@ def embeds(X: SpaceDescriptor, Y: SpaceDescriptor) -> Verdict:
     ref = _fundamental_refuter(X, Y)
     if ref is not None:
         return ref
+
+    # distinct finite first indices of a Lorentz-Zygmund space on finite
+    # measure: for p1 > p2 the factor t**(1/p2 - 1/p1) log(e/t)**beta lies
+    # in every L^r(dt/t) on (0, 1), whatever the second indices and logs
+    if unit and LORENTZ_ZYGMUND in (X.family, Y.family):
+        p1, p2 = _first_index(X), _first_index(Y)
+        if p1 is not None and p2 is not None and max(p1, p2) < INF \
+                and not _same_exponent(p1, p2):
+            if p1 > p2:
+                return holds(reason="first-index rule on finite measure")
+            return fails(reason="first-index rule on finite measure")
+
     return undecided("no exact rule for this family pair")
 
 

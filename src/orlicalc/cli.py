@@ -305,9 +305,9 @@ def build_parser():
                     "Orlicz-type function spaces")
     p.add_argument("--json", action="store_true", help="emit JSON reports")
     p.add_argument("--tol", type=float, default=1e-10,
-                   help="relative width at which the bisections of norm (Orlicz "
-                        "spaces) and lift stop; the bracket that the root phase "
-                        "of the Orlicz norm certifies does not depend on it")
+                   help="relative width at which the gauge search of norm "
+                        "(Orlicz spaces) and lift stops; the bracket that its "
+                        "root phase certifies does not depend on it")
     p.add_argument("--batch", metavar="FILE",
                    help="run one query per line of FILE (shell-style words)")
     sub = p.add_subparsers(dest="cmd")

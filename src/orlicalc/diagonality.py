@@ -33,8 +33,8 @@ from .monotone import (
 )
 from .rearrangement import (
     SampledFn,
+    gauge_norm,
     lambda_norm,
-    least_admissible_scale,
     modular,
     rearrange,
 )
@@ -641,10 +641,11 @@ def lifted_norm(F: YoungFn, X: SpaceDescriptor, f: SampledFn,
                          "not a function with a tail piece")
     if f.is_zero:
         return 0.0
-    def ok(lam):
-        image = F(f.values / lam)
+    def norms(lams):
+        images = F(f.values / lams[:, None])
         # a piece of +inf has positive width, so its norm is +inf
-        return not np.isinf(image).any() and space_norm(
-            X, SampledFn(np.column_stack((image, f.widths)), f.length)) <= 1.0
+        return np.array([INF if np.isinf(image).any() else space_norm(
+            X, SampledFn(np.column_stack((image, f.widths)), f.length))
+            for image in images])
 
-    return least_admissible_scale(ok, max(f.sup_value(), 1.0), rel_tol)
+    return gauge_norm(norms, f, F, rel_tol)

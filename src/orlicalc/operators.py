@@ -35,6 +35,7 @@ from .monotone import (
     ZERO_ON_INTERVAL,
     MonotoneFn,
     NUMERIC_DESC,
+    _log_gamma_mass,
     cumulative_integral,
     default_grid,
     exp_reciprocal_desc,
@@ -43,7 +44,6 @@ from .monotone import (
     infinite_beyond_desc,
     power_log_desc,
 )
-from .rearrangement import _log_gamma_mass
 from .spaces import (
     HALFLINE,
     LEBESGUE,

@@ -415,6 +415,7 @@ def modular(f: SampledFn, A: QuasiConvexFn, scale=1.0):
 
 
 _EPS = float(np.finfo(float).eps)
+_TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
 
 
 def least_admissible_scale(ok, start, rel_tol):
@@ -425,8 +426,11 @@ def least_admissible_scale(ok, start, rel_tol):
     scale down to relative width ``rel_tol`` and returns the admissible
     end.  Past ``start * 2**64`` the doubling step squares itself, so a
     predicate that fails everywhere costs tens of calls, not a thousand.
-    Gives 0 when ok holds down to 1e-300 and +inf when it fails up to 1e300.
-    A tolerance below the float spacing 2**-52 raises ``ValueError``.
+    Below 1e-300 the halving takes one last rung at the least normal float,
+    and past 1e300 the doubling one at the largest float: it gives 0 when
+    ok holds at the least normal float and +inf when it fails at the
+    largest.  A tolerance below the float spacing 2**-52 raises
+    ``ValueError``.
     """
     if not rel_tol >= _EPS:
         raise ValueError(f"relative tolerance {rel_tol!r} is below the float "
@@ -436,14 +440,19 @@ def least_admissible_scale(ok, start, rel_tol):
         a = b / 2.0
         while a >= 1e-300 and ok(a):
             a /= 2.0
-        if a < 1e-300:
-            return 0.0
         b = 2.0 * a
+        if a < 1e-300:
+            a = _TINY
+            if ok(a):
+                return 0.0
     else:
         step = 2.0
         while True:
             if b >= 1e300:
-                return INF
+                a, b = b, _HUGE
+                if not ok(b):
+                    return INF
+                break
             a = b
             if b > start * 2.0 ** 64:
                 step *= step
@@ -463,32 +472,34 @@ def least_admissible_scale(ok, start, rel_tol):
 
 
 def luxemburg_norm(f: SampledFn, A: QuasiConvexFn, rel_tol=1e-10):
-    """inf{lam > 0 : modular(f / lam) <= 1}, as the admissible end of the
-    log-scale bisection of :func:`least_admissible_scale` from
-    max(sup |f|, 1) down to relative width ``rel_tol``.
-
-    A root phase first finds, from the modular's values, scales lo < hi on
-    either side of the root whose modulars miss 1 by a margin
-    (:func:`_certified_bracket`).  The bisection answers at scales up to lo
-    and from hi on without the modular, which does not rise with lam, and
-    calls it for the scales in between.  It sees the same answers at the
-    same scales as a search that calls the modular for every scale, so it
-    returns the same float.  Both phases call one modular of the search
-    (:func:`_modular_of`), which computes a power tail's scale-free parts
-    once, not once per call."""
+    """inf{lam > 0 : modular(f / lam) <= 1}: the gauge search of
+    :func:`gauge_norm` on the modular of the search (:func:`_modular_of`)."""
     if f.is_zero:
         return 0.0
-    start = max(f.sup_value(), 1.0)
-    if math.isinf(start):
-        start = 1.0
     at = _modular_of(f, A)
-    lo, hi = _certified_bracket(f, A, start, at)
+    return gauge_norm(lambda lams: at(1.0 / lams), f, A, rel_tol)
+
+
+def gauge_norm(values, f, A, rel_tol):
+    """inf{lam > 0 : values(lam) <= 1}, where ``values`` maps a 1-d array of
+    scales lam to values that do not rise as lam grows: the modulars of
+    f / lam under A, or the norms of the images of f / lam under A.
+
+    A root phase finds scales lo < hi whose values miss 1 by a margin
+    (:func:`_certified_bracket`).  The log-scale bisection of
+    :func:`least_admissible_scale` from max(sup |f|, 1) (1 for a tail) to
+    relative width ``rel_tol`` then calls ``values`` only between lo and
+    hi.  It sees the answers that a search calling ``values`` at every
+    scale sees, so it returns the same float."""
+    sup = f.sup_value()
+    start = max(sup, 1.0) if sup < INF else 1.0
+    lo, hi = _certified_bracket(values, start, sup / A.t_inf if A.t_inf > 0.0 else INF)
     return least_admissible_scale(
-        lambda lam: lam >= hi or (lam > lo and at(np.array([1.0 / lam]))[0] <= 1.0),
+        lambda lam: lam >= hi or (lam > lo and values(np.array([lam]))[0] <= 1.0),
         start, rel_tol)
 
 
-# the margin by which a certified modular misses 1, against a rounding of
+# the margin by which a certified value misses 1, against a rounding of
 # about 1e-14 relative, and the calls the root phase may make
 _ETA = 1e-12
 _ROOT_CALLS = 10
@@ -496,34 +507,31 @@ _LOG_RANGE = math.log(1e300)
 _JUMP = 2.0 ** -50  # 4 float spacings, past the rounding of the jump scales
 
 
-def _certified_bracket(f, A, start, at):
-    """Scales lo < hi with modular(f / lo) > 1 + eta and modular(f / hi) <
+def _certified_bracket(values, start, jump):
+    """Scales lo < hi with values(lo) > 1 + eta and values(hi) <
     1 - eta, eta = 1e-12; lo is 0 and hi is +inf where none was found.
-    ``at`` is the modular of f under A on an array of scales
-    (:func:`_modular_of`).
+    ``values`` is that of :func:`gauge_norm`.
 
-    The first call of the modular takes start and 2 start, and J (1 -+
-    2**-50) where A is +inf past t_inf and J = sup |f| / t_inf is a
-    positive finite float: the modular is +inf at every scale below J, with
-    no rounding to allow for, so that call certifies a root at the jump.
-    Each later call takes lam* e**-d and lam* e**d, where log lam* is the
-    root of the secant of log M against log lam through the two newest
-    points with a finite positive M (exact for a pure power), or the middle
-    of the log bracket (lo, hi) where the secant leaves it.  d = max(2 eta
-    / s, min(err / 4, 4 err**2)), s the secant's slope and err how far lam*
-    moved: the modular's margin at least, and about the secant's next
-    error.  It stops when hi / lo <= 1 + 16 eta / s, after 10 calls, or
-    where no secant falls into an open bracket.  NaN values are not used."""
+    The first call of ``values`` takes start and 2 start, and J (1 -+
+    2**-50) where the jump J = sup |f| / t_inf of A is a positive finite
+    float: the values are +inf at every lam below J, with no rounding to
+    allow for, so that call certifies a root at the jump.  Each later call
+    takes lam* e**-d and lam* e**d, where log lam* is the root of the secant
+    of log M against log lam through the two newest points with a finite
+    positive value M (exact for a pure power modular), or the middle of the
+    log bracket (lo, hi) where the secant leaves it.  d = max(2 eta / s,
+    min(err / 4, 4 err**2)), s the secant's slope and err how far lam*
+    moved: the values' margin at least, and about the secant's next error.
+    It stops when hi / lo <= 1 + 16 eta / s, after 10 calls, or where no
+    secant falls into an open bracket.  NaN values are not used."""
     lo, hi = 0.0, INF
     points = []
     lams = [start, 2.0 * start]
     x_old = math.log(lams[-1])
-    t_inf = A.t_inf
-    jump = f.sup_value() / t_inf if t_inf > 0.0 else INF
     if 0.0 < jump < INF:
         lams = [jump * (1.0 - _JUMP), jump * (1.0 + _JUMP)] + lams
     for _ in range(_ROOT_CALLS):
-        for lam, m in zip(lams, at(1.0 / np.array(lams)).tolist()):
+        for lam, m in zip(lams, values(np.array(lams)).tolist()):
             if m > 1.0 + _ETA:
                 lo = max(lo, lam)
             elif m < 1.0 - _ETA:

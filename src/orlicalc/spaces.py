@@ -86,6 +86,9 @@ class SpaceDescriptor:
                 raise UnsupportedFamily(f"Lorentz pair ({self.p}, {self.q}) "
                                         "is not an admissible space")
         elif fam == LORENTZ_ZYGMUND:
+            if not math.isfinite(self.alpha):
+                raise UnsupportedFamily(f"Lorentz-Zygmund alpha must be finite, "
+                                        f"not {self.alpha!r}")
             if self.p == INF:
                 if not (self.q >= 1.0 and self.alpha + 1.0 / self.q < 0.0):
                     raise UnsupportedFamily(

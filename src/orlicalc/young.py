@@ -178,8 +178,10 @@ def _grid_for_power(p):
 
 def power_young(p, coef=1.0):
     """A(t) = coef * t**p for p >= 1; exact at and between grid points."""
-    if p < 1:
-        raise ValueError("a convex power needs exponent >= 1")
+    if not 1.0 <= p < INF:
+        raise ValueError(f"a convex power needs a finite exponent p >= 1, not {p!r}")
+    if not 0.0 < coef < INF:
+        raise ValueError(f"a power needs a finite coef > 0, not {coef!r}")
     t = _grid_for_power(p)
     base = MonotoneFn(t, coef * t ** p, power_log_desc(p), power_log_desc(p),
                       validate=False)
@@ -195,8 +197,11 @@ def power_log_young(p, alpha_zero=0.0, alpha_inf=0.0):
     result is exactly convex; the profile must be non-decreasing, which
     restricts the admissible sign of alpha at each end when p == 1.
     """
-    if p < 1:
-        raise ValueError("need p >= 1")
+    if not 1.0 <= p < INF:
+        raise ValueError(f"need a finite p >= 1, not {p!r}")
+    for name, alpha in (("alpha_zero", alpha_zero), ("alpha_inf", alpha_inf)):
+        if not math.isfinite(alpha):
+            raise ValueError(f"{name} must be finite, not {alpha!r}")
     if alpha_zero == 0.0 and alpha_inf == 0.0:
         return power_young(p)
     t = _grid_for_power(p)

@@ -1,6 +1,7 @@
 """Shared generators and brute-force oracles for the test suite."""
 
 import math
+import sys
 
 import numpy as np
 
@@ -329,23 +330,29 @@ def _reference_tau_breakpoints(grid, t, cut, closed_head):
 
 def sequential_least_admissible_scale(ok, start, rel_tol):
     """The scale search one scalar predicate call at a time: bracket by
-    halving or doubling (the step squares itself past start * 2**64), then
-    bisect the log scale."""
+    halving or doubling (the step squares itself past start * 2**64), with
+    one last rung at the least normal float below 1e-300 and at the largest
+    float past 1e300, then bisect the log scale."""
     b = start
     if ok(b):
         a = b
         while True:
-            a /= 2.0
+            b, a = a, a / 2.0
             if a < 1e-300:
-                return 0.0
+                a = sys.float_info.min
+                if ok(a):
+                    return 0.0
+                break
             if not ok(a):
                 break
-        b = 2.0 * a
     else:
         step = 2.0
         while True:
             if b >= 1e300:
-                return INF
+                a, b = b, sys.float_info.max
+                if not ok(b):
+                    return INF
+                break
             a = b
             if b > start * 2.0 ** 64:
                 step *= step

@@ -125,6 +125,17 @@ class TestSharedLevels:
         assert v.status == HOLDS and v.reason.startswith("generator domination")
         assert embeds(Y, X).status == FAILS
 
+    def test_lorentz_zygmund_first_index_rule(self):
+        # on (0, 1) distinct finite first indices order the spaces whatever
+        # the second indices and log factors: L^{4,2}, L^3 and L^{3,2} lie
+        # in L^{2,2;1/2} = L^2 (log L)^1, and it lies in none of them
+        Y = self.lz(2.0, 2.0, 0.5)
+        for X in (self.lz(4.0, 2.0, 0.0), lebesgue(3.0), lorentz(3.0, 2.0),
+                  self.lz(2.5, 8.0, -0.5)):
+            v, back = embeds(X, Y), embeds(Y, X)
+            assert (v.status, back.status) == (HOLDS, FAILS), X.label()
+            assert v.reason == back.reason == "first-index rule on finite measure"
+
     def test_fundamental_refuter(self):
         # no level is shared and no family rule applies: L^1's profile t
         # falls below any multiple of t**(1/8) near 0, so L^1 is not in

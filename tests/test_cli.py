@@ -268,6 +268,40 @@ class TestErrorsAndModes:
         assert out.startswith("error:") and "NaN" not in out
         assert capfd.readouterr().err == ""
 
+    @pytest.mark.parametrize("argv, name", [
+        (["norm", "--space", '{"family":"orlicz","params":{"young":'
+          '{"class":"power-log","p":"nan"}}}', "--fn", '{"pieces":[[1,0.5]]}'], "exponent p"),
+        (["dominates", "--young", '{"class":"power-log","p":"inf"}',
+          "--below", '{"class":"power-log","p":2}'], "exponent p"),
+        (["dominates", "--young", '{"class":"power-log","p":2,"coef":-1}',
+          "--below", '{"class":"power-log","p":2}'], "coef"),
+        (["dominates", "--young", '{"class":"power-log","p":2,"coef":"nan"}',
+          "--below", '{"class":"power-log","p":2}'], "coef"),
+        (["conj", "--young", '{"class":"power-log","p":2,"alpha_inf":"nan"}'], "alpha_inf"),
+        (["norm", "--space", '{"family":"lorentz-zygmund","params":{"p":2,"q":2,"alpha":"nan"}}',
+          "--fn", '{"pieces":[[1,0.5]]}'], "alpha"),
+        (["norm", "--space", '{"family":"lorentz-zygmund","params":{"p":2,"q":2,"alpha":"inf"}}',
+          "--fn", '{"pieces":[[1,0.5]]}'], "alpha"),
+    ])
+    def test_malformed_parameter_is_exit_1_naming_it(self, argv, name, capfd):
+        # these once ended in a number, a verdict or NaN
+        code, out = run(["--json"] + argv)
+        assert code == 1
+        assert out.startswith("error:") and name in out
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("fn, value", [('{"pieces":[[1e299,100000]]}', 1e304),
+                                           ('{"pieces":[[1e-300,1]]}', 1e-300)])
+    def test_norms_at_the_ends_of_the_scale_range(self, fn, value):
+        # the scale search once answered +inf past 1e300 and 0 below 1e-300
+        young = '{"class":"power-log","p":1}'
+        for argv in (["norm", "--space", '{"family":"orlicz","params":{"young":%s}}' % young],
+                     ["lift", "--young", young,
+                      "--space", '{"family":"lebesgue","params":{"p":1}}']):
+            code, out = run(["--json"] + argv + ["--fn", fn])
+            assert code == 0
+            assert value <= json.loads(out)["outcome"]["value"] <= value * (1 + 1e-9)
+
     @pytest.mark.parametrize("young, node", [
         # the values of t^2 on a grid that is not the derivative's
         ('{"class":"table","grid":[[1,1],[2,4],[4,16],[8,64]],'

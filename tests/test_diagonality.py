@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from orlicalc import diagonality
 from orlicalc.diagonality import (
@@ -46,9 +47,12 @@ from orlicalc.spaces import (
     LAMBDA,
     LEBESGUE,
     LORENTZ,
+    LORENTZ_ZYGMUND,
+    MARCINKIEWICZ,
     ORLICZ,
     UNIT,
     SpaceDescriptor,
+    norm as space_norm,
 )
 from orlicalc.young import (
     FAILS,
@@ -65,6 +69,29 @@ from helpers import (
     reference_outer_reciprocal, reference_residual_inf, reference_residual_zero,
     sequential_least_admissible_scale)
 from test_rearrangement import random_sampled
+
+
+def sequential_lifted_norm(F, X, f, space_norm=space_norm):
+    """The lifted norm one image norm per scale of the scale search."""
+    def ok(lam):
+        image = F(f.values / lam)
+        return not np.isinf(image).any() and space_norm(
+            X, SampledFn(np.column_stack((image, f.widths)), f.length)) <= 1.0
+
+    return sequential_least_admissible_scale(ok, max(f.sup_value(), 1.0), 1e-10)
+
+
+# the generators and spaces of the lifted-norm property
+LIFT_FS = [power_young(1.0), power_young(2.0), power_young(1.37), exp_young(1.0),
+           linfty_young(2.0), power_log_young(2.0, 0.5, 1.0)]
+LIFT_XS = [SpaceDescriptor(LEBESGUE, UNIT, p=1.0), SpaceDescriptor(LEBESGUE, UNIT, p=2.5),
+           SpaceDescriptor(LEBESGUE, UNIT, p=INF), SpaceDescriptor(LORENTZ, UNIT, p=3.0, q=2.0),
+           SpaceDescriptor(LORENTZ_ZYGMUND, UNIT, p=2.0, q=2.0, alpha=0.3),
+           SpaceDescriptor(ORLICZ, UNIT, generator=power_young(2.0)),
+           SpaceDescriptor(LAMBDA, UNIT, generator=power_young(2.0)),
+           SpaceDescriptor(MARCINKIEWICZ, UNIT, generator=exp_young(1.0)),
+           SpaceDescriptor(CLASSICAL_LORENTZ, UNIT, weight=SampledFn([(2.0, 0.3), (1.0, 0.7)]),
+                           q=1.5)]
 
 
 def step_derivative_young(breaks, levels):
@@ -703,9 +730,26 @@ class TestLiftedNorm:
             f = random_sampled(rng, n_max=5)
             assert lifted_norm(F, X, f) == pytest.approx(space_norm(X, f), rel=1e-9)
 
-    def test_one_scale_per_predicate_call(self, monkeypatch):
-        # the scale search may batch scales; the lift still asks for one
-        # space norm per scale, and as many as the one-at-a-time search
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(LIFT_FS), st.sampled_from(LIFT_XS),
+           st.lists(st.tuples(st.floats(0.05, 20.0), st.floats(0.01, 0.2)),
+                    min_size=1, max_size=5))
+    # an Orlicz image norm is itself a bisection, so it steps at the last
+    # bit of the image: here images of f * (1 / lam) for f / lam move the
+    # lift by 8e-11
+    @example(LIFT_FS[0], LIFT_XS[5], [(2.1723671894200516, 0.15456104257911182),
+                                      (0.9352882073272871, 0.03112288137256082),
+                                      (7.7721002765806615, 0.1197594251470386)])
+    def test_is_the_one_scale_search(self, F, X, pieces):
+        # the gauge search's certified bracket answers some scales without
+        # an image norm; every answer is the one the image norm gives
+        f = SampledFn(pieces)
+        assert lifted_norm(F, X, f) == sequential_lifted_norm(F, X, f)
+
+    def test_image_norms_per_lift(self, monkeypatch):
+        # one image norm per scale that the root phase or the bisection
+        # inside the certified bracket asks; a search that asks one image
+        # norm for every scale makes 36 here
         X = SpaceDescriptor(LORENTZ, UNIT, p=2.0, q=1.5)
         F = power_young(2.0)
         f = SampledFn([(2.0, 0.3), (0.5, 0.2), (7.0, 0.01)])
@@ -717,16 +761,8 @@ class TestLiftedNorm:
             return space_norm(*args)
 
         monkeypatch.setattr(diagonality, "space_norm", counted)
-        got = lifted_norm(F, X, f)
-        batched = len(seen)
-        seen.clear()
-        values, widths = np.array(f.pieces).T
-        want = sequential_least_admissible_scale(
-            lambda lam: counted(X, SampledFn(zip(F(values / lam), widths),
-                                             f.length)) <= 1.0,
-            max(f.sup_value(), 1.0), 1e-10)
-        assert got == want
-        assert batched == len(seen)
+        assert lifted_norm(F, X, f) == sequential_lifted_norm(F, X, f, space_norm)
+        assert len(seen) <= 12
 
     def test_power_lift_of_characteristic(self):
         p, q, r = 2.0, 1.0, 2.0

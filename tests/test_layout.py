@@ -5,9 +5,11 @@ incomplete-gamma kernel, which loads ``scipy.special`` on its first call
 growth classes are never read from a generator's ``recipe``, step functions
 are read through their ``values`` and ``widths`` arrays, never their
 ``pieces`` list, no loop calls the certificate kernel
-``integrate_outer_reciprocal``, optimality outcomes are read off their
-verdicts, the edge slopes of a table are read only when it is built, no
-function keeps state at module level (the CLI's parser is the one memoized
+``integrate_outer_reciprocal``, only the gauge search ``gauge_norm`` calls
+the scale search ``least_admissible_scale`` and its root phase
+``_certified_bracket``, optimality outcomes are read off their verdicts,
+the edge slopes of a table are read only when it is built, no function
+keeps state at module level (the CLI's parser is the one memoized
 function), and every top-level function and class is used somewhere in the
 source or the tests."""
 
@@ -171,6 +173,21 @@ def test_no_loop_calls_the_outer_reciprocal_kernel():
              and getattr(node.func, "id", getattr(node.func, "attr", None))
              == "integrate_outer_reciprocal"]
     assert not found, "integrate_outer_reciprocal called in a loop: " + ", ".join(found)
+
+
+def test_one_scale_search():
+    # every gauge norm goes through gauge_norm's certified root phase and
+    # replayed bisection; no other code runs a scale search of its own
+    found = []
+    for path in SOURCES:
+        for fn in ast.walk(parse(path)):
+            if not isinstance(fn, ast.FunctionDef) or fn.name == "gauge_norm":
+                continue
+            found += [f"{path.name}:{node.lineno} in {fn.name}" for node in ast.walk(fn)
+                      if isinstance(node, ast.Call)
+                      and getattr(node.func, "id", getattr(node.func, "attr", None))
+                      in ("least_admissible_scale", "_certified_bracket")]
+    assert not found, "scale search outside gauge_norm: " + ", ".join(found)
 
 
 def test_outcomes_are_read_off_their_verdicts():

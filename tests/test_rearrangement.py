@@ -1,5 +1,6 @@
 import bisect
 import math
+import sys
 import warnings
 
 import mpmath as mp
@@ -347,6 +348,14 @@ class TestScaleSearch:
     def test_no_bracket(self):
         assert least_admissible_scale(lambda lam: True, 1.0, 1e-10) == 0.0
         assert least_admissible_scale(lambda lam: False, 1.0, 1e-10) == INF
+        # the last rungs: 0 where the least normal float is admissible, +inf
+        # where the largest float is not
+        for ok, answer, last in ((lambda lam: lam >= 1e-310, 0.0, sys.float_info.min),
+                                 (lambda lam: lam > INF, INF, sys.float_info.max)):
+            asked = []
+            assert least_admissible_scale(lambda lam: asked.append(lam) or ok(lam),
+                                          1.0, 1e-10) == answer
+            assert asked[-1] == last
 
 
     def test_far_bracket_squares_the_step(self):
@@ -366,8 +375,9 @@ class TestScaleSearch:
 
     def test_gives_the_sequential_answer(self):
         cases = [(lambda lam, answer=answer: lam >= answer, answer, start)
-                 for answer in (1e-250, 3.7e-5, 0.25, 1.0, 42.0, 9e7, 1e25, 1e200)
-                 for start in (1e-150, 1.0, 1e3)]
+                 for answer in (1e-305, 3e-301, 1e-250, 3.7e-5, 0.25, 1.0, 42.0, 9e7,
+                                1e25, 1e200, 1e305, 1.5e308)
+                 for start in (1e-301, 1e-150, 1.0, 1e3, 1e301)]
         cases += [(lambda lam: lam > 0.0, 0.0, 1.0), (lambda lam: lam > INF, INF, 1.0)]
         for pred, answer, start in cases:
             for tol in (1e-6, 1e-10, 1e-13):
