@@ -19,6 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .monotone import (
+    EXP_RECIPROCAL,
+    EXPONENTIAL,
     INF,
     INFINITE_BEYOND,
     LIMIT_CONST,
@@ -173,18 +175,23 @@ def integrate_outer_reciprocal(outer: MonotoneFn, table: MonotoneFn, c,
 
     The inner map is non-increasing on each power segment of the table, so
     splitting at preimages of the outer grid makes every chunk a single
-    power of t.  Segments where the table vanishes on positive measure are
-    charged outer's value at infinity (conservatively infinite if that is
-    infinite).
+    power of t.  Past the table's grid, down to 40 decades below its first
+    node and up to 40 above its last, a row takes one segment where the
+    table is 0, +inf or a constant there, or a pure power while outer is
+    one too where c / table goes (split at a jump to +inf), and 8 a decade
+    where either has a log or an exponential factor.
+    Segments where the table vanishes on positive measure are charged
+    outer's value at infinity (conservatively infinite if that is
+    infinite), and segments from the table's jump to +inf on, outer(0).
 
     The rows are answered in order up to the first that diverges.  Each
-    row's residuals beyond the table's grid (40 decades below its first
-    node and above its last) come first, so the rows from the first
-    divergent residual on cost no segment work.  The rows before it are
-    integrated in one array pass: their edges sit in one flat array with a
-    row index, so the table, the outer function and the chunking are each
-    called once for all of them.  A row's value is its segments summed left
-    to right, then its residual toward 0, then its residual toward infinity.
+    row's residuals beyond those 80 decades are decided first, so the rows
+    from the first divergent residual on are not integrated.  The edges and
+    residual points of all rows sit in one flat array with a row index, so
+    the table and the outer function are each evaluated once for all of
+    them (the table once more where a segment rises from 0).  A row's value
+    is its segments summed left to right, then its residual toward 0, then
+    its residual toward infinity.
 
     Scalar arguments give a float.  Otherwise the result holds the rows up
     to the first that diverges, which reads +inf and ends it.
@@ -196,13 +203,32 @@ def integrate_outer_reciprocal(outer: MonotoneFn, table: MonotoneFn, c,
     lo_eff = np.maximum(lo, t0 * 1e-40)
     hi_eff = np.minimum(hi, t1 * 1e40)
     live = hi_eff > lo_eff
-    res_lo, res_hi = _end_residuals(outer, table, c, lo, hi, lo_eff, hi_eff, live)
+    rows = np.flatnonzero(live)
+    below = np.flatnonzero(live & (lo < lo_eff) & (lo_eff > 0.0))
+    above = np.flatnonzero(live & (hi > hi_eff))
+    ends = np.concatenate((lo_eff[below], hi_eff[above]))
+    m = 2 * ends.size
+    # the point past which the table is +inf (inf where it stays finite)
+    jump = table.t_inf if np.isinf(table.v[-1]) else max(table.t_inf, float(t1))
+    owner, edges = _segment_points(outer, table, jump, lo_eff, hi_eff, rows)
+    order = _row_order(owner, edges)
+    owner, edges = owner[order], edges[order]
+    # the table at half of each residual end, at the end, and at every edge
+    tv = table(np.concatenate((ends / 2.0, ends, edges)))
+    owner, edges, tv_edges = _refine_ramps(table, owner, edges, tv[m:])
+    with np.errstate(divide="ignore", over="ignore"):
+        u = c[owner] / tv_edges  # the inner value at each edge
+        ov = outer(np.concatenate(
+            (np.tile(np.concatenate((c[below], c[above])), 2) / tv[:m], u)))
+    res_lo, res_hi = _end_residuals(ov[:m].tolist(), below, above, lo_eff, hi_eff,
+                                    hi, c.size)
     ends_diverge = np.isinf(res_lo) | np.isinf(res_hi)
     n = int(np.argmax(ends_diverge)) if ends_diverge.any() else c.size
-    rows = np.flatnonzero(live[:n])
     total = np.zeros(n)
-    if rows.size:
-        total = _segment_sums(outer, table, c, lo_eff, hi_eff, rows, n)
+    k = np.searchsorted(owner, n)  # the edges of the rows before n
+    if k:
+        total = _segment_sums(outer, jump, owner[:k], edges[:k], tv_edges[:k], u[:k],
+                              ov[m:m + k], n)
     total = total + res_lo[:n] + res_hi[:n]
     if n < c.size:
         total = np.append(total, INF)
@@ -212,122 +238,159 @@ def integrate_outer_reciprocal(outer: MonotoneFn, table: MonotoneFn, c,
     return total if shape else float(total[0])
 
 
-def _row_edges(owner, pts):
-    """The points sorted by row and, within a row, ascending, with repeats
-    dropped (np.unique per row)."""
+def _row_order(owner, pts):
+    """The index that sorts the points by row and, within a row,
+    ascending, with repeats dropped (np.unique per row)."""
     order = np.lexsort((pts, owner))
     owner, pts = owner[order], pts[order]
     keep = np.ones(pts.size, dtype=bool)
     keep[1:] = (pts[1:] != pts[:-1]) | (owner[1:] != owner[:-1])
-    return owner[keep], pts[keep]
+    return order[keep]
 
 
-def _segment_sums(outer, table, c, lo_eff, hi_eff, rows, n):
-    """The segment integrals of the given rows summed per row, left to
-    right (rows among the first n; the others read 0)."""
-    t0, t1 = table.t[0], table.t[-1]
+def _segment_points(outer, table, jump, lo_eff, hi_eff, rows):
+    """The edges of the given rows, unsorted, with their row index: each
+    row's ends and the table's nodes inside it, and where the row reaches
+    past the table's grid, 8 points a decade unless one segment is exact
+    there (:func:`_one_segment`), and the table's jump to +inf."""
+    t, t0, t1 = table.t, table.t[0], table.t[-1]
     lo_r, hi_r = lo_eff[rows], hi_eff[rows]
-    # the table's nodes inside each row: table.t[first:first + count]
-    first = np.searchsorted(table.t, lo_r, side="right")
-    count = np.maximum(np.searchsorted(table.t, hi_r, side="left") - first, 0)
+    # the table's nodes inside each row: t[first:first + count]
+    first = np.searchsorted(t, lo_r, side="right")
+    count = np.maximum(np.searchsorted(t, hi_r, side="left") - first, 0)
     inner = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count, count)
-    # geometric extension grids where a row reaches past the table's ends
-    head = rows[(lo_r < t0) & (t0 < hi_r)]
-    tail = rows[(lo_r < t1) & (t1 < hi_r)]
-    grids = [geometric_grid(lo_eff[i], t0, 8) for i in head] + \
-        [geometric_grid(t1, hi_eff[i], 8) for i in tail]
-    owner, edges = _row_edges(
-        np.concatenate((rows, rows, np.repeat(rows, count),
-                        np.repeat(np.append(head, tail), [g.size for g in grids]))),
-        np.concatenate([lo_r, hi_r, table.t[inner]] + grids))
-    tv = table(edges)
-    # refine segments that cross a vanishing or an infinite table value
-    same = owner[1:] == owner[:-1]
-    trans = same & (((tv[:-1] == 0.0) & (tv[1:] > 0.0)) |
-                    (np.isfinite(tv[:-1]) & (tv[:-1] > 0) & np.isinf(tv[1:])))
-    if trans.any():
-        k = np.flatnonzero(trans)
-        extra = np.geomspace(edges[k] * (1 + 1e-12), edges[k + 1], 33)
-        owner, edges = _row_edges(
-            np.concatenate((owner, np.broadcast_to(owner[k], extra.shape).ravel())),
-            np.concatenate((edges, extra.ravel())))
-        tv = table(edges)
-        same = owner[1:] == owner[:-1]
+    head, tail = (lo_r < t0) & (t0 < hi_r), (lo_r < t1) & (t1 < hi_r)
+    grids = []
+    if not _one_segment(table, outer, True):
+        grids += [(i, geometric_grid(lo_eff[i], t0, 8)) for i in rows[head]]
+    if not _one_segment(table, outer, False):
+        grids += [(i, geometric_grid(t1, hi_eff[i], 8)) for i in rows[tail]]
+    if t1 < jump < INF:
+        grids += [(i, np.full(1, jump)) for i in rows[(lo_r < jump) & (jump < hi_r)]]
+    return (np.concatenate([rows, rows, np.repeat(rows, count)] +
+                           [np.full(g.size, i) for i, g in grids]),
+            np.concatenate([lo_r, hi_r, t[inner]] + [g for _, g in grids]))
+
+
+def _one_segment(table, outer, zero_side):
+    """Whether one segment integrates outer(c / table) past the table's
+    grid on that side exactly: where the table is 0, +inf or a constant
+    there, or a pure power while outer is one too where c / table goes."""
+    if not _plain_end(table, zero_side):
+        return False
+    p = table.power_log_form(zero_side)
+    return p is None or p[0] == 0.0 or _plain_end(outer, zero_side != (p[0] > 0.0))
+
+
+def _plain_end(fn, zero_side):
+    """Whether the function past its grid on that side is 0, +inf, a pure
+    power, or the constant value of the grid's end node (or that value up
+    to a jump to +inf): not a log or an exponential factor, nor a constant
+    that steps from the node's value."""
+    d = fn.zero_desc if zero_side else fn.inf_desc
+    form = fn.power_log_form(zero_side)
+    if form is None:
+        return d.kind not in (EXPONENTIAL, EXP_RECIPROCAL)
+    return form[1] == 0.0 and form[4] == fn.v[0 if zero_side else -1]
+
+
+def _refine_ramps(table, owner, edges, tv):
+    """The edges, with 33 geometric points added in each segment of a row
+    that rises from 0 to a finite value (a ramp of the table, or a tail
+    that underflows), and the table's values at them."""
+    ramp = (owner[1:] == owner[:-1]) & (tv[:-1] == 0.0) & (tv[1:] > 0.0) & \
+        np.isfinite(tv[1:])
+    if not ramp.any():
+        return owner, edges, tv
+    k = np.flatnonzero(ramp)
+    extra = np.geomspace(edges[k] * (1 + 1e-12), edges[k + 1], 33).ravel()
+    owner = np.concatenate((owner, np.broadcast_to(owner[k], (33, k.size)).ravel()))
+    edges = np.concatenate((edges, extra))
+    tv = np.concatenate((tv, table(extra)))
+    order = _row_order(owner, edges)
+    return owner[order], edges[order], tv[order]
+
+
+def _segment_sums(outer, jump, owner, edges, tv, u, ov, n):
+    """The segment integrals of rows among the first n summed per row, left
+    to right (the others read 0), from each edge's row, table value, inner
+    value u = c / table and outer value ov = outer(u); the table is +inf
+    past jump."""
     # each pair of consecutive edges of one row is a segment; a pair across
     # two rows counts 0
+    same = owner[1:] == owner[:-1]
     ta, tb = edges[:-1], edges[1:]
     va, vb = tv[:-1], tv[1:]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        cs = c[owner[:-1]]
-        u_a, u_b = cs / va, cs / vb  # inner values at the edges (u_a >= u_b)
-        # Where the table is 0 at both ends or at the left end (a leading
-        # sliver of a ramp), or so small that c / va overflows (u_a = inf:
-        # conservative), +inf at the left end (u_a = 0), +inf at the right
-        # end (the inner argument falls from u_a to zero: bounded by its left
-        # edge) or where u_a == u_b, the integrand is charged outer(u_a) over
-        # the whole segment.
-        pieces = np.where(same, outer(u_a) * (tb - ta), 0.0)
+    u_a, u_b = u[:-1], u[1:]  # u_a >= u_b
+    # From the table's jump to +inf on, the integrand is outer(0).  Where
+    # the table is 0 at both ends or at the left end (a leading sliver of a
+    # ramp, or a vanishing stretch up to a step), or so small that c / va
+    # overflows (u_a = inf: conservative), +inf at the left end (u_a = 0),
+    # +inf at the right end only (the table vanishes up to a step to +inf)
+    # or where u_a == u_b, it is charged outer(u_a) over the whole segment.
+    o_a = np.where(ta >= jump, outer.value_at_zero, ov[:-1])
+    with np.errstate(invalid="ignore"):
+        pieces = np.where(same, o_a * (tb - ta), 0.0)
     chunked = same & np.isfinite(u_a) & np.isfinite(vb) & (u_a != u_b)
     pieces[chunked] = _outer_chunks(outer, ta[chunked], tb[chunked], va[chunked],
-                                    vb[chunked], u_a[chunked], u_b[chunked])
-    # each row's pieces left to right down one column of a zero-padded
-    # table, summed by a running sum down the columns; the 0 of a pair
-    # across rows lands past its row's last piece, and trailing zeros add
-    # nothing
-    pos = np.arange(edges.size) - np.searchsorted(owner, owner)
-    padded = np.zeros((pos.max() + 1, n))
-    padded[pos[:-1], owner[:-1]] = pieces
-    sums = np.cumsum(padded, axis=0)[-1]
+                                    vb[chunked], u_a[chunked], u_b[chunked],
+                                    o_a[chunked], ov[1:][chunked])
+    # each row's pieces left to right down one column of a table of the
+    # rows of one length, summed by a running sum down the columns
+    start = np.searchsorted(owner, np.arange(n))
+    length = np.diff(np.append(start, owner.size)) - 1
+    sums = np.zeros(n)
+    for size in np.unique(length[length > 0]).tolist():
+        rows = np.flatnonzero(length == size)
+        sums[rows] = np.cumsum(pieces[start[rows] + np.arange(size)[:, None]], axis=0)[-1]
     sums[owner[:-1][np.isinf(pieces)]] = INF
     return sums
 
 
-def _outer_chunks(outer, ta, tb, va, vb, u_a, u_b):
+def _outer_chunks(outer, ta, tb, va, vb, u_a, u_b, o_a, o_b):
     """Per-segment integrals of outer(c / inner) over [ta, tb], for power
-    segments of the inner table with u_a = c/va > u_b = c/vb, split at the
-    preimages of the outer grid points between u_b and u_a."""
+    segments of the inner table with u_a = c/va > u_b = c/vb and outer
+    values o_a, o_b there, split at the preimages of the outer grid points
+    between u_b and u_a (where outer is its node values)."""
     ot = outer.t
     # the outer grid points strictly between u_b and u_a are ot[lo:hi]
     lo = np.searchsorted(ot, u_b, side="right")
     hi = np.searchsorted(ot, u_a, side="left")
     n_nodes = hi - lo + 2
     first = np.cumsum(n_nodes) - n_nodes
+    last = first + n_nodes - 1
     seg = np.repeat(np.arange(ta.size), n_nodes)
     j = np.arange(seg.size) - first[seg]
     # each segment's nodes run u_a, the grid points descending, u_b, so their
     # preimages ascend from ta to tb
-    us = ot[np.clip(hi[seg] - j, 0, ot.size - 1)]
-    us[first] = u_a
-    us[first + n_nodes - 1] = u_b
+    node = np.clip(hi[seg] - j, 0, ot.size - 1)
+    us, ovals = ot[node], outer.v[node]
+    us[first], ovals[first] = u_a, o_a
+    us[last], ovals[last] = u_b, o_b
     # preimages: u = u_a (t/ta)^(-sigma)  =>  t = ta (u_a/u)^(1/sigma)
     with np.errstate(divide="ignore", over="ignore"):
         sigma = np.log(vb / va) / np.log(tb / ta)
         ts = ta[seg] * (u_a[seg] / us) ** (1.0 / sigma[seg])
     ts = np.clip(ts, ta[seg], tb[seg])
-    ovals = outer(us)
     left = np.flatnonzero(j[1:] > 0)
     seg_int = _power_segment_integral(ovals[left], ovals[left + 1],
                                       ts[left], ts[left + 1])
-    # segment s owns its n_nodes - 1 consecutive chunks
-    return np.add.reduceat(seg_int, first - np.arange(ta.size))
+    # segment s owns its n_nodes - 1 consecutive chunks.  The integrand
+    # lies between o_b and o_a, which bounds a segment too narrow for
+    # log(tb / ta) to resolve, such as the ulp-wide rise of a step
+    width = tb - ta
+    return np.clip(np.add.reduceat(seg_int, first - np.arange(ta.size)),
+                   o_b * width, o_a * width)
 
 
-def _end_residuals(outer, table, c, lo, hi, lo_eff, hi_eff, live):
+def _end_residuals(ov, below, above, lo_eff, hi_eff, hi, size):
     """Each row's residuals past its segments: over (lo, lo_eff) toward 0
-    and over (hi_eff, hi) toward infinity.  The integrand is evaluated at
-    each end and at half of it for all rows at once (a vanishing table
-    gives outer's value at infinity, an infinite one outer(0)); its local
-    power is then classified and integrated per row."""
-    res_lo, res_hi = np.zeros(c.size), np.zeros(c.size)
-    below = np.flatnonzero(live & (lo < lo_eff) & (lo_eff > 0.0))
-    above = np.flatnonzero(live & (hi > hi_eff))
-    ends = np.concatenate((lo_eff[below], hi_eff[above]))
-    if not ends.size:
-        return res_lo, res_hi
-    cs = np.concatenate((c[below], c[above]))
-    with np.errstate(divide="ignore", over="ignore"):
-        vals = outer(np.tile(cs, 2) / table(np.concatenate((ends / 2.0, ends)))).tolist()
-    half, at = vals[:ends.size], vals[ends.size:]
+    for the rows below and over (hi_eff, hi) toward infinity for the rows
+    above, from the integrand's values ov at half of each end, then at each
+    end (a vanishing table gives outer's value at infinity, an infinite one
+    outer(0)): its local power is classified and integrated per row."""
+    res_lo, res_hi = np.zeros(size), np.zeros(size)
+    half, at = ov[:len(ov) // 2], ov[len(ov) // 2:]
     for k, i in enumerate(below):
         res_lo[i] = _residual_zero(half[k], at[k], lo_eff[i])
     for k, i in enumerate(above, below.size):

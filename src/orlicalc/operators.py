@@ -416,12 +416,14 @@ def _exp_weight_block(F, t, cut, head, head_power, cutoff):
     ramp = first[va[first] == 0.0]
     ramp_rows = seg_rows[ramp]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ar, br = a[ramp], b[ramp]
-        c = vb[ramp] / (br - ar)
         ramp_total = np.zeros(n)
-        # c (tau - a) e**-tau integrates to c (mass at s = 2 - a mass at s = 1)
-        m2, m1 = np.exp(_log_gamma_mass(np.array([[2.0], [1.0]]), ar, br))
-        ramp_total[ramp_rows] = c * (m2 - ar * m1)
+        if ramp.size:
+            ar, br = a[ramp], b[ramp]
+            c = vb[ramp] / (br - ar)
+            # c (tau - a) e**-tau integrates to c (mass at s = 2 - a mass at
+            # s = 1)
+            m2, m1 = np.exp(_log_gamma_mass(np.array([[2.0], [1.0]]), ar, br))
+            ramp_total[ramp_rows] = c * (m2 - ar * m1)
         # the power-segment formula runs over the ramps too; they are
         # left out of the checks and sums below
         sigma = np.where(vb == va, 0.0, np.log(vb / va) / np.log(b / a))

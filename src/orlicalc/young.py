@@ -270,23 +270,27 @@ def young_from_derivative(deriv: MonotoneFn, recipe=None):
 
 def convex_minorant(t, v):
     """Greatest convex minorant of sampled points (linear coordinates);
-    leaves exactly convex data untouched, removes numerical dents."""
+    leaves exactly convex data untouched, removes numerical dents.  The
+    finite points run through a monotone chain: each pops the hull's last
+    point while that one is not strictly below the chord from the one
+    before it to the new point.  Where every point is strictly below the
+    chord of its neighbours, the chain pops nothing, and one array test of
+    those same chords says so."""
     t = np.asarray(t, dtype=float)
     v = np.asarray(v, dtype=float)
     fin = np.isfinite(v)
-    hull_t, hull_v = [], []
-    for x, y in zip(t[fin], v[fin]):
-        while len(hull_t) >= 2:
-            (x1, y1), (x2, y2) = (hull_t[-2], hull_v[-2]), (hull_t[-1], hull_v[-1])
-            if (y2 - y1) * (x - x2) >= (y - y2) * (x2 - x1):
-                hull_t.pop()
-                hull_v.pop()
-            else:
-                break
-        hull_t.append(x)
-        hull_v.append(y)
+    x, y = t[fin], v[fin]
+    up = (y[1:-1] - y[:-2]) * (x[2:] - x[1:-1]) >= (y[2:] - y[1:-1]) * (x[1:-1] - x[:-2])
+    if up.any():
+        x, y = [], []
+        for xn, yn in zip(t[fin].tolist(), v[fin].tolist()):
+            while len(x) >= 2 and (y[-1] - y[-2]) * (xn - x[-1]) >= (yn - y[-1]) * (x[-1] - x[-2]):
+                x.pop()
+                y.pop()
+            x.append(xn)
+            y.append(yn)
     out = v.copy()
-    out[fin] = np.interp(t[fin], hull_t, hull_v)
+    out[fin] = np.interp(t[fin], x, y)
     return out
 
 

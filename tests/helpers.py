@@ -10,7 +10,8 @@ from scipy import special
 import mpmath as mp
 
 from orlicalc.monotone import (
-    EXPONENTIAL, INF, INFINITE_BEYOND, ZERO_ON_INTERVAL, MonotoneFn, NUMERIC_DESC, _TINY,
+    EXP_RECIPROCAL, EXPONENTIAL, INF, INFINITE_BEYOND, LIMIT_CONST, POWER_LOG,
+    ZERO_ON_INTERVAL, MonotoneFn, NUMERIC_DESC, _TINY,
     _integral_off_grid, _log_mass_from_end, _log_quotient, _power_increment,
     _power_segment_integral, geometric_grid)
 from orlicalc.operators import _BLOCK, _exp_weight_cutoffs, _exp_weight_tail
@@ -727,6 +728,29 @@ def loop_classical_lorentz_fundamental(w, q):
     return np.asarray(breaks[1:]), np.asarray(vals[1:]) ** (1.0 / q)
 
 
+def loop_convex_minorant(t, v):
+    """convex_minorant by the monotone-chain loop: each finite point pops
+    the hull's last point while that one is not strictly below the chord
+    from the one before it to the new point."""
+    t = np.asarray(t, dtype=float)
+    v = np.asarray(v, dtype=float)
+    fin = np.isfinite(v)
+    hull_t, hull_v = [], []
+    for x, y in zip(t[fin], v[fin]):
+        while len(hull_t) >= 2:
+            (x1, y1), (x2, y2) = (hull_t[-2], hull_v[-2]), (hull_t[-1], hull_v[-1])
+            if (y2 - y1) * (x - x2) >= (y - y2) * (x2 - x1):
+                hull_t.pop()
+                hull_v.pop()
+            else:
+                break
+        hull_t.append(x)
+        hull_v.append(y)
+    out = v.copy()
+    out[fin] = np.interp(t[fin], hull_t, hull_v)
+    return out
+
+
 def reference_outer_reciprocal(outer, table, c, lo=0.0, hi=INF):
     """integrate_outer_reciprocal as it was for one interval per call, a
     float: one array pass over the table's segments, then the residuals
@@ -736,36 +760,32 @@ def reference_outer_reciprocal(outer, table, c, lo=0.0, hi=INF):
     hi_eff = min(hi, t1 * 1e40)
     if hi_eff <= lo_eff:
         return 0.0
-    parts = [np.asarray([lo_eff, hi_eff])]
-    if lo_eff < t0 < hi_eff:
-        parts.append(geometric_grid(lo_eff, t0, 8))
-    inner_pts = table.t[(table.t > lo_eff) & (table.t < hi_eff)]
-    parts.append(inner_pts)
-    if lo_eff < t1 < hi_eff:
-        parts.append(geometric_grid(t1, hi_eff, 8))
-    edges = np.unique(np.concatenate(parts))
+    edges = reference_edges(outer, table, lo_eff, hi_eff)
     tv = table(edges)
-    # refine segments that cross a vanishing or an infinite table value
-    trans = ((tv[:-1] == 0.0) & (tv[1:] > 0.0)) | \
-            (np.isfinite(tv[:-1]) & (tv[:-1] > 0) & np.isinf(tv[1:]))
+    # refine segments that rise from 0 to a finite value
+    trans = (tv[:-1] == 0.0) & (tv[1:] > 0.0) & np.isfinite(tv[1:])
     if trans.any():
         k = np.flatnonzero(trans)
         extra = np.geomspace(edges[k] * (1 + 1e-12), edges[k + 1], 33)
         edges = np.unique(np.concatenate((edges, extra.ravel())))
         tv = table(edges)
     ta, tb = edges[:-1], edges[1:]
-    va, vb = tv[:-1], tv[1:]
+    # the table is +inf inside every segment from its jump to +inf on
+    va, vb = np.where(ta >= reference_jump(table), INF, tv[:-1]), tv[1:]
     with np.errstate(divide="ignore", over="ignore"):
         u_a, u_b = c / va, c / vb  # inner values at the edges (u_a >= u_b)
     # Where the table is 0 at both ends or at the left end (a leading sliver
-    # of a ramp), or so small that c / va overflows (u_a = inf: conservative),
-    # +inf at the left end (u_a = 0), +inf at the right end (the inner
-    # argument falls from u_a to zero: bounded by its left edge) or where
-    # u_a == u_b, the integrand is charged outer(u_a) over the whole segment.
-    pieces = outer(u_a) * (tb - ta)
+    # of a ramp, or a vanishing stretch up to a step), or so small that
+    # c / va overflows (u_a = inf: conservative), +inf at the left end
+    # (u_a = 0), +inf at the right end only (the table vanishes up to a
+    # step to +inf) or where u_a == u_b, the integrand is charged outer(u_a)
+    # over the whole segment.
+    o_a, o_b = outer(u_a), outer(u_b)
+    pieces = o_a * (tb - ta)
     chunked = np.isfinite(u_a) & np.isfinite(vb) & (u_a != u_b)
     pieces[chunked] = _outer_chunks(outer, ta[chunked], tb[chunked], va[chunked],
-                                    vb[chunked], u_a[chunked], u_b[chunked])
+                                    vb[chunked], u_a[chunked], u_b[chunked],
+                                    o_a[chunked], o_b[chunked])
     if np.isinf(pieces).any():
         return INF
     total = float(np.cumsum(pieces)[-1])  # left to right, segment by segment
@@ -777,6 +797,60 @@ def reference_outer_reciprocal(outer, table, c, lo=0.0, hi=INF):
     if math.isinf(res):
         return INF
     return total + res
+
+
+def reference_edges(outer, table, lo_eff, hi_eff):
+    """The edges of one interval: its ends, the table's nodes inside it,
+    8 a decade past an end of the table's grid where :func:`grid_past_end`
+    says so, and the table's jump to +inf past its grid."""
+    t0, t1 = table.t[0], table.t[-1]
+    parts = [np.asarray([lo_eff, hi_eff])]
+    if lo_eff < t0 < hi_eff and grid_past_end(outer, table, True):
+        parts.append(geometric_grid(lo_eff, t0, 8))
+    parts.append(table.t[(table.t > lo_eff) & (table.t < hi_eff)])
+    if lo_eff < t1 < hi_eff and grid_past_end(outer, table, False):
+        parts.append(geometric_grid(t1, hi_eff, 8))
+    jump = reference_jump(table)
+    if t1 < jump < INF and lo_eff < jump < hi_eff:
+        parts.append(np.asarray([jump]))
+    return np.unique(np.concatenate(parts))
+
+
+def grid_past_end(outer, table, zero_side):
+    """Whether the edges past the table's grid on that side run 8 a decade:
+    where the table there has a log or an exponential factor or steps from
+    its end node's value to another constant, or is a power other than a
+    constant while outer has such a factor or step where c / table goes."""
+    if not_a_power_past(table, zero_side):
+        return True
+    d = table.zero_desc if zero_side else table.inf_desc
+    end = float(table.v[0] if zero_side else table.v[-1])
+    if d.kind != POWER_LOG or d.p == 0.0 or not 0.0 < end < INF:
+        return False
+    return not_a_power_past(outer, not zero_side if d.p > 0.0 else zero_side)
+
+
+def not_a_power_past(fn, zero_side):
+    """Whether fn past its grid on that side is other than 0, +inf, a pure
+    power, or the constant value of its end node."""
+    d = fn.zero_desc if zero_side else fn.inf_desc
+    end = float(fn.v[0] if zero_side else fn.v[-1])
+    if d.kind in (EXPONENTIAL, EXP_RECIPROCAL):
+        return True
+    if not zero_side and math.isinf(end):
+        return False
+    if d.kind == POWER_LOG:
+        return d.alpha != 0.0 and 0.0 < end < INF
+    if d.kind == LIMIT_CONST:
+        return d.limit != end and 0.0 < d.limit < INF
+    return False
+
+
+def reference_jump(table):
+    """The least point past which the table evaluates to +inf."""
+    if np.isinf(table.v[-1]):
+        return table.t_inf
+    return max(table.t_inf, table.t[-1])
 
 
 def _integrand_at(outer, table, c, t):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -26,7 +27,6 @@ from orlicalc.monotone import (
     MonotoneFn,
     _power_segment_integral,
     default_grid,
-    geometric_grid,
     infinite_beyond_desc,
     limit_const_desc,
     power_log_desc,
@@ -66,8 +66,8 @@ from orlicalc.young import (
 )
 
 from helpers import (
-    reference_outer_reciprocal, reference_residual_inf, reference_residual_zero,
-    sequential_least_admissible_scale)
+    reference_edges, reference_jump, reference_outer_reciprocal, reference_residual_inf,
+    reference_residual_zero, sequential_least_admissible_scale)
 from test_rearrangement import random_sampled
 
 
@@ -179,7 +179,7 @@ def chunked_outer_piece(outer, c, ta, tb, va, vb):
     if np.isinf(va):
         return float(outer(0.0)) * (tb - ta)
     if np.isinf(vb):
-        # the inner argument falls from c/va to zero: bound by its left edge
+        # +inf at the right end only: a step to +inf at tb
         with np.errstate(divide="ignore"):
             o = float(outer(np.float64(c) / va))
         return o * (tb - ta) if o > 0 else 0.0
@@ -213,25 +213,21 @@ def loop_outer_reciprocal(outer, table, c, lo=0.0, hi=INF):
     hi_eff = min(hi, t1 * 1e40)
     if hi_eff <= lo_eff:
         return 0.0
-    parts = [np.asarray([lo_eff, hi_eff])]
-    if lo_eff < t0 < hi_eff:
-        parts.append(geometric_grid(lo_eff, t0, 8))
-    parts.append(table.t[(table.t > lo_eff) & (table.t < hi_eff)])
-    if lo_eff < t1 < hi_eff:
-        parts.append(geometric_grid(t1, hi_eff, 8))
-    edges = np.unique(np.concatenate(parts))
+    edges = reference_edges(outer, table, lo_eff, hi_eff)
     tv = table(edges)
-    trans = ((tv[:-1] == 0.0) & (tv[1:] > 0.0)) | \
-            (np.isfinite(tv[:-1]) & (tv[:-1] > 0) & np.isinf(tv[1:]))
+    trans = (tv[:-1] == 0.0) & (tv[1:] > 0.0) & np.isfinite(tv[1:])
     if trans.any():
         extra = [np.geomspace(edges[k] * (1 + 1e-12), edges[k + 1], 33)
                  for k in np.flatnonzero(trans)]
         edges = np.unique(np.concatenate([edges] + extra))
         tv = table(edges)
+    jump = reference_jump(table)
     total = 0.0
     for k in range(edges.size - 1):
+        # the table is +inf inside a segment that starts at its jump or later
+        va = INF if edges[k] >= jump else float(tv[k])
         piece = chunked_outer_piece(outer, c, float(edges[k]), float(edges[k + 1]),
-                                    float(tv[k]), float(tv[k + 1]))
+                                    va, float(tv[k + 1]))
         if math.isinf(piece):
             return INF
         total += piece
@@ -339,6 +335,94 @@ class TestOuterReciprocal:
             c = float(10.0 ** rng.uniform(-1.5, 1.5))
             assert_same_integral(integrate_outer_reciprocal(g_inv, A.derivative, c, lo, hi),
                                  loop_outer_reciprocal(g_inv, A.derivative, c, lo, hi))
+
+
+class TestExactCertificates:
+    """Certificate integrals against their exact values."""
+
+    def test_sup_generator_under_a_bounded_outer_is_exact(self):
+        # min(u, 2) of 1 / a for the sup generator's derivative a, 0 up to
+        # 1 and +inf past it: 2 on (0, 1) and min(0, 2) = 0 beyond
+        got = integrate_outer_reciprocal(bounded_outer(), linfty_young().derivative,
+                                         1.0, 0.0, INF)
+        assert got == 2.0
+
+    @pytest.mark.parametrize("generator, pieces, golden", [
+        (power_young(2.0), [(1, 0.5), (3, 0.1)], 0.70710678118654745),
+        (exp_young(1.0), [(2, 0.3), (0.5, 0.4)], 0.73846191051905903),
+    ], ids=["power-log-2", "exponential-1"])
+    def test_golden_witness_certificates_are_their_step_sums(self, generator, pieces,
+                                                             golden):
+        # the witness derivative is a step function: its first level below
+        # its first node, one level on each pair of nodes with equal values,
+        # a rise one ulp wide between levels, and +inf past its last finite
+        # node, where the outer function is 0
+        E = QuasiConvexFn(generator.base)
+        A = construct_witness_young(SampledFn(pieces), E)
+        g_inv = build_gw(E).g_inv
+        assert g_inv(0.0) == 0.0
+        t, v = A.derivative.t, A.derivative.v
+        with mp.workdps(40):
+            exact = mp.mpf(float(g_inv(1.0 / v[0]))) * mp.mpf(float(t[0]))
+            for k in range(t.size - 1):
+                if np.isinf(v[k + 1]):
+                    break
+                mid = A.derivative(0.5 * (t[k] + t[k + 1])) if v[k] != v[k + 1] else v[k]
+                exact += mp.mpf(float(g_inv(1.0 / mid))) * (mp.mpf(float(t[k + 1])) -
+                                                            mp.mpf(float(t[k])))
+            got = orlicz_lambda_Nlambda(A, E, 1.0)
+            assert got == golden
+            assert abs(mp.mpf(got) - exact) <= math.ulp(float(exact))
+
+    @pytest.mark.parametrize("case", [
+        # table a = 1.5 t**0.5, outer sqrt(u / 3): (c / 4.5)**0.5 t**-0.25
+        (power_young(1.5), power_young(3.0), 0.0, 0.5,
+         lambda c, t: mp.sqrt(c / (1.5 * mp.sqrt(t)) / 3)),
+        (power_young(1.5), power_young(3.0), 0.0, 3e3,
+         lambda c, t: mp.sqrt(c / (1.5 * mp.sqrt(t)) / 3)),
+        # table a = 3 t**2, outer (u / 1.5)**2: (c / 4.5)**2 t**-4
+        (power_young(3.0), power_young(1.5), 1.0, INF,
+         lambda c, t: (c / (3 * t ** 2) / 1.5) ** 2),
+        (power_young(3.0), power_young(1.5), 1e9, INF,
+         lambda c, t: (c / (3 * t ** 2) / 1.5) ** 2),
+    ], ids=["head-0.5", "head-3e3", "tail-1", "tail-1e9"])
+    def test_power_rows_match_a_quadrature(self, case):
+        A, G, lo, hi, integrand = case
+        table, outer = A.derivative, G.derivative.left_inverse()
+        cuts = [x for x in (lo, table.t[0], table.t[-1], hi) if lo <= x <= hi]
+        for c in (0.3, 1.0, 7.0):
+            with mp.workdps(30):
+                # the integrand over the row scaled to about 1, as the
+                # quadrature's tolerance is absolute
+                end = mp.mpf(lo or hi)
+                scale = integrand(mp.mpf(c), end) * end
+                want = scale * mp.quad(lambda t: integrand(mp.mpf(c), t) / scale, cuts)
+            got = integrate_outer_reciprocal(outer, table, c, lo, hi)
+            assert got == pytest.approx(float(want), rel=1e-13)
+
+    def test_one_evaluation_per_function_per_call(self, monkeypatch):
+        # the residual points join the edges in one table call and the
+        # chunks read the outer grid's node values, so a call evaluates
+        # each function once, whatever its rows
+        evaluate = MonotoneFn.__call__
+        counts = {}
+
+        def counted(fn, x):
+            counts[id(fn)] = counts.get(id(fn), 0) + 1
+            return evaluate(fn, x)
+
+        E = QuasiConvexFn(power_young(2.0).base)
+        witness = construct_witness_young(SampledFn([(1, 0.5), (3, 0.1)]), E)
+        cases = [(build_gw(E).g_inv, witness.derivative, 1.0, 0.0, INF),
+                 (bounded_outer(), linfty_young().derivative, 1.0, 0.0, INF),
+                 (power_young(3.0).derivative.left_inverse(), power_young(1.5).derivative,
+                  np.array([0.3, 1.0, 7.0]), np.array([0.0, 0.5, 2.0]),
+                  np.array([0.5, 2.0, 9.0]))]
+        monkeypatch.setattr(MonotoneFn, "__call__", counted)
+        for outer, table, *row in cases:
+            counts.clear()
+            assert np.isfinite(integrate_outer_reciprocal(outer, table, *row)).all()
+            assert counts == {id(table): 1, id(outer): 1}
 
 
 class TestNlambda:

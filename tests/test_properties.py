@@ -61,6 +61,7 @@ from orlicalc.spaces import (
 from orlicalc.young import (
     _table_from_json,
     _table_to_json,
+    convex_minorant,
     exp_young,
     linfty_young,
     power_log_young,
@@ -76,6 +77,7 @@ from helpers import (
     loop_classical_lorentz_fundamental,
     loop_classical_lorentz_Nlambda,
     loop_classical_lorentz_norm,
+    loop_convex_minorant,
     loop_distribution,
     loop_lambda_norm,
     loop_marcinkiewicz,
@@ -858,3 +860,49 @@ def test_sampled_young_function_levels_rounding(case):
     # it by as much, relative to the scale
     t, v, d0, d1 = case
     _check_sampled_young(t, v, d0, d1, lambda scale: 1e-9 * scale)
+
+
+@st.composite
+def minorant_samples(draw):
+    """Samples for convex_minorant: integer points whose second differences
+    vanish on collinear runs, t**p on a sorted grid, or points of a line
+    each moved by a few ulp, with some values dented up or down and some
+    +inf."""
+    n = draw(st.integers(min_value=1, max_value=40))
+
+    def ints(lo, hi):
+        return np.asarray(draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n)))
+
+    family = draw(st.sampled_from(["runs", "powers", "line"]))
+    if family == "runs":
+        t = np.cumsum(ints(1, 4)).astype(float)
+        v = np.cumsum(np.cumsum(ints(0, 2))).astype(float)
+    elif family == "powers":
+        t = np.unique(10.0 ** np.asarray(draw(st.lists(st.floats(-3, 3), min_size=n,
+                                                        max_size=n))))
+        n = t.size
+        v = t ** draw(st.sampled_from([1.5, 2.0, 3.0, 4.0]))
+    else:
+        # the chords of near-collinear points round either way
+        t = np.geomspace(1e-3, 1e3, n)
+        v = 2.0 * t + 0.5
+        v = v + ints(-3, 3) * np.spacing(v)
+    flags = st.lists(st.booleans(), min_size=n, max_size=n)
+    dents = np.asarray(draw(st.lists(st.sampled_from([-0.5, -1e-9, 0.0, 1e-12, 0.3]),
+                                     min_size=n, max_size=n)))
+    v = v * (1.0 + dents)
+    v[np.asarray(draw(flags), dtype=bool)] = INF
+    return t, v
+
+
+@settings(max_examples=400, deadline=None)
+@given(minorant_samples())
+@example((np.geomspace(1e-3, 1e3, 257), np.geomspace(1e-3, 1e3, 257) ** 3))
+def test_convex_minorant_is_the_monotone_chain(case):
+    # the array test of each point against its neighbours is the chain's
+    # first test of it, so data it passes whole is the chain's output too,
+    # and other data runs the chain: the minorant is the loop's bit for bit
+    t, v = case
+    if not np.isfinite(v).any():
+        return
+    assert convex_minorant(t, v).tobytes() == loop_convex_minorant(t, v).tobytes()
