@@ -177,21 +177,23 @@ def integrate_outer_reciprocal(outer: MonotoneFn, table: MonotoneFn, c,
     splitting at preimages of the outer grid makes every chunk a single
     power of t.  Past the table's grid, down to 40 decades below its first
     node and up to 40 above its last, a row takes one segment where the
-    table is 0, +inf or a constant there, or a pure power while outer is
-    one too where c / table goes (split at a jump to +inf), and 8 a decade
-    where either has a log or an exponential factor.
+    table is 0, +inf or a constant there, or a pure power that stays a
+    normal float over those 40 decades while outer is a pure power too
+    where c / table goes (split at a jump to +inf).  Elsewhere it takes 8
+    edges a decade: where either has a log or an exponential factor, or
+    the table's power underflows or overflows.
     Segments where the table vanishes on positive measure are charged
     outer's value at infinity (conservatively infinite if that is
     infinite), and segments from the table's jump to +inf on, outer(0).
 
-    The rows are answered in order up to the first that diverges.  Each
-    row's residuals beyond those 80 decades are decided first, so the rows
-    from the first divergent residual on are not integrated.  The edges and
-    residual points of all rows sit in one flat array with a row index, so
-    the table and the outer function are each evaluated once for all of
-    them (the table once more where a segment rises from 0).  A row's value
-    is its segments summed left to right, then its residual toward 0, then
-    its residual toward infinity.
+    The rows are answered in order up to the first that diverges.  The
+    edges and residual points of all rows sit in one flat array with a row
+    index, so the table and the outer function are each evaluated once for
+    all of them (the table once more where a segment rises from 0 or
+    overflows to +inf).  The residuals beyond those 80 decades are read off
+    these values, and the rows from the first divergent residual on are
+    evaluated but not summed.  A row's value is its segments summed left
+    to right, then its residual toward 0, then its residual toward infinity.
 
     Scalar arguments give a float.  Otherwise the result holds the rows up
     to the first that diverges, which reads +inf and ends it.
@@ -215,7 +217,7 @@ def integrate_outer_reciprocal(outer: MonotoneFn, table: MonotoneFn, c,
     owner, edges = owner[order], edges[order]
     # the table at half of each residual end, at the end, and at every edge
     tv = table(np.concatenate((ends / 2.0, ends, edges)))
-    owner, edges, tv_edges = _refine_ramps(table, owner, edges, tv[m:])
+    owner, edges, tv_edges = _refine_ramps(table, jump, owner, edges, tv[m:])
     with np.errstate(divide="ignore", over="ignore"):
         u = c[owner] / tv_edges  # the inner value at each edge
         ov = outer(np.concatenate(
@@ -259,27 +261,36 @@ def _segment_points(outer, table, jump, lo_eff, hi_eff, rows):
     first = np.searchsorted(t, lo_r, side="right")
     count = np.maximum(np.searchsorted(t, hi_r, side="left") - first, 0)
     inner = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count, count)
-    head, tail = (lo_r < t0) & (t0 < hi_r), (lo_r < t1) & (t1 < hi_r)
     grids = []
     if not _one_segment(table, outer, True):
-        grids += [(i, geometric_grid(lo_eff[i], t0, 8)) for i in rows[head]]
+        grids += [(i, geometric_grid(lo_eff[i], min(hi_eff[i], t0), 8))
+                  for i in rows[lo_r < t0]]
     if not _one_segment(table, outer, False):
-        grids += [(i, geometric_grid(t1, hi_eff[i], 8)) for i in rows[tail]]
-    if t1 < jump < INF:
-        grids += [(i, np.full(1, jump)) for i in rows[(lo_r < jump) & (jump < hi_r)]]
-    return (np.concatenate([rows, rows, np.repeat(rows, count)] +
+        grids += [(i, geometric_grid(max(lo_eff[i], t1), hi_eff[i], 8))
+                  for i in rows[hi_r > t1]]
+    at_jump = rows[(lo_r < jump) & (jump < hi_r)] if t1 < jump < INF else rows[:0]
+    return (np.concatenate([rows, rows, np.repeat(rows, count), at_jump] +
                            [np.full(g.size, i) for i, g in grids]),
-            np.concatenate([lo_r, hi_r, t[inner]] + [g for _, g in grids]))
+            np.concatenate([lo_r, hi_r, t[inner], np.full(at_jump.size, jump)] +
+                           [g for _, g in grids]))
 
 
 def _one_segment(table, outer, zero_side):
     """Whether one segment integrates outer(c / table) past the table's
     grid on that side exactly: where the table is 0, +inf or a constant
-    there, or a pure power while outer is one too where c / table goes."""
+    there, or a pure power while outer is one too where c / table goes.
+    The power must stay a normal float 40 decades past the grid, as must
+    its ratio to the end node's value, or the segment's log slope is lost;
+    a power that underflows or overflows there takes the grid."""
     if not _plain_end(table, zero_side):
         return False
-    p = table.power_log_form(zero_side)
-    return p is None or p[0] == 0.0 or _plain_end(outer, zero_side != (p[0] > 0.0))
+    form = table.power_log_form(zero_side)
+    if form is None or form[0] == 0.0:
+        return True
+    p, va = form[0], form[4]
+    y = p * math.log(1e-40 if zero_side else 1e40)  # log of the ratio
+    return abs(y) < 700.0 and abs(math.log(va) + y) < 700.0 and \
+        _plain_end(outer, zero_side != (p > 0.0))
 
 
 def _plain_end(fn, zero_side):
@@ -294,12 +305,15 @@ def _plain_end(fn, zero_side):
     return form[1] == 0.0 and form[4] == fn.v[0 if zero_side else -1]
 
 
-def _refine_ramps(table, owner, edges, tv):
+def _refine_ramps(table, jump, owner, edges, tv):
     """The edges, with 33 geometric points added in each segment of a row
     that rises from 0 to a finite value (a ramp of the table, or a tail
-    that underflows), and the table's values at them."""
-    ramp = (owner[1:] == owner[:-1]) & (tv[:-1] == 0.0) & (tv[1:] > 0.0) & \
-        np.isfinite(tv[1:])
+    that underflows) or from a finite value to +inf before the table's
+    jump (a tail that overflows), and the table's values at them."""
+    finite = np.isfinite(tv)
+    ramp = (owner[1:] == owner[:-1]) & (tv[1:] > 0.0) & (
+        (tv[:-1] == 0.0) & finite[1:] |
+        (tv[:-1] > 0.0) & finite[:-1] & ~finite[1:] & (edges[:-1] < jump))
     if not ramp.any():
         return owner, edges, tv
     k = np.flatnonzero(ramp)

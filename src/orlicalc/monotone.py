@@ -330,8 +330,7 @@ class MonotoneFn:
             with np.errstate(over="ignore", under="ignore"):
                 return va * np.exp(ta ** (-d.gamma) - x ** (-d.gamma))
         with np.errstate(over="ignore", under="ignore", divide="ignore"):  # power-log
-            log_r = _log_quotient(x, ta)  # negative: x < ta
-            out = _power_from(va, d.p * log_r, d.p * log_r.min(initial=0.0))
+            out = _power_from(va, d.p * _log_quotient(x, ta))
             if d.alpha != 0.0:
                 # log(1/x) / log(1/ta) is non-positive at x <= 1 when
                 # ta >= 1; the form anchored at ta stays positive there
@@ -358,8 +357,7 @@ class MonotoneFn:
         if vb == 0.0:
             return np.zeros_like(x)
         with np.errstate(over="ignore", divide="ignore"):  # power-log
-            log_r = _log_quotient(x, tb)  # positive: x > tb
-            out = _power_from(vb, d.p * log_r, d.p * log_r.max(initial=0.0))
+            out = _power_from(vb, d.p * _log_quotient(x, tb))
             if d.alpha != 0.0:
                 # log(x) / log(tb) is non-positive at x >= 1 when tb <= 1;
                 # the form anchored at tb stays positive there
@@ -428,14 +426,14 @@ class MonotoneFn:
                           value_at_inf=self.value_at_inf * c, validate=False)
 
 
-def _power_from(va, y, y_far=None):
+def _power_from(va, y):
     """va e**y for the array y (va a float or an array like y), with log va
     in the exponent where e**y is not a normal float: a subnormal (or +inf)
-    e**y would lose va's digits.  A tail passes y_far, the y farthest from
-    0, as its y are all of one sign: within 700 of 0 every e**y is normal."""
+    e**y would lose va's digits.  Where every |y| is below 700, every e**y
+    is normal, which one reduction over y settles."""
     e = np.exp(y)
     out = va * e
-    if y_far is not None and abs(y_far) < 700.0:
+    if np.abs(y).max(initial=0.0) < 700.0:
         return out
     far = ~_normal(e)
     if far.any():

@@ -762,8 +762,11 @@ def reference_outer_reciprocal(outer, table, c, lo=0.0, hi=INF):
         return 0.0
     edges = reference_edges(outer, table, lo_eff, hi_eff)
     tv = table(edges)
-    # refine segments that rise from 0 to a finite value
-    trans = (tv[:-1] == 0.0) & (tv[1:] > 0.0) & np.isfinite(tv[1:])
+    # refine segments that rise from 0 to a finite value, or from a finite
+    # value to +inf before the table's jump (a power that overflows)
+    trans = (tv[:-1] == 0.0) & (tv[1:] > 0.0) & np.isfinite(tv[1:]) | \
+        (tv[:-1] > 0.0) & np.isfinite(tv[:-1]) & np.isinf(tv[1:]) & \
+        (edges[:-1] < reference_jump(table))
     if trans.any():
         k = np.flatnonzero(trans)
         extra = np.geomspace(edges[k] * (1 + 1e-12), edges[k + 1], 33)
@@ -805,11 +808,11 @@ def reference_edges(outer, table, lo_eff, hi_eff):
     says so, and the table's jump to +inf past its grid."""
     t0, t1 = table.t[0], table.t[-1]
     parts = [np.asarray([lo_eff, hi_eff])]
-    if lo_eff < t0 < hi_eff and grid_past_end(outer, table, True):
-        parts.append(geometric_grid(lo_eff, t0, 8))
+    if lo_eff < t0 and grid_past_end(outer, table, True):
+        parts.append(geometric_grid(lo_eff, min(hi_eff, t0), 8))
     parts.append(table.t[(table.t > lo_eff) & (table.t < hi_eff)])
-    if lo_eff < t1 < hi_eff and grid_past_end(outer, table, False):
-        parts.append(geometric_grid(t1, hi_eff, 8))
+    if hi_eff > t1 and grid_past_end(outer, table, False):
+        parts.append(geometric_grid(max(lo_eff, t1), hi_eff, 8))
     jump = reference_jump(table)
     if t1 < jump < INF and lo_eff < jump < hi_eff:
         parts.append(np.asarray([jump]))
@@ -820,13 +823,19 @@ def grid_past_end(outer, table, zero_side):
     """Whether the edges past the table's grid on that side run 8 a decade:
     where the table there has a log or an exponential factor or steps from
     its end node's value to another constant, or is a power other than a
-    constant while outer has such a factor or step where c / table goes."""
+    constant that 40 decades out, or relative to its end node's value,
+    leaves the floats within e**700 of 1, or while outer has such a factor
+    or step where c / table goes."""
     if not_a_power_past(table, zero_side):
         return True
     d = table.zero_desc if zero_side else table.inf_desc
     end = float(table.v[0] if zero_side else table.v[-1])
     if d.kind != POWER_LOG or d.p == 0.0 or not 0.0 < end < INF:
         return False
+    far = float(table(table.t[0] * 1e-40 if zero_side else table.t[-1] * 1e40))
+    bound = math.exp(700.0)
+    if not (1.0 / bound < far < bound and 1.0 / bound < far / end < bound):
+        return True
     return not_a_power_past(outer, not zero_side if d.p > 0.0 else zero_side)
 
 

@@ -215,13 +215,14 @@ def loop_outer_reciprocal(outer, table, c, lo=0.0, hi=INF):
         return 0.0
     edges = reference_edges(outer, table, lo_eff, hi_eff)
     tv = table(edges)
-    trans = (tv[:-1] == 0.0) & (tv[1:] > 0.0) & np.isfinite(tv[1:])
-    if trans.any():
-        extra = [np.geomspace(edges[k] * (1 + 1e-12), edges[k + 1], 33)
-                 for k in np.flatnonzero(trans)]
+    jump = reference_jump(table)
+    extra = [np.geomspace(edges[k] * (1 + 1e-12), edges[k + 1], 33)
+             for k in range(edges.size - 1)
+             if tv[k] == 0.0 < tv[k + 1] < INF or
+             0.0 < tv[k] < INF == tv[k + 1] and edges[k] < jump]
+    if extra:
         edges = np.unique(np.concatenate([edges] + extra))
         tv = table(edges)
-    jump = reference_jump(table)
     total = 0.0
     for k in range(edges.size - 1):
         # the table is +inf inside a segment that starts at its jump or later
@@ -399,6 +400,27 @@ class TestExactCertificates:
                 want = scale * mp.quad(lambda t: integrand(mp.mpf(c), t) / scale, cuts)
             got = integrate_outer_reciprocal(outer, table, c, lo, hi)
             assert got == pytest.approx(float(want), rel=1e-13)
+
+    @pytest.mark.parametrize("p", [7.0, 8.0])
+    def test_power_tail_that_overflows_matches_a_quadrature(self, p):
+        # a table linear up to 1 and t**p past it, up to 1e8 and beyond:
+        # t**p overflows at T, under 1e45, and the table reads +inf past it.
+        # The row from the grid's end takes 8 edges a decade and the one
+        # segment that steps to +inf is refined, so the kernel matches the
+        # integral up to T to the sliver that refinement leaves
+        t = np.geomspace(1e-3, 1e8, 89)
+        table = MonotoneFn(t, np.where(t <= 1.0, t, t ** p), power_log_desc(1.0),
+                           power_log_desc(p))
+        outer = power_young(p).derivative.left_inverse()
+        top = float(mp.mpf(np.finfo(float).max) ** (1 / mp.mpf(p)))
+        assert np.isinf(table(top * 1.01)) and top < 1e45
+        for c in (0.3, 1.0, 7.0):
+            with mp.workdps(30):
+                want = mp.quad(lambda s: (c / s ** p / p) ** (1 / mp.mpf(p - 1)),
+                               [1e8, 1e20, top])
+            got = integrate_outer_reciprocal(outer, table, c, 1e8, INF)
+            assert got == pytest.approx(float(want), rel=1e-7)
+            assert_same_integral(got, loop_outer_reciprocal(outer, table, c, 1e8, INF))
 
     def test_one_evaluation_per_function_per_call(self, monkeypatch):
         # the residual points join the edges in one table call and the
