@@ -29,6 +29,7 @@ from .spaces import (
     SpaceDescriptor,
     companions,
     fundamental_function,
+    lz_exp_rate,
     same_level,
 )
 from .young import (
@@ -122,7 +123,7 @@ def _first_index(X: SpaceDescriptor):
 def exp_level(X: SpaceDescriptor):
     """Rate gamma when X sits on the level of exp(t**gamma), else None."""
     if X.family == LORENTZ_ZYGMUND and X.p == INF and X.alpha == -1.0:
-        return X.q / (X.q - 1.0)
+        return lz_exp_rate(X)
     if X.family in (ORLICZ, LAMBDA, MARCINKIEWICZ):
         d = X.generator.base.inf_desc
         if d.kind == EXPONENTIAL:

@@ -2,7 +2,9 @@
 and emit human-readable or JSON reports with witnesses and rule tags.
 
 Exit codes: 0 for decided outcomes, 2 for undecided ones, 1 for input
-errors, usage errors included.  All numerics are deterministic, so
+errors, usage errors included, and 141 (128 + SIGPIPE, as a shell reports
+a writer that the signal ended) when the reader of the output closed it
+early.  All numerics are deterministic, so
 identical invocations produce byte-identical JSON.
 """
 
@@ -12,6 +14,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import shlex
 import sys
 
@@ -446,9 +449,21 @@ def shared_parser():
     return build_parser()
 
 
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv=None):
-    return _run_one(shared_parser(), argv if argv is not None else sys.argv[1:],
-                    sys.stdout)
+    try:
+        code = _run_one(shared_parser(), argv if argv is not None else sys.argv[1:],
+                        sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (``orlicalc ... | head``): point stdout at
+        # devnull, as the Python docs advise for SIGPIPE, so that the flush
+        # at exit cannot fail again and print a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

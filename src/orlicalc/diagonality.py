@@ -458,7 +458,9 @@ def orlicz_lambda_Nlambda(A: YoungFn, E: QuasiConvexFn, lam: float) -> float:
 def ol_inequality_gap(A: YoungFn, G: YoungFn, v: SampledFn, f: SampledFn,
                       lam: float):
     """Both sides of the threshold-decomposition inequality; the contract is
-    lhs <= rhs whenever the right side is finite."""
+    lhs <= rhs whenever the right side is finite.  The left inverses of G
+    and of its derivative are the ones stored on those tables: a call with
+    a G already seen builds no inverse."""
     if lam <= 0:
         raise ValueError("need lam > 0")
     G_inv = G.base.left_inverse()

@@ -130,10 +130,17 @@ class MonotoneFn:
     s of the segment, from a per-table slope array built on the first
     call; a node returns its stored value exactly.  Below and above the
     grid the descriptors extrapolate; NaN gives NaN, and x <= 0 (-inf
-    included) gives value_at_zero, without a RuntimeWarning."""
+    included) gives value_at_zero, without a RuntimeWarning.
+
+    A table is immutable: nothing assigns to its nodes, values, descriptors
+    or limits after construction.  So what is derived from it alone is
+    built once and kept on the table: the slope array, and each side's
+    inverse, which every later call of that side returns as the same
+    object."""
 
     __slots__ = ("t", "v", "zero_desc", "inf_desc", "value_at_zero",
-                 "value_at_inf", "_i_first_pos", "_i_last_fin", "_seg")
+                 "value_at_inf", "_i_first_pos", "_i_last_fin", "_seg",
+                 "_right_inv", "_left_inv")
 
     def __init__(self, t, v, zero_desc=NUMERIC_DESC, inf_desc=NUMERIC_DESC,
                  value_at_zero=None, value_at_inf=None, validate=True):
@@ -159,7 +166,7 @@ class MonotoneFn:
                 raise ValueError("+inf values must form a terminal block")
         self.t = t
         self.v = v
-        self._seg = None
+        self._seg = self._right_inv = self._left_inv = None
         pos = np.flatnonzero(np.isfinite(v) & (v > 0))
         self._i_first_pos = int(pos[0]) if pos.size else -1
         fin = np.flatnonzero(np.isfinite(v))
@@ -410,12 +417,18 @@ class MonotoneFn:
                           value_at_zero=vz, value_at_inf=vi, validate=False)
 
     def right_inverse(self):
-        """t -> sup{tau >= 0 : F(tau) <= t} (right-continuous inverse)."""
-        return _inverse(self, "right")
+        """t -> sup{tau >= 0 : F(tau) <= t} (right-continuous inverse),
+        built on the first call and shared by the later ones."""
+        if self._right_inv is None:
+            self._right_inv = _inverse(self, "right")
+        return self._right_inv
 
     def left_inverse(self):
-        """t -> inf{tau >= 0 : F(tau) >= t} (left-continuous inverse)."""
-        return _inverse(self, "left")
+        """t -> inf{tau >= 0 : F(tau) >= t} (left-continuous inverse),
+        built on the first call and shared by the later ones."""
+        if self._left_inv is None:
+            self._left_inv = _inverse(self, "left")
+        return self._left_inv
 
     def scale(self, c):
         """c * F as a new table (c > 0)."""
@@ -590,7 +603,15 @@ def _log_quotient(num, x):
         q = float(num) / float(x)
         return math.log(q) if 0.0 < q < INF else math.log(num) - math.log(x)
     q = num / x
-    return np.where(np.isinf(q) | (q == 0.0), np.log(num) - np.log(x), np.log(q))
+    out = np.log(q)
+    # log q is finite unless q is 0, inf or NaN; the difference of logs
+    # gives NaN wherever log q does, so only a quotient that left the float
+    # range changes (the difference is taken whole and then indexed: on
+    # these short arrays that is quicker than masking the logs)
+    far = ~np.isfinite(out)
+    if far.any():
+        out[far] = (np.log(num) - np.log(x))[far]
+    return out
 
 
 def _power_segment_integral(vl, vr, tl, tr, weight_exp=0.0):

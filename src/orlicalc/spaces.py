@@ -309,6 +309,12 @@ def fundamental_orlicz(phi: FundamentalFn) -> YoungFn:
     return youngify(qc)
 
 
+def lz_exp_rate(X: SpaceDescriptor) -> float:
+    """The rate gamma = q / (q - 1) of the exp(t**gamma) level of the
+    Lorentz-Zygmund space L^(inf,q;-1), and its limit 1 (exp L) at q = inf."""
+    return 1.0 if math.isinf(X.q) else X.q / (X.q - 1.0)
+
+
 def companions(X: SpaceDescriptor):
     """The endpoint and Orlicz spaces on the fundamental level of X, as
     (strong endpoint, Orlicz, weak endpoint)."""
@@ -327,8 +333,7 @@ def companions(X: SpaceDescriptor):
                 SpaceDescriptor(LEBESGUE, itv, p=p),
                 SpaceDescriptor(LORENTZ, itv, p=p, q=INF))
     if fam == LORENTZ_ZYGMUND and X.p == INF and X.alpha == -1.0:
-        gamma = X.q / (X.q - 1.0)
-        gen = exp_young(gamma)
+        gen = exp_young(lz_exp_rate(X))
         return (SpaceDescriptor(LAMBDA, itv, generator=gen),
                 SpaceDescriptor(ORLICZ, itv, generator=gen),
                 SpaceDescriptor(MARCINKIEWICZ, itv, generator=gen))

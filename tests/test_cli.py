@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -119,6 +123,18 @@ class TestSubcommands:
         payload = json.loads(out)
         assert payload["outcome"]["result"] == "no-optimal"
         assert payload["rule"] == "weak-companion-route"
+
+    def test_exp_l_limit_of_the_lorentz_zygmund_scale(self):
+        # L^(inf,q;-1) sits on the level of exp(t**(q / (q - 1))), whose
+        # limit at q = inf is exp L itself
+        space = '{"family":"lorentz-zygmund","params":{"p":"inf","q":"inf","alpha":-1},' \
+                '"interval":"unit"}'
+        code, out = run(["--json", "alternative", "target", "--space", space])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["outcome"]["result"] == "optimal"
+        assert payload["outcome"]["space"]["params"]["young"] == {"class": "exponential",
+                                                                  "gamma": 1.0}
 
     def test_maximal_no_target_path(self):
         code, out = run(["--json", "maximal", "target", "--young",
@@ -427,3 +443,20 @@ class TestErrorsAndModes:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["outcome"]["values"]["0.25"] == pytest.approx(0.5)
+
+    def test_a_reader_that_closes_the_pipe_gets_no_traceback(self, tmp_path):
+        # two reports of about 46 kB each fill the pipe, so the writer is
+        # still writing when the reader closes it after a few bytes
+        query = "--json maximal target --young '{\"class\":\"power-log\",\"p\":2}'"
+        batch = tmp_path / "queries.txt"
+        batch.write_text(f"{query}\n{query}\n")
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.Popen([sys.executable, "-m", "orlicalc.cli", "--batch", str(batch)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=dict(os.environ, PYTHONPATH=str(src)))
+        assert proc.stdout.read(10) == b'{"outcome"'
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 141
+        assert "Traceback" not in err and "BrokenPipeError" not in err

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from orlicalc import diagonality
+from orlicalc import diagonality, monotone
 from orlicalc.diagonality import (
     NOT_SUB_DIAGONAL,
     SUB_DIAGONAL,
@@ -525,6 +525,20 @@ class TestOLInequality:
         lhs, rhs = ol_inequality_gap(A, G, v, f, 1.0)
         assert math.isfinite(rhs)
         assert lhs <= rhs * (1 + 1e-9)
+
+    def test_a_second_call_with_the_same_G_builds_no_inverse(self, monkeypatch):
+        # G's two left inverses are stored on its tables by the first call
+        built = []
+        build = monotone._inverse
+        monkeypatch.setattr(monotone, "_inverse",
+                            lambda fn, side: built.append(side) or build(fn, side))
+        A, G = power_young(3.0), power_young(1.5)
+        v = SampledFn([(0.0, 0.5), (1.0, 1.0)])
+        f = characteristic(1.0)
+        first = ol_inequality_gap(A, G, v, f, 1.0)
+        assert built == ["left", "left"]
+        assert ol_inequality_gap(A, G, v, f, 1.0) == first
+        assert built == ["left", "left"]
 
     def test_left_side_matches_cut_loop(self):
         # the left side sums G_inv(d(mid)) * weight * width over the cuts of

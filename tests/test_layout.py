@@ -8,10 +8,11 @@ are read through their ``values`` and ``widths`` arrays, never their
 ``integrate_outer_reciprocal``, only the gauge search ``gauge_norm`` calls
 the scale search ``least_admissible_scale`` and its root phase
 ``_certified_bracket``, optimality outcomes are read off their verdicts,
-the edge slopes of a table are read only when it is built, no function
-keeps state at module level (the CLI's parser is the one memoized
-function), and every top-level function and class is used somewhere in the
-source or the tests."""
+the edge slopes of a table are read only when it is built, an inverse is
+built only by the table methods that keep it, no function keeps state at
+module level (the CLI's parser is the one memoized function), and every
+top-level function and class is used somewhere in the source or the
+tests."""
 
 import ast
 import json
@@ -227,6 +228,28 @@ def test_edge_slopes_are_read_only_when_a_table_is_built():
     assert not found, "edge slopes read outside MonotoneFn.__init__: " + ", ".join(found)
 
 
+# the only callers of the inverse builder: the two methods that store its
+# table on the MonotoneFn, so that every inverse is built once per side
+INVERSE_BUILDERS = {"right_inverse", "left_inverse"}
+
+
+def test_every_inverse_goes_through_the_table():
+    # no other code names the builder: not a call, an import or an alias
+    found = []
+    for path in SOURCES:
+        tree = parse(path)
+        allowed = {line for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                   and fn.name in INVERSE_BUILDERS
+                   for line in range(fn.lineno, fn.end_lineno + 1)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if ((isinstance(node, ast.Name) and node.id == "_inverse")
+                      or (isinstance(node, ast.Attribute) and node.attr == "_inverse")
+                      or (isinstance(node, ast.alias) and node.name == "_inverse"))
+                  and node.lineno not in allowed]
+    assert not found, "inverse built outside right_inverse / left_inverse: " \
+        + ", ".join(found)
+
+
 # the one function allowed a memo: the CLI's argument parser, built once
 MEMOIZED = ("cli.py", "shared_parser")
 _MUTATORS = {"append", "extend", "insert", "add", "update", "setdefault", "pop",
@@ -261,9 +284,12 @@ def _decorator_name(node):
 
 
 def test_no_function_keeps_state_at_module_level():
-    # speed comes from work on whole arrays, not from caches that outlive
-    # a call: no function declares ``global`` or writes into a container
-    # bound at module level, and functools' memos sit on the CLI's parser
+    # speed comes from work on whole arrays, not from caches at module
+    # level: no function declares ``global`` or writes into a container
+    # bound at module level, and functools' memos sit on the CLI's parser.
+    # What is derived from one immutable table may live on that table (a
+    # MonotoneFn's slope array and inverses, a generator's char_profile and
+    # its E.gw companion): it goes when the table goes
     found = []
     for path in SOURCES:
         tree = parse(path)

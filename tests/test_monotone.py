@@ -405,6 +405,19 @@ class TestInverseReference:
             same_table(fn.right_inverse(), list_built_inverse(fn, "right"))
             same_table(fn.left_inverse(), list_built_inverse(fn, "left"))
 
+    def test_each_side_is_built_once_and_shared(self):
+        # a table is immutable, so the inverse of each side is stored on it:
+        # the second call returns the first call's table, still equal to the
+        # list-built one, and the two sides stay apart
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            fn = random_step_monotone(rng)
+            right, left = fn.right_inverse(), fn.left_inverse()
+            assert fn.right_inverse() is right and fn.left_inverse() is left
+            assert right is not left
+            same_table(fn.right_inverse(), list_built_inverse(fn, "right"))
+            same_table(fn.left_inverse(), list_built_inverse(fn, "left"))
+
 
 class TestCorrelative:
     def test_power_fixed_point(self):
