@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import shlex
 import sys
@@ -50,6 +49,7 @@ from .young import (
     HOLDS,
     UNDECIDED,
     QuasiConvexFn,
+    _num_to_json,
     conjugate,
     dominates,
     linfty_young,
@@ -109,16 +109,8 @@ def _points(args, lo=1e-8, hi=1e8):
     return list(np.geomspace(lo, hi, 9))
 
 
-def _num(x):
-    if x is None:
-        return None
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
-    return x
-
-
 def _verdict_json(v):
-    return {"status": v.status, "witness": _num(v.witness), "reason": v.reason}
+    return {"status": v.status, "witness": _num_to_json(v.witness), "reason": v.reason}
 
 
 class Report:
@@ -159,8 +151,7 @@ def _outcome_report(query, out: AlternativeOutcome):
         "rule": out.rule,
     }
     if out.extra:
-        d["witness_data"] = {k: _num(v) if isinstance(v, float) else v
-                             for k, v in out.extra.items()}
+        d["witness_data"] = {k: _num_to_json(v) for k, v in out.extra.items()}
     return Report(query, d, exit_code=_exit_for_result(out.result), rule=out.rule)
 
 
@@ -171,7 +162,7 @@ def _cmd_conj(args):
     A = _young_arg(args.young)
     At = conjugate(A)
     pts = _points(args)
-    vals = {str(p): _num(float(v)) for p, v in zip(pts, At(pts))}
+    vals = {str(p): _num_to_json(float(v)) for p, v in zip(pts, At(pts))}
     return Report({"op": "conj"}, {"function": young_to_json(At), "values": vals})
 
 
@@ -179,7 +170,7 @@ def _cmd_inverse(args):
     A = _young_arg(args.young)
     inv = A.base.right_inverse() if args.side == "right" else A.base.left_inverse()
     pts = _points(args)
-    vals = {str(p): _num(float(inv(p))) for p in pts}
+    vals = {str(p): _num_to_json(float(inv(p))) for p in pts}
     return Report({"op": "inverse", "side": args.side}, {"values": vals})
 
 
@@ -198,14 +189,14 @@ def _cmd_norm(args):
         val = luxemburg_norm(f, X.generator, rel_tol=args.tol)
     else:
         val = space_norm(X, f)
-    return Report({"op": "norm", "space": X.label()}, {"value": _num(float(val))})
+    return Report({"op": "norm", "space": X.label()}, {"value": _num_to_json(float(val))})
 
 
 def _cmd_fundamental(args):
     X = _space_arg(args.space)
     phi = fundamental_function(X)
     pts = _points(args, lo=1e-6, hi=1.0 if X.interval == "unit" else 1e4)
-    vals = {str(p): _num(float(phi(p))) for p in pts}
+    vals = {str(p): _num_to_json(float(phi(p))) for p in pts}
     return Report({"op": "fundamental", "space": X.label()}, {"values": vals})
 
 
@@ -238,7 +229,7 @@ def _cmd_sobolev(args):
     if cond.status == HOLDS:
         phi_y = sobolev_optimal_target_fundamental(phi, ctx)
         pts = _points(args, lo=1e-6, hi=0.9)
-        payload["target_profile"] = {str(p): _num(float(phi_y(p))) for p in pts}
+        payload["target_profile"] = {str(p): _num_to_json(float(phi_y(p))) for p in pts}
     return Report({"op": "sobolev", "side": "target", "m": args.m, "n": args.n},
                   payload, exit_code=code, rule="contraction-condition")
 
@@ -278,7 +269,7 @@ def _cmd_witness(args):
     A = construct_witness_young(f, E)
     n1 = orlicz_lambda_Nlambda(A, E, 1.0)
     payload = {"witness": young_to_json(A),
-               "certificate_at_unit_scale": _num(float(n1))}
+               "certificate_at_unit_scale": _num_to_json(float(n1))}
     return Report({"op": "witness"}, payload, rule="weight-along-levels")
 
 
@@ -287,7 +278,7 @@ def _cmd_lift(args):
     X = _space_arg(args.space)
     f = _samples_arg(args)
     val = lifted_norm(F, X, f, rel_tol=args.tol)
-    return Report({"op": "lift", "space": X.label()}, {"value": _num(float(val))})
+    return Report({"op": "lift", "space": X.label()}, {"value": _num_to_json(float(val))})
 
 
 # -- parser -------------------------------------------------------------------

@@ -57,8 +57,7 @@ from .young import (
     QuasiConvexFn,
     Verdict,
     YoungFn,
-    _ratio_inf_desc,
-    _ratio_zero_desc,
+    _ratio_desc,
     delta2,
     fails,
     holds,
@@ -126,7 +125,7 @@ def build_gw(E: QuasiConvexFn) -> GWData:
     base = E.base
     refl = base.correlative()
     g = MonotoneFn(refl.t, np.where(np.isfinite(refl.v), refl.v, INF) / refl.t,
-                   _ratio_zero_desc(refl.zero_desc), _ratio_inf_desc(refl.inf_desc),
+                   _ratio_desc(refl.zero_desc), _ratio_desc(refl.inf_desc),
                    validate=False)
     G = young_from_derivative(g)
     G_inv = G.base.left_inverse()

@@ -68,6 +68,13 @@ class AsymptoticDescriptor:
                        table resolves it to the power-log of its edge
                        segment (p the segment's log-log slope, alpha 0), as
                        it does a kind given at the end where it has no rule
+
+    So a table's zero descriptor is power-log, exp-reciprocal,
+    zero-on-interval or limit-const, and its inf descriptor is power-log,
+    exponential, infinite-beyond or limit-const.  The class transforms
+    (inverse, integral, ratio, conjugate, exponential-weight transform)
+    read the end from the kind; only where one kind means different things
+    at the two ends do they take the end as an argument.
     """
 
     kind: str
@@ -172,9 +179,9 @@ class MonotoneFn:
         fin = np.flatnonzero(np.isfinite(v))
         self._i_last_fin = int(fin[-1]) if fin.size else -1
         if zero_desc.kind not in _ZERO_KINDS:
-            zero_desc = power_log_desc(self._edge_slope_zero())
+            zero_desc = power_log_desc(self._edge_slope(True))
         if inf_desc.kind not in _INF_KINDS:
-            inf_desc = power_log_desc(self._edge_slope_inf())
+            inf_desc = power_log_desc(self._edge_slope(False))
         self.zero_desc = zero_desc
         self.inf_desc = inf_desc
         if value_at_zero is None:
@@ -373,26 +380,22 @@ class MonotoneFn:
                 out = out * log_ratio ** d.alpha
         return out
 
-    def _edge_slope_zero(self):
-        """Log-log slope of the first grid segment (0 for a flat start); a
-        segment one ulp wide, the node pair of a step, is passed over."""
+    def _edge_slope(self, zero_side):
+        """Log-log slope of the first (zero_side) or last finite grid segment
+        (0 for a flat edge); a segment one ulp wide, the node pair of a step,
+        is passed over."""
         t, v = self.t, self.v
-        i = self._i_first_pos
-        j = i + 2 if i + 2 < t.size and t[i + 1] == math.nextafter(t[i], INF) else i + 1
-        if i < 0 or j >= t.size or not math.isfinite(v[j]) or v[j] <= v[i]:
+        if zero_side:
+            i = self._i_first_pos
+            j = i + 2 if i + 2 < t.size and t[i + 1] == math.nextafter(t[i], INF) else i + 1
+        else:
+            j = self._i_last_fin
+            if j >= 2 and t[j] == math.nextafter(t[j - 1], INF):
+                j -= 1
+            i = j - 1
+        if i < 0 or j >= t.size or not math.isfinite(v[j]) or not 0.0 < v[i] < v[j]:
             return 0.0
         return _log_quotient(v[j], v[i]) / _log_quotient(t[j], t[i])
-
-    def _edge_slope_inf(self):
-        """Log-log slope of the last finite grid segment (0 for a flat end);
-        a segment one ulp wide, the node pair of a step, is passed over."""
-        t, v = self.t, self.v
-        k = self._i_last_fin
-        if k >= 2 and t[k] == math.nextafter(t[k - 1], INF):
-            k -= 1
-        if k <= 0 or v[k - 1] <= 0 or v[k - 1] >= v[k]:
-            return 0.0
-        return _log_quotient(v[k], v[k - 1]) / _log_quotient(t[k], t[k - 1])
 
     # -- transforms -----------------------------------------------------
 
@@ -430,14 +433,6 @@ class MonotoneFn:
             self._left_inv = _inverse(self, "left")
         return self._left_inv
 
-    def scale(self, c):
-        """c * F as a new table (c > 0)."""
-        if c <= 0:
-            raise ValueError("scale factor must be positive")
-        return MonotoneFn(self.t, self.v * c, self.zero_desc, self.inf_desc,
-                          value_at_zero=self.value_at_zero * c,
-                          value_at_inf=self.value_at_inf * c, validate=False)
-
 
 def _power_from(va, y):
     """va e**y for the array y (va a float or an array like y), with log va
@@ -473,24 +468,15 @@ def _mirror_desc(d):
     return NUMERIC_DESC
 
 
-def _invert_desc_zero(fn):
-    """Descriptor of the inverse near zero, given F's behaviour near zero."""
-    d = fn.zero_desc
-    if d.kind == POWER_LOG and d.p > 0:
-        return power_log_desc(1.0 / d.p, -d.alpha / d.p)
-    if d.kind == EXP_RECIPROCAL:
-        # F ~ exp(-t**-g)  =>  inverse(s) ~ log(1/s)**(-1/g)
-        return power_log_desc(0.0, -1.0 / d.gamma)
-    return NUMERIC_DESC
-
-
-def _invert_desc_inf(fn):
-    """Descriptor of the inverse near infinity, given F's behaviour near infinity."""
-    d = fn.inf_desc
+def _invert_desc(d):
+    """Descriptor of the inverse at the end where F has descriptor d."""
     if d.kind == POWER_LOG and d.p > 0:
         return power_log_desc(1.0 / d.p, -d.alpha / d.p)
     if d.kind == EXPONENTIAL:
         return power_log_desc(0.0, 1.0 / d.gamma)
+    if d.kind == EXP_RECIPROCAL:
+        # F ~ exp(-t**-g)  =>  inverse(s) ~ log(1/s)**(-1/g)
+        return power_log_desc(0.0, -1.0 / d.gamma)
     return NUMERIC_DESC
 
 
@@ -573,7 +559,7 @@ def _inverse(fn, side):
         zero_desc = limit_const_desc(tz)
         value_at_zero = tz if side == "right" else 0.0
     else:
-        zero_desc = _invert_desc_zero(fn)
+        zero_desc = _invert_desc(fn.zero_desc)
         value_at_zero = 0.0
 
     # Top end of the inverse.
@@ -585,7 +571,7 @@ def _inverse(fn, side):
         inf_desc = limit_const_desc(t_inf)
         value_at_inf = INF if side == "right" else t_inf
     else:
-        inf_desc = _invert_desc_inf(fn)
+        inf_desc = _invert_desc(fn.inf_desc)
         value_at_inf = INF
 
     return MonotoneFn(s_pts, tau_pts, zero_desc=zero_desc, inf_desc=inf_desc,
@@ -895,42 +881,32 @@ def cumulative_integral(fn, weight_exp=0.0):
     acc = np.empty_like(t)
     acc[0] = head
     acc[1:] = head + np.cumsum(seg)
-    zero_desc = _integral_zero_desc(fn.zero_desc, weight_exp)
+    zero_desc = _integral_desc(fn, weight_exp, True)
     # a terminal +inf block in fn makes the integral jump after the junction
     if np.isinf(vals).any():
         fin = np.flatnonzero(np.isfinite(vals))
         junction = t[int(fin[-1])] if fin.size else t[0]
         inf_desc = infinite_beyond_desc(float(junction))
     else:
-        inf_desc = _integral_inf_desc(fn, weight_exp, acc[-1])
+        inf_desc = _integral_desc(fn, weight_exp, False, acc[-1])
     return MonotoneFn(t, acc, zero_desc=zero_desc, inf_desc=inf_desc,
                       value_at_zero=0.0, validate=False)
 
 
-def _integral_zero_desc(d, w):
-    if d.kind == ZERO_ON_INTERVAL:
-        return d
-    if d.kind == POWER_LOG:
-        return power_log_desc(d.p + w + 1.0, d.alpha)
-    if d.kind == LIMIT_CONST:
-        return power_log_desc(w + 1.0, 0.0)
-    if d.kind == EXP_RECIPROCAL:
-        return exp_reciprocal_desc(d.gamma)
-    return NUMERIC_DESC
-
-
-def _integral_inf_desc(fn, w, total):
-    """Descriptor above the grid of the integral of F(t) t**w, whose value
-    at the last node is total: a convergent integral tends to total plus
-    its part beyond the grid."""
-    d = fn.inf_desc
-    if d.kind == INFINITE_BEYOND:
+def _integral_desc(fn, w, zero_side, total=0.0):
+    """Descriptor below (zero_side) or above the grid of the integral of
+    F(t) t**w, whose value at the last node is total: above the grid a
+    convergent integral tends to total plus its part beyond the grid."""
+    d = fn.zero_desc if zero_side else fn.inf_desc
+    if d.kind in (ZERO_ON_INTERVAL, INFINITE_BEYOND):
         return d
     if d.kind == EXPONENTIAL:
         return exponential_desc(d.gamma)
+    if d.kind == EXP_RECIPROCAL:
+        return exp_reciprocal_desc(d.gamma)
     p, alpha = (d.p, d.alpha) if d.kind == POWER_LOG else (0.0, 0.0)  # limit-const
     e = p + w + 1.0
-    if e > 0:
+    if e > 0 or zero_side:
         return power_log_desc(e, alpha)
     if e == 0 and alpha >= -1.0:
         return power_log_desc(0.0, alpha + 1.0)

@@ -195,18 +195,13 @@ def sobolev_orlicz_domain(target, ctx: SobolevContext) -> AlternativeOutcome:
     space = SpaceDescriptor(ORLICZ, UNIT, generator=Bn)
     extra = {"index": est.upper_index, "window": est.window,
              "threshold": thr, "exact": est.exact}
-    lo, hi = est.window
-    band = 0.05
-    if est.exact:
-        ev = (holds(est.upper_index, reason="growth index below threshold")
-              if est.upper_index < thr else
-              fails(est.upper_index, reason="growth index at or above threshold"))
-    elif hi < thr - band:
-        ev = holds(est.upper_index, reason="estimated index below threshold")
-    elif lo > thr + band:
-        ev = fails(est.upper_index, reason="estimated index above threshold")
-    else:
+    # an inexact estimate is the band [1, inf], which holds thr = n / m > 1
+    if not est.exact:
         ev = undecided("estimated index inside the undecided band")
+    elif est.upper_index < thr:
+        ev = holds(est.upper_index, reason="growth index below threshold")
+    else:
+        ev = fails(est.upper_index, reason="growth index at or above threshold")
     return AlternativeOutcome(DOMAIN, space, ev, rule="growth-index-threshold", extra=extra)
 
 
@@ -503,25 +498,18 @@ def _tau_breakpoints(grid, t, cut, head):
     return taus[new], rows[new]
 
 
-def _transform_desc_zero(d):
-    """Asymptotic class near zero of the exponential-weight transform."""
+def _transform_desc(d):
+    """Asymptotic class of the exponential-weight transform at the end where
+    F has descriptor d."""
     if d.kind == POWER_LOG:
         return d
     if d.kind == EXP_RECIPROCAL:
         return exp_reciprocal_desc(d.gamma / (1.0 + d.gamma))
     if d.kind == ZERO_ON_INTERVAL:
         return exp_reciprocal_desc(1.0)
-    return NUMERIC_DESC
-
-
-def _transform_desc_inf(d):
-    """Asymptotic class near infinity of the exponential-weight transform."""
-    if d.kind == POWER_LOG:
-        return d
-    if d.kind == EXPONENTIAL:
-        if d.gamma < 1.0:
-            return exponential_desc(d.gamma / (1.0 - d.gamma))
-        return NUMERIC_DESC  # a finite jump appears; the table records it
+    if d.kind == EXPONENTIAL and d.gamma < 1.0:
+        return exponential_desc(d.gamma / (1.0 - d.gamma))
+    # from exponential rate 1 on, a finite jump appears; the table records it
     return NUMERIC_DESC
 
 
@@ -566,12 +554,12 @@ def maximal_optimal_target(A: YoungFn) -> AlternativeOutcome:
     t_fin = t_grid[fin]
     v_fin = vals[fin]
     smallest_t0 = float(t_fin[0])
-    inf_desc = _transform_desc_inf(At.base.inf_desc)
+    inf_desc = _transform_desc(At.base.inf_desc)
     if inf_desc.kind == NUMERIC_ONLY and np.isinf(vals).any():
         # unit-rate conjugate: the moment diverges beyond a finite scale
         inf_desc = infinite_beyond_desc(float(t_grid[np.isinf(vals)][0]))
     Bt = young_from_values(t_fin, v_fin,
-                           _transform_desc_zero(At.base.zero_desc),
+                           _transform_desc(At.base.zero_desc),
                            inf_desc, convexify=True)
     B_A = conjugate(Bt)
     # averaged-domination gate, via the domain construction applied to B_A
@@ -586,12 +574,8 @@ def _averaged_domination_profile(integ: MonotoneFn) -> MonotoneFn:
     """t times integ(t), integ the integral of B(tau)/tau**2 up to t; the
     canonical largest domain profile for the averaging maximal operator."""
     vals = integ.v * integ.t
-    zd = integ.zero_desc
-    if zd.kind == POWER_LOG:
-        zd = power_log_desc(zd.p + 1.0, zd.alpha)
-    di = integ.inf_desc
-    if di.kind == POWER_LOG:
-        di = power_log_desc(di.p + 1.0, di.alpha)
+    zd, di = (power_log_desc(d.p + 1.0, d.alpha) if d.kind == POWER_LOG else d
+              for d in (integ.zero_desc, integ.inf_desc))
     return MonotoneFn(integ.t, vals, zd, di, value_at_zero=0.0, validate=False)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .monotone import (INF, _cell_integrals, _integral_off_grid, _log_gamma_mass,
                        _power_segment_integral, geometric_grid)
-from .young import QuasiConvexFn, YoungFn
+from .young import QuasiConvexFn, YoungFn, _num_from_json, _num_to_json
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ class SampledFn:
         if not isinstance(obj, dict) or "pieces" not in obj:
             raise ValueError('a sampled function is an object with a "pieces" list')
         length = obj.get("length")
-        length = INF if length == "inf" else (float(length) if length is not None else None)
+        length = _num_from_json(length) if length is not None else None
         tail = None
         if "tail" in obj:
             t = obj["tail"]
@@ -122,7 +122,7 @@ class SampledFn:
     def to_json(self):
         out = {"pieces": np.column_stack((self.values, self.widths)).tolist()}
         if self.length is not None:
-            out["length"] = "inf" if math.isinf(self.length) else self.length
+            out["length"] = _num_to_json(self.length)
         if self.tail:
             out["tail"] = {"coef": self.tail.coef, "expo": self.tail.expo,
                            "width": self.tail.width}

@@ -36,6 +36,8 @@ from .rearrangement import (
 from .young import (
     QuasiConvexFn,
     YoungFn,
+    _num_from_json,
+    _num_to_json,
     conjugate,
     exp_young,
     power_young,
@@ -126,9 +128,9 @@ class SpaceDescriptor:
         out = {"family": self.family, "interval": self.interval, "params": {}}
         P = out["params"]
         if self.family in (LEBESGUE, LORENTZ, LORENTZ_ZYGMUND):
-            P["p"] = _num_out(self.p)
+            P["p"] = _num_to_json(self.p)
             if self.family != LEBESGUE:
-                P["q"] = _num_out(self.q)
+                P["q"] = _num_to_json(self.q)
             if self.family == LORENTZ_ZYGMUND:
                 P["alpha"] = self.alpha
         elif self.family == ORLICZ:
@@ -137,7 +139,7 @@ class SpaceDescriptor:
             P["generator"] = young_to_json(self.generator)
         else:
             P["weight"] = self.weight.to_json()
-            P["q"] = _num_out(self.q)
+            P["q"] = _num_to_json(self.q)
         return out
 
     @staticmethod
@@ -149,7 +151,7 @@ class SpaceDescriptor:
         fam = obj.get("family", "").lower()
         interval = obj.get("interval", UNIT)
         P = obj.get("params", {})
-        num = lambda key, dflt=math.nan: _num_in(P.get(key, dflt))
+        num = lambda key, dflt=math.nan: _num_from_json(P.get(key, dflt))
         if fam == LEBESGUE:
             return SpaceDescriptor(LEBESGUE, interval, p=num("p"))
         if fam == LORENTZ:
@@ -192,16 +194,6 @@ def _gen_label(g):
     if cls == "linfty":
         return "sup-generator"
     return "table"
-
-
-def _num_out(x):
-    return "inf" if math.isinf(x) else x
-
-
-def _num_in(x):
-    if x == "inf" or x == "Infinity":
-        return INF
-    return float(x)
 
 
 @dataclass(frozen=True)

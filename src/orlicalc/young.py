@@ -322,10 +322,10 @@ def young_from_values(t, v, zero_desc=NUMERIC_DESC, inf_desc=NUMERIC_DESC,
     k = samples._i_last_fin
     if k < 0 or (v[:k + 1] == 0).all() and samples.t_inf == INF:
         raise ValueError("a Young function may not vanish identically")
-    d0 = _derivative_desc(samples.zero_desc, (ZERO_ON_INTERVAL, EXP_RECIPROCAL))
+    d0 = _derivative_desc(samples.zero_desc)
     if v[0] == 0.0 and d0.kind != ZERO_ON_INTERVAL:
         d0 = zero_on_interval_desc(t[0])
-    d1 = _derivative_desc(samples.inf_desc, (EXPONENTIAL, INFINITE_BEYOND))
+    d1 = _derivative_desc(samples.inf_desc)
     head = float(_integral_off_grid(MonotoneFn(t[:1], [1.0], d0, validate=False),
                                     t[:1], 0.0, True)[0])
     if v[0] > 0.0 and not 0.0 < head < INF:
@@ -368,11 +368,12 @@ def young_from_values(t, v, zero_desc=NUMERIC_DESC, inf_desc=NUMERIC_DESC,
     return YoungFn(base, deriv, recipe=recipe)
 
 
-def _derivative_desc(d, keep):
+def _derivative_desc(d):
     """The derivative's descriptor at one end of a Young function whose
-    descriptor there is d: a kind in ``keep`` carries over, and a power
-    (a limit-const end is the power 0) drops by one, to no less than 0."""
-    if d.kind in keep:
+    descriptor there is d: an exponential or a zero or infinite block
+    carries over, and a power (a limit-const end is the power 0) drops by
+    one, to no less than 0."""
+    if d.kind in (ZERO_ON_INTERVAL, EXP_RECIPROCAL, EXPONENTIAL, INFINITE_BEYOND):
         return d
     return power_log_desc(max(d.p - 1.0, 0.0), d.alpha)
 
@@ -401,16 +402,6 @@ class IntegralDiverges(ValueError):
 # is integrated on an extension grid, whose nodes sit at fixed places.
 
 
-def _pure_power_exponent(d):
-    """Exponent of the pure power a table follows off its grid at the end
-    with descriptor d, or None."""
-    if d.kind == POWER_LOG and d.alpha == 0.0:
-        return d.p
-    if d.kind == LIMIT_CONST:
-        return 0.0
-    return None
-
-
 def _integral_from(a, lo, x):
     """Integral of the derivative over [lo, x] for each x >= lo, exact per
     segment of the grid lo * 10**(k/16), k = 0, 1, ..., cut at max(x).
@@ -436,12 +427,11 @@ def _integral_above_grid(A, x):
     if math.isinf(total) or a._i_last_fin < a.t.size - 1:
         # infinite already, or the derivative jumps to infinity inside the grid
         return np.full_like(x, INF)
-    p = _pure_power_exponent(a.inf_desc)
-    aN, tN = float(a.v[-1]), float(a.t[-1])
-    if p is None:
+    form = a.power_log_form(False)
+    tN = float(a.t[-1])
+    if form is None or form[1] != 0.0:
         return total + _integral_from(a, tN, x)
-    if p == 0.0 and a.inf_desc.kind == LIMIT_CONST:
-        aN = a.inf_desc.limit
+    p, aN = form[0], form[4]
     with np.errstate(over="ignore"):
         return total + aN * tN * ((x / tN) ** (p + 1.0) - 1.0) / (p + 1.0)
 
@@ -491,10 +481,9 @@ def _bisect_log(A, s, lo, hi, steps=80):
 
 def _inverse_below_table(A, s):
     a, base = A.derivative, A.base
-    p = _pure_power_exponent(a.zero_desc) if a._i_first_pos == 0 else None
-    if p is not None and a.v[0] > 0:
-        ta = float(a.t[0])
-        va = a.zero_desc.limit if a.zero_desc.kind == LIMIT_CONST else float(a.v[0])
+    form = a.power_log_form(True)
+    if form is not None and form[1] == 0.0:
+        p, _, ta, _, va = form
         return (s * (p + 1.0) * ta ** p / va) ** (1.0 / (p + 1.0))
     t0 = base.t[0]
     return _bisect_log(A, s, np.full_like(s, t0 * 1e-60), np.full_like(s, t0))
@@ -504,11 +493,10 @@ def _inverse_above_table(A, s):
     a, base = A.derivative, A.base
     if base.t_inf < INF or np.isinf(base.v[-1]):
         return np.full_like(s, base.t[base._i_last_fin])
-    p = _pure_power_exponent(a.inf_desc)
-    aN, tN, A_N = float(a.v[a._i_last_fin]), float(base.t[-1]), float(base.v[-1])
-    if p is not None and aN > 0:
-        if p == 0.0 and a.inf_desc.kind == LIMIT_CONST:
-            aN = a.inf_desc.limit
+    form = a.power_log_form(False)
+    tN, A_N = float(base.t[-1]), float(base.v[-1])
+    if form is not None and form[1] == 0.0:
+        p, aN = form[0], form[4]
         return tN * ((s - A_N) * (p + 1.0) / (aN * tN) + 1.0) ** (1.0 / (p + 1.0))
     # non-power tails grow at least linearly: bounded doubling, then bisection
     hi = np.full_like(s, tN)
@@ -572,34 +560,23 @@ def _integral_inverse(A, s):
 # -- conjugation and convexification --------------------------------------
 
 
-def _conjugate_desc_inf(d):
-    """Descriptor of the conjugate near infinity from A's near infinity."""
-    if d.kind == POWER_LOG:
-        if d.p > 1:
-            q = d.p / (d.p - 1.0)
-            return power_log_desc(q, -d.alpha / (d.p - 1.0))
-        if d.p == 1 and d.alpha > 0:
+def _conjugate_desc(d, zero_side):
+    """Descriptor of the conjugate at one end from A's descriptor d there,
+    or NUMERIC_DESC where the conjugate keeps its table's own: near zero,
+    for a linear A, that is the interval [0, A'(0+)) on which the conjugate
+    vanishes.  Only the linear class p = 1 depends on the end."""
+    if d.kind == POWER_LOG and d.p > 1:
+        return power_log_desc(d.p / (d.p - 1.0), -d.alpha / (d.p - 1.0))
+    if d.kind == POWER_LOG and d.p == 1:
+        if zero_side:
+            return exp_reciprocal_desc(-1.0 / d.alpha) if d.alpha < 0 else NUMERIC_DESC
+        if d.alpha > 0:
             return exponential_desc(1.0 / d.alpha)
-        if d.p == 1 and d.alpha == 0:
-            return infinite_beyond_desc(0.0)  # threshold refined from the table
+        # threshold refined from the table
+        return infinite_beyond_desc(0.0) if d.alpha == 0 else NUMERIC_DESC
     if d.kind == EXPONENTIAL:
         return power_log_desc(1.0, 1.0 / d.gamma)
-    if d.kind == INFINITE_BEYOND:
-        return power_log_desc(1.0, 0.0)
-    return NUMERIC_DESC
-
-
-def _conjugate_desc_zero(d):
-    """Descriptor of the conjugate near zero from A's near zero, or
-    NUMERIC_DESC where the conjugate keeps its table's own: for a linear A
-    that is the interval [0, A'(0+)) on which the conjugate vanishes."""
-    if d.kind == POWER_LOG:
-        if d.p > 1:
-            q = d.p / (d.p - 1.0)
-            return power_log_desc(q, -d.alpha / (d.p - 1.0))
-        if d.p == 1 and d.alpha < 0:
-            return exp_reciprocal_desc(-1.0 / d.alpha)
-    if d.kind == ZERO_ON_INTERVAL:
+    if d.kind in (ZERO_ON_INTERVAL, INFINITE_BEYOND):
         return power_log_desc(1.0, 0.0)
     return NUMERIC_DESC
 
@@ -608,8 +585,8 @@ def conjugate(A: YoungFn) -> YoungFn:
     """The convex conjugate sup{tau t - A(tau)}, via the derivative inverse."""
     a_inv = A.derivative.right_inverse()
     base = cumulative_integral(a_inv)
-    zd = _conjugate_desc_zero(A.base.zero_desc)
-    di = _conjugate_desc_inf(A.base.inf_desc)
+    zd = _conjugate_desc(A.base.zero_desc, True)
+    di = _conjugate_desc(A.base.inf_desc, False)
     if di.kind == INFINITE_BEYOND:
         di = infinite_beyond_desc(base.t_inf if base.t_inf < INF else A.derivative.value_at_inf)
     if zd.kind != NUMERIC_ONLY or di.kind != NUMERIC_ONLY:
@@ -626,7 +603,7 @@ def youngify(B: QuasiConvexFn) -> YoungFn:
     of B(tau)/tau, which satisfies A <= B <= A(2 .)."""
     g = B.base
     slope = MonotoneFn(g.t, np.where(np.isfinite(g.v), g.v, INF) / g.t,
-                       _ratio_zero_desc(g.zero_desc), _ratio_inf_desc(g.inf_desc),
+                       _ratio_desc(g.zero_desc), _ratio_desc(g.inf_desc),
                        validate=False)
     base = cumulative_integral(slope)
     if not np.isfinite(base.v).any():
@@ -634,18 +611,11 @@ def youngify(B: QuasiConvexFn) -> YoungFn:
     return YoungFn(base, slope, recipe={"class": "youngified"})
 
 
-def _ratio_zero_desc(d):
-    """Descriptor of B(t)/t near zero from B's near zero."""
+def _ratio_desc(d):
+    """Descriptor of B(t)/t at the end where B has descriptor d."""
     if d.kind == POWER_LOG:
         return power_log_desc(d.p - 1.0, d.alpha)
-    return d if d.kind in (ZERO_ON_INTERVAL, EXP_RECIPROCAL) else NUMERIC_DESC
-
-
-def _ratio_inf_desc(d):
-    """Descriptor of B(t)/t near infinity from B's near infinity."""
-    if d.kind == POWER_LOG:
-        return power_log_desc(d.p - 1.0, d.alpha)
-    if d.kind in (INFINITE_BEYOND, EXPONENTIAL):
+    if d.kind in (ZERO_ON_INTERVAL, EXP_RECIPROCAL, INFINITE_BEYOND, EXPONENTIAL):
         return d
     return NUMERIC_DESC
 
@@ -890,11 +860,14 @@ def _dilation_search(a, b, window, max_pow=40):
 
 
 def _num_to_json(x):
-    return "inf" if math.isinf(x) else float(x)
+    """A number for JSON: "inf" for a float +inf, anything else (None
+    included) as it is."""
+    return "inf" if isinstance(x, float) and x == INF else x
 
 
 def _num_from_json(x):
-    return INF if x == "inf" else float(x)
+    """A number from JSON, where "inf" and "Infinity" stand for +inf."""
+    return INF if x in ("inf", "Infinity") else float(x)
 
 
 # Descriptor fields each kind uses; every other field keeps its default.

@@ -13,7 +13,8 @@ from orlicalc.monotone import (
     EXP_RECIPROCAL, EXPONENTIAL, INF, INFINITE_BEYOND, LIMIT_CONST, POWER_LOG,
     ZERO_ON_INTERVAL, MonotoneFn, NUMERIC_DESC, _TINY,
     _integral_off_grid, _log_mass_from_end, _log_quotient, _power_increment,
-    _power_segment_integral, geometric_grid)
+    _power_segment_integral, exp_reciprocal_desc, exponential_desc, geometric_grid,
+    infinite_beyond_desc, limit_const_desc, power_log_desc)
 from orlicalc.operators import _BLOCK, _exp_weight_cutoffs, _exp_weight_tail
 from orlicalc.diagonality import _outer_chunks, build_gw
 from orlicalc.rearrangement import SampledFn, lambda_norm, maximal, modular, rearrange
@@ -1069,3 +1070,164 @@ def loop_weight_halving_constant(w):
             if lead > 0 and np.all(val(mids) > 0):
                 return c
     return None
+
+
+# -- the per-end class transforms that one function per operation replaced ---
+#
+# Each twin as it was, one per end of the axis; the edge slopes were methods
+# of MonotoneFn and take the table as ``self``.
+
+def _edge_slope_zero(self):
+    """Log-log slope of the first grid segment (0 for a flat start); a
+    segment one ulp wide, the node pair of a step, is passed over."""
+    t, v = self.t, self.v
+    i = self._i_first_pos
+    j = i + 2 if i + 2 < t.size and t[i + 1] == math.nextafter(t[i], INF) else i + 1
+    if i < 0 or j >= t.size or not math.isfinite(v[j]) or v[j] <= v[i]:
+        return 0.0
+    return _log_quotient(v[j], v[i]) / _log_quotient(t[j], t[i])
+
+def _edge_slope_inf(self):
+    """Log-log slope of the last finite grid segment (0 for a flat end);
+    a segment one ulp wide, the node pair of a step, is passed over."""
+    t, v = self.t, self.v
+    k = self._i_last_fin
+    if k >= 2 and t[k] == math.nextafter(t[k - 1], INF):
+        k -= 1
+    if k <= 0 or v[k - 1] <= 0 or v[k - 1] >= v[k]:
+        return 0.0
+    return _log_quotient(v[k], v[k - 1]) / _log_quotient(t[k], t[k - 1])
+
+
+def _invert_desc_zero(fn):
+    """Descriptor of the inverse near zero, given F's behaviour near zero."""
+    d = fn.zero_desc
+    if d.kind == POWER_LOG and d.p > 0:
+        return power_log_desc(1.0 / d.p, -d.alpha / d.p)
+    if d.kind == EXP_RECIPROCAL:
+        # F ~ exp(-t**-g)  =>  inverse(s) ~ log(1/s)**(-1/g)
+        return power_log_desc(0.0, -1.0 / d.gamma)
+    return NUMERIC_DESC
+
+
+def _invert_desc_inf(fn):
+    """Descriptor of the inverse near infinity, given F's behaviour near infinity."""
+    d = fn.inf_desc
+    if d.kind == POWER_LOG and d.p > 0:
+        return power_log_desc(1.0 / d.p, -d.alpha / d.p)
+    if d.kind == EXPONENTIAL:
+        return power_log_desc(0.0, 1.0 / d.gamma)
+    return NUMERIC_DESC
+
+
+def _integral_zero_desc(d, w):
+    if d.kind == ZERO_ON_INTERVAL:
+        return d
+    if d.kind == POWER_LOG:
+        return power_log_desc(d.p + w + 1.0, d.alpha)
+    if d.kind == LIMIT_CONST:
+        return power_log_desc(w + 1.0, 0.0)
+    if d.kind == EXP_RECIPROCAL:
+        return exp_reciprocal_desc(d.gamma)
+    return NUMERIC_DESC
+
+
+def _integral_inf_desc(fn, w, total):
+    """Descriptor above the grid of the integral of F(t) t**w, whose value
+    at the last node is total: a convergent integral tends to total plus
+    its part beyond the grid."""
+    d = fn.inf_desc
+    if d.kind == INFINITE_BEYOND:
+        return d
+    if d.kind == EXPONENTIAL:
+        return exponential_desc(d.gamma)
+    p, alpha = (d.p, d.alpha) if d.kind == POWER_LOG else (0.0, 0.0)  # limit-const
+    e = p + w + 1.0
+    if e > 0:
+        return power_log_desc(e, alpha)
+    if e == 0 and alpha >= -1.0:
+        return power_log_desc(0.0, alpha + 1.0)
+    return limit_const_desc(total + _integral_off_grid(fn, fn.t[-1:], w, False)[0])
+
+
+def _derivative_desc(d, keep):
+    """The derivative's descriptor at one end of a Young function whose
+    descriptor there is d: a kind in ``keep`` carries over, and a power
+    (a limit-const end is the power 0) drops by one, to no less than 0."""
+    if d.kind in keep:
+        return d
+    return power_log_desc(max(d.p - 1.0, 0.0), d.alpha)
+
+
+def _conjugate_desc_inf(d):
+    """Descriptor of the conjugate near infinity from A's near infinity."""
+    if d.kind == POWER_LOG:
+        if d.p > 1:
+            q = d.p / (d.p - 1.0)
+            return power_log_desc(q, -d.alpha / (d.p - 1.0))
+        if d.p == 1 and d.alpha > 0:
+            return exponential_desc(1.0 / d.alpha)
+        if d.p == 1 and d.alpha == 0:
+            return infinite_beyond_desc(0.0)  # threshold refined from the table
+    if d.kind == EXPONENTIAL:
+        return power_log_desc(1.0, 1.0 / d.gamma)
+    if d.kind == INFINITE_BEYOND:
+        return power_log_desc(1.0, 0.0)
+    return NUMERIC_DESC
+
+
+def _conjugate_desc_zero(d):
+    """Descriptor of the conjugate near zero from A's near zero, or
+    NUMERIC_DESC where the conjugate keeps its table's own: for a linear A
+    that is the interval [0, A'(0+)) on which the conjugate vanishes."""
+    if d.kind == POWER_LOG:
+        if d.p > 1:
+            q = d.p / (d.p - 1.0)
+            return power_log_desc(q, -d.alpha / (d.p - 1.0))
+        if d.p == 1 and d.alpha < 0:
+            return exp_reciprocal_desc(-1.0 / d.alpha)
+    if d.kind == ZERO_ON_INTERVAL:
+        return power_log_desc(1.0, 0.0)
+    return NUMERIC_DESC
+
+
+def _ratio_zero_desc(d):
+    """Descriptor of B(t)/t near zero from B's near zero."""
+    if d.kind == POWER_LOG:
+        return power_log_desc(d.p - 1.0, d.alpha)
+    return d if d.kind in (ZERO_ON_INTERVAL, EXP_RECIPROCAL) else NUMERIC_DESC
+
+
+def _ratio_inf_desc(d):
+    """Descriptor of B(t)/t near infinity from B's near infinity."""
+    if d.kind == POWER_LOG:
+        return power_log_desc(d.p - 1.0, d.alpha)
+    if d.kind in (INFINITE_BEYOND, EXPONENTIAL):
+        return d
+    return NUMERIC_DESC
+
+
+def _transform_desc_zero(d):
+    """Asymptotic class near zero of the exponential-weight transform."""
+    if d.kind == POWER_LOG:
+        return d
+    if d.kind == EXP_RECIPROCAL:
+        return exp_reciprocal_desc(d.gamma / (1.0 + d.gamma))
+    if d.kind == ZERO_ON_INTERVAL:
+        return exp_reciprocal_desc(1.0)
+    return NUMERIC_DESC
+
+
+def _transform_desc_inf(d):
+    """Asymptotic class near infinity of the exponential-weight transform."""
+    if d.kind == POWER_LOG:
+        return d
+    if d.kind == EXPONENTIAL:
+        if d.gamma < 1.0:
+            return exponential_desc(d.gamma / (1.0 - d.gamma))
+        return NUMERIC_DESC  # a finite jump appears; the table records it
+    return NUMERIC_DESC
+
+
+# the kinds each end of a Young function carried over to its derivative
+DERIVATIVE_KEEP = {True: (ZERO_ON_INTERVAL, EXP_RECIPROCAL), False: (EXPONENTIAL, INFINITE_BEYOND)}

@@ -223,7 +223,7 @@ def test_edge_slopes_are_read_only_when_a_table_is_built():
         allowed = set(range(init.lineno, init.end_lineno + 1)) if init else set()
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute)
-                  and node.attr in ("_edge_slope_zero", "_edge_slope_inf")
+                  and node.attr == "_edge_slope"
                   and node.lineno not in allowed]
     assert not found, "edge slopes read outside MonotoneFn.__init__: " + ", ".join(found)
 

@@ -11,9 +11,8 @@ from orlicalc.monotone import (
     NUMERIC_DESC,
     MonotoneFn,
     _integral_off_grid,
-    _invert_desc_inf,
+    _invert_desc,
     _power_segment_integral,
-    _invert_desc_zero,
     cumulative_integral,
     default_grid,
     exp_reciprocal_desc,
@@ -322,7 +321,7 @@ def list_built_inverse(fn, side):
         zero_desc = limit_const_desc(tz)
         value_at_zero = tz if side == "right" else 0.0
     else:
-        zero_desc = _invert_desc_zero(fn)
+        zero_desc = _invert_desc(fn.zero_desc)
         value_at_zero = 0.0
     if flat_top:
         V = runs[-1][0]
@@ -332,7 +331,7 @@ def list_built_inverse(fn, side):
         inf_desc = limit_const_desc(t_inf)
         value_at_inf = INF if side == "right" else t_inf
     else:
-        inf_desc = _invert_desc_inf(fn)
+        inf_desc = _invert_desc(fn.inf_desc)
         value_at_inf = INF
     return MonotoneFn(s_pts, tau_pts, zero_desc=zero_desc, inf_desc=inf_desc,
                       value_at_zero=value_at_zero, value_at_inf=value_at_inf,
@@ -627,7 +626,7 @@ class TestIntegralOffGrid:
             assert got == INF
             return
         if kind == "numeric-only":
-            p = fn._edge_slope_zero() if zero else fn._edge_slope_inf()
+            p = fn._edge_slope(zero)
         e = p + (w + 1.0)
         if kind != "exp-reciprocal" and not ((e > 0.0 if zero else e < 0.0)
                                              or (e == 0.0 and alpha < -1.0)):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special
 
-from orlicalc.alternative import NO_OPTIMAL, OPTIMAL
+from orlicalc.alternative import NO_OPTIMAL, OPTIMAL, UNDECIDED_OUTCOME
+from orlicalc import operators
 from orlicalc.monotone import (
     EXPONENTIAL,
     INF,
@@ -17,6 +18,7 @@ from orlicalc.monotone import (
     default_grid,
     geometric_grid,
     infinite_beyond_desc,
+    limit_const_desc,
     power_log_desc,
     zero_on_interval_desc,
 )
@@ -49,6 +51,8 @@ from orlicalc.spaces import (
 from orlicalc.young import (
     FAILS,
     HOLDS,
+    UNDECIDED,
+    QuasiConvexFn,
     conjugate,
     exp_young,
     linfty_young,
@@ -230,6 +234,24 @@ class TestSobolevOrliczDomain:
             assert out.extra["index"] == pytest.approx(p, abs=1e-9)
         out = sobolev_orlicz_domain(linfty_young(), ctx)
         assert out.result == NO_OPTIMAL
+
+    def test_bounded_reduced_generator_is_undecided(self, monkeypatch):
+        # a reduced generator that tends to a constant at infinity has no
+        # exact index: the estimate is the band [1, inf], which holds every
+        # threshold n / m > 1, so the domain is left undecided
+        t = geometric_grid(1e-4, 1e4, 16)
+        Bn = QuasiConvexFn(MonotoneFn(t, np.minimum(t, 1.0), power_log_desc(1.0),
+                                      limit_const_desc(1.0)), validate=False)
+        est = boyd_upper_index(Bn)
+        assert not est.exact and est.window == (1.0, INF)
+        monkeypatch.setattr(operators, "sobolev_reduced_target_generator",
+                            lambda B, ctx: Bn)
+        out = sobolev_orlicz_domain(power_young(2.0), SobolevContext(1, 3))
+        assert out.evidence.status == UNDECIDED
+        assert out.result == UNDECIDED_OUTCOME
+        assert out.space.generator is Bn
+        assert out.extra == {"index": INF, "window": (1.0, INF), "threshold": 3.0,
+                             "exact": False}
 
 
 class TestNoLargestOnLevel:

@@ -19,7 +19,12 @@ from orlicalc.monotone import (
     NUMERIC_ONLY,
     POWER_LOG,
     ZERO_ON_INTERVAL,
+    _INF_KINDS,
+    _ZERO_KINDS,
+    AsymptoticDescriptor,
     MonotoneFn,
+    _integral_desc,
+    _invert_desc,
     _power_segment_integral,
     exp_reciprocal_desc,
     exponential_desc,
@@ -58,7 +63,11 @@ from orlicalc.spaces import (
     fundamental_function,
     norm,
 )
+from orlicalc.operators import _transform_desc
 from orlicalc.young import (
+    _conjugate_desc,
+    _derivative_desc,
+    _ratio_desc,
     _table_from_json,
     _table_to_json,
     convex_minorant,
@@ -73,6 +82,20 @@ from orlicalc.young import (
 )
 
 from helpers import (
+    DERIVATIVE_KEEP,
+    _conjugate_desc_inf,
+    _conjugate_desc_zero,
+    _derivative_desc as reference_derivative_desc,
+    _edge_slope_inf,
+    _edge_slope_zero,
+    _integral_inf_desc,
+    _integral_zero_desc,
+    _invert_desc_inf,
+    _invert_desc_zero,
+    _ratio_inf_desc,
+    _ratio_zero_desc,
+    _transform_desc_inf,
+    _transform_desc_zero,
     averaged_pieces,
     loop_classical_lorentz_fundamental,
     loop_classical_lorentz_Nlambda,
@@ -394,7 +417,7 @@ def test_numeric_only_ends_are_the_powers_of_the_edge_segments(fn):
     # tail's constant for a flat one), F stays between them (up to the
     # rounding of a segment over a few hundred decades), and the table
     # holds the power as its descriptor
-    s0, s1 = fn._edge_slope_zero(), fn._edge_slope_inf()
+    s0, s1 = fn._edge_slope(True), fn._edge_slope(False)
     with np.errstate(all="ignore"):
         x = _evaluation_points(fn)
         fx = fn(x)
@@ -474,6 +497,66 @@ def test_segment_integral_is_the_per_class_kernel(case):
         assert np.array_equal(one, one_want, equal_nan=True)
     for g, wnt in zip(spread, spread_want):
         assert np.array_equal(g, wnt, equal_nan=True)
+
+
+# descriptor fields: 0, 1, negative, large and fractional
+_FIELD_VALUES = st.sampled_from([0.0, 1.0, -1.0, 0.5, -0.5, 2.0, 1.0 / 3.0, -2.75,
+                                 1e300, -1e300]) | st.floats(-1e6, 1e6)
+
+
+@st.composite
+def end_descriptors(draw):
+    """(zero_side, d): a kind with a rule at the drawn end, every field drawn."""
+    zero_side = draw(st.booleans())
+    kind = draw(st.sampled_from(_ZERO_KINDS if zero_side else _INF_KINDS))
+    return zero_side, AsymptoticDescriptor(kind, **{
+        name: draw(_FIELD_VALUES) for name in ("p", "alpha", "gamma", "threshold", "limit")})
+
+
+def _outcome(f, *args):
+    """f(*args) as a comparable value: a descriptor as its repr (so that a
+    NaN field matches NaN), or the type of what the call raises."""
+    try:
+        out = f(*args)
+    except (ArithmeticError, ValueError) as exc:  # both versions must raise alike
+        return type(exc)
+    return repr(out) if isinstance(out, AsymptoticDescriptor) else out
+
+
+@settings(max_examples=300, deadline=None)
+@given(evaluation_tables(), end_descriptors(), st.sampled_from(_WEIGHT_EXPS),
+       st.sampled_from([0.0, 1.0, 2.5, 1e300]))
+@example(MonotoneFn([1.0, 2.0], [1.0, 4.0]), (False, exponential_desc(2.0)), 0.0, 1.0)
+@example(MonotoneFn([1.0, 2.0], [1.0, 4.0]), (True, exp_reciprocal_desc(2.0)), 0.0, 1.0)
+@example(MonotoneFn([1.0, 2.0], [1.0, 4.0]), (False, power_log_desc(-3.0)), 0.0, 1.0)
+@example(MonotoneFn([1.0, np.nextafter(1.0, 2.0), 2.0], [1.0, 2.0, INF]),
+         (False, power_log_desc(2.0)), 0.0, 1.0)
+def test_class_transforms_are_the_per_end_twins(table, case, w, total):
+    # each growth-class operation reads the end from the kind, and gives at
+    # either end what the twin for that end gave
+    zero_side, d = case
+    ends = (d, table.inf_desc) if zero_side else (table.zero_desc, d)
+    fn = MonotoneFn(table.t, table.v, *ends, validate=False)
+    invert, ratio, conj, transform, edge = (
+        (_invert_desc_zero, _ratio_zero_desc, _conjugate_desc_zero, _transform_desc_zero,
+         _edge_slope_zero) if zero_side else
+        (_invert_desc_inf, _ratio_inf_desc, _conjugate_desc_inf, _transform_desc_inf,
+         _edge_slope_inf))
+    with np.errstate(all="ignore"):
+        pairs = [
+            (_outcome(_invert_desc, d), _outcome(invert, fn)),
+            (_outcome(_integral_desc, fn, w, zero_side, total),
+             _outcome(_integral_zero_desc, d, w) if zero_side
+             else _outcome(_integral_inf_desc, fn, w, total)),
+            (_outcome(_ratio_desc, d), _outcome(ratio, d)),
+            (_outcome(_conjugate_desc, d, zero_side), _outcome(conj, d)),
+            (_outcome(_transform_desc, d), _outcome(transform, d)),
+            (_outcome(_derivative_desc, d),
+             _outcome(reference_derivative_desc, d, DERIVATIVE_KEEP[zero_side])),
+            (fn._edge_slope(zero_side), edge(fn)),
+        ]
+    for got, want in pairs:
+        assert got == want
 
 
 @st.composite

@@ -977,7 +977,7 @@ def mp_phi(phi, t):
     if d.kind == "power-log":
         p, alpha = d.p, d.alpha
     else:
-        p, alpha = (phi._edge_slope_zero() if zero else phi._edge_slope_inf()), 0.0
+        p, alpha = phi._edge_slope(zero), 0.0
     if zero:
         ell = mp.log(t) / mp.log(ta) if ta < 1 else 1 + mp.log(ta / t)
     else:

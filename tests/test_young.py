@@ -80,7 +80,7 @@ def reference_value(A, x):
             return d.limit * x
         if d.kind == POWER_LOG and d.alpha != 0.0:
             return None
-        p = d.p if d.kind == POWER_LOG else a._edge_slope_zero()
+        p = d.p if d.kind == POWER_LOG else a._edge_slope(True)
         return ax * x / (p + 1.0)
     if x > t[-1]:
         if math.isinf(base.v[-1]) or a._i_last_fin < t.size - 1:
@@ -89,7 +89,7 @@ def reference_value(A, x):
         if d.kind == POWER_LOG and d.alpha == 0.0:
             p = d.p
         elif d.kind in (NUMERIC_ONLY, LIMIT_CONST):
-            p = a._edge_slope_inf() if d.kind == NUMERIC_ONLY else 0.0
+            p = a._edge_slope(False) if d.kind == NUMERIC_ONLY else 0.0
         else:
             return None
         aN, tN = float(a.v[-1]), float(t[-1])
